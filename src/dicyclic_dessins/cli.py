@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import covering, covers, curves, genus, monodromy, real_forms
-from .errors import SearchExhaustedError
+from .errors import ParameterError, SearchExhaustedError
 from .group import DicyclicGroup
 from .reports import Report
 
@@ -263,6 +263,7 @@ def curves_cmd(n: int, model_name: str, seed: int, trials: int, tol: float,
     _require(n >= 2, "curves needs --n >= 2")
     _require(not (model_name.startswith("Rn") and n % 2 == 0),
              f"{model_name} needs odd --n")
+    _require(tol > 0, "curves needs --tol > 0")
     started = time.perf_counter()
     _finish(curves_report(n, model_name, seed, trials, tol), started, json_path)
 
@@ -463,6 +464,9 @@ def main() -> None:
         cli.main(standalone_mode=False)
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
+        sys.exit(2)
+    except ParameterError as exc:
+        click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except click.ClickException as exc:
         exc.show()

@@ -168,11 +168,19 @@ def fixed_point_count(act: Action, g: GroupElement) -> int:
 
 
 def free_elements(act: Action) -> list[GroupElement]:
-    """Nontrivial elements acting without fixed points, sorted."""
+    """Nontrivial elements acting without fixed points, sorted.
+
+    g fixes a point iff its conjugacy class meets a cone cyclic subgroup
+    (`fixed_point_count` is the element-wise oracle).
+    """
+    group = act.group
+    cyclics = [group.cyclic(c).members for c in act.cone_images]
+    non_free = {group.identity}.union(*cyclics)
     return sorted(
         g
-        for g in act.group.elements
-        if not g.is_identity() and fixed_point_count(act, g) == 0
+        for cls in group.conjugacy_classes
+        if cls.members.isdisjoint(non_free)
+        for g in cls.members
     )
 
 

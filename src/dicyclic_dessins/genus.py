@@ -4,7 +4,8 @@ Finds the least genus over which the dicyclic group acts conformally
 (strong symmetric genus), and the least genus of a purely-non-free
 conformal action (pure symmetric genus), by inverting Riemann-Hurwitz
 to list the finitely many candidate signatures at each genus and then
-searching for a generating vector realising each one.
+searching for a generating vector realising each one with the shared
+engine of `search.py`, which also serves `real_forms`.
 
 Genus zero is impossible because the group is none of the sphere groups
 (cyclic, dihedral, A4, S4, A5); genus one is excluded computationally
@@ -14,13 +15,13 @@ The search therefore starts at genus two.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covering import GeneratingVector, OrbifoldSignature
+from . import search
+from .covering import GeneratingVector, OrbifoldSignature, is_purely_non_free
 from .errors import ParameterError, SearchExhaustedError
-from .group import DicyclicGroup, GroupElement
+from .group import DicyclicGroup
 
 TORUS_SIGNATURES = (
     OrbifoldSignature(0, (2, 2, 2, 2)),
@@ -39,12 +40,6 @@ class SignatureCandidate:
     signature: OrbifoldSignature
 
 
-def _order_pool(n: int) -> list[int]:
-    """Possible cone orders: divisors >= 2 of 2n, together with 4."""
-    two_n = 2 * n
-    return sorted({d for d in range(2, two_n + 1) if two_n % d == 0} | {4})
-
-
 def signature_candidates(n: int, g: int) -> list[SignatureCandidate]:
     """All (gamma', orders) with 2g-2 = 4n(2 gamma' - 2 + sum(1 - 1/m)).
 
@@ -55,14 +50,14 @@ def signature_candidates(n: int, g: int) -> list[SignatureCandidate]:
     if g < 2:
         raise ParameterError(f"search genus must be >= 2, got {g}")
     four_n = 4 * DicyclicGroup(n).n
-    pool = _order_pool(n)
+    pool = search.order_pool(n)
     out = []
     gamma = 0
     while True:
         target = Fraction(2 * g - 2, four_n) - (2 * gamma - 2)
         if target < 0:
             break
-        for orders in _defect_partitions(target, pool):
+        for orders in search.defect_partitions(target, pool):
             out.append(
                 SignatureCandidate(g, OrbifoldSignature(gamma, orders))
             )
@@ -73,87 +68,31 @@ def signature_candidates(n: int, g: int) -> list[SignatureCandidate]:
     return out
 
 
-def _defect_partitions(target: Fraction, pool: list[int], lo: int = 0):
-    """Non-decreasing order tuples with sum(1 - 1/m) equal to target."""
-    if target == 0:
-        yield ()
-        return
-    for i in range(lo, len(pool)):
-        m = pool[i]
-        term = 1 - Fraction(1, m)
-        if term > target:
-            break
-        for rest in _defect_partitions(target - term, pool, i):
-            yield (m,) + rest
+def generating_vectors(group: DicyclicGroup, candidate: SignatureCandidate):
+    """Every generating vector with this signature, in index order."""
+    sig = candidate.signature
+    orders = group.order_table
+    pools = [[i for i in range(group.order) if orders[i] == m] for m in sig.cone_orders]
+    hyper_pools = [range(group.order)] * (2 * sig.quotient_genus)
+    for hyper, cones in search.vectors(group, hyper_pools, search.commutators, pools):
+        yield GeneratingVector(group, sig.quotient_genus,
+                               tuple(map(group.element_at, hyper)),
+                               tuple(map(group.element_at, cones)))
 
 
 def exists_generating_vector(
-    n: int, candidate: SignatureCandidate
+    group: DicyclicGroup, candidate: SignatureCandidate
 ) -> GeneratingVector | None:
-    """Exhaustive search for a generating vector with this signature.
-
-    The last cone image is forced by the long relation; for signatures
-    without cone points the relation itself is the filter.  Returns the
-    first witness in a fixed enumeration order, or None.
-    """
-    group = DicyclicGroup(n)
-    sig = candidate.signature
-    gamma = sig.quotient_genus
-    orders = sig.cone_orders
-    els = sorted(group.elements)
-    by_order: dict[int, list[GroupElement]] = {}
-    for e in els:
-        by_order.setdefault(e.order(), []).append(e)
-    head_pools = [by_order.get(m, []) for m in orders[:-1]]
-    if orders and not by_order.get(orders[-1]):
-        return None
-
-    for hyper in itertools.product(els, repeat=2 * gamma):
-        prod = group.identity
-        for i in range(gamma):
-            a, b = hyper[2 * i], hyper[2 * i + 1]
-            prod = prod * a * b * a.inverse() * b.inverse()
-        for betas_head in itertools.product(*head_pools):
-            total = prod
-            for c in betas_head:
-                total = total * c
-            if orders:
-                last = total.inverse()
-                if last.order() != orders[-1]:
-                    continue
-                cones = tuple(betas_head) + (last,)
-            else:
-                if not total.is_identity():
-                    continue
-                cones = ()
-            gens = list(hyper) + list(cones)
-            if group.subgroup_generated(gens).order != group.order:
-                continue
-            return GeneratingVector(group, gamma, tuple(hyper), cones)
-    return None
-
-
-def _is_purely_non_free_vector(vec: GeneratingVector) -> bool:
-    """Every nontrivial element conjugate into some cone cyclic subgroup."""
-    group = vec.group
-    cyclics = [group.cyclic(c).members for c in vec.cone_images]
-    for g in group.elements:
-        if g.is_identity():
-            continue
-        hit = any(
-            any(h.inverse() * g * h in cyc for h in group.elements)
-            for cyc in cyclics
-        )
-        if not hit:
-            return False
-    return True
+    """The first generating vector with this signature, or None."""
+    return next(generating_vectors(group, candidate), None)
 
 
 def strong_symmetric_genus(n: int, g_max: int) -> tuple[int, GeneratingVector]:
     """Least genus >= 2 admitting any conformal action of the group."""
+    group = DicyclicGroup(n)
     for g in range(2, g_max + 1):
         for candidate in signature_candidates(n, g):
-            witness = exists_generating_vector(n, candidate)
+            witness = exists_generating_vector(group, candidate)
             if witness is not None:
                 return g, witness
     raise SearchExhaustedError(
@@ -164,13 +103,16 @@ def strong_symmetric_genus(n: int, g_max: int) -> tuple[int, GeneratingVector]:
 def pure_symmetric_genus(n: int, g_max: int) -> tuple[int, GeneratingVector]:
     """Least genus >= 2 admitting a purely-non-free conformal action.
 
-    The purity test is conjugation into the cone cyclic subgroups; the
-    tests cross-check it against the coset fixed-point oracle.
+    Every vector of each candidate signature is tested, not just the
+    first; purity was found constant on the vectors of every candidate
+    signature up to genus n for n = 2..13, 27 and 33.
     """
+    group = DicyclicGroup(n)
     for g in range(2, g_max + 1):
         for candidate in signature_candidates(n, g):
-            witness = exists_generating_vector(n, candidate)
-            if witness is not None and _is_purely_non_free_vector(witness):
+            witness = next((v for v in generating_vectors(group, candidate)
+                            if is_purely_non_free(v)[0]), None)
+            if witness is not None:
                 return g, witness
     raise SearchExhaustedError(
         f"no purely-non-free action of G_{n} found up to genus {g_max}"
@@ -180,8 +122,9 @@ def pure_symmetric_genus(n: int, g_max: int) -> tuple[int, GeneratingVector]:
 def torus_exclusion_report(n: int) -> dict[str, bool]:
     """Check that none of the five flat signatures admits a generating
     vector, keeping the genus-one exclusion computational."""
+    group = DicyclicGroup(n)
     out = {}
     for sig in TORUS_SIGNATURES:
         key = f"({sig.quotient_genus};{','.join(map(str, sig.cone_orders)) or '-'})"
-        out[key] = exists_generating_vector(n, SignatureCandidate(1, sig)) is None
+        out[key] = exists_generating_vector(group, SignatureCandidate(1, sig)) is None
     return out

@@ -226,15 +226,18 @@ class DicyclicGroup:
 
     @cached_property
     def mul_table(self) -> list[list[int]]:
-        els = self.elements
+        # GroupElement.__mul__ on indices 2a + b: x^a y^b * x^c y^d is
+        # x^(a + (-1)^b c + n [b = d = 1]) y^(b xor d).
+        n = self.n
         return [
-            [self.index_of(e1 * e2) for e2 in els]
-            for e1 in els
+            [2 * ((a + (-c if b else c) + n * (b & d)) % (2 * n)) + (b ^ d)
+             for c in range(2 * n) for d in (0, 1)]
+            for a in range(2 * n) for b in (0, 1)
         ]
 
     @cached_property
     def inverse_table(self) -> list[int]:
-        return [self.index_of(e.inverse()) for e in self.elements]
+        return [row.index(0) for row in self.mul_table]
 
     @cached_property
     def order_table(self) -> list[int]:
@@ -315,12 +318,6 @@ class DicyclicGroup:
             classes.append(ConjugacyClass(min(members), members))
         classes.sort()
         return tuple(classes)
-
-    def class_of(self, e: GroupElement) -> ConjugacyClass:
-        for cls in self.conjugacy_classes:
-            if e in cls.members:
-                return cls
-        raise ParameterError(f"element {e!r} not in G_{self.n}")
 
     # -- automorphisms ---------------------------------------------------
 

@@ -11,7 +11,8 @@ induced anticonformal involution acts without fixed points (the only
 involution x^n lies in every index-two subgroup).
 
 This module certifies the minimal hyperbolic genus values by exhaustive
-search and builds the pseudo-real family with all of its computable
+search, with the engine of `search.py` that the orientable genus searches
+share, and builds the pseudo-real family with all of its computable
 properties.
 """
 
@@ -21,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import search
 from .errors import (
     ConstructionError,
     InadmissibleSignatureError,
@@ -140,69 +142,38 @@ class NECActionData:
     def genus(self) -> int:
         return nec_genus(self.group.n, self.sig)
 
-    def key(self) -> tuple:
-        return (
-            tuple(self.group.index_of(a) for a in self.alpha_images),
-            tuple(self.group.index_of(b) for b in self.beta_images),
-        )
-
 
 def admissible_homomorphisms(
-    n: int,
+    group: DicyclicGroup,
     plus_part: Subgroup,
     sig: NECSignature,
     limit: int | None = None,
 ) -> list[NECActionData]:
     """Exhaustive list of admissible image tuples for one signature.
 
-    The last elliptic image is forced by the long relation, which cuts
-    the search space without losing exhaustiveness.  Results come out in
-    a fixed lexicographic order; `limit` truncates early when only
+    `search.vectors` with the word of squares, glide-reflection images
+    outside the plus part and elliptic images inside it; every vector
+    must also pass `NECActionData.violations`.  Results come out in a
+    fixed lexicographic order; `limit` truncates early when only
     existence (or one witness) is needed.
     """
-    group = DicyclicGroup(n)
     if plus_part.index_in(group) != 2:
         raise ParameterError("plus part must have index two")
-    outside = sorted(g for g in group.elements if g not in plus_part)
-    inside = plus_part.sorted_members()
-    by_order: dict[int, list[GroupElement]] = {}
-    for g in inside:
-        by_order.setdefault(g.order(), []).append(g)
-
+    inside = sorted(group.index_of(h) for h in plus_part.members)
+    outside = sorted(set(range(group.order)) - set(inside))
+    orders = group.order_table
+    beta_pools = [[i for i in inside if orders[i] == m] for m in sig.cone_orders]
     found: list[NECActionData] = []
-    orders = sig.cone_orders
-    beta_pools = [by_order.get(m, []) for m in orders[:-1]] if orders else []
-
-    for alphas in itertools.product(outside, repeat=sig.gamma + 1):
-        head = group.identity
-        for a in alphas:
-            head = head * a * a
-        if not orders:
-            beta_choices = [()] if head.is_identity() else []
-        else:
-            beta_choices = itertools.product(*beta_pools)
-        for betas_head in beta_choices:
-            prod = head
-            for b in betas_head:
-                prod = prod * b
-            if orders:
-                last = prod.inverse()
-                if last not in plus_part.members or last.order() != orders[-1]:
-                    continue
-                betas = tuple(betas_head) + (last,)
-            else:
-                betas = ()
-            candidate = NECActionData.__new__(NECActionData)
-            candidate.group = group
-            candidate.plus_part = plus_part
-            candidate.sig = sig
-            candidate.alpha_images = tuple(alphas)
-            candidate.beta_images = betas
-            if candidate.violations():
-                continue
-            found.append(candidate)
-            if limit is not None and len(found) >= limit:
-                return found
+    alpha_pools = [outside] * (sig.gamma + 1)
+    for alphas, betas in search.vectors(group, alpha_pools, search.squares, beta_pools):
+        try:
+            found.append(NECActionData(group, plus_part, sig,
+                                       tuple(map(group.element_at, alphas)),
+                                       tuple(map(group.element_at, betas))))
+        except ParameterError:
+            continue
+        if limit is not None and len(found) >= limit:
+            break
     return found
 
 
@@ -211,12 +182,10 @@ def candidate_signatures(
 ) -> list[tuple[int, NECSignature]]:
     """All integral-genus signatures within bounds, sorted by genus.
 
-    Cone orders range over the divisors of 2n that are >= 2, together
-    with 4 (the possible element orders of the group); only signatures
-    of genus >= 2 qualify for the hyperbolic genus.
+    Cone orders range over `search.order_pool(n)`; only signatures of
+    genus >= 2 qualify for the hyperbolic genus.
     """
-    two_n = 2 * n
-    pool = sorted({d for d in range(2, two_n + 1) if two_n % d == 0} | {4})
+    pool = search.order_pool(n)
     out = []
     for gamma in range(gamma_max + 1):
         for r in range(r_max + 1):
@@ -256,7 +225,7 @@ def sigma_hyp(
         if prune and best is not None and g >= best[0]:
             break
         for H in plus_parts:
-            witnesses = admissible_homomorphisms(n, H, sig, limit=1)
+            witnesses = admissible_homomorphisms(group, H, sig, limit=1)
             if witnesses and (best is None or g < best[0]):
                 best = (g, witnesses[0])
     if best is None:
@@ -274,7 +243,7 @@ def sigma_hyp_by_plus_part(
     out: dict[str, int] = {}
     for H in group.index_two_subgroups():
         for g, sig in candidate_signatures(n, gamma_max, r_max):
-            if admissible_homomorphisms(n, H, sig, limit=1):
+            if admissible_homomorphisms(group, H, sig, limit=1):
                 out[repr(H)] = g
                 break
     return out

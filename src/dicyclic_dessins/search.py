@@ -1,0 +1,77 @@
+"""One exhaustive generating-vector search, over element indices.
+
+The long relation is word(hyper) * c_1 ... c_r = 1, with a product of
+commutators for orientable quotients and of squares for non-orientable
+ones (T. Breuer, *Characters and Automorphism Groups of Compact Riemann
+Surfaces*, 2000).  Callers convert indices to `GroupElement` at the edge.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from .group import DicyclicGroup
+
+
+def order_pool(n: int) -> list[int]:
+    """Possible cone orders: divisors >= 2 of 2n, together with 4."""
+    two_n = 2 * n
+    return sorted({d for d in range(2, two_n + 1) if two_n % d == 0} | {4})
+
+
+def defect_partitions(target: Fraction, pool: list[int], lo: int = 0):
+    """Non-decreasing order tuples with sum(1 - 1/m) equal to target."""
+    if target == 0:
+        yield ()
+        return
+    for i in range(lo, len(pool)):
+        m = pool[i]
+        term = 1 - Fraction(1, m)
+        if term > target:
+            break
+        for rest in defect_partitions(target - term, pool, i):
+            yield (m,) + rest
+
+
+def commutators(group: DicyclicGroup, hyper: tuple[int, ...]) -> int:
+    """[a_1, b_1] ... [a_g, b_g] for hyper = (a_1, b_1, ..., a_g, b_g)."""
+    mul, inv = group.mul_table, group.inverse_table
+    prod = 0
+    for a, b in zip(hyper[::2], hyper[1::2]):
+        prod = mul[mul[mul[mul[prod][a]][b]][inv[a]]][inv[b]]
+    return prod
+
+
+def squares(group: DicyclicGroup, hyper: tuple[int, ...]) -> int:
+    """a_1^2 ... a_k^2 for hyper = (a_1, ..., a_k)."""
+    mul = group.mul_table
+    prod = 0
+    for a in hyper:
+        prod = mul[mul[prod][a]][a]
+    return prod
+
+
+def vectors(group: DicyclicGroup, hyper_pools, word, cone_pools):
+    """Yield every generating vector (hyper, cones) of index tuples.
+
+    hyper[i] ranges over hyper_pools[i] and cones[j] over cone_pools[j],
+    in lexicographic order.  The last cone image is forced by the long
+    relation; without cone images the forced image must be the identity.
+    """
+    if not all(cone_pools):
+        return
+    mul, inv = group.mul_table, group.inverse_table
+    last_pool = set(cone_pools[-1]) if cone_pools else {0}
+    for hyper in itertools.product(*hyper_pools):
+        prod = word(group, hyper)
+        for head in itertools.product(*cone_pools[:-1]):
+            total = prod
+            for c in head:
+                total = mul[total][c]
+            last = inv[total]
+            if last not in last_pool:
+                continue
+            cones = head + (last,) if cone_pools else ()
+            if len(group._closure_indices(hyper + cones)) == group.order:
+                yield hyper, cones

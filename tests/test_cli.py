@@ -10,6 +10,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "dicyclic_dessins"]
 
 
@@ -71,6 +73,19 @@ def test_curves_seed_determinism():
     a = run_cli("curves", "--n", "3", "--model", "Rn_cyclic", "--seed", "4")
     b = run_cli("curves", "--n", "3", "--model", "Rn_cyclic", "--seed", "4")
     assert payload_of(a) == payload_of(b)
+
+
+@pytest.mark.parametrize("args", [
+    ("hyper", "--n", "2", "--gamma-max", "0"),
+    ("curves", "--n", "2", "--model", "Sn_hyperelliptic", "--trials", "0"),
+    ("curves", "--n", "3", "--model", "Sn_cyclic"),
+    ("curves", "--n", "2", "--model", "Sn_hyperelliptic", "--tol", "0"),
+])
+def test_bad_parameter_values_are_usage_errors(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ")
 
 
 def test_genus_modes():

@@ -14,6 +14,7 @@ from dicyclic_dessins.covering import (
     triangular_census,
 )
 from dicyclic_dessins.errors import InadmissibleSignatureError
+from dicyclic_dessins.genus import pure_symmetric_genus, strong_symmetric_genus
 from dicyclic_dessins.group import DicyclicGroup
 
 
@@ -103,6 +104,25 @@ def test_case_II_free_elements():
         assert sorted(free_elements(act)) == expected
         pure, _ = is_purely_non_free(act)
         assert not pure
+
+
+def test_free_elements_match_fixed_point_oracle():
+    # free_elements works on conjugacy classes; fixed_point_count counts
+    # fixed points element by element
+    actions = [
+        census_representative(n, case)
+        for n in range(2, 11)
+        for case in (("I",) if n % 2 == 0 else ("I", "II"))
+    ]
+    for n in range(2, 7):
+        actions.append(strong_symmetric_genus(n, n + 2)[1])
+        actions.append(pure_symmetric_genus(n, n + 2)[1])
+    for act in actions:
+        oracle = [
+            g for g in act.group.elements
+            if not g.is_identity() and fixed_point_count(act, g) == 0
+        ]
+        assert free_elements(act) == oracle
 
 
 def test_fixed_points_satisfy_riemann_hurwitz():

@@ -95,6 +95,16 @@ def test_automorphisms_fix_relations():
             assert iy * ix * iy.inverse() == ix.inverse()
 
 
+def test_index_tables_match_element_arithmetic():
+    # the tables are built on indices; GroupElement arithmetic is the oracle
+    for n in range(2, 13):
+        G = DicyclicGroup(n)
+        idx = G.index_of
+        assert G.mul_table == [[idx(g * h) for h in G.elements] for g in G.elements]
+        assert G.inverse_table == [idx(g.inverse()) for g in G.elements]
+        assert G.order_table == [g.order() for g in G.elements]
+
+
 element_indices = st.integers(min_value=0, max_value=23)
 
 

@@ -1,5 +1,7 @@
 """Tests for the anticonformal action data and minimal hyperbolic genus."""
 
+from fractions import Fraction
+
 import pytest
 
 from dicyclic_dessins.errors import (
@@ -13,10 +15,12 @@ from dicyclic_dessins.real_forms import (
     NECSignature,
     admissible_homomorphisms,
     build_pseudo_real,
+    candidate_signatures,
     nec_genus,
     sigma_hyp,
     sigma_hyp_by_plus_part,
 )
+from dicyclic_dessins.search import defect_partitions, order_pool
 
 
 # -- genus formula ------------------------------------------------------
@@ -73,7 +77,7 @@ def test_admissible_homomorphisms_empty_below_minimum():
     # order 4 at n=2 on a projective plane minus discs analogue
     G = DicyclicGroup(3)
     H = G.cyclic(G.x)
-    found = admissible_homomorphisms(G.n, H, NECSignature(0, (2, 2)), limit=1)
+    found = admissible_homomorphisms(G, H, NECSignature(0, (2, 2)), limit=1)
     assert found == []
 
 
@@ -115,6 +119,25 @@ def test_sigma_hyp_by_plus_part_attains_minimum_over_parts():
     for n in (2, 4):
         per_part = sigma_hyp_by_plus_part(n)
         assert min(per_part.values()) == sigma_hyp(n)[0]
+
+
+def test_sigma_hyp_bounds_are_complete():
+    # Inverting g = 1 + 2n(gamma - 1 + sum(1 - 1/m)) lists every
+    # signature of genus 2..sigma^hyp(n); all of them lie within the
+    # default bounds gamma <= 1, r <= 3, so the bounded search misses none.
+    for n in range(2, 13):
+        top = sigma_hyp(n)[0]
+        inverted = set()
+        for g in range(2, top + 1):
+            gamma = 0
+            while (target := Fraction(g - 1, 2 * n) + 1 - gamma) >= 0:
+                inverted |= {
+                    (g, NECSignature(gamma, orders))
+                    for orders in defect_partitions(target, order_pool(n))
+                }
+                gamma += 1
+        bounded = {(g, sig) for g, sig in candidate_signatures(n, 1, 3) if g <= top}
+        assert inverted == bounded
 
 
 def test_sigma_hyp_rejects_too_small_bounds():
