@@ -8,6 +8,7 @@ failure, 2 usage error, 3 search exhausted.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from pathlib import Path
@@ -263,7 +264,7 @@ def curves_cmd(n: int, model_name: str, seed: int, trials: int, tol: float,
     _require(n >= 2, "curves needs --n >= 2")
     _require(not (model_name.startswith("Rn") and n % 2 == 0),
              f"{model_name} needs odd --n")
-    _require(tol > 0, "curves needs --tol > 0")
+    _require(math.isfinite(tol) and tol > 0, "curves needs a finite --tol > 0")
     started = time.perf_counter()
     _finish(curves_report(n, model_name, seed, trials, tol), started, json_path)
 
@@ -465,7 +466,8 @@ def main() -> None:
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         sys.exit(2)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:
+        # OSError: an output path (--json, --dot, --out) cannot be written
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except click.ClickException as exc:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InadmissibleSignatureError, ParameterError
+from . import search
+from .errors import ConstructionError, InadmissibleSignatureError, ParameterError
 from .group import DicyclicGroup, GroupElement, Subgroup
 
 
@@ -76,10 +77,6 @@ class TriangularAction:
             raise ParameterError("pair does not generate the group")
         if any(ci.order() < 2 for ci in self.c):
             raise ParameterError("triangular actions need all three orders >= 2")
-
-    @classmethod
-    def from_pair(cls, group: DicyclicGroup, g0: GroupElement, g1: GroupElement) -> "TriangularAction":
-        return cls(group, (g0, g1, (g0 * g1).inverse()))
 
     @property
     def quotient_genus(self) -> int:
@@ -198,14 +195,17 @@ def is_purely_non_free(act: Action) -> tuple[bool, list[GroupElement]]:
 
 
 def _coset_cycles(group: DicyclicGroup, H: Subgroup, c: GroupElement) -> list[int]:
-    """Cycle lengths of left multiplication by c on the cosets G/H."""
-    members = H.members
-    rep_of: dict[GroupElement, GroupElement] = {}
-    for g in group.elements:
-        rep_of[g] = min(g * h for h in members)
-    cosets = sorted(set(rep_of.values()))
+    """Cycle lengths of left multiplication by c on the cosets G/H.
+
+    Each coset gH is named by its least index; index order is element
+    order, so the cycles come out in the same order either way.
+    """
+    mul = group.mul_table
+    members = [group.index_of(h) for h in H.members]
+    rep_of = [min(mul[g][h] for h in members) for g in range(group.order)]
+    ci = group.index_of(c)
     lengths = []
-    unseen = set(cosets)
+    unseen = set(rep_of)
     while unseen:
         start = min(unseen)
         length = 0
@@ -213,7 +213,7 @@ def _coset_cycles(group: DicyclicGroup, H: Subgroup, c: GroupElement) -> list[in
         while True:
             unseen.discard(cur)
             length += 1
-            cur = rep_of[c * cur]
+            cur = rep_of[mul[ci][cur]]
             if cur == start:
                 break
         lengths.append(length)
@@ -297,84 +297,57 @@ class ActionCensus:
         return sum(e.pair_count for e in self.entries)
 
 
-def _orbit_count(pairs: set[tuple[int, int]], moves) -> int:
-    """Orbits of an explicit family of pair moves on a pair set."""
-    unseen = set(pairs)
-    count = 0
-    while unseen:
-        start = min(unseen)
-        frontier = [start]
-        unseen.discard(start)
-        while frontier:
-            p = frontier.pop()
-            for move in moves:
-                q = move(p)
-                if q in unseen:
-                    unseen.discard(q)
-                    frontier.append(q)
-        count += 1
-    return count
+def _free_orbits(pairs: int, group_size: int, what: str) -> int:
+    """Orbit count of a group of group_size acting freely on pairs."""
+    if pairs % group_size:
+        raise ConstructionError(
+            f"{pairs} generating pairs do not split into free {what} orbits "
+            f"of size {group_size}"
+        )
+    return pairs // group_size
 
 
 def triangular_census(n: int) -> ActionCensus:
     """Classify all ordered generating pairs of the dicyclic group.
 
     Pairs are grouped by ordered signature (|g0|, |g1|, |(g0 g1)^-1|);
-    each group reports its orbit counts both under simultaneous
+    the representative of a group is its least pair in index order.
+    Each group reports its orbit counts both under simultaneous
     conjugation and under the full automorphism group.  The two counts
     genuinely differ (e.g. n=2 has 6 conjugacy orbits but a single
     automorphism orbit), which is why both are kept.
+
+    Both actions are free, so the counts are exact quotients (G. A.
+    Jones, "Regular dessins with a given automorphism group", 2014): an
+    automorphism fixing a generating pair fixes the whole group, and an
+    element centralising a generating pair is central, so Aut G and
+    G/Z(G) act with orbits of full size.  A count that does not divide
+    is a bug, not a rounding matter.
     """
     if n < 2:
         raise ParameterError(f"census needs n >= 2, got n={n}")
     group = DicyclicGroup(n)
-    N = group.order
-    table = group.mul_table
-    inv = group.inverse_table
     orders = group.order_table
+    nontrivial = range(1, group.order)
+    by_sig: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+    for _, cones in search.vectors(group, (), search.commutators, [nontrivial] * 3):
+        by_sig.setdefault(tuple(orders[c] for c in cones), []).append(cones)
 
-    # generating pairs, as index pairs
-    generates: dict[tuple[int, int], bool] = {}
-
-    def pair_generates(i: int, j: int) -> bool:
-        key = (i, j) if i <= j else (j, i)
-        if key not in generates:
-            generates[key] = len(group._closure_indices(key)) == N
-        return generates[key]
-
-    by_sig: dict[tuple[int, int, int], set[tuple[int, int]]] = {}
-    for i in range(N):
-        for j in range(N):
-            k = inv[table[i][j]]
-            if orders[i] < 2 or orders[j] < 2 or orders[k] < 2:
-                continue
-            if not pair_generates(i, j):
-                continue
-            sig = (orders[i], orders[j], orders[k])
-            by_sig.setdefault(sig, set()).add((i, j))
-
-    conj_moves = [
-        (lambda p, h=h: (table[table[h][p[0]]][inv[h]], table[table[h][p[1]]][inv[h]]))
-        for h in range(N)
-    ]
-    aut_moves = [
-        (lambda p, perm=perm: (perm[p[0]], perm[p[1]]))
-        for perm in group.automorphism_index_perms()
-    ]
-
+    centre = sum(1 for cls in group.conjugacy_classes if cls.size == 1)
+    inner = group.order // centre
+    automorphisms = len(group.automorphisms)
     entries = []
     for sig in sorted(by_sig):
-        pairs = by_sig[sig]
-        i, j = min(pairs)
-        rep = TriangularAction.from_pair(
-            group, group.element_at(i), group.element_at(j)
-        )
+        triples = by_sig[sig]
+        rep = TriangularAction(group, tuple(group.element_at(i) for i in triples[0]))
         entries.append(
             CensusEntry(
                 signature=sig,
-                pair_count=len(pairs),
-                conjugacy_orbits=_orbit_count(pairs, conj_moves),
-                automorphism_orbits=_orbit_count(pairs, aut_moves),
+                pair_count=len(triples),
+                conjugacy_orbits=_free_orbits(len(triples), inner, "conjugacy"),
+                automorphism_orbits=_free_orbits(
+                    len(triples), automorphisms, "automorphism"
+                ),
                 representative=rep,
             )
         )
@@ -385,7 +358,8 @@ def census_representative(n: int, case: str) -> TriangularAction:
     """Representative triangular action for case I or II.
 
     Case I is the ordered signature (4, 4, 2n) (any n >= 2); case II is
-    (4, 4, n) and needs n >= 3 odd.
+    (4, 4, n) and needs n >= 3 odd.  The first vector of the search is
+    the least pair in index order, the census entry's representative.
     """
     group = DicyclicGroup(n)
     if case == "I":
@@ -396,7 +370,11 @@ def census_representative(n: int, case: str) -> TriangularAction:
         target = (4, 4, n)
     else:
         raise ParameterError(f"case must be 'I' or 'II', got {case!r}")
-    for entry in triangular_census(n).entries:
-        if entry.signature == target:
-            return entry.representative
-    raise ParameterError(f"no action of signature {target} for n={n}")
+    pools = [
+        [i for i, order in enumerate(group.order_table) if order == m]
+        for m in target
+    ]
+    found = next(search.vectors(group, (), search.commutators, pools), None)
+    if found is None:
+        raise ParameterError(f"no action of signature {target} for n={n}")
+    return TriangularAction(group, tuple(group.element_at(i) for i in found[1]))

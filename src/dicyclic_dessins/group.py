@@ -152,19 +152,6 @@ class GroupAutomorphism:
     def n(self) -> int:
         return self.image_of_x.n
 
-    def apply(self, e: GroupElement) -> GroupElement:
-        return self.image_of_x.power(e.a) * self.image_of_y.power(e.b)
-
-    def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
-        """self after other."""
-        return GroupAutomorphism(
-            self.apply(other.image_of_x), self.apply(other.image_of_y)
-        )
-
-    def is_identity(self) -> bool:
-        n = self.n
-        return self.image_of_x == GroupElement(n, 1, 0) and self.image_of_y == GroupElement(n, 0, 1)
-
 
 class DicyclicGroup:
     """The dicyclic group of order 4n, with enumeration helpers.
@@ -241,7 +228,14 @@ class DicyclicGroup:
 
     @cached_property
     def order_table(self) -> list[int]:
-        return [e.order() for e in self.elements]
+        mul = self.mul_table
+        orders = []
+        for i in range(self.order):
+            power, k = i, 1
+            while power:
+                power, k = mul[power][i], k + 1
+            orders.append(k)
+        return orders
 
     # -- subgroups -------------------------------------------------------
 
@@ -328,33 +322,46 @@ class DicyclicGroup:
         A pair defines an automorphism iff the images satisfy the three
         defining relations and generate the group.  No theoretical
         shortcut is taken; this keeps the list usable as an independent
-        oracle for "up to isomorphisms" counting.
+        oracle for "up to isomorphisms" counting.  Both loops run in
+        index order, which is element order, so the result is sorted.
         """
         n = self.n
-        identity = self.identity
+        mul, inv = self.mul_table, self.inverse_table
         found = []
-        for imx in self.elements:
-            if not imx.power(2 * n).is_identity():
+        for ix in range(self.order):
+            powers = [0]
+            for _ in range(2 * n):
+                powers.append(mul[powers[-1]][ix])
+            if powers[2 * n] != 0:
                 continue
-            imx_n = imx.power(n)
-            imx_inv = imx.inverse()
-            for imy in self.elements:
-                if imy * imy != imx_n:
+            for iy in range(self.order):
+                if mul[iy][iy] != powers[n]:
                     continue
-                if imy * imx * imy.inverse() != imx_inv:
+                if mul[mul[iy][ix]][inv[iy]] != inv[ix]:
                     continue
-                if self.subgroup_generated([imx, imy]).order != self.order:
+                if len(self._closure_indices((ix, iy))) != self.order:
                     continue
-                found.append(GroupAutomorphism(imx, imy))
-        found.sort()
+                found.append(
+                    GroupAutomorphism(self.element_at(ix), self.element_at(iy))
+                )
         return tuple(found)
 
     def automorphism_index_perms(self) -> list[list[int]]:
-        """Each automorphism as a permutation of element indices."""
-        return [
-            [self.index_of(phi.apply(e)) for e in self.elements]
-            for phi in self.automorphisms
-        ]
+        """Each automorphism as a permutation of element indices.
+
+        phi sends x^a y^b (index 2a + b) to phi(x)^a phi(y)^b.
+        """
+        mul = self.mul_table
+        perms = []
+        for phi in self.automorphisms:
+            ix, iy = self.index_of(phi.image_of_x), self.index_of(phi.image_of_y)
+            perm = []
+            power = 0
+            for _ in range(2 * self.n):
+                perm += [power, mul[power][iy]]
+                power = mul[power][ix]
+            perms.append(perm)
+        return perms
 
     def __repr__(self) -> str:
         return f"DicyclicGroup(n={self.n})"

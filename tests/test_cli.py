@@ -1,16 +1,24 @@
 """End-to-end tests of the command line interface.
 
-Each test runs the CLI in a separate process as `python -m
+Each test but the last runs the CLI in a separate process as `python -m
 dicyclic_dessins`, with the interpreter and environment of the test
 run, so it exercises the same code the tests import: the checkout under
-`PYTHONPATH=src`, or the installed package.
+`PYTHONPATH=src`, or the installed package.  The last one draws many
+small command lines and runs `cli.main` in process.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dicyclic_dessins import cli
+from dicyclic_dessins.curves import MODEL_NAMES
 
 CLI = [sys.executable, "-m", "dicyclic_dessins"]
 
@@ -80,9 +88,17 @@ def test_curves_seed_determinism():
     ("curves", "--n", "2", "--model", "Sn_hyperelliptic", "--trials", "0"),
     ("curves", "--n", "3", "--model", "Sn_cyclic"),
     ("curves", "--n", "2", "--model", "Sn_hyperelliptic", "--tol", "0"),
+    ("curves", "--n", "2", "--model", "Sn_hyperelliptic", "--tol", "inf"),
+    # unwritable output paths, below a regular file
+    ("census", "--n", "2", "--json", "{file}/x.json"),
+    ("monodromy", "--n", "3", "--case", "II", "--dot", "{missing}/x.dot"),
+    ("paper-report", "--n-range", "2..2", "--out", "{file}/report"),
 ])
-def test_bad_parameter_values_are_usage_errors(args):
-    result = run_cli(*args)
+def test_bad_parameter_values_are_usage_errors(args, tmp_path):
+    file = tmp_path / "file"
+    file.write_text("")
+    paths = {"file": file, "missing": tmp_path / "missing"}
+    result = run_cli(*(a.format(**paths) for a in args))
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
@@ -124,3 +140,41 @@ def test_envelope_has_timing_outside_payload():
     envelope = json.loads(result.stdout)
     assert set(envelope) == {"payload", "ms"}
     assert isinstance(envelope["ms"], float)
+
+
+small = st.integers(-1, 4)
+OPTIONS = {
+    "census": {},
+    "monodromy": {"--case": st.sampled_from(["I", "II"])},
+    "hyper": {"--gamma-max": small, "--r-max": small},
+    "pseudo-real": {"--q": small},
+    "curves": {"--model": st.sampled_from(MODEL_NAMES), "--trials": small,
+               "--tol": st.floats() | st.just(1e-9)},
+    "genus": {"--mode": st.sampled_from(["strong", "pure"]), "--g-max": small},
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    args = [command, f"--n={draw(st.integers(-2, 6))}"]
+    for option, values in OPTIONS[command].items():
+        args.append(f"{option}={draw(values)}")
+    return args
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_lines())
+def test_any_small_command_line_exits_with_a_documented_code(args):
+    # in process, so an escaping exception fails the test with its traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        old_argv, sys.argv = sys.argv, ["dicyclic-dessins", *args]
+        try:
+            cli.main()
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            sys.argv = old_argv
+    assert code in {0, 1, 2, 3}, (args, code, err.getvalue())

@@ -1,9 +1,12 @@
 """Tests for signatures, Riemann-Hurwitz and the triangular census."""
 
+from math import gcd
+
 import pytest
 
 from dicyclic_dessins.covering import (
     OrbifoldSignature,
+    _free_orbits,
     census_representative,
     fixed_point_count,
     free_elements,
@@ -13,7 +16,7 @@ from dicyclic_dessins.covering import (
     rh_genus,
     triangular_census,
 )
-from dicyclic_dessins.errors import InadmissibleSignatureError
+from dicyclic_dessins.errors import ConstructionError, InadmissibleSignatureError
 from dicyclic_dessins.genus import pure_symmetric_genus, strong_symmetric_genus
 from dicyclic_dessins.group import DicyclicGroup
 
@@ -73,6 +76,93 @@ def test_census_representatives_are_generating_triples():
             assert (c1 * c2 * c3).is_identity()
             expected_genus = n if case == "I" else n - 1
             assert act.genus() == expected_genus
+
+
+def _orbit_count(pairs: set[tuple[int, int]], moves) -> int:
+    """Orbits of an explicit family of pair moves on a pair set (BFS)."""
+    unseen = set(pairs)
+    count = 0
+    while unseen:
+        frontier = [unseen.pop()]
+        while frontier:
+            p = frontier.pop()
+            for move in moves:
+                q = move(p)
+                if q in unseen:
+                    unseen.discard(q)
+                    frontier.append(q)
+        count += 1
+    return count
+
+
+def test_census_orbit_counts_match_orbit_search():
+    # the census divides by |Inn G| and |Aut G|; the oracle closes every
+    # generating pair by brute force and walks the orbits of both actions
+    for n in range(2, 9):
+        G = DicyclicGroup(n)
+        mul, inv, orders = G.mul_table, G.inverse_table, G.order_table
+        by_sig: dict[tuple[int, int, int], set[tuple[int, int]]] = {}
+        for i in range(1, G.order):
+            for j in range(1, G.order):
+                k = inv[mul[i][j]]
+                gens = [G.element_at(i), G.element_at(j)]
+                if k and G.subgroup_generated(gens).order == G.order:
+                    by_sig.setdefault((orders[i], orders[j], orders[k]), set()).add((i, j))
+        conj_moves = [
+            (lambda p, h=h: (mul[mul[h][p[0]]][inv[h]], mul[mul[h][p[1]]][inv[h]]))
+            for h in range(G.order)
+        ]
+        aut_moves = [
+            (lambda p, perm=perm: (perm[p[0]], perm[p[1]]))
+            for perm in G.automorphism_index_perms()
+        ]
+        census = triangular_census(n)
+        assert [e.signature for e in census.entries] == sorted(by_sig)
+        for entry in census.entries:
+            pairs = by_sig[entry.signature]
+            assert entry.pair_count == len(pairs)
+            assert entry.conjugacy_orbits == _orbit_count(pairs, conj_moves), n
+            assert entry.automorphism_orbits == _orbit_count(pairs, aut_moves), n
+            i, j, k = (G.index_of(c) for c in entry.representative.c)
+            assert (i, j) == min(pairs) and k == inv[mul[i][j]]
+
+
+def test_orbit_count_that_does_not_divide_is_an_error():
+    # a wrong pair count must not round down to "one orbit"
+    assert _free_orbits(48, 24, "automorphism") == 2
+    with pytest.raises(ConstructionError):
+        _free_orbits(25, 24, "automorphism")
+
+
+def test_census_representative_is_the_census_entry():
+    for n in range(2, 13):
+        entries = {e.signature: e for e in triangular_census(n).entries}
+        for case, m in (("I", 2 * n),) if n % 2 == 0 else (("I", 2 * n), ("II", n)):
+            act = census_representative(n, case)
+            assert act.c == entries[(4, 4, m)].representative.c, (n, case)
+
+
+def test_automorphism_index_perms_are_automorphisms():
+    for n in range(2, 9):
+        G = DicyclicGroup(n)
+        mul = G.mul_table
+        perms = G.automorphism_index_perms()
+        assert len(perms) == len(G.automorphisms)
+        for phi, perm in zip(G.automorphisms, perms):
+            assert sorted(perm) == list(range(G.order))
+            assert perm[G.index_of(G.x)] == G.index_of(phi.image_of_x)
+            assert perm[G.index_of(G.y)] == G.index_of(phi.image_of_y)
+            for i in range(G.order):
+                for j in range(G.order):
+                    assert perm[mul[i][j]] == mul[perm[i]][perm[j]]
+
+
+def test_automorphism_group_order():
+    # |Aut Q_8| = |S_4| = 24; otherwise |Aut G_n| = 2n * phi(2n)
+    assert len(DicyclicGroup(2).automorphisms) == 24
+    for n in range(3, 13):
+        totient = sum(1 for k in range(1, 2 * n) if gcd(k, 2 * n) == 1)
+        assert len(DicyclicGroup(n).automorphisms) == 2 * n * totient
 
 
 # -- fixed points -------------------------------------------------------
