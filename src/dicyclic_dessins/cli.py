@@ -365,7 +365,11 @@ def _per_n_report(n: int, seed: int, heavy: bool) -> Report:
             sorted(free2) == expected_free,
             {"free_elements": [repr(g) for g in sorted(free2)]},
         )
-    counterexamples = []
+    # The stated claim fails for every n that is not a power of two: some
+    # odd-order subgroups of <x> have quotients of positive genus.  The
+    # refined claim keeps only the subgroups holding the involution x^n.
+    involution = group.element(n)
+    counterexamples, involution_counterexamples = [], []
     for case_name, act in zip(("I", "II"), actions):
         for H in group.subgroups:
             if H.is_trivial():
@@ -378,6 +382,8 @@ def _per_n_report(n: int, seed: int, heavy: bool) -> Report:
                     "order": H.order,
                     "quotient_genus": qg,
                 })
+                if involution in H:
+                    involution_counterexamples.append(counterexamples[-1])
     report.add(
         "quotient_genera",
         "S/H has genus zero for every nontrivial subgroup H",
@@ -385,6 +391,14 @@ def _per_n_report(n: int, seed: int, heavy: bool) -> Report:
         {"subgroups_checked": sum(1 for H in group.subgroups if not H.is_trivial()),
          "actions_checked": len(actions),
          "counterexamples": counterexamples},
+    )
+    report.add(
+        "involution_quotient_genera",
+        "S/H has genus zero for every H containing x^n",
+        not involution_counterexamples,
+        {"subgroups_checked": sum(1 for H in group.subgroups if involution in H),
+         "actions_checked": len(actions),
+         "counterexamples": involution_counterexamples},
     )
 
     for case in ("I",) if n % 2 == 0 else ("I", "II"):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import ParameterError
@@ -240,21 +241,23 @@ class DicyclicGroup:
     # -- subgroups -------------------------------------------------------
 
     def _closure_indices(self, gen_indices: Iterable[int]) -> frozenset[int]:
-        table = self.mul_table
-        gens = sorted(set(gen_indices) | {0})
-        members = set(gens)
-        frontier = list(members)
-        while frontier:
-            new = []
-            for i in frontier:
-                row = table[i]
-                for g in gens:
-                    j = row[g]
-                    if j not in members:
-                        members.add(j)
-                        new.append(j)
-            frontier = new
-        return frozenset(members)
+        """The subgroup generated by the given indices, in closed form.
+
+        With generators x^a y^b (index 2a + b), <S> = <x^d> union <x^d> x^s y,
+        where x^s y is the first y-element of S (no coset if there is none)
+        and d = gcd(2n, every a with b = 0, and with a coset n and every
+        a - s over the y-elements).  Proof: <S> holds x^n = (x^s y)^2 and
+        x^(a-s) = (x^a y)(x^s y)^-1, hence <x^d>; the y-elements normalise
+        <x^d> and square into it, so the set is a subgroup.
+        """
+        d, s = 2 * self.n, None
+        for i in gen_indices:
+            a, b = divmod(i, 2)
+            if b and s is None:
+                s, d = a, gcd(d, self.n)
+            d = gcd(d, a - s if b else a)
+        coset = () if s is None else range(2 * (s % d) + 1, self.order, 2 * d)
+        return frozenset(itertools.chain(range(0, self.order, 2 * d), coset))
 
     def subgroup_generated(self, generators: Iterable[GroupElement]) -> Subgroup:
         gens = tuple(generators)
@@ -268,28 +271,24 @@ class DicyclicGroup:
 
     @cached_property
     def subgroups(self) -> tuple[Subgroup, ...]:
-        """All subgroups.
+        """All subgroups: <x^d> for d | 2n, <x^d, x^i y> for d | n, 0 <= i < d.
 
-        Every subgroup of a dicyclic group is cyclic or dicyclic, hence
-        generated by at most two elements, so closing every pair of
-        elements (pairs with repetition cover the cyclic ones) is
-        exhaustive at this scale.
+        H meets <x> in <x^d>; a y-element of H squares to x^n, so d | n,
+        and its coset mod <x^d> fixes i.  Each subgroup is named by its
+        least generating pair in combinations_with_replacement order of
+        its member indices, stored as (i,) when i = j.
         """
-        seen: dict[frozenset[int], tuple[int, ...]] = {}
-        indices = range(self.order)
-        seen[frozenset({0})] = (0,)
-        for i, j in itertools.combinations_with_replacement(indices, 2):
-            members = self._closure_indices((i, j))
-            if members not in seen:
-                seen[members] = (i, j) if i != j else (i,)
-        result = [
-            Subgroup(
-                self.n,
-                frozenset(self.element_at(k) for k in members),
-                tuple(self.element_at(k) for k in gens),
-            )
-            for members, gens in seen.items()
+        divisors = [d for d in range(1, 2 * self.n + 1) if 2 * self.n % d == 0]
+        member_sets = [self._closure_indices((2 * d % self.order,)) for d in divisors] + [
+            self._closure_indices((2 * d, 2 * i + 1))
+            for d in divisors if self.n % d == 0 for i in range(d)
         ]
+        result = []
+        for members in member_sets:
+            pairs = itertools.combinations_with_replacement(sorted(members), 2)
+            gens = next(p for p in pairs if self._closure_indices(p) == members)
+            result.append(Subgroup(self.n, frozenset(map(self.element_at, members)),
+                                   tuple(map(self.element_at, dict.fromkeys(gens)))))
         result.sort(key=lambda H: (H.order, H.sorted_members()))
         return tuple(result)
 
@@ -317,13 +316,11 @@ class DicyclicGroup:
 
     @cached_property
     def automorphisms(self) -> tuple[GroupAutomorphism, ...]:
-        """Brute force over all (image_of_x, image_of_y) pairs.
+        """Every (image_of_x, image_of_y) pair that satisfies the three
+        defining relations and generates G, in index (= element) order.
 
-        A pair defines an automorphism iff the images satisfy the three
-        defining relations and generate the group.  No theoretical
-        shortcut is taken; this keeps the list usable as an independent
-        oracle for "up to isomorphisms" counting.  Both loops run in
-        index order, which is element order, so the result is sorted.
+        Generation is the closed-form `_closure_indices`; |Aut G| itself is
+        never assumed, so the list is an oracle for "up to isomorphisms".
         """
         n = self.n
         mul, inv = self.mul_table, self.inverse_table

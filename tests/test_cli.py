@@ -129,6 +129,19 @@ def test_paper_report_determinism(tmp_path):
         assert (rep1 / name).read_text() == (rep2 / name).read_text()
 
 
+def test_paper_report_refined_quotient_claim_passes(tmp_path):
+    # the stated all-subgroup claim fails exactly when n is not a power of
+    # two; restricted to the subgroups holding x^n it passes for every n
+    result = run_cli("paper-report", "--n-range", "2..10", "--out", str(tmp_path))
+    assert result.returncode == 1
+    for n in range(2, 11):
+        claims = json.loads((tmp_path / f"n{n}.json").read_text())["claims"]
+        quotient = [(c["id"], c["status"]) for c in claims if "quotient_genera" in c["id"]]
+        stated = "fail" if n & (n - 1) else "pass"
+        assert quotient == [("quotient_genera", stated),
+                            ("involution_quotient_genera", "pass")], n
+
+
 def test_paper_report_bad_range(tmp_path):
     result = run_cli("paper-report", "--n-range", "5..2",
                      "--out", str(tmp_path / "x"))

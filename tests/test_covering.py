@@ -19,6 +19,7 @@ from dicyclic_dessins.covering import (
 from dicyclic_dessins.errors import ConstructionError, InadmissibleSignatureError
 from dicyclic_dessins.genus import pure_symmetric_genus, strong_symmetric_genus
 from dicyclic_dessins.group import DicyclicGroup
+from test_group import closure_oracle
 
 
 # -- Riemann-Hurwitz ----------------------------------------------------
@@ -105,8 +106,7 @@ def test_census_orbit_counts_match_orbit_search():
         for i in range(1, G.order):
             for j in range(1, G.order):
                 k = inv[mul[i][j]]
-                gens = [G.element_at(i), G.element_at(j)]
-                if k and G.subgroup_generated(gens).order == G.order:
+                if k and len(closure_oracle(G, (i, j))) == G.order:
                     by_sig.setdefault((orders[i], orders[j], orders[k]), set()).add((i, j))
         conj_moves = [
             (lambda p, h=h: (mul[mul[h][p[0]]][inv[h]], mul[mul[h][p[1]]][inv[h]]))

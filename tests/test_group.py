@@ -1,5 +1,7 @@
 """Tests for the dicyclic group core."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -69,7 +71,7 @@ def test_conjugacy_class_count_and_sizes():
 
 def test_index_two_subgroups():
     # <x> always; for n even also <x^2, y> and <x^2, xy>
-    for n in range(2, 9):
+    for n in range(2, 25):
         G = DicyclicGroup(n)
         subs = G.index_two_subgroups()
         assert len(subs) == (3 if n % 2 == 0 else 1)
@@ -130,3 +132,75 @@ def test_conjugation_preserves_order(n, a1, b1, a2, b2):
     g = GroupElement(n, a1, b1)
     h = GroupElement(n, a2, b2)
     assert g.conjugated_by(h).order() == g.order()
+
+
+# -- closed-form closure and lattice against brute force ----------------
+
+
+def closure_oracle(G, gen_indices):
+    """The subgroup generated by element indices, by breadth-first search
+    over the multiplication table (the identity is always a member)."""
+    table = G.mul_table
+    gens = sorted(set(gen_indices) | {0})
+    members = set(gens)
+    frontier = list(members)
+    while frontier:
+        new = []
+        for i in frontier:
+            row = table[i]
+            for g in gens:
+                j = row[g]
+                if j not in members:
+                    members.add(j)
+                    new.append(j)
+        frontier = new
+    return frozenset(members)
+
+
+def subgroups_oracle(G):
+    """(sorted member indices, generator indices) of every subgroup, by
+    closing every pair with repetition; each subgroup keeps the first
+    pair that generates it.  Sorted by order, then by members."""
+    seen = {frozenset({0}): (0,)}
+    for i, j in itertools.combinations_with_replacement(range(G.order), 2):
+        members = closure_oracle(G, (i, j))
+        if members not in seen:
+            seen[members] = (i, j) if i != j else (i,)
+    return sorted(((sorted(m), gens) for m, gens in seen.items()),
+                  key=lambda entry: (len(entry[0]), entry[0]))
+
+
+def test_closure_matches_oracle_on_every_pair():
+    # ordered pairs, so either element can be the first y-element
+    for n in range(2, 17):
+        G = DicyclicGroup(n)
+        for pair in itertools.product(range(G.order), repeat=2):
+            assert G._closure_indices(pair) == closure_oracle(G, pair), (n, pair)
+
+
+_groups = {n: DicyclicGroup(n) for n in range(2, 25)}
+
+
+@given(st.data())
+def test_closure_matches_oracle_on_index_lists(data):
+    G = _groups[data.draw(st.integers(2, 24), label="n")]
+    gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=5), label="gens")
+    assert G._closure_indices(gens) == closure_oracle(G, gens)
+
+
+def test_subgroups_match_all_pairs_oracle():
+    for n in range(2, 25):
+        G = _groups[n]
+        got = [
+            (sorted(map(G.index_of, H.members)), tuple(map(G.index_of, H.generators)))
+            for H in G.subgroups
+        ]
+        assert got == subgroups_oracle(G), n
+
+
+def test_subgroup_count_is_tau_2n_plus_sigma_n():
+    # <x^d> for each d | 2n, and d subgroups <x^d, x^i y> for each d | n
+    for n in range(2, 41):
+        tau_2n = sum(1 for d in range(1, 2 * n + 1) if 2 * n % d == 0)
+        sigma_n = sum(d for d in range(1, n + 1) if n % d == 0)
+        assert len(DicyclicGroup(n).subgroups) == tau_2n + sigma_n, n
