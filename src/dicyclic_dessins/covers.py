@@ -47,22 +47,30 @@ def _case_conditions(n: int, case: str, a: int, b: int, c: int) -> bool:
     return gcd(two_n, b) == 2 and gcd(two_n, c) == 2
 
 
+def _candidates(n: int) -> list[tuple[int, int, int]]:
+    """The triples in {1, ..., 2n-1}^3 that can meet the first two conditions.
+
+    gcd(a, 2n) = n forces a = n, and b + c = 0 mod 2n forces c = 2n - b,
+    so the cube reduces to one loop over b, in the cube's lexicographic
+    order.
+    """
+    two_n = 2 * n
+    return [(n, b, two_n - b) for b in range(1, two_n)]
+
+
 def admissible_triples(n: int, case: str) -> list[CoverTriple]:
-    """Exhaustive scan of exponent triples in {1, ..., 2n-1}^3."""
+    """All admissible exponent triples in {1, ..., 2n-1}^3, in O(n)."""
     if n < 2:
         raise ParameterError(f"need n >= 2, got n={n}")
     if case not in ("I", "II"):
         raise ParameterError(f"case must be 'I' or 'II', got {case!r}")
     if case == "II" and n % 2 == 0:
         raise ParameterError("case II covers only exist for n odd")
-    out = []
-    rng = range(1, 2 * n)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if _case_conditions(n, case, a, b, c):
-                    out.append(CoverTriple(n, case, a, b, c))
-    return out
+    return [
+        CoverTriple(n, case, a, b, c)
+        for a, b, c in _candidates(n)
+        if _case_conditions(n, case, a, b, c)
+    ]
 
 
 def _units(two_n: int) -> list[int]:
@@ -108,18 +116,13 @@ def condition_readings_report(n: int) -> dict:
     two_n = 2 * n
     verbatim = set()
     strict = set()
-    rng = range(1, two_n)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if gcd(a, two_n) != n or (b + c) % two_n != 0:
-                    continue
-                if gcd(a + b + c, two_n) != n:
-                    continue
-                if gcd(b, n) == 1 and gcd(c, n) == 1:
-                    verbatim.add((a, b, c))
-                    if gcd(b, two_n) == 1 and gcd(c, two_n) == 1:
-                        strict.add((a, b, c))
+    for a, b, c in _candidates(n):
+        if gcd(a + b + c, two_n) != n:
+            continue
+        if gcd(b, n) == 1 and gcd(c, n) == 1:
+            verbatim.add((a, b, c))
+            if gcd(b, two_n) == 1 and gcd(c, two_n) == 1:
+                strict.add((a, b, c))
     return {
         "n": n,
         "verbatim_count": len(verbatim),

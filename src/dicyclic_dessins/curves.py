@@ -18,6 +18,11 @@ point required to stay on the curve.  Residuals are relative
 (|lhs - rhs| / (1 + |lhs| + |rhs|)) so that the large right-hand sides
 of the cyclic models do not drown the signal.
 
+Every map step first tests the distance to the nearest branch point,
+which on the hyperelliptic models is found in O(1) by rounding the
+argument (see `_branch_distance`), and a model draws each sample set
+once: the words of a claim bundle share the same seeded points.
+
 Reports are deterministic functions of (model, word, seed).
 """
 
@@ -79,6 +84,12 @@ class CurveModel:
     n: int
     perturb: float = 0.0
     maps: dict[str, NamedMap] = field(init=False)
+    branch_distance: Callable[[complex], float] = field(
+        init=False, repr=False, compare=False
+    )
+    _samples: dict[tuple[int, int], list[Point]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         if self.name not in MODEL_NAMES:
@@ -94,6 +105,9 @@ class CurveModel:
             # coordinates exists in the stated form.
             raise ParameterError(f"{self.name} needs n even")
         self.maps = _build_maps(self)
+        self.branch_distance = _branch_distance(
+            self.branch_locus(), self.name.endswith("hyperelliptic")
+        )
 
     # -- defining relation ---------------------------------------------
 
@@ -109,8 +123,9 @@ class CurveModel:
         return w ** (2 * n), z ** n * (z - 1) ** 2 * (z + 1) ** (2 * n - 2)
 
     def residual(self, p: Point) -> float:
+        # _relative(lhs - rhs, lhs, rhs) inlined, same addition order
         lhs, rhs = self.relation_sides(p)
-        return _relative(lhs - rhs, lhs, rhs)
+        return abs(lhs - rhs) / (1.0 + (abs(lhs) + abs(rhs)))
 
     def on_curve(self, p: Point, tolerance: float = ADMISSION_TOLERANCE) -> bool:
         return self.residual(p) <= tolerance
@@ -140,11 +155,20 @@ class CurveModel:
         return (z, cmath.exp(cmath.log(rhs) / (2 * n)))
 
     def sample_points(self, count: int, seed: int) -> list[Point]:
-        """Deterministic rejection sampling away from the branch locus."""
+        """Deterministic rejection sampling away from the branch locus.
+
+        Each (count, seed) draw is made once per model and memoised; the
+        caller gets a fresh list it may overwrite.
+        """
         if count < 1:
             raise ParameterError(f"need count >= 1, got {count}")
+        key = (count, seed)
+        if key not in self._samples:
+            self._samples[key] = self._draw(count, seed)
+        return list(self._samples[key])
+
+    def _draw(self, count: int, seed: int) -> list[Point]:
         rng = random.Random(seed)
-        locus = self.branch_locus()
         points: list[Point] = []
         attempts = 0
         budget = 1000 * count
@@ -157,7 +181,7 @@ class CurveModel:
             radius = rng.uniform(0.4, 1.8)
             angle = rng.uniform(0.0, 2 * cmath.pi)
             z = radius * cmath.exp(1j * angle)
-            if min(abs(z - b) for b in locus) < BRANCH_DISTANCE:
+            if self.branch_distance(z) < BRANCH_DISTANCE:
                 continue
             p = self.lift(z)
             if not self.on_curve(p):
@@ -167,6 +191,41 @@ class CurveModel:
 
     def perturbed(self, eps: float) -> "CurveModel":
         return CurveModel(self.name, self.n, perturb=eps)
+
+
+def _branch_distance(
+    locus: list[complex], ring: bool
+) -> Callable[[complex], float]:
+    """Distance from z to the nearest point of `locus`, in O(1).
+
+    `locus` is `branch_locus()`: 0, +1, -1 and, when `ring` is set, the
+    2n-th roots of unity with locus[3 + k] = zeta^k.  The root nearest to
+    z is the one nearest in argument, k = round(phase(z) 2n / 2pi) mod 2n;
+    its neighbours k - 1 and k + 1 cover halfway angles and the rounding
+    of the phase, and +-1 are read explicitly because zeta^n is -1 only up
+    to rounding.  This subset holds the argmin of the full scan, so the
+    result is the same float as min(abs(z - b) for b in locus).
+    """
+    zero, one, minus_one = locus[:3]
+    if not ring:
+        return lambda z: min(abs(z - zero), abs(z - one), abs(z - minus_one))
+    roots = locus[3:]
+    two_n = len(roots)
+    n = two_n // 2
+    # windows[k + n] for k = round(...) in [-n, n], phase(z) being in [-pi, pi]
+    windows = [
+        (roots[(k - 1) % two_n], roots[k % two_n], roots[(k + 1) % two_n])
+        for k in range(-n, n + 1)
+    ]
+    scale = n / cmath.pi
+    phase = cmath.phase
+
+    def distance(z: complex) -> float:
+        a, b, c = windows[round(phase(z) * scale) + n]
+        return min(abs(z - zero), abs(z - one), abs(z - minus_one),
+                   abs(z - a), abs(z - b), abs(z - c))
+
+    return distance
 
 
 def _build_maps(model: CurveModel) -> dict[str, NamedMap]:
@@ -270,9 +329,7 @@ class _NearPole(Exception):
     """A trajectory entered the sampling exclusion zone; resample."""
 
 
-def _apply_word(
-    model: CurveModel, word: Word, p: Point, locus: list[complex]
-) -> tuple[Point, float]:
+def _apply_word(model: CurveModel, word: Word, p: Point) -> tuple[Point, float]:
     """Apply a word right to left (group notation) and track curve drift.
 
     Returns the final point together with the worst relative residual of
@@ -280,17 +337,22 @@ def _apply_word(
     caller reports, while landing in the exclusion zone around poles and
     branch points aborts the trajectory for resampling.
     """
+    branch_distance = model.branch_distance
+    residual = model.residual
+    isfinite = cmath.isfinite
     worst = 0.0
     for name, exponent in reversed(word):
         m = model.maps[name]
-        steps = exponent % m.order
-        for _ in range(steps):
-            if min(abs(p[0] - b) for b in locus) < BRANCH_DISTANCE:
+        func = m.func
+        for _ in range(exponent % m.order):
+            if branch_distance(p[0]) < BRANCH_DISTANCE:
                 raise _NearPole
-            p = m(p)
-            if not (cmath.isfinite(p[0]) and cmath.isfinite(p[1])):
+            p = func(p)
+            if not (isfinite(p[0]) and isfinite(p[1])):
                 raise _NearPole
-            worst = max(worst, model.residual(p))
+            r = residual(p)
+            if r > worst:
+                worst = r
     return p, worst
 
 
@@ -327,7 +389,6 @@ def verify_word(
             note="conformality mismatch: words differ in conjugation parity",
         )
     points = model.sample_points(trials, seed)
-    locus = model.branch_locus()
     extra_seed = seed + 1
     max_error = 0.0
     resampled = 0
@@ -335,8 +396,8 @@ def verify_word(
     while done < trials:
         p = points[done]
         try:
-            got, drift_got = _apply_word(model, word, p, locus)
-            want, drift_want = _apply_word(model, expected_word, p, locus)
+            got, drift_got = _apply_word(model, word, p)
+            want, drift_want = _apply_word(model, expected_word, p)
         except _NearPole:
             resampled += 1
             if resampled > 10 * trials:

@@ -67,12 +67,10 @@ class GroupElement:
         return result
 
     def order(self) -> int:
-        e = self
-        k = 1
-        while not e.is_identity():
-            e = e * self
-            k += 1
-        return k
+        # x^a y squares to x^n, of order 2; x^a has order 2n / gcd(a, 2n)
+        if self.b:
+            return 4
+        return 2 * self.n // gcd(self.a, 2 * self.n)
 
     def conjugated_by(self, h: "GroupElement") -> "GroupElement":
         """h * self * h^-1."""

@@ -284,10 +284,6 @@ def regular_dessin(act: TriangularAction) -> DessinMonodromy:
     )
 
 
-def dessin_from_permutations(white: Permutation, black: Permutation) -> DessinMonodromy:
-    return DessinMonodromy(white.degree, white, black)
-
-
 def remark_dessin(n: int, case: str) -> DessinMonodromy:
     """The dessin generated by the explicit permutation pair.
 
@@ -415,10 +411,6 @@ def export_dot(graph: BipartiteMapGraph) -> str:
         lines.append(f"  w{w} -- b{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export_dessin_dot(dessin: DessinMonodromy) -> str:
-    return export_dot(graph_of(dessin))
 
 
 def dessin_genus_matches_rh(act: TriangularAction) -> bool:

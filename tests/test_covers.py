@@ -1,8 +1,12 @@
 """Tests for the exponent-triple classification of the cyclic covers."""
 
+from math import gcd
+
 import pytest
 
 from dicyclic_dessins.covers import (
+    CoverTriple,
+    _case_conditions,
     admissible_triples,
     canonical_representatives,
     class_count,
@@ -11,6 +15,55 @@ from dicyclic_dessins.covers import (
     orbit,
 )
 from dicyclic_dessins.errors import ParameterError
+
+
+def _cube_admissible_triples(n, case):
+    """Exhaustive scan of {1, ..., 2n-1}^3: the oracle for the O(n) loop."""
+    out = []
+    rng = range(1, 2 * n)
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                if _case_conditions(n, case, a, b, c):
+                    out.append(CoverTriple(n, case, a, b, c))
+    return out
+
+
+def _cube_condition_readings(n):
+    """Both case-I readings over the whole cube, as sets of triples."""
+    two_n = 2 * n
+    verbatim = set()
+    strict = set()
+    rng = range(1, two_n)
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                if gcd(a, two_n) != n or (b + c) % two_n != 0:
+                    continue
+                if gcd(a + b + c, two_n) != n:
+                    continue
+                if gcd(b, n) == 1 and gcd(c, n) == 1:
+                    verbatim.add((a, b, c))
+                    if gcd(b, two_n) == 1 and gcd(c, two_n) == 1:
+                        strict.add((a, b, c))
+    return verbatim, strict
+
+
+def test_admissible_triples_match_the_cube_scan():
+    for n in range(2, 31):
+        for case in ("I",) if n % 2 == 0 else ("I", "II"):
+            assert admissible_triples(n, case) == _cube_admissible_triples(n, case), (
+                n, case)
+
+
+def test_condition_readings_match_the_cube_scan():
+    for n in range(2, 31):
+        verbatim, strict = _cube_condition_readings(n)
+        report = condition_readings_report(n)
+        assert report["verbatim_count"] == len(verbatim)
+        assert report["strict_count"] == len(strict)
+        assert report["readings_agree"] == (verbatim == strict)
+        assert report["verbatim_only"] == sorted(verbatim - strict)
 
 
 def test_first_exponent_is_forced_to_n():

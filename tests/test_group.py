@@ -107,6 +107,21 @@ def test_index_tables_match_element_arithmetic():
         assert G.order_table == [g.order() for g in G.elements]
 
 
+def _order_by_powers(g: GroupElement) -> int:
+    """Element order by multiplying until the identity: the oracle for
+    the closed form of GroupElement.order."""
+    e, k = g, 1
+    while not e.is_identity():
+        e, k = e * g, k + 1
+    return k
+
+
+def test_closed_form_order_matches_repeated_multiplication():
+    for n in range(2, 41):
+        for g in DicyclicGroup(n).elements:
+            assert g.order() == _order_by_powers(g), (n, g)
+
+
 element_indices = st.integers(min_value=0, max_value=23)
 
 
