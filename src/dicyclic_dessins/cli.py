@@ -3,7 +3,7 @@
 Each subcommand runs one verification suite, prints a JSON envelope
 (deterministic payload plus a timing field) and exits 0 only if every
 checked, non-assumed claim passed.  Exit codes: 0 all pass, 1 claim
-failure, 2 usage error, 3 search exhausted.
+failure, 2 usage or sampling error, 3 search exhausted.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import covering, covers, curves, genus, monodromy, real_forms
-from .errors import ParameterError, SearchExhaustedError
+from .errors import ParameterError, SamplingError, SearchExhaustedError
 from .group import DicyclicGroup
 from .reports import Report
 
@@ -480,8 +480,10 @@ def main() -> None:
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         sys.exit(2)
-    except (ParameterError, OSError) as exc:
-        # OSError: an output path (--json, --dot, --out) cannot be written
+    except (ParameterError, SamplingError, OSError) as exc:
+        # SamplingError: too many curve points or trajectories were
+        # rejected at these parameters; OSError: an output path (--json,
+        # --dot, --out) cannot be written
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except click.ClickException as exc:

@@ -18,10 +18,22 @@ point required to stay on the curve.  Residuals are relative
 (|lhs - rhs| / (1 + |lhs| + |rhs|)) so that the large right-hand sides
 of the cyclic models do not drown the signal.
 
-Every map step first tests the distance to the nearest branch point,
-which on the hyperelliptic models is found in O(1) by rounding the
-argument (see `_branch_distance`), and a model draws each sample set
-once: the words of a claim bundle share the same seeded points.
+Each model picks its relation-sides function once, at construction,
+and the sampler, the residual and the step loop all call it.  Every map
+step first tests whether its point is in the exclusion zone: only a
+point whose modulus is near 0 or 1 can be, and for such a point the
+distance to the nearest branch point is found in O(1), on the
+hyperelliptic models by rounding the argument (see `_branch_distance`).
+
+A word applies a nonnegative exponent literally, so an order relation
+such as x^(2n) = 1 takes its 2n steps; only a negative exponent is
+rewritten modulo the map's order.  A claim bundle draws its points once
+and walks every word at one point before moving to the next, sharing the
+power trajectory of each (map, start point) pair between words: x^(2n),
+x^n and x^(2n-1) take one chain of 2n steps.  A sample point or a
+trajectory whose arithmetic overflows (or, in a map, divides by a power
+that underflowed to zero) is resampled like one that enters the
+exclusion zone around poles and branch points.
 
 Reports are deterministic functions of (model, word, seed).
 """
@@ -39,17 +51,13 @@ MODEL_NAMES = ("Sn_hyperelliptic", "Rn_hyperelliptic", "Sn_cyclic", "Rn_cyclic")
 
 ADMISSION_TOLERANCE = 1e-12
 BRANCH_DISTANCE = 1e-3
+SHELL = 2 * BRANCH_DISTANCE
 
 Point = tuple[complex, complex]
 
 
 def root_of_unity(m: int) -> complex:
     return cmath.exp(2j * cmath.pi / m)
-
-
-def _relative(delta: complex, *refs: complex) -> float:
-    scale = 1.0 + sum(abs(r) for r in refs)
-    return abs(delta) / scale
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,8 @@ class NamedMap:
     `anticonformal` marks maps that involve conjugation; words with an
     odd number of anticonformal factors are never compared against
     conformal ones.  `order` lets negative word exponents be rewritten
-    as positive ones.
+    as positive ones; a nonnegative exponent is applied step by step as
+    written, so an order relation m^order = 1 takes `order` steps.
     """
 
     name: str
@@ -84,6 +93,9 @@ class CurveModel:
     n: int
     perturb: float = 0.0
     maps: dict[str, NamedMap] = field(init=False)
+    sides: Callable[[complex, complex], tuple[complex, complex]] = field(
+        init=False, repr=False, compare=False
+    )
     branch_distance: Callable[[complex], float] = field(
         init=False, repr=False, compare=False
     )
@@ -104,6 +116,7 @@ class CurveModel:
             # n it lands off the curve and no order-4 lift with these
             # coordinates exists in the stated form.
             raise ParameterError(f"{self.name} needs n even")
+        self.sides = _relation_sides(self.name, self.n)
         self.maps = _build_maps(self)
         self.branch_distance = _branch_distance(
             self.branch_locus(), self.name.endswith("hyperelliptic")
@@ -111,20 +124,9 @@ class CurveModel:
 
     # -- defining relation ---------------------------------------------
 
-    def relation_sides(self, p: Point) -> tuple[complex, complex]:
-        z, w = p
-        n = self.n
-        if self.name == "Sn_hyperelliptic":
-            return w * w, z * (z ** (2 * n) - 1)
-        if self.name == "Rn_hyperelliptic":
-            return w * w, z ** (2 * n) - 1
-        if self.name == "Sn_cyclic":
-            return w ** (2 * n), z ** n * (z - 1) * (z + 1) ** (2 * n - 1)
-        return w ** (2 * n), z ** n * (z - 1) ** 2 * (z + 1) ** (2 * n - 2)
-
     def residual(self, p: Point) -> float:
-        # _relative(lhs - rhs, lhs, rhs) inlined, same addition order
-        lhs, rhs = self.relation_sides(p)
+        """|lhs - rhs| / (1 + |lhs| + |rhs|) of the defining relation."""
+        lhs, rhs = self.sides(p[0], p[1])
         return abs(lhs - rhs) / (1.0 + (abs(lhs) + abs(rhs)))
 
     def on_curve(self, p: Point, tolerance: float = ADMISSION_TOLERANCE) -> bool:
@@ -146,13 +148,10 @@ class CurveModel:
 
     def lift(self, z: complex) -> Point:
         """Second coordinate from the defining relation, fixed branch."""
-        n = self.n
-        if self.name == "Sn_hyperelliptic":
-            return (z, cmath.sqrt(z * (z ** (2 * n) - 1)))
-        if self.name == "Rn_hyperelliptic":
-            return (z, cmath.sqrt(z ** (2 * n) - 1))
-        _, rhs = self.relation_sides((z, 0j))
-        return (z, cmath.exp(cmath.log(rhs) / (2 * n)))
+        _, rhs = self.sides(z, 0j)
+        if self.name.endswith("hyperelliptic"):
+            return (z, cmath.sqrt(rhs))
+        return (z, cmath.exp(cmath.log(rhs) / (2 * self.n)))
 
     def sample_points(self, count: int, seed: int) -> list[Point]:
         """Deterministic rejection sampling away from the branch locus.
@@ -183,14 +182,36 @@ class CurveModel:
             z = radius * cmath.exp(1j * angle)
             if self.branch_distance(z) < BRANCH_DISTANCE:
                 continue
-            p = self.lift(z)
-            if not self.on_curve(p):
+            try:
+                p = self.lift(z)
+                admitted = self.on_curve(p)
+            except (OverflowError, ValueError):
+                # a power of z overflowed, or the cyclic right-hand side
+                # underflowed to 0 and has no logarithm: reject, as off
+                # the curve
                 continue
-            points.append(p)
+            if admitted:
+                points.append(p)
         return points
 
     def perturbed(self, eps: float) -> "CurveModel":
         return CurveModel(self.name, self.n, perturb=eps)
+
+
+def _relation_sides(
+    name: str, n: int
+) -> Callable[[complex, complex], tuple[complex, complex]]:
+    """(z, w) -> (lhs, rhs) of the defining relation of model `name`."""
+    two_n = 2 * n
+    if name == "Sn_hyperelliptic":
+        return lambda z, w: (w * w, z * (z ** two_n - 1))
+    if name == "Rn_hyperelliptic":
+        return lambda z, w: (w * w, z ** two_n - 1)
+    if name == "Sn_cyclic":
+        odd = two_n - 1
+        return lambda z, w: (w ** two_n, z ** n * (z - 1) * (z + 1) ** odd)
+    even = two_n - 2
+    return lambda z, w: (w ** two_n, z ** n * (z - 1) ** 2 * (z + 1) ** even)
 
 
 def _branch_distance(
@@ -326,34 +347,84 @@ def _word_parity(model: CurveModel, word: Word) -> int:
 
 
 class _NearPole(Exception):
-    """A trajectory entered the sampling exclusion zone; resample."""
+    """A trajectory entered the sampling exclusion zone, or its arithmetic
+    overflowed; resample."""
 
 
-def _apply_word(model: CurveModel, word: Word, p: Point) -> tuple[Point, float]:
+def _apply_word(
+    model: CurveModel, word: Word, p: Point, memo: dict
+) -> tuple[Point, float]:
     """Apply a word right to left (group notation) and track curve drift.
 
     Returns the final point together with the worst relative residual of
     any intermediate point; drifting off the curve is an error the
     caller reports, while landing in the exclusion zone around poles and
-    branch points aborts the trajectory for resampling.
+    branch points aborts the trajectory for resampling.  A factor m^k
+    reads the first k steps of the trajectory of m from its start point
+    out of `memo`, keyed by (map name, start point), and extends it when
+    it is shorter: words walked from the same point share their steps.
     """
-    branch_distance = model.branch_distance
-    residual = model.residual
-    isfinite = cmath.isfinite
     worst = 0.0
     for name, exponent in reversed(word):
         m = model.maps[name]
-        func = m.func
-        for _ in range(exponent % m.order):
-            if branch_distance(p[0]) < BRANCH_DISTANCE:
+        steps = exponent if exponent >= 0 else exponent % m.order
+        trail = memo.get((name, p))
+        if trail is None:
+            trail = memo[name, p] = ([p], [0.0])
+        points, drifts = trail
+        if steps >= len(points):
+            _extend_trajectory(model, m.func, points, drifts, steps)
+        p = points[steps]
+        if drifts[steps] > worst:
+            worst = drifts[steps]
+    return p, worst
+
+
+def _extend_trajectory(
+    model: CurveModel,
+    func: Callable[[Point], Point],
+    points: list[Point],
+    drifts: list[float],
+    steps: int,
+) -> None:
+    """The step loop: extend a power trajectory of `func` to `steps` steps.
+
+    points[k] is func^k(points[0]) and drifts[k] the worst residual of
+    points[1..k].  Each step tests the exclusion zone before it and the
+    finiteness of its image after it; either failure, or an overflow or
+    a division by an underflowed zero in the map or the residual, raises
+    `_NearPole` and leaves the trajectory as long as it got, so a retry
+    fails at the same step.
+
+    Every branch value is 0 or on the unit circle, so a z whose modulus
+    lies SHELL or more from both 0 and 1 is outside the zone without
+    asking `branch_distance`: |z - b| >= ||z| - |b||, and the factor two
+    in SHELL covers the rounding of both moduli.
+    """
+    branch_distance = model.branch_distance
+    sides = model.sides
+    isfinite = cmath.isfinite
+    p = points[-1]
+    worst = drifts[-1]
+    try:
+        for _ in range(steps + 1 - len(points)):
+            z = p[0]
+            modulus = abs(z)
+            if ((modulus < SHELL or -SHELL < modulus - 1.0 < SHELL)
+                    and branch_distance(z) < BRANCH_DISTANCE):
                 raise _NearPole
             p = func(p)
-            if not (isfinite(p[0]) and isfinite(p[1])):
+            z, w = p
+            if not (isfinite(z) and isfinite(w)):
                 raise _NearPole
-            r = residual(p)
+            lhs, rhs = sides(z, w)
+            r = abs(lhs - rhs) / (1.0 + (abs(lhs) + abs(rhs)))
             if r > worst:
                 worst = r
-    return p, worst
+            points.append(p)
+            drifts.append(worst)
+    except (OverflowError, ZeroDivisionError):
+        raise _NearPole from None
 
 
 def _word_description(word: Word) -> str:
@@ -364,6 +435,75 @@ def _word_description(word: Word) -> str:
     )
 
 
+Check = tuple[Word, Word | str]
+
+
+def _verify_bundle(
+    model: CurveModel,
+    checks: list[Check],
+    tolerance: float,
+    trials: int,
+    seed: int,
+) -> list[WordReport]:
+    """Check word identities (word, expected) on one draw of sample points.
+
+    `expected` is another word, or "identity".  The loop over sample
+    indices is the outer one: at each point every word and its expected
+    word are walked with one memo of power trajectories, dropped before
+    the next point.  A check whose trajectory leaves the sampling safety
+    zone (hits a pole or a branch point) or overflows redraws its point
+    from its own seed sequence seed + 1, seed + 2, ... and counts it, so
+    each report equals the one its check would get alone.
+    """
+    reports: list[WordReport] = []
+    live: list[tuple[WordReport, Word, Word]] = []
+    for word, expected in checks:
+        for name, _ in word:
+            if name not in model.maps:
+                raise ParameterError(f"map {name!r} not defined on {model.name}")
+        expected_word: Word = [] if expected == "identity" else list(expected)
+        description = f"{_word_description(word)} = {_word_description(expected_word)}"
+        if _word_parity(model, word) != _word_parity(model, expected_word):
+            reports.append(WordReport(
+                model.name, model.n, description, 0, float("inf"), tolerance, False,
+                note="conformality mismatch: words differ in conjugation parity",
+            ))
+            continue
+        report = WordReport(
+            model.name, model.n, description, trials, 0.0, tolerance, False
+        )
+        reports.append(report)
+        live.append((report, word, expected_word))
+    if not live:
+        return reports
+    for start in model.sample_points(trials, seed):
+        memo: dict = {}
+        for report, word, expected_word in live:
+            p = start
+            while True:
+                try:
+                    got, drift_got = _apply_word(model, word, p, memo)
+                    want, drift_want = _apply_word(model, expected_word, p, memo)
+                    break
+                except _NearPole:
+                    report.resampled += 1
+                    if report.resampled > 10 * trials:
+                        raise SamplingError(
+                            "too many trajectories hit the exclusion zone"
+                        )
+                    p = model.sample_points(1, seed + report.resampled)[0]
+            err = max(
+                abs(got[0] - want[0]) / (1.0 + abs(want[0])),
+                abs(got[1] - want[1]) / (1.0 + abs(want[1])),
+                drift_got,
+                drift_want,
+            )
+            report.max_error = max(report.max_error, err)
+    for report, _, _ in live:
+        report.passed = report.max_error < tolerance
+    return reports
+
+
 def verify_word(
     model: CurveModel,
     word: Word,
@@ -372,51 +512,9 @@ def verify_word(
     trials: int = 100,
     seed: int = 0,
 ) -> WordReport:
-    """Check a word identity numerically on sampled points.
-
-    `expected` is another word, or "identity".  Points whose trajectory
-    under either word leaves the sampling safety zone (hits a pole or a
-    branch point) are resampled and counted in the report.
-    """
-    for name, _ in word:
-        if name not in model.maps:
-            raise ParameterError(f"map {name!r} not defined on {model.name}")
-    expected_word: Word = [] if expected == "identity" else list(expected)
-    description = f"{_word_description(word)} = {_word_description(expected_word)}"
-    if _word_parity(model, word) != _word_parity(model, expected_word):
-        return WordReport(
-            model.name, model.n, description, 0, float("inf"), tolerance, False,
-            note="conformality mismatch: words differ in conjugation parity",
-        )
-    points = model.sample_points(trials, seed)
-    extra_seed = seed + 1
-    max_error = 0.0
-    resampled = 0
-    done = 0
-    while done < trials:
-        p = points[done]
-        try:
-            got, drift_got = _apply_word(model, word, p)
-            want, drift_want = _apply_word(model, expected_word, p)
-        except _NearPole:
-            resampled += 1
-            if resampled > 10 * trials:
-                raise SamplingError("too many trajectories hit the exclusion zone")
-            points[done] = model.sample_points(1, extra_seed)[0]
-            extra_seed += 1
-            continue
-        err = max(
-            _relative(got[0] - want[0], want[0]),
-            _relative(got[1] - want[1], want[1]),
-            drift_got,
-            drift_want,
-        )
-        max_error = max(max_error, err)
-        done += 1
-    return WordReport(
-        model.name, model.n, description, trials, max_error, tolerance,
-        max_error < tolerance, resampled,
-    )
+    """Check one word identity numerically on sampled points; see
+    `_verify_bundle`."""
+    return _verify_bundle(model, [(word, expected)], tolerance, trials, seed)[0]
 
 
 # -- claim bundles ------------------------------------------------------
@@ -428,29 +526,28 @@ def verify_dicyclic_relations(
     """The defining relations x^(2n) = 1, y^2 = x^n, y^-1 x y = x^-1,
     plus the definitional identities tying x to u on each model."""
     n = model.n
-    kw = dict(tolerance=tolerance, trials=trials, seed=seed)
-    reports = [
-        verify_word(model, [("x", 2 * n)], "identity", **kw),
-        verify_word(model, [("y", 2)], [("x", n)], **kw),
-        verify_word(model, [("y", -1), ("x", 1), ("y", 1)], [("x", -1)], **kw),
+    checks: list[Check] = [
+        ([("x", 2 * n)], "identity"),
+        ([("y", 2)], [("x", n)]),
+        ([("y", -1), ("x", 1), ("y", 1)], [("x", -1)]),
     ]
     if model.name == "Sn_hyperelliptic":
-        reports.append(verify_word(model, [("u", 2)], [("x", 1)], **kw))
-        reports.append(verify_word(model, [("u", 4 * n)], "identity", **kw))
-        reports.append(verify_word(model, [("y", 4)], "identity", **kw))
-        # u y^-1 = y u^-1
-        reports.append(
-            verify_word(model, [("u", 1), ("y", -1)], [("y", 1), ("u", -1)], **kw)
-        )
+        checks += [
+            ([("u", 2)], [("x", 1)]),
+            ([("u", 4 * n)], "identity"),
+            ([("y", 4)], "identity"),
+            # u y^-1 = y u^-1
+            ([("u", 1), ("y", -1)], [("y", 1), ("u", -1)]),
+        ]
         if n == 2:
-            reports.append(verify_word(model, [("t", 3)], "identity", **kw))
+            checks.append(([("t", 3)], "identity"))
     elif model.name == "Rn_hyperelliptic":
-        reports.append(
-            verify_word(model, [("y", 2), ("u", 2)], [("x", 1)], **kw)
-        )
-        reports.append(verify_word(model, [("u", 2 * n)], "identity", **kw))
-        reports.append(verify_word(model, [("y", 4)], "identity", **kw))
-    return reports
+        checks += [
+            ([("y", 2), ("u", 2)], [("x", 1)]),
+            ([("u", 2 * n)], "identity"),
+            ([("y", 4)], "identity"),
+        ]
+    return _verify_bundle(model, checks, tolerance, trials, seed)
 
 
 def verify_belyi(
@@ -466,10 +563,8 @@ def verify_belyi(
     for name in ("x", "y", "xy"):
         m = model.maps[name]
         err = max(
-            _relative(
-                belyi_projection(n, m(p)) - belyi_projection(n, p),
-                belyi_projection(n, p),
-            )
+            abs(belyi_projection(n, m(p)) - belyi_projection(n, p))
+            / (1.0 + abs(belyi_projection(n, p)))
             for p in points
         )
         checks[f"pi_invariant_under_{name}"] = err
@@ -499,16 +594,12 @@ def verify_anticonformal(
     tau y tau = y^-1 on the hyperelliptic models."""
     if "tau" not in model.maps:
         raise ParameterError("tau is defined on the hyperelliptic models only")
-    kw = dict(tolerance=tolerance, trials=trials, seed=seed)
-    return [
-        verify_word(model, [("tau", 2)], "identity", **kw),
-        verify_word(
-            model, [("tau", 1), ("u", 1), ("tau", 1)], [("u", -1)], **kw
-        ),
-        verify_word(
-            model, [("tau", 1), ("y", 1), ("tau", 1)], [("y", -1)], **kw
-        ),
+    checks: list[Check] = [
+        ([("tau", 2)], "identity"),
+        ([("tau", 1), ("u", 1), ("tau", 1)], [("u", -1)]),
+        ([("tau", 1), ("y", 1), ("tau", 1)], [("y", -1)]),
     ]
+    return _verify_bundle(model, checks, tolerance, trials, seed)
 
 
 def applicable_models(n: int) -> list[str]:

@@ -72,10 +72,6 @@ class GroupElement:
             return 4
         return 2 * self.n // gcd(self.a, 2 * self.n)
 
-    def conjugated_by(self, h: "GroupElement") -> "GroupElement":
-        """h * self * h^-1."""
-        return h * self * h.inverse()
-
     def is_identity(self) -> bool:
         return self.a == 0 and self.b == 0
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .covering import TriangularAction, rh_genus
+from .covering import TriangularAction
 from .errors import ParameterError
 
 CONVENTION = "white=c1, black=c2, face=c3; c1*c2*c3=1 read left to right"
@@ -411,9 +411,3 @@ def export_dot(graph: BipartiteMapGraph) -> str:
         lines.append(f"  w{w} -- b{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def dessin_genus_matches_rh(act: TriangularAction) -> bool:
-    """Cross-check: Euler characteristic vs Riemann-Hurwitz."""
-    dessin = regular_dessin(act)
-    return dessin.genus() == rh_genus(act.group.order, act.signature)

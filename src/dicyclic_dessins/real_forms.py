@@ -235,20 +235,6 @@ def sigma_hyp(
     return best
 
 
-def sigma_hyp_by_plus_part(
-    n: int, gamma_max: int = 1, r_max: int = 3
-) -> dict[str, int]:
-    """Minimal genus per index-two plus part (for cross-checks)."""
-    group = DicyclicGroup(n)
-    out: dict[str, int] = {}
-    for H in group.index_two_subgroups():
-        for g, sig in candidate_signatures(n, gamma_max, r_max):
-            if admissible_homomorphisms(group, H, sig, limit=1):
-                out[repr(H)] = g
-                break
-    return out
-
-
 # -- pseudo-real construction ------------------------------------------
 
 

@@ -104,6 +104,25 @@ def test_bad_parameter_values_are_usage_errors(args, tmp_path):
     assert result.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("args", [
+    ("curves", "--n", "1200", "--model", "Sn_cyclic", "--trials", "5"),
+    ("curves", "--n", "700", "--model", "Sn_hyperelliptic", "--trials", "20"),
+    # the y map's denominator underflows to zero
+    ("curves", "--n", "256", "--model", "Sn_cyclic", "--trials", "20"),
+    # every trajectory overflows, so the resample budget runs out
+    ("curves", "--n", "5000", "--model", "Sn_cyclic", "--trials", "2"),
+])
+def test_curves_at_large_n_end_without_a_traceback(args):
+    # powers of z and w overflow or underflow here; that rejects a point
+    # or ends a trajectory, and running out of points is an error, not a
+    # crash
+    result = run_cli(*args)
+    assert result.returncode in {0, 1, 2}
+    assert "Traceback" not in result.stderr
+    if result.returncode == 2:
+        assert result.stderr.startswith("error: ")
+
+
 def test_genus_modes():
     strong = run_cli("genus", "--n", "3", "--mode", "strong")
     assert strong.returncode == 0

@@ -1,6 +1,7 @@
 """Numeric tests for the explicit curve families."""
 
 import cmath
+import json
 import random
 
 import pytest
@@ -188,27 +189,88 @@ def test_branch_distance_equals_full_scan():
                         == (full < BRANCH_DISTANCE))
 
 
+# The word-by-word oracle keeps its own copy of the defining relations,
+# the relative error and the lift, so it shares no arithmetic with the
+# per-model kernel it checks.
+
+
+def _relation_sides(model, p):
+    z, w = p
+    n = model.n
+    if model.name == "Sn_hyperelliptic":
+        return w * w, z * (z ** (2 * n) - 1)
+    if model.name == "Rn_hyperelliptic":
+        return w * w, z ** (2 * n) - 1
+    if model.name == "Sn_cyclic":
+        return w ** (2 * n), z ** n * (z - 1) * (z + 1) ** (2 * n - 1)
+    return w ** (2 * n), z ** n * (z - 1) ** 2 * (z + 1) ** (2 * n - 2)
+
+
+def _relative(delta, *refs):
+    scale = 1.0 + sum(abs(r) for r in refs)
+    return abs(delta) / scale
+
+
+def _lift(model, z):
+    n = model.n
+    if model.name == "Sn_hyperelliptic":
+        return (z, cmath.sqrt(z * (z ** (2 * n) - 1)))
+    if model.name == "Rn_hyperelliptic":
+        return (z, cmath.sqrt(z ** (2 * n) - 1))
+    _, rhs = _relation_sides(model, (z, 0j))
+    return (z, cmath.exp(cmath.log(rhs) / (2 * n)))
+
+
+def test_step_zone_test_equals_full_scan():
+    # the step loop asks for the branch distance only inside the shell
+    # around |z| = 0 and |z| = 1; its verdict must be the full scan's
+    rng = random.Random(21)
+    edges = (0.0, curves.SHELL, 1.0 - curves.SHELL, 1.0 + curves.SHELL,
+             1.0 - BRANCH_DISTANCE, 1.0 + BRANCH_DISTANCE)
+    for n in range(2, 13):
+        ring = CurveModel("Sn_hyperelliptic", n).branch_locus()
+        probes = _locus_probes(n, ring, rng)
+        for edge in edges:
+            for shift in (-1e-12, 0.0, 1e-12):
+                for b in ring:
+                    probes.append(b * (edge + shift) if b else edge + shift)
+                probes.append(cmath.rect(edge + shift, rng.uniform(-4.0, 4.0)))
+        for name in applicable_models(n):
+            model = CurveModel(name, n)
+            locus = model.branch_locus()
+            for z in probes:
+                full = min(abs(z - b) for b in locus)
+                try:
+                    curves._apply_word(model, [("x", 1)], (z, 1 + 0j), {})
+                    stopped = False
+                except curves._NearPole:
+                    stopped = True
+                assert stopped == (full < BRANCH_DISTANCE), (name, n, z)
+
+
 def _scan_apply_word(model, word, p):
-    """The step loop before the O(1) path: full branch scan and the
-    residual through curves._relative at every step."""
+    """One word, one factor after another: full branch scan and the
+    residual through the oracle's own formulas at every step.  A
+    nonnegative exponent is applied as written; only a negative one is
+    rewritten modulo the map's order."""
     locus = model.branch_locus()
     worst = 0.0
     for name, exponent in reversed(word):
         m = model.maps[name]
-        steps = exponent % m.order
+        steps = exponent if exponent >= 0 else exponent % m.order
         for _ in range(steps):
             if min(abs(p[0] - b) for b in locus) < BRANCH_DISTANCE:
                 raise curves._NearPole
             p = m(p)
             if not (cmath.isfinite(p[0]) and cmath.isfinite(p[1])):
                 raise curves._NearPole
-            lhs, rhs = model.relation_sides(p)
-            worst = max(worst, curves._relative(lhs - rhs, lhs, rhs))
+            lhs, rhs = _relation_sides(model, p)
+            worst = max(worst, _relative(lhs - rhs, lhs, rhs))
     return p, worst
 
 
 def _scan_sample_points(model, count, seed):
-    """Rejection sampling before the O(1) path: no memo, full scan."""
+    """Rejection sampling with no memo and the full branch scan."""
     if count < 1:
         raise ParameterError(f"need count >= 1, got {count}")
     rng = random.Random(seed)
@@ -223,12 +285,68 @@ def _scan_sample_points(model, count, seed):
         z = radius * cmath.exp(1j * angle)
         if min(abs(z - b) for b in locus) < BRANCH_DISTANCE:
             continue
-        p = model.lift(z)
-        lhs, rhs = model.relation_sides(p)
-        if not curves._relative(lhs - rhs, lhs, rhs) <= ADMISSION_TOLERANCE:
+        p = _lift(model, z)
+        lhs, rhs = _relation_sides(model, p)
+        if not _relative(lhs - rhs, lhs, rhs) <= ADMISSION_TOLERANCE:
             continue
         points.append(p)
     return points
+
+
+def _scan_verify_word(model, word, expected, tolerance, trials, seed):
+    """One word at a time over its own sample list: every point walks
+    both words from scratch, and a trajectory in the exclusion zone
+    redraws that point from seed + 1, seed + 2, ..."""
+    expected_word = [] if expected == "identity" else list(expected)
+    description = (f"{curves._word_description(word)} = "
+                   f"{curves._word_description(expected_word)}")
+    if curves._word_parity(model, word) != curves._word_parity(model, expected_word):
+        return curves.WordReport(
+            model.name, model.n, description, 0, float("inf"), tolerance, False,
+            note="conformality mismatch: words differ in conjugation parity",
+        )
+    points = model.sample_points(trials, seed)
+    extra_seed = seed + 1
+    max_error = 0.0
+    resampled = 0
+    done = 0
+    while done < trials:
+        p = points[done]
+        try:
+            got, drift_got = _scan_apply_word(model, word, p)
+            want, drift_want = _scan_apply_word(model, expected_word, p)
+        except curves._NearPole:
+            resampled += 1
+            assert resampled <= 10 * trials
+            points[done] = model.sample_points(1, extra_seed)[0]
+            extra_seed += 1
+            continue
+        err = max(
+            _relative(got[0] - want[0], want[0]),
+            _relative(got[1] - want[1], want[1]),
+            drift_got,
+            drift_want,
+        )
+        max_error = max(max_error, err)
+        done += 1
+    return curves.WordReport(
+        model.name, model.n, description, trials, max_error, tolerance,
+        max_error < tolerance, resampled,
+    )
+
+
+def _scan_verify_bundle(model, checks, tolerance, trials, seed):
+    return [_scan_verify_word(model, word, expected, tolerance, trials, seed)
+            for word, expected in checks]
+
+
+def _bundle_reports(model, seed):
+    """Every curve report of a model, as JSON text (so NaN compares)."""
+    reports = [r.as_dict() for r in verify_dicyclic_relations(model, seed=seed)]
+    if model.name.endswith("hyperelliptic"):
+        reports.append(verify_belyi(model, seed=seed))
+        reports += [r.as_dict() for r in verify_anticonformal(model, seed=seed)]
+    return json.dumps(reports, sort_keys=True)
 
 
 def test_curve_payloads_match_the_full_scan_oracles(monkeypatch):
@@ -236,11 +354,130 @@ def test_curve_payloads_match_the_full_scan_oracles(monkeypatch):
              for name in applicable_models(n) for seed in range(3)]
     fast = [curves_report(n, name, seed, 100, 1e-9).payload_json()
             for n, name, seed in cases]
-    monkeypatch.setattr(curves, "_apply_word", _scan_apply_word)
+    fast_perturbed = [_bundle_reports(CurveModel(name, n).perturbed(1e-2), seed)
+                      for n, name, seed in cases]
+    monkeypatch.setattr(curves, "_verify_bundle", _scan_verify_bundle)
     monkeypatch.setattr(CurveModel, "sample_points", _scan_sample_points)
-    for (n, name, seed), payload in zip(cases, fast):
+    for (n, name, seed), payload, perturbed in zip(cases, fast, fast_perturbed):
         assert payload == curves_report(n, name, seed, 100, 1e-9).payload_json(), (
             n, name, seed)
+        model = CurveModel(name, n).perturbed(1e-2)
+        assert perturbed == _bundle_reports(model, seed), (n, name, seed)
+
+
+def _near(model, b, distance):
+    """A curve point at `distance` from the branch value b, off its axis."""
+    return model.lift(b + distance * cmath.exp(0.7j))
+
+
+def test_bundles_resample_like_the_word_by_word_oracle(monkeypatch):
+    # Normal runs never resample, so plant start points that do.  Points
+    # 5e-4 from a branch point are in the zone before the first step of
+    # every word.  On the perturbed S-model at n = 3 the x and u steps
+    # scale z by 1.01, so a start at 1.01^-3 reaches the unit circle on
+    # a ring root after three steps: x^3 (from y^2 = x^3) reads the
+    # shared x chain, while x^6 and x^5 meet the zone on their fourth
+    # step and resample.
+    cases = []
+    for n in (2, 3, 4, 5):
+        for name in applicable_models(n):
+            model = CurveModel(name, n)
+            locus = model.branch_locus()
+            planted = {3: _near(model, locus[1], 5e-4),
+                       57: _near(model, locus[-1], 5e-4)}
+            cases.append((model, planted, [2, 2, 2]))
+    model = CurveModel("Sn_hyperelliptic", 3).perturbed(1e-2)
+    planted = {10: model.lift(1.01 ** -3 + 0j), 80: _near(model, 0j, 5e-4)}
+    cases.append((model, planted, [2, 1, 2]))
+    seed = 4
+    fast = []
+    for model, planted, _ in cases:
+        points = model.sample_points(100, seed)
+        for index, p in planted.items():
+            assert model.branch_distance(p[0]) != 0.0
+            points[index] = p
+        model._samples[100, seed] = points
+        fast.append(_bundle_reports(model, seed))
+    monkeypatch.setattr(curves, "_verify_bundle", _scan_verify_bundle)
+    for (model, _, resampled), reports in zip(cases, fast):
+        assert reports == _bundle_reports(model, seed), (model.name, model.n)
+        # x^2n = 1, y^2 = x^n and y^-1 x y = x^-1 lead every bundle
+        assert [r["resampled"] for r in json.loads(reports)[:3]] == resampled
+
+
+def _count_steps(model):
+    """Wrap every map of `model` to count its calls; returns the count."""
+    calls = [0]
+    for name, m in list(model.maps.items()):
+        def counted(p, func=m.func):
+            calls[0] += 1
+            return func(p)
+        model.maps[name] = curves.NamedMap(name, counted, m.order, m.anticonformal)
+    return calls
+
+
+def test_relations_bundle_shares_power_trajectories():
+    # Per point, the Sn_hyperelliptic relations bundle walks one x chain
+    # of 2n steps (x^2n, x^n, x^(2n-1) and x), one u chain of 4n steps
+    # (u^4n, u^-1 = u^(4n-1) and u^2) and one y chain of 4 steps (y^4,
+    # y^-1 = y^3, y^2 and y).  Beyond those first factors, y^-1 x y takes
+    # 1 + 3 steps after y, u y^-1 one u step after y^3, and y u^-1 one y
+    # step after u^(4n-1): 2n + 4n + 4 + 4 + 1 + 1 = 6n + 10.  Word by
+    # word the same checks take 2n + (2 + n) + (5 + 2n - 1) + (2 + 1)
+    # + 4n + 4 + (4 + 4n) = 13n + 17 steps per point.
+    n = 8
+    model = CurveModel("Sn_hyperelliptic", n)
+    calls = _count_steps(model)
+    reports = verify_dicyclic_relations(model)
+    assert calls[0] == 100 * (6 * n + 10)
+    calls[0] = 0
+    alone = [verify_word(model, *check)
+             for check in ([[("x", 2 * n)], "identity"],
+                           [[("y", 2)], [("x", n)]],
+                           [[("y", -1), ("x", 1), ("y", 1)], [("x", -1)]],
+                           [[("u", 2)], [("x", 1)]],
+                           [[("u", 4 * n)], "identity"],
+                           [[("y", 4)], "identity"],
+                           [[("u", 1), ("y", -1)], [("y", 1), ("u", -1)]])]
+    assert calls[0] == 100 * (13 * n + 17)
+    assert [r.as_dict() for r in alone] == [r.as_dict() for r in reports]
+
+
+def test_order_relations_are_not_vacuous():
+    # m^order = 1 applies its steps: a wrong root of unity fails it, and
+    # on the true model the report is the error of an explicit loop of
+    # `order` map steps from each sample point
+    for n in range(2, 9):
+        for name in applicable_models(n):
+            model = CurveModel(name, n)
+            wrong = {r.description: r
+                     for r in verify_dicyclic_relations(model.perturbed(1e-2))}
+            assert not wrong[f"x^{2 * n} = 1"].passed, (n, name)
+            if name == "Sn_hyperelliptic":
+                assert not wrong[f"u^{4 * n} = 1"].passed, n
+            if name == "Rn_hyperelliptic":
+                assert not wrong[f"u^{2 * n} = 1"].passed, n
+            reports = verify_dicyclic_relations(model)
+            if "tau" in model.maps:
+                reports += verify_anticonformal(model)
+            for map_name, m in model.maps.items():
+                description = f"{map_name}^{m.order} = 1"
+                matching = [r for r in reports if r.description == description]
+                if map_name == "xy" or not matching:
+                    continue
+                (report,) = matching
+                errors = []
+                for p in model.sample_points(100, 0):
+                    q, drift = p, 0.0
+                    for _ in range(m.order):
+                        q = m(q)
+                        lhs, rhs = _relation_sides(model, q)
+                        drift = max(drift, _relative(lhs - rhs, lhs, rhs))
+                    errors.append(max(_relative(q[0] - p[0], p[0]),
+                                      _relative(q[1] - p[1], p[1]), drift))
+                assert report.resampled == 0
+                assert report.max_error == max(errors), (n, name, description)
+                assert report.max_error > 0.0, (n, name, description)
 
 
 def test_sample_memo_hands_out_fresh_lists():
@@ -268,7 +505,7 @@ def test_step_loop_stops_in_the_exclusion_zone():
         for b in model.branch_locus()[1:]:
             p = model.lift(b * (1 + BRANCH_DISTANCE / 2))
             with pytest.raises(curves._NearPole):
-                curves._apply_word(model, [("x", 1)], p)
+                curves._apply_word(model, [("x", 1)], p, {})
 
 
 def test_sampler_rejects_points_in_the_exclusion_zone():

