@@ -3,9 +3,13 @@
 Given a generating vector for a group action (for triangular actions,
 the generating pair plus the derived third element), this module
 computes the covering surface's genus through the Riemann-Hurwitz
-formula, fixed-point counts of individual elements through the coset
-stabiliser formula, genera and signatures of intermediate quotients,
-and the full census of triangular actions of a dicyclic group.
+formula, fixed-point counts of individual elements through the class
+function fix(g) = sum_i |C_G(g)| |cl(g) meet <c_i>| / m_i, the freely
+acting conjugacy classes, genera and signatures of intermediate
+quotients, and the full census of triangular actions of a dicyclic
+group.  Fixed points, free classes, coset cycles and the census run
+on element indices; `GroupElement` values appear only in the actions
+and in the results.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterable
 
 from . import search
 from .errors import ConstructionError, InadmissibleSignatureError, ParameterError
@@ -148,37 +153,43 @@ Action = TriangularAction | GeneratingVector
 def fixed_point_count(act: Action, g: GroupElement) -> int:
     """Number of fixed points of g on the covering surface.
 
-    Counts, for each cone image c, the cosets h<c> with h^-1 g h in <c>;
-    the condition is constant on cosets since <c> normalises itself.
+    The class function fix(g) = sum_i |C_G(g)| |cl(g) meet <c_i>| / m_i:
+    g fixes a point over the i-th cone point for each coset h<c_i> with
+    h^-1 g h in <c_i>, and every conjugate of g is h^-1 g h for exactly
+    |C_G(g)| = |G| / |cl(g)| elements h.
     """
     if g.is_identity():
         raise ParameterError("the identity fixes every point")
     group = act.group
+    i = group.index_of(g)
+    cls = next(cls for cls in group.class_indices if i in cls)
+    centraliser = group.order // len(cls)
     total = 0
     for c in act.cone_images:
-        cyc = group.cyclic(c).members
-        hits = sum(
-            1 for h in group.elements if h.inverse() * g * h in cyc
-        )
-        total += hits // len(cyc)
+        cyc = group._closure_indices((group.index_of(c),))
+        total += centraliser * len(cls & cyc) // len(cyc)
     return total
+
+
+def free_classes(group: DicyclicGroup, cones: Iterable[int]) -> list[frozenset[int]]:
+    """The conjugacy classes (index sets) that act freely, given cone indices.
+
+    g fixes a point iff its class meets a cone cyclic subgroup <c_i>; the
+    identity's class is never free.
+    """
+    non_free = frozenset({0}).union(*(group._closure_indices((c,)) for c in cones))
+    return [cls for cls in group.class_indices if cls.isdisjoint(non_free)]
 
 
 def free_elements(act: Action) -> list[GroupElement]:
     """Nontrivial elements acting without fixed points, sorted.
 
-    g fixes a point iff its conjugacy class meets a cone cyclic subgroup
-    (`fixed_point_count` is the element-wise oracle).
+    The members of the `free_classes`; `fixed_point_count` is zero on
+    exactly these elements.
     """
     group = act.group
-    cyclics = [group.cyclic(c).members for c in act.cone_images]
-    non_free = {group.identity}.union(*cyclics)
-    return sorted(
-        g
-        for cls in group.conjugacy_classes
-        if cls.members.isdisjoint(non_free)
-        for g in cls.members
-    )
+    free = free_classes(group, map(group.index_of, act.cone_images))
+    return [group.element_at(i) for i in sorted(i for cls in free for i in cls)]
 
 
 def is_purely_non_free(act: Action) -> tuple[bool, list[GroupElement]]:
@@ -197,25 +208,31 @@ def is_purely_non_free(act: Action) -> tuple[bool, list[GroupElement]]:
 def _coset_cycles(group: DicyclicGroup, H: Subgroup, c: GroupElement) -> list[int]:
     """Cycle lengths of left multiplication by c on the cosets G/H.
 
-    Each coset gH is named by its least index; index order is element
-    order, so the cycles come out in the same order either way.
+    One pass in index order names each coset gH by its least index, the
+    first member the pass meets; the cycles start from those names in
+    index order.
     """
     mul = group.mul_table
     members = [group.index_of(h) for h in H.members]
-    rep_of = [min(mul[g][h] for h in members) for g in range(group.order)]
+    rep_of = [-1] * group.order
+    reps = []
+    for g in range(group.order):
+        if rep_of[g] < 0:
+            reps.append(g)
+            row = mul[g]
+            for h in members:
+                rep_of[row[h]] = g
     ci = group.index_of(c)
     lengths = []
-    unseen = set(rep_of)
-    while unseen:
-        start = min(unseen)
-        length = 0
-        cur = start
-        while True:
-            unseen.discard(cur)
+    seen = set()
+    for start in reps:
+        if start in seen:
+            continue
+        length, cur = 0, start
+        while cur not in seen:
+            seen.add(cur)
             length += 1
             cur = rep_of[mul[ci][cur]]
-            if cur == start:
-                break
         lengths.append(length)
     return lengths
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import search
-from .covering import GeneratingVector, OrbifoldSignature, is_purely_non_free
+from .covering import GeneratingVector, OrbifoldSignature, free_classes
 from .errors import ParameterError, SearchExhaustedError
 from .group import DicyclicGroup
 
@@ -47,9 +47,11 @@ def signature_candidates(n: int, g: int) -> list[SignatureCandidate]:
     is matched exactly with Fractions, so the list is finite and
     complete.
     """
+    if n < 2:
+        raise ParameterError(f"group parameter must be >= 2, got n={n}")
     if g < 2:
         raise ParameterError(f"search genus must be >= 2, got {g}")
-    four_n = 4 * DicyclicGroup(n).n
+    four_n = 4 * n
     pool = search.order_pool(n)
     out = []
     gamma = 0
@@ -68,16 +70,26 @@ def signature_candidates(n: int, g: int) -> list[SignatureCandidate]:
     return out
 
 
-def generating_vectors(group: DicyclicGroup, candidate: SignatureCandidate):
-    """Every generating vector with this signature, in index order."""
-    sig = candidate.signature
+def _index_vectors(group: DicyclicGroup, sig: OrbifoldSignature):
+    """Every generating vector with this signature as (hyper, cones) indices."""
     orders = group.order_table
     pools = [[i for i in range(group.order) if orders[i] == m] for m in sig.cone_orders]
     hyper_pools = [range(group.order)] * (2 * sig.quotient_genus)
-    for hyper, cones in search.vectors(group, hyper_pools, search.commutators, pools):
-        yield GeneratingVector(group, sig.quotient_genus,
-                               tuple(map(group.element_at, hyper)),
-                               tuple(map(group.element_at, cones)))
+    return search.vectors(group, hyper_pools, search.commutators, pools)
+
+
+def _generating_vector(group: DicyclicGroup, sig: OrbifoldSignature,
+                       hyper: tuple[int, ...], cones: tuple[int, ...]) -> GeneratingVector:
+    return GeneratingVector(group, sig.quotient_genus,
+                            tuple(map(group.element_at, hyper)),
+                            tuple(map(group.element_at, cones)))
+
+
+def generating_vectors(group: DicyclicGroup, candidate: SignatureCandidate):
+    """Every generating vector with this signature, in index order."""
+    sig = candidate.signature
+    for hyper, cones in _index_vectors(group, sig):
+        yield _generating_vector(group, sig, hyper, cones)
 
 
 def exists_generating_vector(
@@ -105,15 +117,18 @@ def pure_symmetric_genus(n: int, g_max: int) -> tuple[int, GeneratingVector]:
 
     Every vector of each candidate signature is tested, not just the
     first; purity was found constant on the vectors of every candidate
-    signature up to genus n for n = 2..13, 27 and 33.
+    signature up to genus n for n = 2..13, 27 and 33.  The test runs on
+    the index vector: it is pure when no conjugacy class is disjoint from
+    the union of the cone cyclic subgroups (`covering.free_classes`), and
+    only the witness becomes a `GeneratingVector`.
     """
     group = DicyclicGroup(n)
     for g in range(2, g_max + 1):
         for candidate in signature_candidates(n, g):
-            witness = next((v for v in generating_vectors(group, candidate)
-                            if is_purely_non_free(v)[0]), None)
-            if witness is not None:
-                return g, witness
+            sig = candidate.signature
+            for hyper, cones in _index_vectors(group, sig):
+                if not free_classes(group, cones):
+                    return g, _generating_vector(group, sig, hyper, cones)
     raise SearchExhaustedError(
         f"no purely-non-free action of G_{n} found up to genus {g_max}"
     )

@@ -14,6 +14,7 @@ subgroups, automorphisms) are cached on the group object.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -148,12 +149,56 @@ class GroupAutomorphism:
         return self.image_of_x.n
 
 
+class IndexSubgroup(Set):
+    """The index set of <x^d> union <x^d> x^s y in a group of the given order.
+
+    s is None when there is no y-coset, and is kept reduced mod d, so
+    (order, d, s) names the set.  `len`, `in` and `==` between two of
+    them are O(1), iteration lists <x^d> and then the coset, and `&`,
+    `|` and `-` return plain frozensets.  Equal to, and hashes like, the
+    frozenset of its members.
+    """
+
+    __slots__ = ("order", "d", "s")
+
+    def __init__(self, order: int, d: int, s: int | None):
+        self.order, self.d, self.s = order, d, None if s is None else s % d
+
+    def __len__(self) -> int:
+        return self.order // (2 * self.d) * (1 if self.s is None else 2)
+
+    def __contains__(self, i: object) -> bool:
+        if not (isinstance(i, int) and 0 <= i < self.order):
+            return False
+        a, b = divmod(i, 2)
+        if b:
+            return self.s is not None and (a - self.s) % self.d == 0
+        return a % self.d == 0
+
+    def __iter__(self) -> Iterator[int]:
+        yield from range(0, self.order, 2 * self.d)
+        if self.s is not None:
+            yield from range(2 * self.s + 1, self.order, 2 * self.d)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, IndexSubgroup):
+            return (self.order, self.d, self.s) == (other.order, other.d, other.s)
+        return super().__eq__(other)
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[int]) -> frozenset[int]:
+        return frozenset(it)
+
+
 class DicyclicGroup:
     """The dicyclic group of order 4n, with enumeration helpers.
 
     Elements are also addressable by an integer index (2a + b), used
-    internally for table-driven enumeration; the public surface works
-    with GroupElement values throughout.
+    for table-driven enumeration: the tables, the closures and
+    `class_indices` work on indices, the rest of the public surface on
+    GroupElement values.
     """
 
     def __init__(self, n: int):
@@ -234,7 +279,7 @@ class DicyclicGroup:
 
     # -- subgroups -------------------------------------------------------
 
-    def _closure_indices(self, gen_indices: Iterable[int]) -> frozenset[int]:
+    def _closure_indices(self, gen_indices: Iterable[int]) -> IndexSubgroup:
         """The subgroup generated by the given indices, in closed form.
 
         With generators x^a y^b (index 2a + b), <S> = <x^d> union <x^d> x^s y,
@@ -242,7 +287,9 @@ class DicyclicGroup:
         and d = gcd(2n, every a with b = 0, and with a coset n and every
         a - s over the y-elements).  Proof: <S> holds x^n = (x^s y)^2 and
         x^(a-s) = (x^a y)(x^s y)^-1, hence <x^d>; the y-elements normalise
-        <x^d> and square into it, so the set is a subgroup.
+        <x^d> and square into it, so the set is a subgroup.  The result is
+        that (d, s) pair, never the member list, so a generation test
+        `len(...) == order` costs one pass over the generators.
         """
         d, s = 2 * self.n, None
         for i in gen_indices:
@@ -250,8 +297,7 @@ class DicyclicGroup:
             if b and s is None:
                 s, d = a, gcd(d, self.n)
             d = gcd(d, a - s if b else a)
-        coset = () if s is None else range(2 * (s % d) + 1, self.order, 2 * d)
-        return frozenset(itertools.chain(range(0, self.order, 2 * d), coset))
+        return IndexSubgroup(self.order, d, s)
 
     def subgroup_generated(self, generators: Iterable[GroupElement]) -> Subgroup:
         gens = tuple(generators)
@@ -292,19 +338,26 @@ class DicyclicGroup:
     # -- conjugacy classes ----------------------------------------------
 
     @cached_property
-    def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
+    def class_indices(self) -> tuple[frozenset[int], ...]:
+        """The conjugacy classes as index sets, in order of least index."""
         table = self.mul_table
         inv = self.inverse_table
         unseen = set(range(self.order))
         classes = []
         while unseen:
             i = min(unseen)
-            orbit = {table[table[h][i]][inv[h]] for h in range(self.order)}
+            orbit = frozenset(table[table[h][i]][inv[h]] for h in range(self.order))
             unseen -= orbit
-            members = frozenset(self.element_at(k) for k in orbit)
-            classes.append(ConjugacyClass(min(members), members))
-        classes.sort()
+            classes.append(orbit)
         return tuple(classes)
+
+    @cached_property
+    def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
+        # least index is least element, so index order is element order
+        return tuple(
+            ConjugacyClass(self.element_at(min(cls)), frozenset(map(self.element_at, cls)))
+            for cls in self.class_indices
+        )
 
     # -- automorphisms ---------------------------------------------------
 

@@ -6,6 +6,7 @@ import pytest
 
 from dicyclic_dessins.covering import (
     OrbifoldSignature,
+    _coset_cycles,
     _free_orbits,
     census_representative,
     fixed_point_count,
@@ -168,6 +169,41 @@ def test_automorphism_group_order():
 # -- fixed points -------------------------------------------------------
 
 
+def fixed_point_oracle(act, g) -> int:
+    """Fixed points of g by scanning conjugates: for each cone image c,
+    the cosets h<c> with h^-1 g h in <c> (the condition is constant on
+    cosets since <c> normalises itself)."""
+    group = act.group
+    total = 0
+    for c in act.cone_images:
+        cyc = group.cyclic(c).members
+        hits = sum(
+            1 for h in group.elements if h.inverse() * g * h in cyc
+        )
+        total += hits // len(cyc)
+    return total
+
+
+def _census_representatives(n_max: int):
+    return [
+        census_representative(n, case)
+        for n in range(2, n_max + 1)
+        for case in (("I",) if n % 2 == 0 else ("I", "II"))
+    ]
+
+
+def test_fixed_point_count_matches_conjugate_scan():
+    # the class formula against the conjugate scan, on every nontrivial
+    # element of every census representative and minimal-genus witness
+    actions = _census_representatives(12)
+    for n in range(2, 13):
+        actions.append(strong_symmetric_genus(n, n + 2)[1])
+        actions.append(pure_symmetric_genus(n, n + 2)[1])
+    for act in actions:
+        for g in act.group.elements[1:]:
+            assert fixed_point_count(act, g) == fixed_point_oracle(act, g), (act, g)
+
+
 def test_case_I_fixed_point_counts():
     for n in range(2, 9):
         G = DicyclicGroup(n)
@@ -199,18 +235,14 @@ def test_case_II_free_elements():
 def test_free_elements_match_fixed_point_oracle():
     # free_elements works on conjugacy classes; fixed_point_count counts
     # fixed points element by element
-    actions = [
-        census_representative(n, case)
-        for n in range(2, 11)
-        for case in (("I",) if n % 2 == 0 else ("I", "II"))
-    ]
+    actions = _census_representatives(10)
     for n in range(2, 7):
         actions.append(strong_symmetric_genus(n, n + 2)[1])
         actions.append(pure_symmetric_genus(n, n + 2)[1])
     for act in actions:
         oracle = [
             g for g in act.group.elements
-            if not g.is_identity() and fixed_point_count(act, g) == 0
+            if not g.is_identity() and fixed_point_oracle(act, g) == 0
         ]
         assert free_elements(act) == oracle
 
@@ -223,7 +255,7 @@ def test_fixed_points_satisfy_riemann_hurwitz():
             G = DicyclicGroup(n)
             act = census_representative(n, case)
             total = sum(
-                fixed_point_count(act, g)
+                fixed_point_oracle(act, g)
                 for g in G.elements
                 if not g.is_identity()
             )
@@ -231,6 +263,37 @@ def test_fixed_points_satisfy_riemann_hurwitz():
 
 
 # -- quotients ----------------------------------------------------------
+
+
+def coset_cycles_oracle(group, H, c) -> list[int]:
+    """Cycle lengths of c on G/H, naming each coset gH by the min over H
+    of the indices of gh and starting each cycle at the least unseen name."""
+    mul = group.mul_table
+    members = [group.index_of(h) for h in H.members]
+    rep_of = [min(mul[g][h] for h in members) for g in range(group.order)]
+    ci = group.index_of(c)
+    lengths = []
+    unseen = set(rep_of)
+    while unseen:
+        start = min(unseen)
+        length = 0
+        cur = start
+        while True:
+            unseen.discard(cur)
+            length += 1
+            cur = rep_of[mul[ci][cur]]
+            if cur == start:
+                break
+        lengths.append(length)
+    return lengths
+
+
+def test_coset_cycles_match_min_scan():
+    for act in _census_representatives(16):
+        G = act.group
+        for H in G.subgroups:
+            for c in act.cone_images:
+                assert _coset_cycles(G, H, c) == coset_cycles_oracle(G, H, c), (H, c)
 
 
 def test_quotient_by_full_group_is_base():

@@ -2,12 +2,13 @@
 
 import pytest
 
-from dicyclic_dessins.covering import fixed_point_count
+from dicyclic_dessins.covering import fixed_point_count, is_purely_non_free
 from dicyclic_dessins.errors import ParameterError, SearchExhaustedError
 from dicyclic_dessins.genus import (
     TORUS_SIGNATURES,
     SignatureCandidate,
     exists_generating_vector,
+    generating_vectors,
     pure_symmetric_genus,
     signature_candidates,
     strong_symmetric_genus,
@@ -28,6 +29,8 @@ def test_signature_candidates_are_rh_exact():
 def test_signature_candidates_reject_genus_below_two():
     with pytest.raises(ParameterError):
         signature_candidates(3, 1)
+    with pytest.raises(ParameterError, match="n=1"):
+        signature_candidates(1, 2)
 
 
 def test_strong_symmetric_genus_values():
@@ -55,6 +58,28 @@ def test_pure_symmetric_genus_values():
             for el in G.elements:
                 if not el.is_identity():
                     assert fixed_point_count(act, el) > 0
+
+
+def pure_symmetric_genus_oracle(n: int, g_max: int):
+    """The pure search one vector at a time: each vector of each candidate
+    signature becomes a GeneratingVector tested by is_purely_non_free."""
+    group = DicyclicGroup(n)
+    for g in range(2, g_max + 1):
+        for candidate in signature_candidates(n, g):
+            for vector in generating_vectors(group, candidate):
+                if is_purely_non_free(vector)[0]:
+                    return g, vector
+    raise SearchExhaustedError(f"no purely-non-free action of G_{n} up to {g_max}")
+
+
+def test_pure_search_matches_vector_oracle():
+    for n in range(2, 14):
+        g, witness = pure_symmetric_genus(n, n + 2)
+        oracle_g, oracle = pure_symmetric_genus_oracle(n, n + 2)
+        assert g == oracle_g, n
+        assert witness.quotient_genus == oracle.quotient_genus, n
+        assert witness.hyperbolic_images == oracle.hyperbolic_images, n
+        assert witness.cone_images == oracle.cone_images, n
 
 
 def test_search_exhaustion_raises():

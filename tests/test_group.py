@@ -185,12 +185,31 @@ def subgroups_oracle(G):
                   key=lambda entry: (len(entry[0]), entry[0]))
 
 
+def assert_closure_matches_oracle(G, gens):
+    """The closed-form closure behaves as the oracle's frozenset: size,
+    membership of every index, equality both ways, hash, and set algebra
+    with a frozenset that returns plain frozensets."""
+    got, want = G._closure_indices(gens), closure_oracle(G, gens)
+    assert len(got) == len(want), gens
+    assert [i in got for i in range(G.order)] == [i in want for i in range(G.order)], gens
+    assert got == want and want == got, gens
+    assert hash(got) == hash(want), gens
+    other = frozenset(range(0, G.order, 3))
+    for result, expected in ((got & other, want & other), (other & got, other & want),
+                             (got | other, want | other), (other | got, other | want),
+                             (got - other, want - other), (other - got, other - want)):
+        assert type(result) is frozenset and result == expected, gens
+
+
 def test_closure_matches_oracle_on_every_pair():
     # ordered pairs, so either element can be the first y-element
     for n in range(2, 17):
         G = DicyclicGroup(n)
         for pair in itertools.product(range(G.order), repeat=2):
-            assert G._closure_indices(pair) == closure_oracle(G, pair), (n, pair)
+            assert_closure_matches_oracle(G, pair)
+            # two closures compare by (d, s) exactly when their members agree
+            first, both = G._closure_indices(pair[:1]), G._closure_indices(pair)
+            assert (first == both) == (frozenset(first) == frozenset(both)), (n, pair)
 
 
 _groups = {n: DicyclicGroup(n) for n in range(2, 25)}
@@ -200,7 +219,7 @@ _groups = {n: DicyclicGroup(n) for n in range(2, 25)}
 def test_closure_matches_oracle_on_index_lists(data):
     G = _groups[data.draw(st.integers(2, 24), label="n")]
     gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=5), label="gens")
-    assert G._closure_indices(gens) == closure_oracle(G, gens)
+    assert_closure_matches_oracle(G, gens)
 
 
 def test_subgroups_match_all_pairs_oracle():
