@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable
 
 from . import search
@@ -47,19 +48,22 @@ def rh_genus(group_order: int, sig: OrbifoldSignature) -> int:
 
     Solves 2g - 2 = N * (2*gamma - 2 + sum(1 - 1/m)) for g and insists
     on a non-negative integer; anything else is an inadmissible
-    signature for a group of this order.
+    signature for a group of this order.  The sum runs in integers over
+    the common denominator L = lcm(m), so g = (2L + N * total) / 2L.
     """
     if group_order < 1:
         raise ParameterError(f"group order must be >= 1, got {group_order}")
-    total = Fraction(2 * sig.quotient_genus - 2)
-    for m in sig.cone_orders:
-        total += 1 - Fraction(1, m)
-    g = 1 + Fraction(group_order) * total / 2
-    if g.denominator != 1 or g < 0:
+    denom = lcm(*sig.cone_orders)
+    total = (2 * sig.quotient_genus - 2) * denom + sum(
+        denom - denom // m for m in sig.cone_orders
+    )
+    g_numerator = 2 * denom + group_order * total
+    if g_numerator % (2 * denom) or g_numerator < 0:
         raise InadmissibleSignatureError(
-            f"signature {sig} with group order {group_order} gives genus {g}"
+            f"signature {sig} with group order {group_order} gives genus "
+            f"{Fraction(g_numerator, 2 * denom)}"
         )
-    return int(g)
+    return g_numerator // (2 * denom)
 
 
 @dataclass
@@ -78,7 +82,8 @@ class TriangularAction:
         c1, c2, c3 = self.c
         if not (c1 * c2 * c3).is_identity():
             raise ParameterError("triple does not multiply to the identity")
-        if self.group.subgroup_generated([c1, c2]).order != self.group.order:
+        pair = (self.group.index_of(c1), self.group.index_of(c2))
+        if len(self.group._closure_indices(pair)) != self.group.order:
             raise ParameterError("pair does not generate the group")
         if any(ci.order() < 2 for ci in self.c):
             raise ParameterError("triangular actions need all three orders >= 2")
@@ -130,8 +135,8 @@ class GeneratingVector:
             prod = prod * c
         if not prod.is_identity():
             raise ParameterError("long relation fails for these images")
-        gens = list(self.hyperbolic_images) + list(self.cone_images)
-        if self.group.subgroup_generated(gens).order != self.group.order:
+        gens = map(self.group.index_of, (*self.hyperbolic_images, *self.cone_images))
+        if len(self.group._closure_indices(gens)) != self.group.order:
             raise ParameterError("images do not generate the group")
 
     @cached_property

@@ -43,9 +43,10 @@ class SignatureCandidate:
 def signature_candidates(n: int, g: int) -> list[SignatureCandidate]:
     """All (gamma', orders) with 2g-2 = 4n(2 gamma' - 2 + sum(1 - 1/m)).
 
-    Orders are non-decreasing tuples from the order pool; the defect sum
-    is matched exactly with Fractions, so the list is finite and
-    complete.
+    Orders are non-decreasing tuples from the order pool.  For each
+    gamma' the defect target (2g - 2)/4n - (2 gamma' - 2) is matched
+    exactly by `search.defect_partitions` in integers scaled by the lcm
+    of the pool, so the list is finite and complete.
     """
     if n < 2:
         raise ParameterError(f"group parameter must be >= 2, got n={n}")
@@ -55,11 +56,9 @@ def signature_candidates(n: int, g: int) -> list[SignatureCandidate]:
     pool = search.order_pool(n)
     out = []
     gamma = 0
-    while True:
-        target = Fraction(2 * g - 2, four_n) - (2 * gamma - 2)
-        if target < 0:
-            break
-        for orders in search.defect_partitions(target, pool):
+    # numerator of the defect target over the denominator 4n
+    while (numerator := 2 * g - 2 - four_n * (2 * gamma - 2)) >= 0:
+        for orders in search.defect_partitions(Fraction(numerator, four_n), pool):
             out.append(
                 SignatureCandidate(g, OrbifoldSignature(gamma, orders))
             )

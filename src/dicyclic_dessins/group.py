@@ -7,8 +7,11 @@ The group with parameter n >= 2 is presented by
 Every element has a unique normal form x^a y^b with 0 <= a < 2n and
 b in {0, 1}.  Elements are stored in that normal form, so equality and
 hashing are structural.  All values here are immutable and all
-operations are pure; the heavier enumerations (conjugacy classes,
-subgroups, automorphisms) are cached on the group object.
+operations are pure.  The tables and the heavier enumerations
+(conjugacy classes, subgroups, automorphisms) are cached on the group
+object, and the group is shared per n: `DicyclicGroup(n)` returns the
+group it built last when n is the same, so every report section for one
+n reuses them.
 """
 
 from __future__ import annotations
@@ -199,13 +202,28 @@ class DicyclicGroup:
     for table-driven enumeration: the tables, the closures and
     `class_indices` work on indices, the rest of the public surface on
     GroupElement values.
+
+    The constructor keeps exactly one group: it returns the last group
+    it built when n matches, and otherwise builds a new one and holds
+    that instead.  Everything cached on a group depends on n alone.
     """
 
-    def __init__(self, n: int):
+    _last: DicyclicGroup | None = None
+
+    def __new__(cls, n: int) -> DicyclicGroup:
+        last = cls._last
+        if last is not None and last.n == n:
+            return last
         if n < 2:
             raise ParameterError(f"group parameter must be >= 2, got n={n}")
+        self = super().__new__(cls)
         self.n = n
         self.order = 4 * n
+        cls._last = self
+        return self
+
+    def __getnewargs__(self) -> tuple[int]:
+        return (self.n,)
 
     # -- basic elements -------------------------------------------------
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import search
 from .errors import (
@@ -55,17 +56,17 @@ def nec_genus(n: int, sig: NECSignature) -> int:
     """Genus of the surface covering this non-orientable quotient.
 
     g = 1 + 2n * (gamma + r - 1 - sum 1/m_j); non-integral or negative
-    values mean no dicyclic action with this quotient exists.
+    values mean no dicyclic action with this quotient exists.  The sum
+    runs in integers over the common denominator L = lcm(m_j).
     """
-    total = Fraction(sig.gamma + sig.r - 1)
-    for m in sig.cone_orders:
-        total -= Fraction(1, m)
-    g = 1 + 2 * n * total
-    if g.denominator != 1 or g < 0:
+    denom = lcm(*sig.cone_orders)
+    total = (sig.gamma + sig.r - 1) * denom - sum(denom // m for m in sig.cone_orders)
+    g_numerator = denom + 2 * n * total
+    if g_numerator % denom or g_numerator < 0:
         raise InadmissibleSignatureError(
-            f"signature {sig} gives genus {g} for n={n}"
+            f"signature {sig} gives genus {Fraction(g_numerator, denom)} for n={n}"
         )
-    return int(g)
+    return g_numerator // denom
 
 
 @dataclass
@@ -107,37 +108,39 @@ class NECActionData:
             prod = prod * b
         if not prod.is_identity():
             out.append("long relation fails")
-        gens = list(self.alpha_images) + list(self.beta_images)
-        if group.subgroup_generated(gens).order != group.order:
+        gens = map(group.index_of, (*self.alpha_images, *self.beta_images))
+        if len(group._closure_indices(gens)) != group.order:
             out.append("images do not generate the group")
-        if self.plus_image().members != H.members:
+        if group._closure_indices(self._plus_generators()) != self._plus_part_indices():
             out.append("orientation-preserving images do not fill the plus part")
         return out
 
-    def plus_image(self) -> Subgroup:
-        """Image of the orientation-preserving half.
+    def _plus_generators(self) -> list[int]:
+        """Indices of the beta images, the alpha squares, the
+        alpha-conjugates of the betas and the mixed alpha products."""
+        group = self.group
+        mul, inv = group.mul_table, group.inverse_table
+        alphas = [group.index_of(a) for a in self.alpha_images]
+        betas = [group.index_of(b) for b in self.beta_images]
+        gens = betas + [mul[a][a] for a in alphas]
+        gens += [mul[mul[a][b]][inv[a]] for a in alphas for b in betas]
+        gens += [mul[a1][a2] for a1, a2 in itertools.combinations(alphas, 2)]
+        return gens or [0]
 
-        Generated by the beta images, the alpha squares, the
-        alpha-conjugates of the betas and the mixed alpha products.
-        """
-        gens = [b for b in self.beta_images]
-        gens += [a * a for a in self.alpha_images]
-        gens += [
-            a * b * a.inverse()
-            for a in self.alpha_images
-            for b in self.beta_images
-        ]
-        gens += [
-            a1 * a2
-            for a1, a2 in itertools.combinations(self.alpha_images, 2)
-        ]
-        if not gens:
-            gens = [self.group.identity]
-        return self.group.subgroup_generated(gens)
+    def _plus_part_indices(self) -> frozenset[int]:
+        return frozenset(map(self.group.index_of, self.plus_part.members))
+
+    def plus_image(self) -> Subgroup:
+        """Image of the orientation-preserving half, generated by
+        `_plus_generators`."""
+        return self.group.subgroup_generated(map(self.group.element_at,
+                                                 self._plus_generators()))
 
     def betas_and_alpha_squares_generate_plus_part(self) -> bool:
-        gens = list(self.beta_images) + [a * a for a in self.alpha_images]
-        return self.group.subgroup_generated(gens).members == self.plus_part.members
+        group = self.group
+        gens = [group.index_of(b) for b in self.beta_images]
+        gens += [group.mul_table[i][i] for i in map(group.index_of, self.alpha_images)]
+        return group._closure_indices(gens) == self._plus_part_indices()
 
     def genus(self) -> int:
         return nec_genus(self.group.n, self.sig)
@@ -283,12 +286,13 @@ def build_pseudo_real(n: int, q: int) -> PseudoRealCertificate:
     )
     genus = nec_genus(n, sig)
     # Riemann-Hurwitz through S -> S/<x>: degree 2n, genus-zero base,
-    # exactly 2l cone points of order 2n.
-    g2 = Fraction(2 * n) * (-2 + 2 * l * (1 - Fraction(1, 2 * n)))
-    genus_cyclic = 1 + g2 / 2
-    if genus_cyclic.denominator != 1:
+    # exactly 2l cone points of order 2n.  Over the denominator 2n,
+    # 2g - 2 = 2n (-2 * 2n + 2l (2n - 1)) / 2n.
+    two_n = 2 * n
+    euler = two_n * (-2 * two_n + 2 * l * (two_n - 1))
+    if euler % (2 * two_n):
         raise ConstructionError("cyclic-cover genus is not an integer")
-    genus_cyclic = int(genus_cyclic)
+    genus_cyclic = 1 + euler // (2 * two_n)
     expected = (l - 1) * (2 * n - 1)
     if genus != expected or genus_cyclic != expected:
         raise ConstructionError(

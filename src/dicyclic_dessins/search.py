@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .group import DicyclicGroup
 
@@ -20,18 +21,30 @@ def order_pool(n: int) -> list[int]:
     return sorted({d for d in range(2, two_n + 1) if two_n % d == 0} | {4})
 
 
-def defect_partitions(target: Fraction, pool: list[int], lo: int = 0):
-    """Non-decreasing order tuples with sum(1 - 1/m) equal to target."""
+def defect_partitions(target: Fraction | int, pool: list[int], lo: int = 0):
+    """Non-decreasing order tuples from pool[lo:] with sum(1 - 1/m) equal to target.
+
+    pool is sorted.  The target is scaled once by L = lcm(pool), so the
+    recursion subtracts the integers L - L/m, in the same order as the
+    rational terms; a target that is no multiple of 1/L has no tuple.
+    """
+    scale = lcm(*pool)
+    scaled = target * scale
+    if scaled.denominator != 1:
+        return
+    terms = [scale - scale // m for m in pool]
+    yield from _scaled_partitions(int(scaled), pool, terms, lo)
+
+
+def _scaled_partitions(target: int, pool: list[int], terms: list[int], lo: int):
     if target == 0:
         yield ()
         return
     for i in range(lo, len(pool)):
-        m = pool[i]
-        term = 1 - Fraction(1, m)
-        if term > target:
+        if terms[i] > target:
             break
-        for rest in defect_partitions(target - term, pool, i):
-            yield (m,) + rest
+        for rest in _scaled_partitions(target - terms[i], pool, terms, i):
+            yield (pool[i],) + rest
 
 
 def commutators(group: DicyclicGroup, hyper: tuple[int, ...]) -> int:

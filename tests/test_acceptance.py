@@ -232,13 +232,15 @@ def test_criterion_11_determinism(tmp_path):
     import subprocess
     import sys
 
+    from test_cli import CLI_ENV
+
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     ok = True
     for out in (out1, out2):
         result = subprocess.run(
             [sys.executable, "-m", "dicyclic_dessins", "paper-report",
              "--n-range", "2..6", "--out", str(out)],
-            capture_output=True, text=True, timeout=600,
+            capture_output=True, text=True, timeout=600, env=CLI_ENV,
         )
         # n = 3, 5 and 6 carry the failing stated quotient_genera claim
         ok = ok and result.returncode == 1

@@ -2,30 +2,41 @@
 
 Each test but the last runs the CLI in a separate process as `python -m
 dicyclic_dessins`, with the interpreter and environment of the test
-run, so it exercises the same code the tests import: the checkout under
-`PYTHONPATH=src`, or the installed package.  The last one draws many
-small command lines and runs `cli.main` in process.
+run and the directory of the imported package first on PYTHONPATH, so
+it exercises the same code the tests import: the checkout's `src`, or
+the installed package.  The last one draws many small command lines and
+runs `cli.main` in process.
 """
 
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dicyclic_dessins
 from dicyclic_dessins import cli
 from dicyclic_dessins.curves import MODEL_NAMES
 
 CLI = [sys.executable, "-m", "dicyclic_dessins"]
+PACKAGE_ROOT = str(Path(dicyclic_dessins.__file__).resolve().parent.parent)
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run_cli(*args):
     return subprocess.run(
-        [*CLI, *args], capture_output=True, text=True, timeout=300
+        [*CLI, *args], capture_output=True, text=True, timeout=300, env=CLI_ENV
     )
 
 

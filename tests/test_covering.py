@@ -1,11 +1,15 @@
 """Tests for signatures, Riemann-Hurwitz and the triangular census."""
 
+import itertools
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from dicyclic_dessins.covering import (
+    GeneratingVector,
     OrbifoldSignature,
+    TriangularAction,
     _coset_cycles,
     _free_orbits,
     census_representative,
@@ -17,9 +21,14 @@ from dicyclic_dessins.covering import (
     rh_genus,
     triangular_census,
 )
-from dicyclic_dessins.errors import ConstructionError, InadmissibleSignatureError
+from dicyclic_dessins.errors import (
+    ConstructionError,
+    InadmissibleSignatureError,
+    ParameterError,
+)
 from dicyclic_dessins.genus import pure_symmetric_genus, strong_symmetric_genus
 from dicyclic_dessins.group import DicyclicGroup
+from dicyclic_dessins.search import order_pool
 from test_group import closure_oracle
 
 
@@ -41,6 +50,58 @@ def test_rh_genus_rejects_non_integral():
 def test_rh_genus_unramified():
     # 2g - 2 = N(2*gamma - 2) with no cone points
     assert rh_genus(5, OrbifoldSignature(2, ())) == 6
+
+
+def rh_genus_oracle(group_order: int, sig: OrbifoldSignature) -> int:
+    """Riemann-Hurwitz in Fractions: 1 + N (2 gamma - 2 + sum(1 - 1/m)) / 2."""
+    total = Fraction(2 * sig.quotient_genus - 2)
+    for m in sig.cone_orders:
+        total += 1 - Fraction(1, m)
+    g = 1 + Fraction(group_order) * total / 2
+    if g.denominator != 1 or g < 0:
+        raise InadmissibleSignatureError(
+            f"signature {sig} with group order {group_order} gives genus {g}"
+        )
+    return int(g)
+
+
+def outcome(func, *args):
+    """The value of func(*args), or the message of the signature error it raises."""
+    try:
+        return func(*args)
+    except InadmissibleSignatureError as exc:
+        return ("error", str(exc))
+
+
+def test_rh_genus_matches_fraction_oracle():
+    # every group order 4n and every subgroup order, every signature with
+    # gamma <= 2, r <= 4 and orders from the order pool
+    for n in range(2, 13):
+        orders = sorted({H.order for H in DicyclicGroup(n).subgroups} | {4 * n})
+        for gamma in range(3):
+            for r in range(5):
+                for cones in itertools.combinations_with_replacement(order_pool(n), r):
+                    sig = OrbifoldSignature(gamma, cones)
+                    for N in orders:
+                        expected = outcome(rh_genus_oracle, N, sig)
+                        assert outcome(rh_genus, N, sig) == expected, (N, sig)
+
+
+# -- validators ----------------------------------------------------------
+
+
+def test_triangular_action_rejects_a_non_generating_pair():
+    G = DicyclicGroup(4)
+    with pytest.raises(ParameterError, match="pair does not generate the group"):
+        TriangularAction(G, (G.x, G.x, G.element(-2)))
+
+
+def test_generating_vector_rejects_non_generating_images():
+    G = DicyclicGroup(4)
+    with pytest.raises(ParameterError, match="images do not generate the group"):
+        GeneratingVector(G, 0, (), (G.x, G.element(-1)))
+    with pytest.raises(ParameterError, match="images do not generate the group"):
+        GeneratingVector(G, 1, (G.x, G.element(2)), (G.element(4), G.element(4)))
 
 
 # -- census -------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the minimal-genus searches."""
 
+from fractions import Fraction
+
 import pytest
 
 from dicyclic_dessins.covering import fixed_point_count, is_purely_non_free
@@ -15,6 +17,7 @@ from dicyclic_dessins.genus import (
     torus_exclusion_report,
 )
 from dicyclic_dessins.group import DicyclicGroup
+from dicyclic_dessins.search import defect_partitions, order_pool
 
 
 def test_signature_candidates_are_rh_exact():
@@ -24,6 +27,40 @@ def test_signature_candidates_are_rh_exact():
         for g in (2, 3, 4):
             for cand in signature_candidates(n, g):
                 assert rh_genus(4 * n, cand.signature) == g
+
+
+def defect_partitions_oracle(target: Fraction, pool: list[int], lo: int = 0):
+    """Non-decreasing order tuples with sum(1 - 1/m) equal to target, with
+    a Fraction at every step."""
+    if target == 0:
+        yield ()
+        return
+    for i in range(lo, len(pool)):
+        m = pool[i]
+        term = 1 - Fraction(1, m)
+        if term > target:
+            break
+        for rest in defect_partitions_oracle(target - term, pool, i):
+            yield (m,) + rest
+
+
+def test_defect_partitions_match_fraction_oracle():
+    # every target that inverting Riemann-Hurwitz asks for
+    for n in range(2, 41):
+        pool = order_pool(n)
+        for g in range(2, n + 3):
+            gamma = 0
+            while (target := Fraction(2 * g - 2, 4 * n) - (2 * gamma - 2)) >= 0:
+                assert (list(defect_partitions(target, pool))
+                        == list(defect_partitions_oracle(target, pool))), (n, g, gamma)
+                gamma += 1
+
+
+def test_defect_partitions_of_unreachable_targets_are_empty():
+    assert list(defect_partitions(Fraction(1, 7), [2, 3, 4, 6])) == []
+    assert list(defect_partitions(-1, [2, 3])) == []
+    assert list(defect_partitions(0, [2, 3])) == [()]
+    assert list(defect_partitions(1, [2, 3])) == [(2, 2)]
 
 
 def test_signature_candidates_reject_genus_below_two():

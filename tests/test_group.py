@@ -1,10 +1,12 @@
 """Tests for the dicyclic group core."""
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dicyclic_dessins import cli
 from dicyclic_dessins.errors import ParameterError
 from dicyclic_dessins.group import DicyclicGroup, GroupElement
 
@@ -12,6 +14,42 @@ from dicyclic_dessins.group import DicyclicGroup, GroupElement
 def test_rejects_small_n():
     with pytest.raises(ParameterError):
         DicyclicGroup(1)
+
+
+def test_group_is_shared_per_n():
+    assert DicyclicGroup(5) is DicyclicGroup(5)
+    G = DicyclicGroup(5)
+    DicyclicGroup(6)
+    # only the last group is held, so n = 5 is built again
+    assert DicyclicGroup(5) is not G
+    assert DicyclicGroup(5) is DicyclicGroup(5)
+
+
+def test_shared_group_survives_pickling():
+    G = DicyclicGroup(7)
+    data = pickle.dumps(G)
+    DicyclicGroup(8)
+    copy = pickle.loads(data)
+    assert copy is not G and (copy.n, copy.order) == (7, 28)
+    assert copy.mul_table == G.mul_table
+
+
+def test_report_payloads_do_not_depend_on_section_order():
+    # cold: each n = 5 section builds its group afresh; warm: the sections
+    # run in reverse after an n = 6 section, and reuse one shared group
+    sections = (
+        lambda n: cli.census_report(n),
+        lambda n: cli.genus_report(n, "strong", n + 2),
+        lambda n: cli.genus_report(n, "pure", n + 2),
+        lambda n: cli.hyper_report(n, 1, 3),
+    )
+    cold = []
+    for section in sections:
+        DicyclicGroup(7)
+        cold.append(section(5).payload_json())
+    sections[0](6)
+    warm = [section(5).payload_json() for section in reversed(sections)]
+    assert warm[::-1] == cold
 
 
 def test_order_is_4n():

@@ -1,5 +1,6 @@
 """Tests for the anticonformal action data and minimal hyperbolic genus."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from dicyclic_dessins.real_forms import (
     sigma_hyp,
 )
 from dicyclic_dessins.search import defect_partitions, order_pool
+from test_covering import outcome
 
 
 # -- genus formula ------------------------------------------------------
@@ -35,6 +37,29 @@ def test_nec_genus_formula():
 def test_nec_genus_rejects_non_integral():
     with pytest.raises(InadmissibleSignatureError):
         nec_genus(3, NECSignature(0, (4,)))
+
+
+def nec_genus_oracle(n: int, sig: NECSignature) -> int:
+    """g = 1 + 2n (gamma + r - 1 - sum 1/m) in Fractions."""
+    total = Fraction(sig.gamma + sig.r - 1)
+    for m in sig.cone_orders:
+        total -= Fraction(1, m)
+    g = 1 + 2 * n * total
+    if g.denominator != 1 or g < 0:
+        raise InadmissibleSignatureError(
+            f"signature {sig} gives genus {g} for n={n}"
+        )
+    return int(g)
+
+
+def test_nec_genus_matches_fraction_oracle():
+    for n in range(2, 13):
+        for gamma in range(3):
+            for r in range(5):
+                for orders in itertools.combinations_with_replacement(order_pool(n), r):
+                    sig = NECSignature(gamma, orders)
+                    expected = outcome(nec_genus_oracle, n, sig)
+                    assert outcome(nec_genus, n, sig) == expected, (n, sig)
 
 
 def test_nec_signature_validation():
@@ -69,6 +94,30 @@ def test_action_data_accepts_known_witness():
     )
     assert datum.genus() == 3
     assert datum.betas_and_alpha_squares_generate_plus_part()
+
+
+def test_action_data_rejects_non_generating_images():
+    # n=4, plus part <x^2, y>: alpha -> x and beta -> x^6 satisfy the long
+    # relation but generate only <x>, whose plus image <x^2> is too small
+    G = DicyclicGroup(4)
+    H = G.subgroup_generated([G.element(2), G.y])
+    with pytest.raises(ParameterError) as info:
+        NECActionData(G, H, NECSignature(0, (4,)),
+                      alpha_images=(G.x,), beta_images=(G.element(6),))
+    assert str(info.value).split("; ") == [
+        "images do not generate the group",
+        "orientation-preserving images do not fill the plus part",
+    ]
+
+
+def test_alpha_squares_alone_can_miss_the_plus_part():
+    # n=2, two crosscaps, alpha -> (y, xy): the plus part <x> needs the
+    # mixed product y * xy = x, since both squares are x^2
+    G = DicyclicGroup(2)
+    datum = NECActionData(G, G.cyclic(G.x), NECSignature(1, ()),
+                          alpha_images=(G.y, G.x * G.y), beta_images=())
+    assert datum.plus_image().members == G.cyclic(G.x).members
+    assert not datum.betas_and_alpha_squares_generate_plus_part()
 
 
 def test_admissible_homomorphisms_empty_below_minimum():
