@@ -4,44 +4,41 @@ Exact group arithmetic, covering-space bookkeeping, explicit permutation
 monodromy, exponent-triple cover classification, real/anticonformal
 actions, numeric curve-model checks and minimal-genus searches, plus a
 CLI that bundles everything into machine-readable reports.
+
+The names in `__all__` are exported lazily (PEP 562): importing the
+package loads no submodule, and the first access to a name imports the
+submodule that defines it, so a command line run loads only the layers
+its command uses.
 """
 
-from .covering import (
-    ActionCensus,
-    GeneratingVector,
-    OrbifoldSignature,
-    TriangularAction,
-    fixed_point_count,
-    is_purely_non_free,
-    quotient_genus,
-    quotient_signature,
-    rh_genus,
-    triangular_census,
-)
-from .group import (
-    ConjugacyClass,
-    DicyclicGroup,
-    GroupAutomorphism,
-    GroupElement,
-    Subgroup,
-)
+import importlib
 
-__all__ = [
-    "ActionCensus",
-    "ConjugacyClass",
-    "DicyclicGroup",
-    "GeneratingVector",
-    "GroupAutomorphism",
-    "GroupElement",
-    "OrbifoldSignature",
-    "Subgroup",
-    "TriangularAction",
-    "fixed_point_count",
-    "is_purely_non_free",
-    "quotient_genus",
-    "quotient_signature",
-    "rh_genus",
-    "triangular_census",
-]
+_EXPORTS = {
+    "ActionCensus": "covering",
+    "ConjugacyClass": "group",
+    "DicyclicGroup": "group",
+    "GeneratingVector": "covering",
+    "GroupAutomorphism": "group",
+    "GroupElement": "group",
+    "OrbifoldSignature": "covering",
+    "Subgroup": "group",
+    "TriangularAction": "covering",
+    "fixed_point_count": "covering",
+    "is_purely_non_free": "covering",
+    "quotient_genus": "covering",
+    "quotient_signature": "covering",
+    "rh_genus": "covering",
+    "triangular_census": "covering",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)

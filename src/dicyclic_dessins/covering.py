@@ -15,7 +15,6 @@ and in the results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Iterable
@@ -59,6 +58,8 @@ def rh_genus(group_order: int, sig: OrbifoldSignature) -> int:
     )
     g_numerator = 2 * denom + group_order * total
     if g_numerator % (2 * denom) or g_numerator < 0:
+        from fractions import Fraction  # imported here: only the message needs it
+
         raise InadmissibleSignatureError(
             f"signature {sig} with group order {group_order} gives genus "
             f"{Fraction(g_numerator, 2 * denom)}"
@@ -343,7 +344,8 @@ def triangular_census(n: int) -> ActionCensus:
     Jones, "Regular dessins with a given automorphism group", 2014): an
     automorphism fixing a generating pair fixes the whole group, and an
     element centralising a generating pair is central, so Aut G and
-    G/Z(G) act with orbits of full size.  A count that does not divide
+    G/Z(G) act with orbits of full size.  |Aut G| is the closed form
+    `DicyclicGroup.automorphism_count`.  A count that does not divide
     is a bug, not a rounding matter.
     """
     if n < 2:
@@ -357,7 +359,7 @@ def triangular_census(n: int) -> ActionCensus:
 
     centre = sum(1 for cls in group.conjugacy_classes if cls.size == 1)
     inner = group.order // centre
-    automorphisms = len(group.automorphisms)
+    automorphisms = group.automorphism_count
     entries = []
     for sig in sorted(by_sig):
         triples = by_sig[sig]

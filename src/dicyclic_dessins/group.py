@@ -379,13 +379,29 @@ class DicyclicGroup:
 
     # -- automorphisms ---------------------------------------------------
 
+    @property
+    def automorphism_count(self) -> int:
+        """|Aut G|: 24 for n = 2 (Aut Q_8 = S_4), 2n * phi(2n) otherwise.
+
+        For n >= 3, <x> is the only cyclic subgroup of order 2n, so an
+        automorphism sends x to one of its phi(2n) generators and y to
+        any of the 2n elements x^j y, and every such choice satisfies
+        the relations.  `automorphisms` lists them all as the oracle.
+        """
+        if self.n == 2:
+            return 24
+        two_n = 2 * self.n
+        return two_n * sum(1 for k in range(1, two_n) if gcd(k, two_n) == 1)
+
     @cached_property
     def automorphisms(self) -> tuple[GroupAutomorphism, ...]:
         """Every (image_of_x, image_of_y) pair that satisfies the three
         defining relations and generates G, in index (= element) order.
 
-        Generation is the closed-form `_closure_indices`; |Aut G| itself is
-        never assumed, so the list is an oracle for "up to isomorphisms".
+        Generation is the closed-form `_closure_indices`, and |Aut G| is
+        never assumed: the scan tests all 16n^2 pairs, so it is the oracle
+        for `automorphism_count` and for "up to isomorphisms", and the
+        census does not build it.
         """
         n = self.n
         mul, inv = self.mul_table, self.inverse_table

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from . import search
@@ -63,6 +62,8 @@ def nec_genus(n: int, sig: NECSignature) -> int:
     total = (sig.gamma + sig.r - 1) * denom - sum(denom // m for m in sig.cone_orders)
     g_numerator = denom + 2 * n * total
     if g_numerator % denom or g_numerator < 0:
+        from fractions import Fraction  # imported here: only the message needs it
+
         raise InadmissibleSignatureError(
             f"signature {sig} gives genus {Fraction(g_numerator, denom)} for n={n}"
         )

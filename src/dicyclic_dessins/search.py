@@ -9,10 +9,13 @@ Surfaces*, 2000).  Callers convert indices to `GroupElement` at the edge.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import lcm
+from typing import TYPE_CHECKING
 
 from .group import DicyclicGroup
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def order_pool(n: int) -> list[int]:

@@ -1,11 +1,13 @@
 """End-to-end tests of the command line interface.
 
-Each test but the last runs the CLI in a separate process as `python -m
+The command tests run the CLI in a separate process as `python -m
 dicyclic_dessins`, with the interpreter and environment of the test
 run and the directory of the imported package first on PYTHONPATH, so
-it exercises the same code the tests import: the checkout's `src`, or
-the installed package.  The last one draws many small command lines and
-runs `cli.main` in process.
+they exercise the same code the tests import: the checkout's `src`, or
+the installed package.  The import-footprint test runs `cli.main` in a
+fresh interpreter on the same path and lists the modules it loaded.
+The package-export and model-name tests, and the last one, which draws
+many small command lines, run in process.
 """
 
 import contextlib
@@ -183,6 +185,60 @@ def test_envelope_has_timing_outside_payload():
     envelope = json.loads(result.stdout)
     assert set(envelope) == {"payload", "ms"}
     assert isinstance(envelope["ms"], float)
+
+
+FOOTPRINT = """
+import contextlib, io, json, sys
+from dicyclic_dessins import cli
+sys.argv = ["dicyclic-dessins", *sys.argv[1:]]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main()
+    except SystemExit:
+        pass
+print(json.dumps({
+    "modules": sorted(name.split(".", 1)[1] for name in sys.modules
+                      if name.startswith("dicyclic_dessins.")),
+    "fractions": "fractions" in sys.modules,
+}))
+"""
+FRONT = ["cli", "errors", "reports"]
+
+
+@pytest.mark.parametrize("args, modules, fractions", [
+    (["--help"], FRONT, False),
+    (["census", "--n", "4"], FRONT + ["covering", "group", "search"], False),
+    (["genus", "--n", "3"], FRONT + ["covering", "genus", "group", "search"], True),
+    # hyper formats the genus of each rejected signature as a Fraction
+    (["hyper", "--n", "4"], FRONT + ["group", "real_forms", "search"], True),
+])
+def test_each_command_imports_only_the_layers_it_runs(args, modules, fractions):
+    result = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *args],
+        capture_output=True, text=True, timeout=300, env=CLI_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert loaded == {"modules": sorted(modules), "fractions": fractions}
+
+
+def test_package_exports_resolve_lazily_to_their_submodules():
+    for name in dicyclic_dessins.__all__:
+        obj = getattr(dicyclic_dessins, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    from dicyclic_dessins import DicyclicGroup, triangular_census
+
+    assert triangular_census(2).n == DicyclicGroup(2).n == 2
+    namespace = {}
+    exec("from dicyclic_dessins import *", namespace)
+    assert set(dicyclic_dessins.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        dicyclic_dessins.no_such_name
+
+
+def test_model_choices_spell_out_the_curve_models():
+    (model,) = [p for p in cli.curves_cmd.params if p.name == "model_name"]
+    assert list(model.type.choices) == list(MODEL_NAMES)
 
 
 small = st.integers(-1, 4)

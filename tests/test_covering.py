@@ -225,6 +225,10 @@ def test_automorphism_group_order():
     for n in range(3, 13):
         totient = sum(1 for k in range(1, 2 * n) if gcd(k, 2 * n) == 1)
         assert len(DicyclicGroup(n).automorphisms) == 2 * n * totient
+    # the census divides by the closed form; the scan is its oracle
+    for n in range(2, 41):
+        group = DicyclicGroup(n)
+        assert group.automorphism_count == len(group.automorphisms)
 
 
 # -- fixed points -------------------------------------------------------
