@@ -185,11 +185,16 @@ def hyper_report(n: int, gamma_max: int, r_max: int) -> Report:
 
 @cli.command()
 @click.option("--n", type=int, required=True)
-@click.option("--gamma-max", type=int, default=1, show_default=True)
-@click.option("--r-max", type=int, default=3, show_default=True)
+@click.option("--gamma-max", type=int, default=1, show_default=True,
+              help="Largest gamma (gamma + 1 crosscaps) of the signatures searched.")
+@click.option("--r-max", type=int, default=3, show_default=True,
+              help="Most cone points of the signatures searched.")
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def hyper(n: int, gamma_max: int, r_max: int, json_path: str | None) -> None:
-    """Minimal genus with anticonformal elements, by exhaustive search."""
+    """Minimal genus with anticonformal elements, by exhaustive search.
+
+    No signature of genus below 2n exceeds the default bounds.
+    """
     _require(n >= 2, "hyper needs --n >= 2")
     started = time.perf_counter()
     _finish(hyper_report(n, gamma_max, r_max), started, json_path)

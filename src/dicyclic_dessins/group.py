@@ -63,13 +63,6 @@ class GroupElement:
         # (x^a y)^-1 = x^(a+n) y since (x^a y)(x^(a+n) y) = x^(-n) y^2 = 1.
         return GroupElement(self.n, self.a + self.n, 1)
 
-    def power(self, k: int) -> "GroupElement":
-        result = self.identity()
-        base = self if k >= 0 else self.inverse()
-        for _ in range(abs(k)):
-            result = result * base
-        return result
-
     def order(self) -> int:
         # x^a y squares to x^n, of order 2; x^a has order 2n / gcd(a, 2n)
         if self.b:

@@ -11,9 +11,11 @@ induced anticonformal involution acts without fixed points (the only
 involution x^n lies in every index-two subgroup).
 
 This module certifies the minimal hyperbolic genus values by exhaustive
-search, with the engine of `search.py` that the orientable genus searches
-share, and builds the pseudo-real family with all of its computable
-properties.
+search: the quotient signatures of each genus come from inverting the
+non-orientable Riemann-Hurwitz formula (`search.quotient_signatures`
+with handle 1) and their images from the vector engine of `search.py`,
+both shared with the orientable genus searches.  It also builds the
+pseudo-real family with all of its computable properties.
 """
 
 from __future__ import annotations
@@ -131,12 +133,6 @@ class NECActionData:
     def _plus_part_indices(self) -> frozenset[int]:
         return frozenset(map(self.group.index_of, self.plus_part.members))
 
-    def plus_image(self) -> Subgroup:
-        """Image of the orientation-preserving half, generated by
-        `_plus_generators`."""
-        return self.group.subgroup_generated(map(self.group.element_at,
-                                                 self._plus_generators()))
-
     def betas_and_alpha_squares_generate_plus_part(self) -> bool:
         group = self.group
         gens = [group.index_of(b) for b in self.beta_images]
@@ -181,62 +177,40 @@ def admissible_homomorphisms(
     return found
 
 
-def candidate_signatures(
-    n: int, gamma_max: int, r_max: int
-) -> list[tuple[int, NECSignature]]:
-    """All integral-genus signatures within bounds, sorted by genus.
-
-    Cone orders range over `search.order_pool(n)`; only signatures of
-    genus >= 2 qualify for the hyperbolic genus.
-    """
-    pool = search.order_pool(n)
-    out = []
-    for gamma in range(gamma_max + 1):
-        for r in range(r_max + 1):
-            for orders in itertools.combinations_with_replacement(pool, r):
-                sig = NECSignature(gamma, orders)
-                try:
-                    g = nec_genus(n, sig)
-                except InadmissibleSignatureError:
-                    continue
-                if g >= 2:
-                    out.append((g, sig))
-    out.sort(key=lambda pair: (pair[0], pair[1].gamma, pair[1].cone_orders))
-    return out
-
-
 def sigma_hyp(
     n: int,
     gamma_max: int = 1,
     r_max: int = 3,
-    prune: bool = True,
 ) -> tuple[int, NECActionData]:
     """Minimal genus >= 2 of a conformal/anticonformal dicyclic action.
 
-    Searches every index-two plus part and every candidate signature
-    within the bounds.  With `prune` the signatures are visited in
-    increasing genus order and the search stops at the first admissible
-    datum; without it every signature is searched and the minimum is
-    taken, which is the no-pruning exhaustiveness check.
+    Walks g = 2, 3, ... through the non-orientable quotient signatures of
+    each genus (`search.quotient_signatures` with handle 1) that have
+    gamma <= gamma_max and r <= r_max, in the order they are listed, and
+    returns the first admissible datum over the index-two plus parts.
+    No signature within the bounds has genus above
+    2n (gamma_max + r_max - 1), so the walk gives up there.
     """
     if gamma_max < 1 or r_max < 3:
         raise ParameterError("bounds must allow gamma_max >= 1 and r_max >= 3")
     group = DicyclicGroup(n)
     plus_parts = group.index_two_subgroups()
-    candidates = candidate_signatures(n, gamma_max, r_max)
-    best: tuple[int, NECActionData] | None = None
-    for g, sig in candidates:
-        if prune and best is not None and g >= best[0]:
-            break
-        for H in plus_parts:
-            witnesses = admissible_homomorphisms(group, H, sig, limit=1)
-            if witnesses and (best is None or g < best[0]):
-                best = (g, witnesses[0])
-    if best is None:
-        raise SearchExhaustedError(
-            f"no admissible action for n={n} within gamma<={gamma_max}, r<={r_max}"
-        )
-    return best
+    # Completeness: for g < 2n, (g - 1)/2n = gamma - 1 + sum(1 - 1/m) < 1
+    # forces gamma <= 1 and, each term being at least 1/2, r <= 3.  So a
+    # walk that stops below 2n, as it does at the values n + 1 (n even)
+    # and 2n - 2 (n odd) that `hyper` checks, lost nothing to the bounds.
+    for g in range(2, 2 * n * (gamma_max + r_max - 1) + 1):
+        for gamma, orders in search.quotient_signatures(n, g, 1):
+            if gamma > gamma_max or len(orders) > r_max:
+                continue
+            sig = NECSignature(gamma, orders)
+            for H in plus_parts:
+                witnesses = admissible_homomorphisms(group, H, sig, limit=1)
+                if witnesses:
+                    return g, witnesses[0]
+    raise SearchExhaustedError(
+        f"no admissible action for n={n} within gamma<={gamma_max}, r<={r_max}"
+    )
 
 
 # -- pseudo-real construction ------------------------------------------

@@ -10,12 +10,8 @@ from __future__ import annotations
 
 import itertools
 from math import lcm
-from typing import TYPE_CHECKING
 
 from .group import DicyclicGroup
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 def order_pool(n: int) -> list[int]:
@@ -24,29 +20,40 @@ def order_pool(n: int) -> list[int]:
     return sorted({d for d in range(2, two_n + 1) if two_n % d == 0} | {4})
 
 
-def defect_partitions(target: Fraction | int, pool: list[int], lo: int = 0):
-    """Non-decreasing order tuples from pool[lo:] with sum(1 - 1/m) equal to target.
+def quotient_signatures(
+    n: int, g: int, handle: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Every (gamma, orders) with (g - 1)/2n = handle (gamma - 1) + sum(1 - 1/m).
 
-    pool is sorted.  The target is scaled once by L = lcm(pool), so the
-    recursion subtracts the integers L - L/m, in the same order as the
-    rational terms; a target that is no multiple of 1/L has no tuple.
+    handle is 2 for an orientable quotient of genus gamma and 1 for a
+    non-orientable one with gamma + 1 crosscaps; orders are non-decreasing
+    tuples from `order_pool(n)`.  Everything is scaled by L = lcm(pool):
+    2n lies in the pool, so the target (L/2n)(g - 1 - 2n handle (gamma - 1))
+    and each term L - L/m are integers.  Results come ordered by gamma,
+    then by orders in lexicographic order.
     """
+    pool = order_pool(n)
     scale = lcm(*pool)
-    scaled = target * scale
-    if scaled.denominator != 1:
-        return
     terms = [scale - scale // m for m in pool]
-    yield from _scaled_partitions(int(scaled), pool, terms, lo)
+    unit = scale // (2 * n)
+    out = []
+    gamma = 0
+    while (target := unit * (g - 1 - 2 * n * handle * (gamma - 1))) >= 0:
+        out.extend((gamma, orders) for orders in _partitions(target, pool, terms, 0))
+        gamma += 1
+    return out
 
 
-def _scaled_partitions(target: int, pool: list[int], terms: list[int], lo: int):
+def _partitions(target: int, pool: list[int], terms: list[int], lo: int):
+    """Non-decreasing tuples from pool[lo:] whose terms sum to target,
+    depth first, hence in lexicographic order."""
     if target == 0:
         yield ()
         return
     for i in range(lo, len(pool)):
         if terms[i] > target:
             break
-        for rest in _scaled_partitions(target - terms[i], pool, terms, i):
+        for rest in _partitions(target - terms[i], pool, terms, i):
             yield (pool[i],) + rest
 
 

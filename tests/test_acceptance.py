@@ -171,7 +171,7 @@ def test_criterion_07_sigma_hyp():
         g, witness = real_forms.sigma_hyp(n)
         ok = ok and g == n + 1 and not witness.violations()
         ok = ok and witness.alpha_images == (G.x,)
-        ok = ok and witness.beta_images == (G.y, G.y * G.x.power(n - 2))
+        ok = ok and witness.beta_images == (G.y, G.y * G.element(n - 2))
     for n in (3, 5, 7):
         g, witness = real_forms.sigma_hyp(n)
         ok = ok and g == 2 * n - 2 and not witness.violations()

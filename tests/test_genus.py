@@ -1,73 +1,69 @@
 """Tests for the minimal-genus searches."""
 
-from fractions import Fraction
+import itertools
 
 import pytest
 
-from dicyclic_dessins.covering import fixed_point_count, is_purely_non_free
-from dicyclic_dessins.errors import ParameterError, SearchExhaustedError
+from dicyclic_dessins.covering import (
+    OrbifoldSignature,
+    fixed_point_count,
+    is_purely_non_free,
+    rh_genus,
+)
+from dicyclic_dessins.errors import InadmissibleSignatureError, SearchExhaustedError
 from dicyclic_dessins.genus import (
     TORUS_SIGNATURES,
-    SignatureCandidate,
     exists_generating_vector,
     generating_vectors,
     pure_symmetric_genus,
-    signature_candidates,
     strong_symmetric_genus,
     torus_exclusion_report,
 )
 from dicyclic_dessins.group import DicyclicGroup
-from dicyclic_dessins.search import defect_partitions, order_pool
+from dicyclic_dessins.search import order_pool, quotient_signatures
+
+
+def orientable_genus(n: int, gamma: int, orders: tuple[int, ...]) -> int:
+    return rh_genus(4 * n, OrbifoldSignature(gamma, orders))
+
+
+def bounded_signatures(n: int, genus, gamma_max: int, r_max: int):
+    """Brute force: every (g, gamma, orders) with gamma <= gamma_max and at
+    most r_max orders from the pool whose genus(n, gamma, orders) is a
+    non-negative integer, sorted."""
+    out = []
+    for gamma in range(gamma_max + 1):
+        for r in range(r_max + 1):
+            for orders in itertools.combinations_with_replacement(order_pool(n), r):
+                try:
+                    out.append((genus(n, gamma, orders), gamma, orders))
+                except InadmissibleSignatureError:
+                    continue
+    return sorted(out)
+
+
+def listed_signatures(n: int, handle: int, genera):
+    """quotient_signatures over the genera, as (g, gamma, orders)."""
+    return [(g, gamma, orders) for g in genera
+            for gamma, orders in quotient_signatures(n, g, handle)]
 
 
 def test_signature_candidates_are_rh_exact():
-    from dicyclic_dessins.covering import rh_genus
-
-    for n in (2, 3, 4):
-        for g in (2, 3, 4):
-            for cand in signature_candidates(n, g):
-                assert rh_genus(4 * n, cand.signature) == g
-
-
-def defect_partitions_oracle(target: Fraction, pool: list[int], lo: int = 0):
-    """Non-decreasing order tuples with sum(1 - 1/m) equal to target, with
-    a Fraction at every step."""
-    if target == 0:
-        yield ()
-        return
-    for i in range(lo, len(pool)):
-        m = pool[i]
-        term = 1 - Fraction(1, m)
-        if term > target:
-            break
-        for rest in defect_partitions_oracle(target - term, pool, i):
-            yield (m,) + rest
-
-
-def test_defect_partitions_match_fraction_oracle():
-    # every target that inverting Riemann-Hurwitz asks for
+    # Up to genus 3n + 2, (g - 1)/2n = 2(gamma - 1) + sum(1 - 1/m) < 2
+    # gives gamma <= 1 and, each term being at least 1/2, r <= 7: the
+    # brute force within those bounds lists every signature there is.
     for n in range(2, 41):
-        pool = order_pool(n)
-        for g in range(2, n + 3):
-            gamma = 0
-            while (target := Fraction(2 * g - 2, 4 * n) - (2 * gamma - 2)) >= 0:
-                assert (list(defect_partitions(target, pool))
-                        == list(defect_partitions_oracle(target, pool))), (n, g, gamma)
-                gamma += 1
+        top = 3 * n + 2
+        bounded = [s for s in bounded_signatures(n, orientable_genus, 1, 7)
+                   if 2 <= s[0] <= top]
+        assert listed_signatures(n, 2, range(2, top + 1)) == bounded, n
 
 
-def test_defect_partitions_of_unreachable_targets_are_empty():
-    assert list(defect_partitions(Fraction(1, 7), [2, 3, 4, 6])) == []
-    assert list(defect_partitions(-1, [2, 3])) == []
-    assert list(defect_partitions(0, [2, 3])) == [()]
-    assert list(defect_partitions(1, [2, 3])) == [(2, 2)]
-
-
-def test_signature_candidates_reject_genus_below_two():
-    with pytest.raises(ParameterError):
-        signature_candidates(3, 1)
-    with pytest.raises(ParameterError, match="n=1"):
-        signature_candidates(1, 2)
+def test_genus_one_signatures_are_the_flat_ones():
+    for n in range(2, 13):
+        flat = [(sig.quotient_genus, sig.cone_orders) for sig in TORUS_SIGNATURES
+                if set(sig.cone_orders) <= set(order_pool(n))]
+        assert quotient_signatures(n, 1, 2) == sorted(flat), n
 
 
 def test_strong_symmetric_genus_values():
@@ -102,8 +98,8 @@ def pure_symmetric_genus_oracle(n: int, g_max: int):
     signature becomes a GeneratingVector tested by is_purely_non_free."""
     group = DicyclicGroup(n)
     for g in range(2, g_max + 1):
-        for candidate in signature_candidates(n, g):
-            for vector in generating_vectors(group, candidate):
+        for gamma, orders in quotient_signatures(n, g, 2):
+            for vector in generating_vectors(group, OrbifoldSignature(gamma, orders)):
                 if is_purely_non_free(vector)[0]:
                     return g, vector
     raise SearchExhaustedError(f"no purely-non-free action of G_{n} up to {g_max}")
@@ -136,8 +132,7 @@ def test_flat_signatures_have_no_generating_vector():
     for n in (2, 3):
         G = DicyclicGroup(n)
         for sig in TORUS_SIGNATURES:
-            cand = SignatureCandidate(1, sig)
-            assert exists_generating_vector(G, cand) is None
+            assert exists_generating_vector(G, sig) is None
 
 
 def test_strong_witness_is_minimal_signature_action():

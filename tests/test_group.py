@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -62,8 +63,8 @@ def test_defining_relations():
     for n in range(2, 9):
         G = DicyclicGroup(n)
         x, y = G.x, G.y
-        assert x.power(2 * n).is_identity()
-        assert y * y == x.power(n)
+        assert prod([x] * (2 * n), start=G.identity).is_identity()
+        assert y * y == prod([x] * n, start=G.identity)
         assert y * x * y.inverse() == x.inverse()
 
 
@@ -130,8 +131,8 @@ def test_automorphisms_fix_relations():
         G = DicyclicGroup(n)
         for phi in G.automorphisms:
             ix, iy = phi.image_of_x, phi.image_of_y
-            assert ix.power(2 * n).is_identity()
-            assert iy * iy == ix.power(n)
+            assert prod([ix] * (2 * n), start=G.identity).is_identity()
+            assert iy * iy == prod([ix] * n, start=G.identity)
             assert iy * ix * iy.inverse() == ix.inverse()
 
 
@@ -176,7 +177,7 @@ def test_multiplication_associative_with_inverse(n, a1, b1, a2, b2):
 def test_order_divides_group_order(n, a, b):
     g = GroupElement(n, a, b)
     assert (4 * n) % g.order() == 0
-    assert g.power(g.order()).is_identity()
+    assert prod([g] * g.order(), start=g.identity()).is_identity()
 
 
 @given(st.integers(2, 6), st.integers(0, 50), st.integers(0, 1),

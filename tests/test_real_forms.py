@@ -16,12 +16,12 @@ from dicyclic_dessins.real_forms import (
     NECSignature,
     admissible_homomorphisms,
     build_pseudo_real,
-    candidate_signatures,
     nec_genus,
     sigma_hyp,
 )
-from dicyclic_dessins.search import defect_partitions, order_pool
+from dicyclic_dessins.search import order_pool, quotient_signatures
 from test_covering import outcome
+from test_genus import bounded_signatures, listed_signatures
 
 
 # -- genus formula ------------------------------------------------------
@@ -116,7 +116,8 @@ def test_alpha_squares_alone_can_miss_the_plus_part():
     G = DicyclicGroup(2)
     datum = NECActionData(G, G.cyclic(G.x), NECSignature(1, ()),
                           alpha_images=(G.y, G.x * G.y), beta_images=())
-    assert datum.plus_image().members == G.cyclic(G.x).members
+    plus_image = G._closure_indices(datum._plus_generators())
+    assert plus_image == frozenset(map(G.index_of, G.cyclic(G.x).members))
     assert not datum.betas_and_alpha_squares_generate_plus_part()
 
 
@@ -155,20 +156,48 @@ def test_sigma_hyp_even_witness_family():
         G = DicyclicGroup(n)
         _, witness = sigma_hyp(n)
         assert witness.alpha_images == (G.x,)
-        assert witness.beta_images == (G.y, G.y * G.x.power(n - 2))
+        assert witness.beta_images == (G.y, G.y * G.element(n - 2))
 
 
-def test_sigma_hyp_prune_matches_full_search():
-    for n in (2, 3, 4):
-        assert sigma_hyp(n, prune=True)[0] == sigma_hyp(n, prune=False)[0]
+def non_orientable_genus(n: int, gamma: int, orders: tuple[int, ...]) -> int:
+    return nec_genus(n, NECSignature(gamma, orders))
 
 
-def sigma_hyp_by_plus_part(n, gamma_max=1, r_max=3):
+def bounded_nec_signatures(n):
+    """(g, sig) for every signature within the default bounds gamma <= 1,
+    r <= 3 of genus >= 2, sorted."""
+    return [(g, NECSignature(gamma, orders))
+            for g, gamma, orders in bounded_signatures(n, non_orientable_genus, 1, 3)
+            if g >= 2]
+
+
+def test_sigma_hyp_matches_full_bounded_search():
+    # every bounded signature up to the answer, over every plus part
+    for n in range(2, 7):
+        top = sigma_hyp(n)[0]
+        group = DicyclicGroup(n)
+        realised = [g for g, sig in bounded_nec_signatures(n) if g <= top
+                    for H in group.index_two_subgroups()
+                    if admissible_homomorphisms(group, H, sig, limit=1)]
+        assert min(realised) == top, n
+
+
+def test_sigma_hyp_wider_bounds_keep_the_answer():
+    g, witness = sigma_hyp(12)
+    wide_g, wide = sigma_hyp(12, gamma_max=3, r_max=16)
+    assert wide_g == g
+    assert wide.sig == witness.sig
+    assert wide.plus_part.members == witness.plus_part.members
+    assert wide.alpha_images == witness.alpha_images
+    assert wide.beta_images == witness.beta_images
+
+
+def sigma_hyp_by_plus_part(n):
     """Minimal genus per index-two plus part, each part searched alone."""
     group = DicyclicGroup(n)
     out = {}
     for H in group.index_two_subgroups():
-        for g, sig in candidate_signatures(n, gamma_max, r_max):
+        for g, sig in bounded_nec_signatures(n):
             if admissible_homomorphisms(group, H, sig, limit=1):
                 out[repr(H)] = g
                 break
@@ -182,22 +211,20 @@ def test_sigma_hyp_by_plus_part_attains_minimum_over_parts():
 
 
 def test_sigma_hyp_bounds_are_complete():
-    # Inverting g = 1 + 2n(gamma - 1 + sum(1 - 1/m)) lists every
-    # signature of genus 2..sigma^hyp(n); all of them lie within the
-    # default bounds gamma <= 1, r <= 3, so the bounded search misses none.
-    for n in range(2, 13):
-        top = sigma_hyp(n)[0]
-        inverted = set()
-        for g in range(2, top + 1):
-            gamma = 0
-            while (target := Fraction(g - 1, 2 * n) + 1 - gamma) >= 0:
-                inverted |= {
-                    (g, NECSignature(gamma, orders))
-                    for orders in defect_partitions(target, order_pool(n))
-                }
-                gamma += 1
-        bounded = {(g, sig) for g, sig in candidate_signatures(n, 1, 3) if g <= top}
-        assert inverted == bounded
+    # Up to genus 3n + 2, (g - 1)/2n = gamma - 1 + sum(1 - 1/m) < 2 gives
+    # gamma <= 2 and r <= 5: the brute force within those bounds lists
+    # every non-orientable signature there is.
+    for n in range(2, 41):
+        top = 3 * n + 2
+        bounded = [s for s in bounded_signatures(n, non_orientable_genus, 2, 5)
+                   if 2 <= s[0] <= top]
+        assert listed_signatures(n, 1, range(2, top + 1)) == bounded, n
+    # Below genus 2n every signature lies within the default bounds
+    # gamma <= 1, r <= 3, which sigma_hyp relies on.
+    for n in range(2, 41):
+        for g in range(2, 2 * n):
+            assert all(gamma <= 1 and len(orders) <= 3
+                       for gamma, orders in quotient_signatures(n, g, 1)), (n, g)
 
 
 def test_sigma_hyp_rejects_too_small_bounds():
