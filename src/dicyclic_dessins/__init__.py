@@ -15,14 +15,12 @@ import importlib
 
 _EXPORTS = {
     "ActionCensus": "covering",
-    "ConjugacyClass": "group",
     "DicyclicGroup": "group",
     "GeneratingVector": "covering",
     "GroupAutomorphism": "group",
     "GroupElement": "group",
     "OrbifoldSignature": "covering",
     "Subgroup": "group",
-    "TriangularAction": "covering",
     "fixed_point_count": "covering",
     "is_purely_non_free": "covering",
     "quotient_genus": "covering",

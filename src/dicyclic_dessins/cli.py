@@ -59,7 +59,7 @@ def census_report(n: int) -> Report:
                 "pairs": e.pair_count,
                 "conjugacy_orbits": e.conjugacy_orbits,
                 "automorphism_orbits": e.automorphism_orbits,
-                "representative": [repr(c) for c in e.representative.c],
+                "representative": [repr(c) for c in e.representative.cone_images],
             }
             for e in result.entries
         ],
@@ -356,7 +356,7 @@ def _per_n_report(n: int, seed: int, heavy: bool) -> Report:
         report.claims.extend(monodromy_report(n, "II").claims)
 
     group = DicyclicGroup(n)
-    sizes = sorted(c.size for c in group.conjugacy_classes)
+    sizes = sorted(len(c) for c in group.conjugacy_classes)
     report.add(
         "conjugacy_classes",
         "n+3 classes of sizes {1,1,n,n} + {2 x (n-1)}",

@@ -1,11 +1,11 @@
 """Combinatorial covering-space calculus for finite group actions.
 
-Given a generating vector for a group action (for triangular actions,
-the generating pair plus the derived third element), this module
-computes the covering surface's genus through the Riemann-Hurwitz
-formula, fixed-point counts of individual elements through the class
-function fix(g) = sum_i |C_G(g)| |cl(g) meet <c_i>| / m_i, the freely
-acting conjugacy classes, genera and signatures of intermediate
+Given a generating vector for a group action (a triangular action is
+one with quotient genus 0 and three cone images), this module computes
+the covering surface's genus through the Riemann-Hurwitz formula,
+fixed-point counts of individual elements through the class function
+fix(g) = sum_i |C_G(g)| |cl(g) meet <c_i>| / m_i, the freely acting
+conjugacy classes, genera and signatures of intermediate
 quotients, and the full census of triangular actions of a dicyclic
 group.  Fixed points, free classes, coset cycles and the census run
 on element indices; `GroupElement` values appear only in the actions
@@ -68,50 +68,15 @@ def rh_genus(group_order: int, sig: OrbifoldSignature) -> int:
 
 
 @dataclass
-class TriangularAction:
-    """A triangular action, as a generating triple with product one.
-
-    The triple is (c1, c2, c3) with c1*c2*c3 = 1 and <c1, c2> the whole
-    group; the quotient orbifold is the sphere with three cone points of
-    orders (|c1|, |c2|, |c3|).
-    """
-
-    group: DicyclicGroup
-    c: tuple[GroupElement, GroupElement, GroupElement]
-
-    def __post_init__(self) -> None:
-        c1, c2, c3 = self.c
-        if not (c1 * c2 * c3).is_identity():
-            raise ParameterError("triple does not multiply to the identity")
-        pair = (self.group.index_of(c1), self.group.index_of(c2))
-        if len(self.group._closure_indices(pair)) != self.group.order:
-            raise ParameterError("pair does not generate the group")
-        if any(ci.order() < 2 for ci in self.c):
-            raise ParameterError("triangular actions need all three orders >= 2")
-
-    @property
-    def quotient_genus(self) -> int:
-        return 0
-
-    @property
-    def cone_images(self) -> tuple[GroupElement, ...]:
-        return self.c
-
-    @cached_property
-    def signature(self) -> OrbifoldSignature:
-        return OrbifoldSignature(0, tuple(ci.order() for ci in self.c))
-
-    def genus(self) -> int:
-        return rh_genus(self.group.order, self.signature)
-
-
-@dataclass
 class GeneratingVector:
     """Images of the standard Fuchsian generators under a surjection.
 
     hyperbolic_images holds the 2*gamma' images (a1, b1, ..., ag, bg) of
     the handle generators; cone_images the elliptic images, whose exact
-    orders are the cone orders (torsion-free kernel).
+    orders are the cone orders (torsion-free kernel).  A triangular
+    action is the case gamma' = 0 with three cone images (c1, c2, c3):
+    c1 c2 c3 = 1, so <c1, c2> = <c1, c2, c3> is the whole group, and the
+    quotient is the sphere with three cone points.
     """
 
     group: DicyclicGroup
@@ -150,13 +115,10 @@ class GeneratingVector:
         return rh_genus(self.group.order, self.signature)
 
 
-Action = TriangularAction | GeneratingVector
-
-
 # -- fixed points ------------------------------------------------------
 
 
-def fixed_point_count(act: Action, g: GroupElement) -> int:
+def fixed_point_count(act: GeneratingVector, g: GroupElement) -> int:
     """Number of fixed points of g on the covering surface.
 
     The class function fix(g) = sum_i |C_G(g)| |cl(g) meet <c_i>| / m_i:
@@ -168,7 +130,7 @@ def fixed_point_count(act: Action, g: GroupElement) -> int:
         raise ParameterError("the identity fixes every point")
     group = act.group
     i = group.index_of(g)
-    cls = next(cls for cls in group.class_indices if i in cls)
+    cls = next(cls for cls in group.conjugacy_classes if i in cls)
     centraliser = group.order // len(cls)
     total = 0
     for c in act.cone_images:
@@ -184,10 +146,10 @@ def free_classes(group: DicyclicGroup, cones: Iterable[int]) -> list[frozenset[i
     identity's class is never free.
     """
     non_free = frozenset({0}).union(*(group._closure_indices((c,)) for c in cones))
-    return [cls for cls in group.class_indices if cls.isdisjoint(non_free)]
+    return [cls for cls in group.conjugacy_classes if cls.isdisjoint(non_free)]
 
 
-def free_elements(act: Action) -> list[GroupElement]:
+def free_elements(act: GeneratingVector) -> list[GroupElement]:
     """Nontrivial elements acting without fixed points, sorted.
 
     The members of the `free_classes`; `fixed_point_count` is zero on
@@ -198,7 +160,7 @@ def free_elements(act: Action) -> list[GroupElement]:
     return [group.element_at(i) for i in sorted(i for cls in free for i in cls)]
 
 
-def is_purely_non_free(act: Action) -> tuple[bool, list[GroupElement]]:
+def is_purely_non_free(act: GeneratingVector) -> tuple[bool, list[GroupElement]]:
     """True iff every nontrivial element has a fixed point.
 
     Returns the witness list of freely acting elements (empty when the
@@ -219,14 +181,13 @@ def _coset_cycles(group: DicyclicGroup, H: Subgroup, c: GroupElement) -> list[in
     index order.
     """
     mul = group.mul_table
-    members = [group.index_of(h) for h in H.members]
     rep_of = [-1] * group.order
     reps = []
     for g in range(group.order):
         if rep_of[g] < 0:
             reps.append(g)
             row = mul[g]
-            for h in members:
+            for h in H.members:
                 rep_of[row[h]] = g
     ci = group.index_of(c)
     lengths = []
@@ -243,7 +204,7 @@ def _coset_cycles(group: DicyclicGroup, H: Subgroup, c: GroupElement) -> list[in
     return lengths
 
 
-def quotient_genus(act: Action, H: Subgroup) -> int:
+def quotient_genus(act: GeneratingVector, H: Subgroup) -> int:
     """Genus of the intermediate quotient S/H.
 
     Riemann-Hurwitz through the branched cover S/H -> S/G of degree
@@ -261,7 +222,7 @@ def quotient_genus(act: Action, H: Subgroup) -> int:
     return g2 // 2
 
 
-def quotient_signature(act: Action, H: Subgroup) -> OrbifoldSignature:
+def quotient_signature(act: GeneratingVector, H: Subgroup) -> OrbifoldSignature:
     """Signature of S/H: genus plus the cone orders left downstairs.
 
     A cycle of length L of a cone image of order m yields a cone point
@@ -292,7 +253,7 @@ class CensusEntry:
     pair_count: int
     conjugacy_orbits: int
     automorphism_orbits: int
-    representative: TriangularAction
+    representative: GeneratingVector
 
 
 @dataclass
@@ -357,13 +318,13 @@ def triangular_census(n: int) -> ActionCensus:
     for _, cones in search.vectors(group, (), search.commutators, [nontrivial] * 3):
         by_sig.setdefault(tuple(orders[c] for c in cones), []).append(cones)
 
-    centre = sum(1 for cls in group.conjugacy_classes if cls.size == 1)
+    centre = sum(1 for cls in group.conjugacy_classes if len(cls) == 1)
     inner = group.order // centre
     automorphisms = group.automorphism_count
     entries = []
     for sig in sorted(by_sig):
         triples = by_sig[sig]
-        rep = TriangularAction(group, tuple(group.element_at(i) for i in triples[0]))
+        rep = GeneratingVector(group, 0, (), tuple(map(group.element_at, triples[0])))
         entries.append(
             CensusEntry(
                 signature=sig,
@@ -378,7 +339,7 @@ def triangular_census(n: int) -> ActionCensus:
     return ActionCensus(n, entries)
 
 
-def census_representative(n: int, case: str) -> TriangularAction:
+def census_representative(n: int, case: str) -> GeneratingVector:
     """Representative triangular action for case I or II.
 
     Case I is the ordered signature (4, 4, 2n) (any n >= 2); case II is
@@ -401,4 +362,4 @@ def census_representative(n: int, case: str) -> TriangularAction:
     found = next(search.vectors(group, (), search.commutators, pools), None)
     if found is None:
         raise ParameterError(f"no action of signature {target} for n={n}")
-    return TriangularAction(group, tuple(group.element_at(i) for i in found[1]))
+    return GeneratingVector(group, 0, (), tuple(map(group.element_at, found[1])))

@@ -111,9 +111,9 @@ class CurveModel:
         if self.name.startswith("Rn") and self.n % 2 == 0:
             raise ParameterError(f"{self.name} needs n odd")
         if self.name == "Sn_cyclic" and self.n % 2 == 1:
-            # The printed y formula sends the curve to itself only when n
-            # is even: its image satisfies v^{2n} = (-1)^n rhs, so for odd
-            # n it lands off the curve and no order-4 lift with these
+            # The y map sends the curve to itself only when n is even: its
+            # image satisfies v^{2n} = (-1)^n rhs, so for odd n it lands
+            # off the curve and no order-4 lift with these
             # coordinates exists in the stated form.
             raise ParameterError(f"{self.name} needs n even")
         self.sides = _relation_sides(self.name, self.n)
@@ -280,14 +280,10 @@ def _build_maps(model: CurveModel) -> dict[str, NamedMap]:
         add("tau", lambda p: (p[0].conjugate(), p[1].conjugate()), 2, True)
     elif model.name == "Sn_cyclic":
         add("x", lambda p: (p[0], r2n * p[1]), 2 * n)
-        add(
-            "y",
-            lambda p: (
-                -p[0],
-                p[1] ** (2 * n - 1) / (p[0] ** (n - 1) * (p[0] + 1) ** (2 * n - 2)),
-            ),
-            4,
-        )
+        # The printed w^(2n-1) / (z^(n-1) (z+1)^(2n-2)) is z (z^2 - 1) / w
+        # on the curve, where w^(2n) = z^n (z-1) (z+1)^(2n-1); the quotient
+        # form loses precision in proportion to n, this one does not.
+        add("y", lambda p: (-p[0], p[0] * (p[0] ** 2 - 1) / p[1]), 4)
     else:  # Rn_cyclic
         add("x", lambda p: (p[0], r2n * p[1]), 2 * n)
         add(

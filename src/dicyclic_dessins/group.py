@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Set
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator
@@ -88,11 +88,16 @@ class GroupElement:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its full member set plus the generators it came from."""
+    """A subgroup given by its member index set plus the generators it came from.
+
+    Equality and hashing see (n, members) only, so a subgroup equals its
+    lattice entry whichever generators named it.  `g in H` takes a
+    `GroupElement`; `H.members` holds indices 2a + b.
+    """
 
     n: int
-    members: frozenset[GroupElement]
-    generators: tuple[GroupElement, ...]
+    members: IndexSubgroup
+    generators: tuple[GroupElement, ...] = field(compare=False)
 
     @property
     def order(self) -> int:
@@ -101,36 +106,16 @@ class Subgroup:
     def index_in(self, group: "DicyclicGroup") -> int:
         return group.order // self.order
 
-    def __contains__(self, e: GroupElement) -> bool:
-        return e in self.members
+    def __contains__(self, e: object) -> bool:
+        return (isinstance(e, GroupElement) and e.n == self.n
+                and 2 * e.a + e.b in self.members)
 
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def sorted_members(self) -> list[GroupElement]:
-        return sorted(self.members)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return self.n == other.n and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.members))
-
     def __repr__(self) -> str:
         gens = ",".join(repr(g) for g in self.generators)
         return f"<{gens}> (order {self.order})"
-
-
-@dataclass(frozen=True, order=True)
-class ConjugacyClass:
-    representative: GroupElement
-    members: frozenset[GroupElement]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True, order=True)
@@ -192,9 +177,9 @@ class DicyclicGroup:
     """The dicyclic group of order 4n, with enumeration helpers.
 
     Elements are also addressable by an integer index (2a + b), used
-    for table-driven enumeration: the tables, the closures and
-    `class_indices` work on indices, the rest of the public surface on
-    GroupElement values.
+    for table-driven enumeration: the tables, the closures, the member
+    sets of the subgroups and the conjugacy classes are indices, the rest
+    of the public surface GroupElement values.
 
     The constructor keeps exactly one group: it returns the last group
     it built when n matches, and otherwise builds a new one and holds
@@ -275,18 +260,15 @@ class DicyclicGroup:
 
     @cached_property
     def inverse_table(self) -> list[int]:
-        return [row.index(0) for row in self.mul_table]
+        # GroupElement.inverse on indices: x^a -> x^(-a), x^a y -> x^(a+n) y
+        n, order = self.n, self.order
+        return [(i + 2 * n if i % 2 else -i) % order for i in range(order)]
 
     @cached_property
     def order_table(self) -> list[int]:
-        mul = self.mul_table
-        orders = []
-        for i in range(self.order):
-            power, k = i, 1
-            while power:
-                power, k = mul[power][i], k + 1
-            orders.append(k)
-        return orders
+        # GroupElement.order on indices: x^a y has order 4, x^a 2n / gcd(a, 2n)
+        two_n = 2 * self.n
+        return [4 if i % 2 else two_n // gcd(i // 2, two_n) for i in range(self.order)]
 
     # -- subgroups -------------------------------------------------------
 
@@ -312,10 +294,7 @@ class DicyclicGroup:
 
     def subgroup_generated(self, generators: Iterable[GroupElement]) -> Subgroup:
         gens = tuple(generators)
-        members = self._closure_indices(self.index_of(g) for g in gens)
-        return Subgroup(
-            self.n, frozenset(self.element_at(i) for i in members), gens
-        )
+        return Subgroup(self.n, self._closure_indices(map(self.index_of, gens)), gens)
 
     def cyclic(self, e: GroupElement) -> Subgroup:
         return self.subgroup_generated([e])
@@ -338,9 +317,9 @@ class DicyclicGroup:
         for members in member_sets:
             pairs = itertools.combinations_with_replacement(sorted(members), 2)
             gens = next(p for p in pairs if self._closure_indices(p) == members)
-            result.append(Subgroup(self.n, frozenset(map(self.element_at, members)),
+            result.append(Subgroup(self.n, members,
                                    tuple(map(self.element_at, dict.fromkeys(gens)))))
-        result.sort(key=lambda H: (H.order, H.sorted_members()))
+        result.sort(key=lambda H: (H.order, sorted(H.members)))
         return tuple(result)
 
     def index_two_subgroups(self) -> list[Subgroup]:
@@ -349,26 +328,18 @@ class DicyclicGroup:
     # -- conjugacy classes ----------------------------------------------
 
     @cached_property
-    def class_indices(self) -> tuple[frozenset[int], ...]:
-        """The conjugacy classes as index sets, in order of least index."""
-        table = self.mul_table
-        inv = self.inverse_table
-        unseen = set(range(self.order))
-        classes = []
-        while unseen:
-            i = min(unseen)
-            orbit = frozenset(table[table[h][i]][inv[h]] for h in range(self.order))
-            unseen -= orbit
-            classes.append(orbit)
-        return tuple(classes)
+    def conjugacy_classes(self) -> tuple[frozenset[int], ...]:
+        """The conjugacy classes as index sets, in order of least index.
 
-    @cached_property
-    def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
-        # least index is least element, so index order is element order
-        return tuple(
-            ConjugacyClass(self.element_at(min(cls)), frozenset(map(self.element_at, cls)))
-            for cls in self.class_indices
-        )
+        y x^a y^-1 = x^-a and x (x^a y) x^-1 = x^(a+2) y, so the classes
+        are {1}, {x^n}, {x^a, x^-a} for 0 < a < n, {x^(2j) y} and
+        {x^(2j+1) y}: n + 3 classes, of sizes 1, 1, 2 (n - 1 times), n, n.
+        """
+        order = self.order
+        classes = [frozenset({0}), frozenset({order // 2}),
+                   frozenset(range(1, order, 4)), frozenset(range(3, order, 4))]
+        classes += [frozenset({2 * a, order - 2 * a}) for a in range(1, self.n)]
+        return tuple(sorted(classes, key=min))
 
     # -- automorphisms ---------------------------------------------------
 

@@ -14,9 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .covering import TriangularAction
 from .errors import ParameterError
+
+if TYPE_CHECKING:
+    from .covering import GeneratingVector
 
 CONVENTION = "white=c1, black=c2, face=c3; c1*c2*c3=1 read left to right"
 
@@ -263,7 +266,7 @@ class DessinMonodromy:
                 self.face.cycle_type())
 
 
-def regular_dessin(act: TriangularAction) -> DessinMonodromy:
+def regular_dessin(act: GeneratingVector) -> DessinMonodromy:
     """The regular dessin of a triangular action, on |G| edges.
 
     Edges are the group elements (in sorted order, 1-based); white and
@@ -274,7 +277,7 @@ def regular_dessin(act: TriangularAction) -> DessinMonodromy:
     group = act.group
     els = sorted(group.elements)
     position = {e: i + 1 for i, e in enumerate(els)}
-    c1, c2, _ = act.c
+    c1, c2, _ = act.cone_images
 
     def left_mult(g) -> Permutation:
         return Permutation(tuple(position[g * e] for e in els))
@@ -327,14 +330,6 @@ class BipartiteMapGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def degrees(self) -> tuple[list[int], list[int]]:
-        wd = [0] * len(self.white_vertices)
-        bd = [0] * len(self.black_vertices)
-        for w, b in self.edges:
-            wd[w] += 1
-            bd[b] += 1
-        return wd, bd
 
 
 def graph_of(dessin: DessinMonodromy) -> BipartiteMapGraph:

@@ -114,7 +114,7 @@ class NECActionData:
         gens = map(group.index_of, (*self.alpha_images, *self.beta_images))
         if len(group._closure_indices(gens)) != group.order:
             out.append("images do not generate the group")
-        if group._closure_indices(self._plus_generators()) != self._plus_part_indices():
+        if group._closure_indices(self._plus_generators()) != H.members:
             out.append("orientation-preserving images do not fill the plus part")
         return out
 
@@ -130,14 +130,11 @@ class NECActionData:
         gens += [mul[a1][a2] for a1, a2 in itertools.combinations(alphas, 2)]
         return gens or [0]
 
-    def _plus_part_indices(self) -> frozenset[int]:
-        return frozenset(map(self.group.index_of, self.plus_part.members))
-
     def betas_and_alpha_squares_generate_plus_part(self) -> bool:
         group = self.group
         gens = [group.index_of(b) for b in self.beta_images]
         gens += [group.mul_table[i][i] for i in map(group.index_of, self.alpha_images)]
-        return group._closure_indices(gens) == self._plus_part_indices()
+        return group._closure_indices(gens) == self.plus_part.members
 
     def genus(self) -> int:
         return nec_genus(self.group.n, self.sig)
@@ -159,8 +156,8 @@ def admissible_homomorphisms(
     """
     if plus_part.index_in(group) != 2:
         raise ParameterError("plus part must have index two")
-    inside = sorted(group.index_of(h) for h in plus_part.members)
-    outside = sorted(set(range(group.order)) - set(inside))
+    inside = sorted(plus_part.members)
+    outside = [i for i in range(group.order) if i not in plus_part.members]
     orders = group.order_table
     beta_pools = [[i for i in inside if orders[i] == m] for m in sig.cone_orders]
     found: list[NECActionData] = []

@@ -120,7 +120,6 @@ def test_bad_parameter_values_are_usage_errors(args, tmp_path):
 @pytest.mark.parametrize("args", [
     ("curves", "--n", "1200", "--model", "Sn_cyclic", "--trials", "5"),
     ("curves", "--n", "700", "--model", "Sn_hyperelliptic", "--trials", "20"),
-    # the y map's denominator underflows to zero
     ("curves", "--n", "256", "--model", "Sn_cyclic", "--trials", "20"),
     # every trajectory overflows, so the resample budget runs out
     ("curves", "--n", "5000", "--model", "Sn_cyclic", "--trials", "2"),
@@ -134,6 +133,14 @@ def test_curves_at_large_n_end_without_a_traceback(args):
     assert "Traceback" not in result.stderr
     if result.returncode == 2:
         assert result.stderr.startswith("error: ")
+
+
+def test_sn_cyclic_relations_hold_at_n_16():
+    # the printed form of the y map lost precision with n and failed the
+    # default --tol 1e-9 from n = 14 on
+    result = run_cli("curves", "--n", "16", "--model", "Sn_cyclic")
+    assert result.returncode == 0
+    assert all(c["status"] == "pass" for c in payload_of(result)["claims"])
 
 
 def test_genus_modes():
@@ -210,6 +217,7 @@ FRONT = ["cli", "errors", "reports"]
     (["census", "--n", "4"], FRONT + ["covering", "group", "search"], False),
     (["genus", "--n", "3"], FRONT + ["covering", "genus", "group", "search"], False),
     (["hyper", "--n", "4"], FRONT + ["group", "real_forms", "search"], False),
+    (["monodromy", "--n", "3", "--case", "I"], FRONT + ["monodromy"], False),
 ])
 def test_each_command_imports_only_the_layers_it_runs(args, modules, fractions):
     result = subprocess.run(

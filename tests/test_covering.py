@@ -9,7 +9,6 @@ import pytest
 from dicyclic_dessins.covering import (
     GeneratingVector,
     OrbifoldSignature,
-    TriangularAction,
     _coset_cycles,
     _free_orbits,
     census_representative,
@@ -92,8 +91,8 @@ def test_rh_genus_matches_fraction_oracle():
 
 def test_triangular_action_rejects_a_non_generating_pair():
     G = DicyclicGroup(4)
-    with pytest.raises(ParameterError, match="pair does not generate the group"):
-        TriangularAction(G, (G.x, G.x, G.element(-2)))
+    with pytest.raises(ParameterError, match="images do not generate the group"):
+        GeneratingVector(G, 0, (), (G.x, G.x, G.element(-2)))
 
 
 def test_generating_vector_rejects_non_generating_images():
@@ -135,7 +134,7 @@ def test_census_representatives_are_generating_triples():
     for n in range(2, 7):
         for case in ("I",) if n % 2 == 0 else ("I", "II"):
             act = census_representative(n, case)
-            c1, c2, c3 = act.c
+            c1, c2, c3 = act.cone_images
             assert (c1 * c2 * c3).is_identity()
             expected_genus = n if case == "I" else n - 1
             assert act.genus() == expected_genus
@@ -185,7 +184,7 @@ def test_census_orbit_counts_match_orbit_search():
             assert entry.pair_count == len(pairs)
             assert entry.conjugacy_orbits == _orbit_count(pairs, conj_moves), n
             assert entry.automorphism_orbits == _orbit_count(pairs, aut_moves), n
-            i, j, k = (G.index_of(c) for c in entry.representative.c)
+            i, j, k = (G.index_of(c) for c in entry.representative.cone_images)
             assert (i, j) == min(pairs) and k == inv[mul[i][j]]
 
 
@@ -201,7 +200,8 @@ def test_census_representative_is_the_census_entry():
         entries = {e.signature: e for e in triangular_census(n).entries}
         for case, m in (("I", 2 * n),) if n % 2 == 0 else (("I", 2 * n), ("II", n)):
             act = census_representative(n, case)
-            assert act.c == entries[(4, 4, m)].representative.c, (n, case)
+            assert act.cone_images == entries[(4, 4, m)].representative.cone_images, (
+                n, case)
 
 
 def test_automorphism_index_perms_are_automorphisms():
@@ -241,11 +241,11 @@ def fixed_point_oracle(act, g) -> int:
     group = act.group
     total = 0
     for c in act.cone_images:
-        cyc = group.cyclic(c).members
+        cyc = group.cyclic(c)
         hits = sum(
             1 for h in group.elements if h.inverse() * g * h in cyc
         )
-        total += hits // len(cyc)
+        total += hits // cyc.order
     return total
 
 
@@ -334,8 +334,7 @@ def coset_cycles_oracle(group, H, c) -> list[int]:
     """Cycle lengths of c on G/H, naming each coset gH by the min over H
     of the indices of gh and starting each cycle at the least unseen name."""
     mul = group.mul_table
-    members = [group.index_of(h) for h in H.members]
-    rep_of = [min(mul[g][h] for h in members) for g in range(group.order)]
+    rep_of = [min(mul[g][h] for h in H.members) for g in range(group.order)]
     ci = group.index_of(c)
     lengths = []
     unseen = set(rep_of)
@@ -434,7 +433,7 @@ def test_quotient_genus_constant_on_conjugate_subgroups():
         base = quotient_genus(act, H)
         for g in G.elements:
             K = G.subgroup_generated(
-                [g * h * g.inverse() for h in H.members]
+                [g * h * g.inverse() for h in map(G.element_at, H.members)]
             )
             assert quotient_genus(act, K) == base
 

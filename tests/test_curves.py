@@ -147,6 +147,19 @@ def test_cyclic_model_residuals_stay_relative():
     assert all(model.residual(p) < ADMISSION_TOLERANCE for p in points)
 
 
+def test_sn_cyclic_y_map_equals_the_printed_formula():
+    # y sends w to z (z^2 - 1) / w, which on the curve
+    # w^(2n) = z^n (z-1) (z+1)^(2n-1) equals the printed
+    # w^(2n-1) / (z^(n-1) (z+1)^(2n-2))
+    for n in (2, 4, 6, 8):
+        model = CurveModel("Sn_cyclic", n)
+        for z, w in model.sample_points(100, seed=0):
+            printed = w ** (2 * n - 1) / (z ** (n - 1) * (z + 1) ** (2 * n - 2))
+            image = model.maps["y"]((z, w))
+            assert image[0] == -z
+            assert abs(image[1] - printed) <= 1e-9 * (1 + abs(printed)), (n, z, w)
+
+
 # -- the O(1) step path against the full scans it replaces ----------------
 
 

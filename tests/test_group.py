@@ -79,7 +79,7 @@ def test_normal_form_reduction():
 def test_quaternion_group_structure():
     # n=2 is the quaternion group Q8
     G = DicyclicGroup(2)
-    assert sorted(c.size for c in G.conjugacy_classes) == [1, 1, 2, 2, 2]
+    assert sorted(len(c) for c in G.conjugacy_classes) == [1, 1, 2, 2, 2]
     assert len(G.automorphisms) == 24
     assert sorted(H.order for H in G.subgroups) == [1, 2, 4, 4, 4, 8]
 
@@ -104,7 +104,7 @@ def test_conjugacy_class_count_and_sizes():
         G = DicyclicGroup(n)
         classes = G.conjugacy_classes
         assert len(classes) == n + 3
-        sizes = sorted(c.size for c in classes)
+        sizes = sorted(len(c) for c in classes)
         assert sizes == sorted([1, 1, n, n] + [2] * (n - 1))
 
 
@@ -122,7 +122,8 @@ def test_subgroup_lattice_is_closed_under_conjugation():
     G = DicyclicGroup(3)
     for H in G.subgroups:
         for g in G.elements:
-            conj = frozenset(g * h * g.inverse() for h in H.members)
+            conj = frozenset(G.index_of(g * G.element_at(h) * g.inverse())
+                             for h in H.members)
             assert any(conj == K.members for K in G.subgroups)
 
 
@@ -186,6 +187,25 @@ def test_conjugation_preserves_order(n, a1, b1, a2, b2):
     g = GroupElement(n, a1, b1)
     h = GroupElement(n, a2, b2)
     assert (h * g * h.inverse()).order() == g.order()
+
+
+def conjugacy_classes_oracle(G):
+    """The orbits {h g h^-1} by GroupElement arithmetic, as index sets,
+    each one the orbit of the least index not yet covered."""
+    unseen = set(range(G.order))
+    classes = []
+    while unseen:
+        g = G.element_at(min(unseen))
+        orbit = frozenset(G.index_of(h * g * h.inverse()) for h in G.elements)
+        unseen -= orbit
+        classes.append(orbit)
+    return classes
+
+
+def test_conjugacy_classes_match_conjugation_scan():
+    for n in range(2, 41):
+        G = DicyclicGroup(n)
+        assert list(G.conjugacy_classes) == conjugacy_classes_oracle(G), n
 
 
 # -- closed-form closure and lattice against brute force ----------------
@@ -265,10 +285,33 @@ def test_subgroups_match_all_pairs_oracle():
     for n in range(2, 25):
         G = _groups[n]
         got = [
-            (sorted(map(G.index_of, H.members)), tuple(map(G.index_of, H.generators)))
+            (sorted(H.members), tuple(map(G.index_of, H.generators)))
             for H in G.subgroups
         ]
         assert got == subgroups_oracle(G), n
+
+
+def test_subgroup_membership_and_equality_at_the_element_edge():
+    # `g in H` takes a GroupElement and H.members holds indices; both must
+    # agree with the breadth-first closure of H's generators
+    for n in range(2, 13):
+        G = _groups[n]
+        stranger = GroupElement(n + 1, 0, 0)  # index 0, but of another group
+        for H in G.subgroups:
+            oracle = closure_oracle(G, map(G.index_of, H.generators))
+            for g in G.elements:
+                i = G.index_of(g)
+                assert (g in H) == (i in H.members) == (i in oracle), (n, H, g)
+            assert stranger not in H
+            # equality and hash see the members, never the generators
+            all_members = [G.element_at(i) for i in sorted(H.members)]
+            for gens in (H.generators, H.generators[::-1], all_members,
+                         (*H.generators, G.identity)):
+                K = G.subgroup_generated(gens)
+                assert K.generators == tuple(gens)
+                assert [K == L for L in G.subgroups] == [L is H for L in G.subgroups]
+                assert hash(K) == hash(H), (n, H, gens)
+        assert len(set(G.subgroups)) == len(G.subgroups)
 
 
 def test_subgroup_count_is_tau_2n_plus_sigma_n():
