@@ -17,7 +17,6 @@ _EXPORTS = {
     "ActionCensus": "covering",
     "DicyclicGroup": "group",
     "GeneratingVector": "covering",
-    "GroupAutomorphism": "group",
     "GroupElement": "group",
     "OrbifoldSignature": "covering",
     "Subgroup": "group",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from . import search
@@ -301,65 +301,75 @@ def triangular_census(n: int) -> ActionCensus:
     genuinely differ (e.g. n=2 has 6 conjugacy orbits but a single
     automorphism orbit), which is why both are kept.
 
-    Both actions are free, so the counts are exact quotients (G. A.
-    Jones, "Regular dessins with a given automorphism group", 2014): an
-    automorphism fixing a generating pair fixes the whole group, and an
-    element centralising a generating pair is central, so Aut G and
-    G/Z(G) act with orbits of full size.  |Aut G| is the closed form
-    `DicyclicGroup.automorphism_count`.  A count that does not divide
-    is a bug, not a rounding matter.
+    The pair counts are closed form.  By `_closure_indices`,
+    <x^a, x^b y> = <x^gcd(a, n)> plus its coset x^b y, <x^a y, x^b y> =
+    <x^gcd(a - b, n)> plus x^a y, and <x^a, x^b> lies in <x>; so (x^a,
+    x^b y) and (x^b y, x^a) generate iff gcd(a, n) = 1, (x^a y, x^b y)
+    iff gcd(a - b, n) = 1, and (x^a, x^b) never.  As x^a has order
+    2n/gcd(a, 2n), x^b y order 4 and x^a y x^b y = x^(a-b+n), each a
+    mod 2n with gcd(a, n) = 1 adds 2n pairs (one per b) to each of
+    (2n/gcd(a, 2n), 4, 4), (4, 2n/gcd(a, 2n), 4) and, with a - b for
+    a, (4, 4, 2n/gcd(a + n, 2n)).  Only the representatives come from a
+    search.
+
+    Both actions are free, so the orbit counts are exact quotients
+    (G. A. Jones, "Regular dessins with a given automorphism group",
+    2014): an automorphism fixing a generating pair fixes the whole
+    group, and an element centralising a generating pair is central, so
+    Aut G and G/Z(G) act with orbits of full size.  Z(G_n) = {1, x^n}
+    (y x^a y^-1 = x^-a, and x^a y never commutes with x), so |G/Z(G)| =
+    2n, and |Aut G| is the closed form `DicyclicGroup.automorphism_count`.
+    A count that does not divide is a bug, not a rounding matter.
     """
     if n < 2:
         raise ParameterError(f"census needs n >= 2, got n={n}")
     group = DicyclicGroup(n)
-    orders = group.order_table
-    nontrivial = range(1, group.order)
-    by_sig: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
-    for _, cones in search.vectors(group, (), search.commutators, [nontrivial] * 3):
-        by_sig.setdefault(tuple(orders[c] for c in cones), []).append(cones)
-
-    centre = sum(1 for cls in group.conjugacy_classes if len(cls) == 1)
-    inner = group.order // centre
+    two_n = 2 * n
+    counts: dict[tuple[int, int, int], int] = {}
+    for a in range(two_n):
+        if gcd(a, n) == 1:
+            m, m3 = two_n // gcd(a, two_n), two_n // gcd(a + n, two_n)
+            for sig in ((m, 4, 4), (4, m, 4), (4, 4, m3)):
+                counts[sig] = counts.get(sig, 0) + two_n
     automorphisms = group.automorphism_count
-    entries = []
-    for sig in sorted(by_sig):
-        triples = by_sig[sig]
-        rep = GeneratingVector(group, 0, (), tuple(map(group.element_at, triples[0])))
-        entries.append(
-            CensusEntry(
-                signature=sig,
-                pair_count=len(triples),
-                conjugacy_orbits=_free_orbits(len(triples), inner, "conjugacy"),
-                automorphism_orbits=_free_orbits(
-                    len(triples), automorphisms, "automorphism"
-                ),
-                representative=rep,
-            )
+    entries = [
+        CensusEntry(
+            signature=sig,
+            pair_count=pairs,
+            conjugacy_orbits=_free_orbits(pairs, two_n, "conjugacy"),
+            automorphism_orbits=_free_orbits(pairs, automorphisms, "automorphism"),
+            representative=_least_vector(group, sig),
         )
+        for sig, pairs in sorted(counts.items())
+    ]
     return ActionCensus(n, entries)
+
+
+def _least_vector(group: DicyclicGroup, signature: tuple[int, ...]) -> GeneratingVector:
+    """The least generating vector of a triangular signature in index order:
+    the first hit of the search over the elements of each cone order."""
+    pools = [
+        [i for i, order in enumerate(group.order_table) if order == m]
+        for m in signature
+    ]
+    found = next(search.vectors(group, (), search.commutators, pools), None)
+    if found is None:
+        raise ParameterError(f"no action of signature {signature} for n={group.n}")
+    return GeneratingVector(group, 0, (), tuple(map(group.element_at, found[1])))
 
 
 def census_representative(n: int, case: str) -> GeneratingVector:
     """Representative triangular action for case I or II.
 
     Case I is the ordered signature (4, 4, 2n) (any n >= 2); case II is
-    (4, 4, n) and needs n >= 3 odd.  The first vector of the search is
-    the least pair in index order, the census entry's representative.
+    (4, 4, n) and needs n >= 3 odd.  Both are the census entry's
+    representative, the least vector of that signature.
     """
     group = DicyclicGroup(n)
     if case == "I":
-        target = (4, 4, 2 * n)
-    elif case == "II":
+        return _least_vector(group, (4, 4, 2 * n))
+    if case == "II":
         if n % 2 == 0 or n < 3:
             raise ParameterError("case II needs n >= 3 odd")
-        target = (4, 4, n)
-    else:
-        raise ParameterError(f"case must be 'I' or 'II', got {case!r}")
-    pools = [
-        [i for i, order in enumerate(group.order_table) if order == m]
-        for m in target
-    ]
-    found = next(search.vectors(group, (), search.commutators, pools), None)
-    if found is None:
-        raise ParameterError(f"no action of signature {target} for n={n}")
-    return GeneratingVector(group, 0, (), tuple(map(group.element_at, found[1])))
+        return _least_vector(group, (4, 4, n))
+    raise ParameterError(f"case must be 'I' or 'II', got {case!r}")

@@ -118,18 +118,6 @@ class Subgroup:
         return f"<{gens}> (order {self.order})"
 
 
-@dataclass(frozen=True, order=True)
-class GroupAutomorphism:
-    """An automorphism, determined by the images of the two generators."""
-
-    image_of_x: GroupElement
-    image_of_y: GroupElement
-
-    @property
-    def n(self) -> int:
-        return self.image_of_x.n
-
-
 class IndexSubgroup(Set):
     """The index set of <x^d> union <x^d> x^s y in a group of the given order.
 
@@ -358,8 +346,8 @@ class DicyclicGroup:
         return two_n * sum(1 for k in range(1, two_n) if gcd(k, two_n) == 1)
 
     @cached_property
-    def automorphisms(self) -> tuple[GroupAutomorphism, ...]:
-        """Every (image_of_x, image_of_y) pair that satisfies the three
+    def automorphisms(self) -> tuple[tuple[GroupElement, GroupElement], ...]:
+        """Every (image of x, image of y) pair that satisfies the three
         defining relations and generates G, in index (= element) order.
 
         Generation is the closed-form `_closure_indices`, and |Aut G| is
@@ -383,9 +371,7 @@ class DicyclicGroup:
                     continue
                 if len(self._closure_indices((ix, iy))) != self.order:
                     continue
-                found.append(
-                    GroupAutomorphism(self.element_at(ix), self.element_at(iy))
-                )
+                found.append((self.element_at(ix), self.element_at(iy)))
         return tuple(found)
 
     def automorphism_index_perms(self) -> list[list[int]]:
@@ -395,8 +381,8 @@ class DicyclicGroup:
         """
         mul = self.mul_table
         perms = []
-        for phi in self.automorphisms:
-            ix, iy = self.index_of(phi.image_of_x), self.index_of(phi.image_of_y)
+        for image_x, image_y in self.automorphisms:
+            ix, iy = self.index_of(image_x), self.index_of(image_y)
             perm = []
             power = 0
             for _ in range(2 * self.n):

@@ -54,6 +54,17 @@ def test_census_passes():
     assert all(c["status"] == "pass" for c in payload["claims"])
 
 
+@pytest.mark.parametrize("n", [255, 256])
+def test_census_passes_both_claims_at_large_n(n):
+    result = run_cli("census", "--n", str(n))
+    assert result.returncode == 0
+    claims = payload_of(result)["claims"]
+    assert [(c["id"], c["status"]) for c in claims] == [
+        ("unordered_types", "pass"),
+        ("one_automorphism_orbit_per_ordered_type", "pass"),
+    ]
+
+
 def test_census_usage_error():
     assert run_cli("census", "--n", "1").returncode == 2
     assert run_cli("census").returncode == 2

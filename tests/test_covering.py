@@ -27,7 +27,7 @@ from dicyclic_dessins.errors import (
 )
 from dicyclic_dessins.genus import pure_symmetric_genus, strong_symmetric_genus
 from dicyclic_dessins.group import DicyclicGroup
-from dicyclic_dessins.search import order_pool
+from dicyclic_dessins.search import commutators, order_pool, vectors
 from test_group import closure_oracle
 
 
@@ -188,6 +188,39 @@ def test_census_orbit_counts_match_orbit_search():
             assert (i, j) == min(pairs) and k == inv[mul[i][j]]
 
 
+def search_census(n: int) -> list[tuple]:
+    """The census by exhaustive search: every generating triple over three
+    nontrivial pools, grouped by ordered order triple, with the counts of
+    pairs, of conjugacy orbits (|G/Z(G)| from the classes of size one)
+    and of automorphism orbits (|Aut G| from the scan), and the least
+    triple as the representative."""
+    G = DicyclicGroup(n)
+    nontrivial = range(1, G.order)
+    by_sig: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for _, cones in vectors(G, (), commutators, [nontrivial] * 3):
+        by_sig.setdefault(tuple(G.order_table[c] for c in cones), []).append(cones)
+    centre = sum(1 for cls in G.conjugacy_classes if len(cls) == 1)
+    automorphisms = len(G.automorphisms)
+    return [
+        (sig, len(triples), len(triples) * centre // G.order,
+         len(triples) // automorphisms, min(triples))
+        for sig, triples in sorted(by_sig.items())
+    ]
+
+
+def test_census_equals_the_search_census():
+    # the closed-form counts and the least-vector representatives against
+    # the enumeration of every generating pair
+    for n in range(2, 41):
+        G = DicyclicGroup(n)
+        census = [
+            (e.signature, e.pair_count, e.conjugacy_orbits, e.automorphism_orbits,
+             tuple(map(G.index_of, e.representative.cone_images)))
+            for e in triangular_census(n).entries
+        ]
+        assert census == search_census(n), n
+
+
 def test_orbit_count_that_does_not_divide_is_an_error():
     # a wrong pair count must not round down to "one orbit"
     assert _free_orbits(48, 24, "automorphism") == 2
@@ -210,10 +243,10 @@ def test_automorphism_index_perms_are_automorphisms():
         mul = G.mul_table
         perms = G.automorphism_index_perms()
         assert len(perms) == len(G.automorphisms)
-        for phi, perm in zip(G.automorphisms, perms):
+        for (image_x, image_y), perm in zip(G.automorphisms, perms):
             assert sorted(perm) == list(range(G.order))
-            assert perm[G.index_of(G.x)] == G.index_of(phi.image_of_x)
-            assert perm[G.index_of(G.y)] == G.index_of(phi.image_of_y)
+            assert perm[G.index_of(G.x)] == G.index_of(image_x)
+            assert perm[G.index_of(G.y)] == G.index_of(image_y)
             for i in range(G.order):
                 for j in range(G.order):
                     assert perm[mul[i][j]] == mul[perm[i]][perm[j]]

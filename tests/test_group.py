@@ -130,8 +130,7 @@ def test_subgroup_lattice_is_closed_under_conjugation():
 def test_automorphisms_fix_relations():
     for n in (2, 3, 4):
         G = DicyclicGroup(n)
-        for phi in G.automorphisms:
-            ix, iy = phi.image_of_x, phi.image_of_y
+        for ix, iy in G.automorphisms:
             assert prod([ix] * (2 * n), start=G.identity).is_identity()
             assert iy * iy == prod([ix] * n, start=G.identity)
             assert iy * ix * iy.inverse() == ix.inverse()
