@@ -180,15 +180,13 @@ def _coset_cycles(group: DicyclicGroup, H: Subgroup, c: GroupElement) -> list[in
     first member the pass meets; the cycles start from those names in
     index order.
     """
-    mul = group.mul_table
     rep_of = [-1] * group.order
     reps = []
     for g in range(group.order):
         if rep_of[g] < 0:
             reps.append(g)
-            row = mul[g]
             for h in H.members:
-                rep_of[row[h]] = g
+                rep_of[group.mul(g, h)] = g
     ci = group.index_of(c)
     lengths = []
     seen = set()
@@ -199,7 +197,7 @@ def _coset_cycles(group: DicyclicGroup, H: Subgroup, c: GroupElement) -> list[in
         while cur not in seen:
             seen.add(cur)
             length += 1
-            cur = rep_of[mul[ci][cur]]
+            cur = rep_of[group.mul(ci, cur)]
         lengths.append(length)
     return lengths
 

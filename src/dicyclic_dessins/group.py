@@ -7,11 +7,11 @@ The group with parameter n >= 2 is presented by
 Every element has a unique normal form x^a y^b with 0 <= a < 2n and
 b in {0, 1}.  Elements are stored in that normal form, so equality and
 hashing are structural.  All values here are immutable and all
-operations are pure.  The tables and the heavier enumerations
-(conjugacy classes, subgroups, automorphisms) are cached on the group
-object, and the group is shared per n: `DicyclicGroup(n)` returns the
-group it built last when n is the same, so every report section for one
-n reuses them.
+operations are pure.  Indices multiply by the closed-form `mul`; the
+4n-entry tables and the heavier enumerations (conjugacy classes,
+subgroups, automorphisms) are cached on the group object, and the group
+is shared per n: `DicyclicGroup(n)` returns the group it built last when
+n is the same, so every report section for one n reuses them.
 """
 
 from __future__ import annotations
@@ -165,9 +165,9 @@ class DicyclicGroup:
     """The dicyclic group of order 4n, with enumeration helpers.
 
     Elements are also addressable by an integer index (2a + b), used
-    for table-driven enumeration: the tables, the closures, the member
-    sets of the subgroups and the conjugacy classes are indices, the rest
-    of the public surface GroupElement values.
+    by the enumeration cores: `mul`, the inverse and order tables, the
+    closures, the subgroup member sets and the conjugacy classes are
+    indices, the rest of the public surface GroupElement values.
 
     The constructor keeps exactly one group: it returns the last group
     it built when n matches, and otherwise builds a new one and holds
@@ -225,7 +225,7 @@ class DicyclicGroup:
     def __contains__(self, e: GroupElement) -> bool:
         return isinstance(e, GroupElement) and e.n == self.n
 
-    # -- index tables (fast path for the enumeration cores) -------------
+    # -- index arithmetic (the enumeration cores) ------------------------
 
     def index_of(self, e: GroupElement) -> int:
         if e.n != self.n:
@@ -235,16 +235,19 @@ class DicyclicGroup:
     def element_at(self, i: int) -> GroupElement:
         return GroupElement(self.n, i // 2, i % 2)
 
+    def mul(self, i: int, j: int) -> int:
+        """Index of the product of elements i and j: i + j for even i and
+        i - j + 2n (j mod 2) for odd i, mod 4n, since x^a y^b * x^c y^d =
+        x^(a + (-1)^b c + n b d) y^(b xor d) (`GroupElement.__mul__`)."""
+        if i % 2:
+            return (i - j + 2 * self.n * (j % 2)) % self.order
+        return (i + j) % self.order
+
     @cached_property
     def mul_table(self) -> list[list[int]]:
-        # GroupElement.__mul__ on indices 2a + b: x^a y^b * x^c y^d is
-        # x^(a + (-1)^b c + n [b = d = 1]) y^(b xor d).
-        n = self.n
-        return [
-            [2 * ((a + (-c if b else c) + n * (b & d)) % (2 * n)) + (b ^ d)
-             for c in range(2 * n) for d in (0, 1)]
-            for a in range(2 * n) for b in (0, 1)
-        ]
+        # `mul` as 16n^2 entries, for the two oracle scans below and the tests
+        r = range(self.order)
+        return [[self.mul(i, j) for j in r] for i in r]
 
     @cached_property
     def inverse_table(self) -> list[int]:

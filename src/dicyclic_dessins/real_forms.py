@@ -122,19 +122,13 @@ class NECActionData:
         """Indices of the beta images, the alpha squares, the
         alpha-conjugates of the betas and the mixed alpha products."""
         group = self.group
-        mul, inv = group.mul_table, group.inverse_table
+        mul, inv = group.mul, group.inverse_table
         alphas = [group.index_of(a) for a in self.alpha_images]
         betas = [group.index_of(b) for b in self.beta_images]
-        gens = betas + [mul[a][a] for a in alphas]
-        gens += [mul[mul[a][b]][inv[a]] for a in alphas for b in betas]
-        gens += [mul[a1][a2] for a1, a2 in itertools.combinations(alphas, 2)]
+        gens = betas + [mul(a, a) for a in alphas]
+        gens += [mul(mul(a, b), inv[a]) for a in alphas for b in betas]
+        gens += [mul(a1, a2) for a1, a2 in itertools.combinations(alphas, 2)]
         return gens or [0]
-
-    def betas_and_alpha_squares_generate_plus_part(self) -> bool:
-        group = self.group
-        gens = [group.index_of(b) for b in self.beta_images]
-        gens += [group.mul_table[i][i] for i in map(group.index_of, self.alpha_images)]
-        return group._closure_indices(gens) == self.plus_part.members
 
     def genus(self) -> int:
         return nec_genus(self.group.n, self.sig)

@@ -3,7 +3,9 @@
 The long relation is word(hyper) * c_1 ... c_r = 1, with a product of
 commutators for orientable quotients and of squares for non-orientable
 ones (T. Breuer, *Characters and Automorphism Groups of Compact Riemann
-Surfaces*, 2000).  Callers convert indices to `GroupElement` at the edge.
+Surfaces*, 2000).  Both words are sums in the abelian <x>, and the cone
+products follow the closed-form `DicyclicGroup.mul`, so no product table
+is built.  Callers convert indices to `GroupElement` at the edge.
 """
 
 from __future__ import annotations
@@ -58,21 +60,22 @@ def _partitions(target: int, pool: list[int], terms: list[int], lo: int):
 
 
 def commutators(group: DicyclicGroup, hyper: tuple[int, ...]) -> int:
-    """[a_1, b_1] ... [a_g, b_g] for hyper = (a_1, b_1, ..., a_g, b_g)."""
-    mul, inv = group.mul_table, group.inverse_table
-    prod = 0
-    for a, b in zip(hyper[::2], hyper[1::2]):
-        prod = mul[mul[mul[mul[prod][a]][b]][inv[a]]][inv[b]]
-    return prod
+    """[a_1, b_1] ... [a_g, b_g] for hyper = (a_1, b_1, ..., a_g, b_g), a sum in
+    <x^2>: [x^a, x^c y] = x^(2a), [x^a y, x^c] = x^(-2c), [x^a y, x^c y] =
+    x^(2(a-c)), so the pair of indices (i, j) adds 2(i (j mod 2) - j (i mod 2))."""
+    total = 0
+    for i, j in zip(hyper[::2], hyper[1::2]):
+        total += i * (j % 2) - j * (i % 2)
+    return 2 * total % group.order
 
 
 def squares(group: DicyclicGroup, hyper: tuple[int, ...]) -> int:
-    """a_1^2 ... a_k^2 for hyper = (a_1, ..., a_k)."""
-    mul = group.mul_table
-    prod = 0
-    for a in hyper:
-        prod = mul[mul[prod][a]][a]
-    return prod
+    """a_1^2 ... a_k^2 for hyper = (a_1, ..., a_k), a sum in <x>: x^a squares
+    to x^(2a) (index 2i) and x^a y to x^n (index 2n)."""
+    n, total = group.n, 0
+    for i in hyper:
+        total += n if i % 2 else i
+    return 2 * total % group.order
 
 
 def vectors(group: DicyclicGroup, hyper_pools, word, cone_pools):
@@ -84,14 +87,15 @@ def vectors(group: DicyclicGroup, hyper_pools, word, cone_pools):
     """
     if not all(cone_pools):
         return
-    mul, inv = group.mul_table, group.inverse_table
+    two_n, order, inv = 2 * group.n, group.order, group.inverse_table
     last_pool = set(cone_pools[-1]) if cone_pools else {0}
     for hyper in itertools.product(*hyper_pools):
         prod = word(group, hyper)
         for head in itertools.product(*cone_pools[:-1]):
             total = prod
             for c in head:
-                total = mul[total][c]
+                # group.mul(total, c), written out in the one hot loop
+                total = (total - c + two_n * (c % 2) if total % 2 else total + c) % order
             last = inv[total]
             if last not in last_pool:
                 continue

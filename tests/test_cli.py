@@ -54,7 +54,7 @@ def test_census_passes():
     assert all(c["status"] == "pass" for c in payload["claims"])
 
 
-@pytest.mark.parametrize("n", [255, 256])
+@pytest.mark.parametrize("n", [255, 256, 1024])
 def test_census_passes_both_claims_at_large_n(n):
     result = run_cli("census", "--n", str(n))
     assert result.returncode == 0

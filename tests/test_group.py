@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dicyclic_dessins import cli
+from dicyclic_dessins.covering import quotient_genus, triangular_census
 from dicyclic_dessins.errors import ParameterError
+from dicyclic_dessins.genus import pure_symmetric_genus, strong_symmetric_genus
 from dicyclic_dessins.group import DicyclicGroup, GroupElement
+from dicyclic_dessins.real_forms import sigma_hyp
 
 
 def test_rejects_small_n():
@@ -51,6 +54,24 @@ def test_report_payloads_do_not_depend_on_section_order():
     sections[0](6)
     warm = [section(5).payload_json() for section in reversed(sections)]
     assert warm[::-1] == cold
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_no_production_path_builds_the_product_table(n):
+    # the searches, the census, the coset cycles and a heavy report all
+    # multiply by the closed-form `mul`; the table is for the tests only
+    DicyclicGroup(n + 1)  # evict the shared group, so the next one is fresh
+    G = DicyclicGroup(n)
+    census = triangular_census(n)
+    strong_symmetric_genus(n, 4 * n)
+    pure_symmetric_genus(n, 4 * n)
+    sigma_hyp(n)
+    for entry in census.entries:
+        for H in G.subgroups:
+            quotient_genus(entry.representative, H)
+    cli._per_n_report(n, 0, True)
+    assert DicyclicGroup(n) is G
+    assert "mul_table" not in vars(G)
 
 
 def test_order_is_4n():
@@ -142,6 +163,8 @@ def test_index_tables_match_element_arithmetic():
         G = DicyclicGroup(n)
         idx = G.index_of
         assert G.mul_table == [[idx(g * h) for h in G.elements] for g in G.elements]
+        assert all(G.mul(idx(g), idx(h)) == idx(g * h)
+                   for g in G.elements for h in G.elements)
         assert G.inverse_table == [idx(g.inverse()) for g in G.elements]
         assert G.order_table == [g.order() for g in G.elements]
 
