@@ -18,13 +18,13 @@ _EXPORTS = {
     "DicyclicGroup": "group",
     "GeneratingVector": "covering",
     "GroupElement": "group",
-    "OrbifoldSignature": "covering",
+    "Signature": "search",
     "Subgroup": "group",
     "fixed_point_count": "covering",
     "is_purely_non_free": "covering",
     "quotient_genus": "covering",
     "quotient_signature": "covering",
-    "rh_genus": "covering",
+    "rh_genus": "search",
     "triangular_census": "covering",
 }
 

@@ -1,70 +1,29 @@
-"""Combinatorial covering-space calculus for finite group actions.
+"""Combinatorial covering-space calculus for orientable quotients.
 
 Given a generating vector for a group action (a triangular action is
 one with quotient genus 0 and three cone images), this module computes
-the covering surface's genus through the Riemann-Hurwitz formula,
+the covering surface's genus through `search.rh_genus` with handle 2,
 fixed-point counts of individual elements through the class function
 fix(g) = sum_i |C_G(g)| |cl(g) meet <c_i>| / m_i, the freely acting
 conjugacy classes, genera and signatures of intermediate
 quotients, and the full census of triangular actions of a dicyclic
-group.  Fixed points, free classes, coset cycles and the census run
-on element indices; `GroupElement` values appear only in the actions
-and in the results.
+group.  It owns `index_vectors`, the orientable enumerator over the
+vector search of `search.py` that the census representatives and the
+genus searches share.  Validation, fixed points, free classes, coset
+cycles and the census run on element indices; `GroupElement` values
+appear only in the actions and in the results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable
 
 from . import search
 from .errors import ConstructionError, InadmissibleSignatureError, ParameterError
 from .group import DicyclicGroup, GroupElement, Subgroup
-
-
-@dataclass(frozen=True)
-class OrbifoldSignature:
-    """Orientable quotient-orbifold datum: genus plus cone-point orders."""
-
-    quotient_genus: int
-    cone_orders: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.quotient_genus < 0:
-            raise InadmissibleSignatureError("quotient genus must be >= 0")
-        if any(m < 2 for m in self.cone_orders):
-            raise InadmissibleSignatureError("cone orders must be >= 2")
-        object.__setattr__(self, "cone_orders", tuple(self.cone_orders))
-
-    def unordered(self) -> tuple[int, ...]:
-        return tuple(sorted(self.cone_orders))
-
-
-def rh_genus(group_order: int, sig: OrbifoldSignature) -> int:
-    """Genus of the covering surface by Riemann-Hurwitz.
-
-    Solves 2g - 2 = N * (2*gamma - 2 + sum(1 - 1/m)) for g and insists
-    on a non-negative integer; anything else is an inadmissible
-    signature for a group of this order.  The sum runs in integers over
-    the common denominator L = lcm(m), so g = (2L + N * total) / 2L.
-    """
-    if group_order < 1:
-        raise ParameterError(f"group order must be >= 1, got {group_order}")
-    denom = lcm(*sig.cone_orders)
-    total = (2 * sig.quotient_genus - 2) * denom + sum(
-        denom - denom // m for m in sig.cone_orders
-    )
-    g_numerator = 2 * denom + group_order * total
-    if g_numerator % (2 * denom) or g_numerator < 0:
-        from fractions import Fraction  # imported here: only the message needs it
-
-        raise InadmissibleSignatureError(
-            f"signature {sig} with group order {group_order} gives genus "
-            f"{Fraction(g_numerator, 2 * denom)}"
-        )
-    return g_numerator // (2 * denom)
 
 
 @dataclass
@@ -90,29 +49,24 @@ class GeneratingVector:
                 f"need {2 * self.quotient_genus} hyperbolic images, "
                 f"got {len(self.hyperbolic_images)}"
             )
-        if any(c.order() < 2 for c in self.cone_images):
+        group = self.group
+        hyper = tuple(map(group.index_of, self.hyperbolic_images))
+        cones = tuple(map(group.index_of, self.cone_images))
+        if 0 in cones:
             raise ParameterError("cone images must be nontrivial")
-        prod = self.group.identity
-        hi = self.hyperbolic_images
-        for i in range(self.quotient_genus):
-            a, b = hi[2 * i], hi[2 * i + 1]
-            prod = prod * a * b * a.inverse() * b.inverse()
-        for c in self.cone_images:
-            prod = prod * c
-        if not prod.is_identity():
+        if not search.relation_holds(group, search.commutators, hyper, cones):
             raise ParameterError("long relation fails for these images")
-        gens = map(self.group.index_of, (*self.hyperbolic_images, *self.cone_images))
-        if len(self.group._closure_indices(gens)) != self.group.order:
+        if len(group._closure_indices(hyper + cones)) != group.order:
             raise ParameterError("images do not generate the group")
 
     @cached_property
-    def signature(self) -> OrbifoldSignature:
-        return OrbifoldSignature(
-            self.quotient_genus, tuple(c.order() for c in self.cone_images)
+    def signature(self) -> search.Signature:
+        return search.Signature(
+            2, self.quotient_genus, tuple(c.order() for c in self.cone_images)
         )
 
     def genus(self) -> int:
-        return rh_genus(self.group.order, self.signature)
+        return search.rh_genus(self.group.order, self.signature)
 
 
 # -- fixed points ------------------------------------------------------
@@ -210,7 +164,7 @@ def quotient_genus(act: GeneratingVector, H: Subgroup) -> int:
     L - 1 to the branching.
     """
     group = act.group
-    sheets = group.order // H.order
+    sheets = H.index_in(group)
     branch = 0
     for c in act.cone_images:
         branch += sum(length - 1 for length in _coset_cycles(group, H, c))
@@ -220,13 +174,13 @@ def quotient_genus(act: GeneratingVector, H: Subgroup) -> int:
     return g2 // 2
 
 
-def quotient_signature(act: GeneratingVector, H: Subgroup) -> OrbifoldSignature:
+def quotient_signature(act: GeneratingVector, H: Subgroup) -> search.Signature:
     """Signature of S/H: genus plus the cone orders left downstairs.
 
     A cycle of length L of a cone image of order m yields a cone point
     of order m/L whenever m/L > 1.
     """
-    group = act.group
+    group, genus = act.group, quotient_genus(act, H)
     orders = []
     for c in act.cone_images:
         m = c.order()
@@ -237,7 +191,7 @@ def quotient_signature(act: GeneratingVector, H: Subgroup) -> OrbifoldSignature:
                 )
             if m // length > 1:
                 orders.append(m // length)
-    return OrbifoldSignature(quotient_genus(act, H), tuple(sorted(orders)))
+    return search.Signature(2, genus, tuple(sorted(orders)))
 
 
 # -- triangular census -------------------------------------------------
@@ -343,14 +297,18 @@ def triangular_census(n: int) -> ActionCensus:
     return ActionCensus(n, entries)
 
 
+def index_vectors(group: DicyclicGroup, sig: search.Signature):
+    """Every generating vector of an orientable signature as (hyper, cones)
+    index tuples, in index order."""
+    hyper_pools = [range(group.order)] * (2 * sig.gamma)
+    return search.vectors(group, hyper_pools, search.commutators,
+                          search.cone_pools(group, sig.cone_orders))
+
+
 def _least_vector(group: DicyclicGroup, signature: tuple[int, ...]) -> GeneratingVector:
     """The least generating vector of a triangular signature in index order:
-    the first hit of the search over the elements of each cone order."""
-    pools = [
-        [i for i, order in enumerate(group.order_table) if order == m]
-        for m in signature
-    ]
-    found = next(search.vectors(group, (), search.commutators, pools), None)
+    the first hit of `index_vectors`."""
+    found = next(index_vectors(group, search.Signature(2, 0, signature)), None)
     if found is None:
         raise ParameterError(f"no action of signature {signature} for n={group.n}")
     return GeneratingVector(group, 0, (), tuple(map(group.element_at, found[1])))

@@ -5,8 +5,10 @@ Finds the least genus over which the dicyclic group acts conformally
 conformal action (pure symmetric genus).  At each genus the finitely
 many orientable quotient signatures come from inverting Riemann-Hurwitz
 (`search.quotient_signatures` with handle 2), and each is searched for
-a realising generating vector; `real_forms` shares both the inversion
-and the vector engine of `search.py`.
+a realising generating vector by `covering.index_vectors`, the
+enumerator that the census representatives use too; `real_forms`
+shares the signature type, the inversion and the vector engine of
+`search.py`.
 
 Genus zero is impossible because the group is none of the sphere groups
 (cyclic, dihedral, A4, S4, A5); genus one is excluded computationally
@@ -17,42 +19,35 @@ The search therefore starts at genus two.
 from __future__ import annotations
 
 from . import search
-from .covering import GeneratingVector, OrbifoldSignature, free_classes
+from .covering import GeneratingVector, free_classes, index_vectors
 from .errors import SearchExhaustedError
 from .group import DicyclicGroup
+from .search import Signature
 
 TORUS_SIGNATURES = (
-    OrbifoldSignature(0, (2, 2, 2, 2)),
-    OrbifoldSignature(0, (3, 3, 3)),
-    OrbifoldSignature(0, (2, 4, 4)),
-    OrbifoldSignature(0, (2, 3, 6)),
-    OrbifoldSignature(1, ()),
+    Signature(2, 0, (2, 2, 2, 2)),
+    Signature(2, 0, (3, 3, 3)),
+    Signature(2, 0, (2, 4, 4)),
+    Signature(2, 0, (2, 3, 6)),
+    Signature(2, 1, ()),
 )
 
 
-def _index_vectors(group: DicyclicGroup, sig: OrbifoldSignature):
-    """Every generating vector with this signature as (hyper, cones) indices."""
-    orders = group.order_table
-    pools = [[i for i in range(group.order) if orders[i] == m] for m in sig.cone_orders]
-    hyper_pools = [range(group.order)] * (2 * sig.quotient_genus)
-    return search.vectors(group, hyper_pools, search.commutators, pools)
-
-
-def _generating_vector(group: DicyclicGroup, sig: OrbifoldSignature,
+def _generating_vector(group: DicyclicGroup, sig: Signature,
                        hyper: tuple[int, ...], cones: tuple[int, ...]) -> GeneratingVector:
-    return GeneratingVector(group, sig.quotient_genus,
+    return GeneratingVector(group, sig.gamma,
                             tuple(map(group.element_at, hyper)),
                             tuple(map(group.element_at, cones)))
 
 
-def generating_vectors(group: DicyclicGroup, sig: OrbifoldSignature):
+def generating_vectors(group: DicyclicGroup, sig: Signature):
     """Every generating vector with this signature, in index order."""
-    for hyper, cones in _index_vectors(group, sig):
+    for hyper, cones in index_vectors(group, sig):
         yield _generating_vector(group, sig, hyper, cones)
 
 
 def exists_generating_vector(
-    group: DicyclicGroup, sig: OrbifoldSignature
+    group: DicyclicGroup, sig: Signature
 ) -> GeneratingVector | None:
     """The first generating vector with this signature, or None."""
     return next(generating_vectors(group, sig), None)
@@ -62,8 +57,8 @@ def strong_symmetric_genus(n: int, g_max: int) -> tuple[int, GeneratingVector]:
     """Least genus >= 2 admitting any conformal action of the group."""
     group = DicyclicGroup(n)
     for g in range(2, g_max + 1):
-        for gamma, orders in search.quotient_signatures(n, g, 2):
-            witness = exists_generating_vector(group, OrbifoldSignature(gamma, orders))
+        for sig in search.quotient_signatures(n, g, 2):
+            witness = exists_generating_vector(group, sig)
             if witness is not None:
                 return g, witness
     raise SearchExhaustedError(
@@ -83,9 +78,8 @@ def pure_symmetric_genus(n: int, g_max: int) -> tuple[int, GeneratingVector]:
     """
     group = DicyclicGroup(n)
     for g in range(2, g_max + 1):
-        for gamma, orders in search.quotient_signatures(n, g, 2):
-            sig = OrbifoldSignature(gamma, orders)
-            for hyper, cones in _index_vectors(group, sig):
+        for sig in search.quotient_signatures(n, g, 2):
+            for hyper, cones in index_vectors(group, sig):
                 if not free_classes(group, cones):
                     return g, _generating_vector(group, sig, hyper, cones)
     raise SearchExhaustedError(
@@ -99,6 +93,6 @@ def torus_exclusion_report(n: int) -> dict[str, bool]:
     group = DicyclicGroup(n)
     out = {}
     for sig in TORUS_SIGNATURES:
-        key = f"({sig.quotient_genus};{','.join(map(str, sig.cone_orders)) or '-'})"
+        key = f"({sig.gamma};{','.join(map(str, sig.cone_orders)) or '-'})"
         out[key] = exists_generating_vector(group, sig) is None
     return out

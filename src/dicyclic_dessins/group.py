@@ -104,6 +104,8 @@ class Subgroup:
         return len(self.members)
 
     def index_in(self, group: "DicyclicGroup") -> int:
+        if group.n != self.n:
+            raise ParameterError(f"subgroup of G_{self.n} passed to G_{group.n}")
         return group.order // self.order
 
     def __contains__(self, e: object) -> bool:

@@ -11,65 +11,23 @@ induced anticonformal involution acts without fixed points (the only
 involution x^n lies in every index-two subgroup).
 
 This module certifies the minimal hyperbolic genus values by exhaustive
-search: the quotient signatures of each genus come from inverting the
-non-orientable Riemann-Hurwitz formula (`search.quotient_signatures`
-with handle 1) and their images from the vector engine of `search.py`,
-both shared with the orientable genus searches.  It also builds the
-pseudo-real family with all of its computable properties.
+search: the quotient signatures of each genus are `search.Signature`
+values with handle 1 from inverting the Riemann-Hurwitz formula
+(`search.quotient_signatures`), their genus is `search.rh_genus`, and
+their images come from the vector engine of `search.py`, all shared
+with the orientable layers.  It also builds the pseudo-real family with
+all of its computable properties.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
 
 from . import search
-from .errors import (
-    ConstructionError,
-    InadmissibleSignatureError,
-    ParameterError,
-    SearchExhaustedError,
-)
+from .errors import ConstructionError, ParameterError, SearchExhaustedError
 from .group import DicyclicGroup, GroupElement, Subgroup
-
-
-@dataclass(frozen=True)
-class NECSignature:
-    """Non-orientable signature: gamma + 1 crosscaps and r cone orders."""
-
-    gamma: int
-    cone_orders: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise InadmissibleSignatureError("gamma must be >= 0")
-        if any(m < 2 for m in self.cone_orders):
-            raise InadmissibleSignatureError("cone orders must be >= 2")
-        object.__setattr__(self, "cone_orders", tuple(self.cone_orders))
-
-    @property
-    def r(self) -> int:
-        return len(self.cone_orders)
-
-
-def nec_genus(n: int, sig: NECSignature) -> int:
-    """Genus of the surface covering this non-orientable quotient.
-
-    g = 1 + 2n * (gamma + r - 1 - sum 1/m_j); non-integral or negative
-    values mean no dicyclic action with this quotient exists.  The sum
-    runs in integers over the common denominator L = lcm(m_j).
-    """
-    denom = lcm(*sig.cone_orders)
-    total = (sig.gamma + sig.r - 1) * denom - sum(denom // m for m in sig.cone_orders)
-    g_numerator = denom + 2 * n * total
-    if g_numerator % denom or g_numerator < 0:
-        from fractions import Fraction  # imported here: only the message needs it
-
-        raise InadmissibleSignatureError(
-            f"signature {sig} gives genus {Fraction(g_numerator, denom)} for n={n}"
-        )
-    return g_numerator // denom
+from .search import Signature, rh_genus
 
 
 @dataclass
@@ -78,7 +36,7 @@ class NECActionData:
 
     group: DicyclicGroup
     plus_part: Subgroup
-    sig: NECSignature
+    sig: Signature
     alpha_images: tuple[GroupElement, ...]
     beta_images: tuple[GroupElement, ...]
 
@@ -94,7 +52,7 @@ class NECActionData:
             out.append("plus part is not an index-two subgroup")
         if len(self.alpha_images) != self.sig.gamma + 1:
             out.append("wrong number of glide-reflection images")
-        if len(self.beta_images) != self.sig.r:
+        if len(self.beta_images) != len(self.sig.cone_orders):
             out.append("wrong number of elliptic images")
         for a in self.alpha_images:
             if a in H:
@@ -104,15 +62,11 @@ class NECActionData:
                 out.append(f"beta image {b!r} outside the plus part")
             if b.order() != m:
                 out.append(f"beta image {b!r} has order {b.order()}, not {m}")
-        prod = group.identity
-        for a in self.alpha_images:
-            prod = prod * a * a
-        for b in self.beta_images:
-            prod = prod * b
-        if not prod.is_identity():
+        alphas = tuple(map(group.index_of, self.alpha_images))
+        betas = tuple(map(group.index_of, self.beta_images))
+        if not search.relation_holds(group, search.squares, alphas, betas):
             out.append("long relation fails")
-        gens = map(group.index_of, (*self.alpha_images, *self.beta_images))
-        if len(group._closure_indices(gens)) != group.order:
+        if len(group._closure_indices(alphas + betas)) != group.order:
             out.append("images do not generate the group")
         if group._closure_indices(self._plus_generators()) != H.members:
             out.append("orientation-preserving images do not fill the plus part")
@@ -131,13 +85,13 @@ class NECActionData:
         return gens or [0]
 
     def genus(self) -> int:
-        return nec_genus(self.group.n, self.sig)
+        return rh_genus(self.group.order, self.sig)
 
 
 def admissible_homomorphisms(
     group: DicyclicGroup,
     plus_part: Subgroup,
-    sig: NECSignature,
+    sig: Signature,
     limit: int | None = None,
 ) -> list[NECActionData]:
     """Exhaustive list of admissible image tuples for one signature.
@@ -150,10 +104,8 @@ def admissible_homomorphisms(
     """
     if plus_part.index_in(group) != 2:
         raise ParameterError("plus part must have index two")
-    inside = sorted(plus_part.members)
     outside = [i for i in range(group.order) if i not in plus_part.members]
-    orders = group.order_table
-    beta_pools = [[i for i in inside if orders[i] == m] for m in sig.cone_orders]
+    beta_pools = search.cone_pools(group, sig.cone_orders, plus_part.members)
     found: list[NECActionData] = []
     alpha_pools = [outside] * (sig.gamma + 1)
     for alphas, betas in search.vectors(group, alpha_pools, search.squares, beta_pools):
@@ -191,10 +143,9 @@ def sigma_hyp(
     # walk that stops below 2n, as it does at the values n + 1 (n even)
     # and 2n - 2 (n odd) that `hyper` checks, lost nothing to the bounds.
     for g in range(2, 2 * n * (gamma_max + r_max - 1) + 1):
-        for gamma, orders in search.quotient_signatures(n, g, 1):
-            if gamma > gamma_max or len(orders) > r_max:
+        for sig in search.quotient_signatures(n, g, 1):
+            if sig.gamma > gamma_max or len(sig.cone_orders) > r_max:
                 continue
-            sig = NECSignature(gamma, orders)
             for H in plus_parts:
                 witnesses = admissible_homomorphisms(group, H, sig, limit=1)
                 if witnesses:
@@ -242,7 +193,7 @@ def build_pseudo_real(n: int, q: int) -> PseudoRealCertificate:
     l = n * (2 * q - 1)
     group = DicyclicGroup(n)
     plus_part = group.cyclic(group.x)
-    sig = NECSignature(0, (2 * n,) * l)
+    sig = Signature(1, 0, (2 * n,) * l)
     action = NECActionData(
         group,
         plus_part,
@@ -250,7 +201,7 @@ def build_pseudo_real(n: int, q: int) -> PseudoRealCertificate:
         alpha_images=(group.y,),
         beta_images=(group.x,) * l,
     )
-    genus = nec_genus(n, sig)
+    genus = rh_genus(group.order, sig)
     # Riemann-Hurwitz through S -> S/<x>: degree 2n, genus-zero base,
     # exactly 2l cone points of order 2n.  Over the denominator 2n,
     # 2g - 2 = 2n (-2 * 2n + 2l (2n - 1)) / 2n.

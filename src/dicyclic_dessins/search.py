@@ -1,19 +1,70 @@
-"""One exhaustive generating-vector search, over element indices.
+"""The quotient layer shared by both quotient kinds, over element indices.
 
-The long relation is word(hyper) * c_1 ... c_r = 1, with a product of
-commutators for orientable quotients and of squares for non-orientable
-ones (T. Breuer, *Characters and Automorphism Groups of Compact Riemann
-Surfaces*, 2000).  Both words are sums in the abelian <x>, and the cone
-products follow the closed-form `DicyclicGroup.mul`, so no product table
-is built.  Callers convert indices to `GroupElement` at the edge.
+A quotient signature has a handle of 2 (orientable, genus gamma) or 1
+(non-orientable, gamma + 1 crosscaps), and both kinds obey one
+Riemann-Hurwitz formula 2g - 2 = |G| (handle (gamma - 1) + sum(1 - 1/m))
+(T. Breuer, *Characters and Automorphism Groups of Compact Riemann
+Surfaces*, 2000).  This module holds the one `Signature` type, the genus
+`rh_genus`, its inversion `quotient_signatures`, the long relation
+word(hyper) * c_1 ... c_r = 1 with a product of commutators (orientable)
+or of squares (non-orientable), and the one exhaustive generating-vector
+search.  Both words are sums in the abelian <x>, and the cone products
+follow the closed-form `DicyclicGroup.mul`, so no product table is
+built.  Callers convert indices to `GroupElement` at the edge.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from math import lcm
 
+from .errors import InadmissibleSignatureError, ParameterError
 from .group import DicyclicGroup
+
+
+@dataclass(frozen=True)
+class Signature:
+    """Quotient-orbifold datum: the handle (2 for an orientable quotient of
+    genus gamma, 1 for gamma + 1 crosscaps), gamma and the cone orders."""
+
+    handle: int
+    gamma: int
+    cone_orders: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.handle not in (1, 2):
+            raise InadmissibleSignatureError("handle must be 1 or 2")
+        if self.gamma < 0:
+            raise InadmissibleSignatureError("gamma must be >= 0")
+        if any(m < 2 for m in self.cone_orders):
+            raise InadmissibleSignatureError("cone orders must be >= 2")
+        object.__setattr__(self, "cone_orders", tuple(self.cone_orders))
+
+
+def rh_genus(group_order: int, sig: Signature) -> int:
+    """Genus of the surface covering this quotient, by Riemann-Hurwitz.
+
+    Solves 2g - 2 = N (handle (gamma - 1) + sum(1 - 1/m)) for g and
+    insists on a non-negative integer; anything else is an inadmissible
+    signature for a group of this order.  The sum runs in integers over
+    the common denominator L = lcm(m), so g = (2L + N * total) / 2L.
+    """
+    if group_order < 1:
+        raise ParameterError(f"group order must be >= 1, got {group_order}")
+    denom = lcm(*sig.cone_orders)
+    total = sig.handle * (sig.gamma - 1) * denom + sum(
+        denom - denom // m for m in sig.cone_orders
+    )
+    g_numerator = 2 * denom + group_order * total
+    if g_numerator % (2 * denom) or g_numerator < 0:
+        from fractions import Fraction  # imported here: only the message needs it
+
+        raise InadmissibleSignatureError(
+            f"signature {sig} with group order {group_order} gives genus "
+            f"{Fraction(g_numerator, 2 * denom)}"
+        )
+    return g_numerator // (2 * denom)
 
 
 def order_pool(n: int) -> list[int]:
@@ -22,17 +73,15 @@ def order_pool(n: int) -> list[int]:
     return sorted({d for d in range(2, two_n + 1) if two_n % d == 0} | {4})
 
 
-def quotient_signatures(
-    n: int, g: int, handle: int
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Every (gamma, orders) with (g - 1)/2n = handle (gamma - 1) + sum(1 - 1/m).
+def quotient_signatures(n: int, g: int, handle: int) -> list[Signature]:
+    """Every signature of this handle with rh_genus(4n, sig) = g, that is
+    (g - 1)/2n = handle (gamma - 1) + sum(1 - 1/m).
 
-    handle is 2 for an orientable quotient of genus gamma and 1 for a
-    non-orientable one with gamma + 1 crosscaps; orders are non-decreasing
-    tuples from `order_pool(n)`.  Everything is scaled by L = lcm(pool):
-    2n lies in the pool, so the target (L/2n)(g - 1 - 2n handle (gamma - 1))
-    and each term L - L/m are integers.  Results come ordered by gamma,
-    then by orders in lexicographic order.
+    The cone orders are non-decreasing tuples from `order_pool(n)`.
+    Everything is scaled by L = lcm(pool): 2n lies in the pool, so the
+    target (L/2n)(g - 1 - 2n handle (gamma - 1)) and each term L - L/m
+    are integers.  Results come ordered by gamma, then by cone orders in
+    lexicographic order.
     """
     pool = order_pool(n)
     scale = lcm(*pool)
@@ -41,7 +90,8 @@ def quotient_signatures(
     out = []
     gamma = 0
     while (target := unit * (g - 1 - 2 * n * handle * (gamma - 1))) >= 0:
-        out.extend((gamma, orders) for orders in _partitions(target, pool, terms, 0))
+        out.extend(Signature(handle, gamma, orders)
+                   for orders in _partitions(target, pool, terms, 0))
         gamma += 1
     return out
 
@@ -76,6 +126,23 @@ def squares(group: DicyclicGroup, hyper: tuple[int, ...]) -> int:
     for i in hyper:
         total += n if i % 2 else i
     return 2 * total % group.order
+
+
+def relation_holds(group: DicyclicGroup, word, hyper, cones) -> bool:
+    """Whether word(hyper) * c_1 ... c_r is the identity, on indices; word
+    is `commutators` or `squares`."""
+    total = word(group, hyper)
+    for c in cones:
+        total = group.mul(total, c)
+    return total == 0
+
+
+def cone_pools(group: DicyclicGroup, orders, within=None) -> list[list[int]]:
+    """For each cone order m, the indices of order m in index order, only
+    those in `within` when it is given."""
+    table = group.order_table
+    members = range(group.order) if within is None else sorted(within)
+    return [[i for i in members if table[i] == m] for m in orders]
 
 
 def vectors(group: DicyclicGroup, hyper_pools, word, cone_pools):

@@ -11,7 +11,7 @@ through odd-order subgroups of the rotation part that avoid x^n.
 
 import time
 
-from dicyclic_dessins import covering, covers, curves, genus, monodromy, real_forms
+from dicyclic_dessins import covering, covers, curves, genus, monodromy, real_forms, search
 from dicyclic_dessins.group import DicyclicGroup
 
 
@@ -45,11 +45,11 @@ def test_criterion_01_census_counts():
 def test_criterion_02_genera_and_euler_characteristics():
     ok = True
     for n in range(2, 11):
-        sig_even = covering.OrbifoldSignature(0, (4, 4, 2 * n))
-        ok = ok and covering.rh_genus(4 * n, sig_even) == n
+        sig_even = search.Signature(2, 0, (4, 4, 2 * n))
+        ok = ok and search.rh_genus(4 * n, sig_even) == n
         if n % 2 == 1:
-            sig_odd = covering.OrbifoldSignature(0, (4, 4, n))
-            ok = ok and covering.rh_genus(4 * n, sig_odd) == n - 1
+            sig_odd = search.Signature(2, 0, (4, 4, n))
+            ok = ok and search.rh_genus(4 * n, sig_odd) == n - 1
         for case in ("I",) if n % 2 == 0 else ("I", "II"):
             act = covering.census_representative(n, case)
             dessin = monodromy.regular_dessin(act)

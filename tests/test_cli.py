@@ -11,6 +11,7 @@ many small command lines, run in process.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -295,3 +296,25 @@ def test_any_small_command_line_exits_with_a_documented_code(args):
         finally:
             sys.argv = old_argv
     assert code in {0, 1, 2, 3}, (args, code, err.getvalue())
+
+
+# sha256 of the payloads that test_payloads_match_the_pinned_digest builds.
+# A deliberate claim change (for example namespaced claim IDs) changes it:
+# update the digest in the same change and name the change in CHANGES.md.
+PAYLOAD_DIGEST = "10f3764424ecd9c9b1a00f7847a287f5d5445a183aad41f0014deba81b067595"
+
+
+def test_payloads_match_the_pinned_digest():
+    # every exact command for n = 2..12, in process; the curve payloads
+    # are left out because their float fields depend on the C math library
+    texts = []
+    for n in range(2, 13):
+        reports = [cli.census_report(n), cli.monodromy_report(n, "I")]
+        if n % 2:
+            reports.append(cli.monodromy_report(n, "II"))
+        reports += [cli.hyper_report(n, 1, 3), cli.pseudo_real_report(n, 2),
+                    cli.genus_report(n, "strong", n + 2),
+                    cli.genus_report(n, "pure", n + 2)]
+        texts += [report.payload_json() for report in reports]
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == PAYLOAD_DIGEST

@@ -8,7 +8,6 @@ import pytest
 
 from dicyclic_dessins.covering import (
     GeneratingVector,
-    OrbifoldSignature,
     _coset_cycles,
     _free_orbits,
     census_representative,
@@ -17,7 +16,6 @@ from dicyclic_dessins.covering import (
     is_purely_non_free,
     quotient_genus,
     quotient_signature,
-    rh_genus,
     triangular_census,
 )
 from dicyclic_dessins.errors import (
@@ -27,7 +25,7 @@ from dicyclic_dessins.errors import (
 )
 from dicyclic_dessins.genus import pure_symmetric_genus, strong_symmetric_genus
 from dicyclic_dessins.group import DicyclicGroup
-from dicyclic_dessins.search import commutators, order_pool, vectors
+from dicyclic_dessins.search import Signature, commutators, order_pool, rh_genus, vectors
 from test_group import closure_oracle
 
 
@@ -36,24 +34,24 @@ from test_group import closure_oracle
 
 def test_rh_genus_of_triangular_signatures():
     for n in range(2, 13):
-        assert rh_genus(4 * n, OrbifoldSignature(0, (4, 4, 2 * n))) == n
+        assert rh_genus(4 * n, Signature(2, 0, (4, 4, 2 * n))) == n
         if n % 2 == 1:
-            assert rh_genus(4 * n, OrbifoldSignature(0, (4, 4, n))) == n - 1
+            assert rh_genus(4 * n, Signature(2, 0, (4, 4, n))) == n - 1
 
 
 def test_rh_genus_rejects_non_integral():
     with pytest.raises(InadmissibleSignatureError):
-        rh_genus(12, OrbifoldSignature(0, (4, 4, 5)))
+        rh_genus(12, Signature(2, 0, (4, 4, 5)))
 
 
 def test_rh_genus_unramified():
     # 2g - 2 = N(2*gamma - 2) with no cone points
-    assert rh_genus(5, OrbifoldSignature(2, ())) == 6
+    assert rh_genus(5, Signature(2, 2, ())) == 6
 
 
-def rh_genus_oracle(group_order: int, sig: OrbifoldSignature) -> int:
-    """Riemann-Hurwitz in Fractions: 1 + N (2 gamma - 2 + sum(1 - 1/m)) / 2."""
-    total = Fraction(2 * sig.quotient_genus - 2)
+def rh_genus_oracle(group_order: int, sig: Signature) -> int:
+    """Riemann-Hurwitz in Fractions: 1 + N (handle (gamma - 1) + sum(1 - 1/m)) / 2."""
+    total = Fraction(sig.handle * (sig.gamma - 1))
     for m in sig.cone_orders:
         total += 1 - Fraction(1, m)
     g = 1 + Fraction(group_order) * total / 2
@@ -72,18 +70,23 @@ def outcome(func, *args):
         return ("error", str(exc))
 
 
-def test_rh_genus_matches_fraction_oracle():
-    # every group order 4n and every subgroup order, every signature with
-    # gamma <= 2, r <= 4 and orders from the order pool
+def check_rh_genus_against_oracle(handle: int) -> None:
+    """rh_genus equals the oracle, value or error message, at every group
+    order 4n and every subgroup order, for every signature of this handle
+    with gamma <= 2, r <= 4 and orders from the order pool."""
     for n in range(2, 13):
         orders = sorted({H.order for H in DicyclicGroup(n).subgroups} | {4 * n})
         for gamma in range(3):
             for r in range(5):
                 for cones in itertools.combinations_with_replacement(order_pool(n), r):
-                    sig = OrbifoldSignature(gamma, cones)
+                    sig = Signature(handle, gamma, cones)
                     for N in orders:
                         expected = outcome(rh_genus_oracle, N, sig)
                         assert outcome(rh_genus, N, sig) == expected, (N, sig)
+
+
+def test_rh_genus_matches_fraction_oracle():
+    check_rh_genus_against_oracle(2)
 
 
 # -- validators ----------------------------------------------------------
@@ -101,6 +104,22 @@ def test_generating_vector_rejects_non_generating_images():
         GeneratingVector(G, 0, (), (G.x, G.element(-1)))
     with pytest.raises(ParameterError, match="images do not generate the group"):
         GeneratingVector(G, 1, (G.x, G.element(2)), (G.element(4), G.element(4)))
+
+
+def test_generating_vector_rejects_trivial_cone_images():
+    G = DicyclicGroup(4)
+    with pytest.raises(ParameterError, match="cone images must be nontrivial"):
+        GeneratingVector(G, 0, (), (G.identity, G.x, G.element(-1)))
+
+
+def test_generating_vector_rejects_a_failing_long_relation():
+    # x, y generate G_4, but x * y * y = x^5; on a torus quotient
+    # [x, y] * x = x^3
+    G = DicyclicGroup(4)
+    with pytest.raises(ParameterError, match="long relation fails for these images"):
+        GeneratingVector(G, 0, (), (G.x, G.y, G.y))
+    with pytest.raises(ParameterError, match="long relation fails for these images"):
+        GeneratingVector(G, 1, (G.x, G.y), (G.x,))
 
 
 # -- census -------------------------------------------------------------
@@ -415,7 +434,7 @@ def test_quotient_signature_by_y():
         G = DicyclicGroup(n)
         act = census_representative(n, "I")
         sig = quotient_signature(act, G.cyclic(G.y))
-        assert sig.quotient_genus == 0
+        assert sig.gamma == 0
         assert sorted(sig.cone_orders) == sorted([4, 4] + [2] * n)
 
 
@@ -427,7 +446,7 @@ def test_quotient_signature_by_x():
         G = DicyclicGroup(n)
         act = census_representative(n, "I")
         sig = quotient_signature(act, G.cyclic(G.x))
-        assert sig.quotient_genus == 0
+        assert sig.gamma == 0
         assert sorted(sig.cone_orders) == [2, 2, 2 * n, 2 * n]
 
 
@@ -481,3 +500,21 @@ def test_quotient_signature_reproduces_genus():
                 continue
             sig = quotient_signature(act, H)
             assert rh_genus(H.order, sig) == act.genus()
+
+
+def _act_and_foreign_subgroup():
+    # <x> of G_4 has order 8 and is no subgroup of G_3, of order 12
+    act = census_representative(3, "I")
+    return act, DicyclicGroup(4).cyclic(DicyclicGroup(4).x)
+
+
+def test_quotient_genus_rejects_a_subgroup_of_another_group():
+    act, H = _act_and_foreign_subgroup()
+    with pytest.raises(ParameterError):
+        quotient_genus(act, H)
+
+
+def test_quotient_signature_rejects_a_subgroup_of_another_group():
+    act, H = _act_and_foreign_subgroup()
+    with pytest.raises(ParameterError):
+        quotient_signature(act, H)

@@ -4,12 +4,7 @@ import itertools
 
 import pytest
 
-from dicyclic_dessins.covering import (
-    OrbifoldSignature,
-    fixed_point_count,
-    is_purely_non_free,
-    rh_genus,
-)
+from dicyclic_dessins.covering import fixed_point_count, is_purely_non_free
 from dicyclic_dessins.errors import InadmissibleSignatureError, SearchExhaustedError
 from dicyclic_dessins.genus import (
     TORUS_SIGNATURES,
@@ -20,11 +15,11 @@ from dicyclic_dessins.genus import (
     torus_exclusion_report,
 )
 from dicyclic_dessins.group import DicyclicGroup
-from dicyclic_dessins.search import order_pool, quotient_signatures
+from dicyclic_dessins.search import Signature, order_pool, quotient_signatures, rh_genus
 
 
 def orientable_genus(n: int, gamma: int, orders: tuple[int, ...]) -> int:
-    return rh_genus(4 * n, OrbifoldSignature(gamma, orders))
+    return rh_genus(4 * n, Signature(2, gamma, orders))
 
 
 def bounded_signatures(n: int, genus, gamma_max: int, r_max: int):
@@ -44,8 +39,8 @@ def bounded_signatures(n: int, genus, gamma_max: int, r_max: int):
 
 def listed_signatures(n: int, handle: int, genera):
     """quotient_signatures over the genera, as (g, gamma, orders)."""
-    return [(g, gamma, orders) for g in genera
-            for gamma, orders in quotient_signatures(n, g, handle)]
+    return [(g, sig.gamma, sig.cone_orders) for g in genera
+            for sig in quotient_signatures(n, g, handle)]
 
 
 def test_signature_candidates_are_rh_exact():
@@ -61,9 +56,10 @@ def test_signature_candidates_are_rh_exact():
 
 def test_genus_one_signatures_are_the_flat_ones():
     for n in range(2, 13):
-        flat = [(sig.quotient_genus, sig.cone_orders) for sig in TORUS_SIGNATURES
+        flat = [sig for sig in TORUS_SIGNATURES
                 if set(sig.cone_orders) <= set(order_pool(n))]
-        assert quotient_signatures(n, 1, 2) == sorted(flat), n
+        flat.sort(key=lambda sig: (sig.gamma, sig.cone_orders))
+        assert quotient_signatures(n, 1, 2) == flat, n
 
 
 def test_strong_symmetric_genus_values():
@@ -95,8 +91,8 @@ def pure_symmetric_genus_oracle(n: int, g_max: int):
     signature becomes a GeneratingVector tested by is_purely_non_free."""
     group = DicyclicGroup(n)
     for g in range(2, g_max + 1):
-        for gamma, orders in quotient_signatures(n, g, 2):
-            for vector in generating_vectors(group, OrbifoldSignature(gamma, orders)):
+        for sig in quotient_signatures(n, g, 2):
+            for vector in generating_vectors(group, sig):
                 if is_purely_non_free(vector)[0]:
                     return g, vector
     raise SearchExhaustedError(f"no purely-non-free action of G_{n} up to {g_max}")

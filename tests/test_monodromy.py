@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dicyclic_dessins.covering import census_representative, rh_genus
+from dicyclic_dessins.covering import census_representative
+from dicyclic_dessins.search import rh_genus
 from dicyclic_dessins.monodromy import (
     Permutation,
     build_remark_permutations,

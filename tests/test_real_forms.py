@@ -1,26 +1,17 @@
 """Tests for the anticonformal action data and minimal hyperbolic genus."""
 
-import itertools
-from fractions import Fraction
-
 import pytest
 
-from dicyclic_dessins.errors import (
-    ConstructionError,
-    InadmissibleSignatureError,
-    ParameterError,
-)
+from dicyclic_dessins.errors import InadmissibleSignatureError, ParameterError
 from dicyclic_dessins.group import DicyclicGroup
 from dicyclic_dessins.real_forms import (
     NECActionData,
-    NECSignature,
     admissible_homomorphisms,
     build_pseudo_real,
-    nec_genus,
     sigma_hyp,
 )
-from dicyclic_dessins.search import order_pool, quotient_signatures
-from test_covering import outcome
+from dicyclic_dessins.search import Signature, quotient_signatures, rh_genus
+from test_covering import check_rh_genus_against_oracle
 from test_genus import bounded_signatures, listed_signatures
 
 
@@ -28,45 +19,19 @@ from test_genus import bounded_signatures, listed_signatures
 
 
 def test_nec_genus_formula():
-    # g = 1 + 2n (gamma + r - 1 - sum 1/m)
-    assert nec_genus(2, NECSignature(0, (4, 4))) == 3
-    assert nec_genus(3, NECSignature(0, (3, 6))) == 4
-    assert nec_genus(4, NECSignature(0, (4, 4))) == 5
+    # handle 1: g = 1 + 2n (gamma + r - 1 - sum 1/m)
+    assert rh_genus(8, Signature(1, 0, (4, 4))) == 3
+    assert rh_genus(12, Signature(1, 0, (3, 6))) == 4
+    assert rh_genus(16, Signature(1, 0, (4, 4))) == 5
 
 
 def test_nec_genus_rejects_non_integral():
     with pytest.raises(InadmissibleSignatureError):
-        nec_genus(3, NECSignature(0, (4,)))
-
-
-def nec_genus_oracle(n: int, sig: NECSignature) -> int:
-    """g = 1 + 2n (gamma + r - 1 - sum 1/m) in Fractions."""
-    total = Fraction(sig.gamma + sig.r - 1)
-    for m in sig.cone_orders:
-        total -= Fraction(1, m)
-    g = 1 + 2 * n * total
-    if g.denominator != 1 or g < 0:
-        raise InadmissibleSignatureError(
-            f"signature {sig} gives genus {g} for n={n}"
-        )
-    return int(g)
+        rh_genus(12, Signature(1, 0, (4,)))
 
 
 def test_nec_genus_matches_fraction_oracle():
-    for n in range(2, 13):
-        for gamma in range(3):
-            for r in range(5):
-                for orders in itertools.combinations_with_replacement(order_pool(n), r):
-                    sig = NECSignature(gamma, orders)
-                    expected = outcome(nec_genus_oracle, n, sig)
-                    assert outcome(nec_genus, n, sig) == expected, (n, sig)
-
-
-def test_nec_signature_validation():
-    with pytest.raises(InadmissibleSignatureError):
-        NECSignature(-1, ())
-    with pytest.raises(InadmissibleSignatureError):
-        NECSignature(0, (1,))
+    check_rh_genus_against_oracle(1)
 
 
 # -- action data --------------------------------------------------------
@@ -78,7 +43,7 @@ def test_action_data_requires_index_two_plus_part():
         NECActionData(
             G,
             G.cyclic(G.element(2)),  # order 2, index 4
-            NECSignature(0, (4, 4)),
+            Signature(1, 0, (4, 4)),
             alpha_images=(G.x,),
             beta_images=(G.y, G.y),
         )
@@ -98,7 +63,7 @@ def test_action_data_accepts_known_witness():
     G = DicyclicGroup(2)
     H = G.subgroup_generated([G.element(2), G.y])
     datum = NECActionData(
-        G, H, NECSignature(0, (4, 4)),
+        G, H, Signature(1, 0, (4, 4)),
         alpha_images=(G.x,), beta_images=(G.y, G.y),
     )
     assert datum.genus() == 3
@@ -111,7 +76,7 @@ def test_action_data_rejects_non_generating_images():
     G = DicyclicGroup(4)
     H = G.subgroup_generated([G.element(2), G.y])
     with pytest.raises(ParameterError) as info:
-        NECActionData(G, H, NECSignature(0, (4,)),
+        NECActionData(G, H, Signature(1, 0, (4,)),
                       alpha_images=(G.x,), beta_images=(G.element(6),))
     assert str(info.value).split("; ") == [
         "images do not generate the group",
@@ -119,11 +84,22 @@ def test_action_data_rejects_non_generating_images():
     ]
 
 
+def test_action_data_rejects_a_failing_long_relation():
+    # n=2, plus part <x^2, y>: alpha -> x and betas -> (y, x^2 y) meet every
+    # other condition, but x^2 * y * x^2 y = x^2
+    G = DicyclicGroup(2)
+    H = G.subgroup_generated([G.element(2), G.y])
+    with pytest.raises(ParameterError) as info:
+        NECActionData(G, H, Signature(1, 0, (4, 4)),
+                      alpha_images=(G.x,), beta_images=(G.y, G.element(2, 1)))
+    assert str(info.value) == "long relation fails"
+
+
 def test_alpha_squares_alone_can_miss_the_plus_part():
     # n=2, two crosscaps, alpha -> (y, xy): the plus part <x> needs the
     # mixed product y * xy = x, since both squares are x^2
     G = DicyclicGroup(2)
-    datum = NECActionData(G, G.cyclic(G.x), NECSignature(1, ()),
+    datum = NECActionData(G, G.cyclic(G.x), Signature(1, 1, ()),
                           alpha_images=(G.y, G.x * G.y), beta_images=())
     plus_image = G._closure_indices(datum._plus_generators())
     assert plus_image == frozenset(range(0, G.order, 2))  # <x>, the even indices
@@ -135,8 +111,17 @@ def test_admissible_homomorphisms_empty_below_minimum():
     # order 4 at n=2 on a projective plane minus discs analogue
     G = DicyclicGroup(3)
     H = G.cyclic(G.x)
-    found = admissible_homomorphisms(G, H, NECSignature(0, (2, 2)), limit=1)
+    found = admissible_homomorphisms(G, H, Signature(1, 0, (2, 2)), limit=1)
     assert found == []
+
+
+def test_admissible_homomorphisms_rejects_a_subgroup_of_another_group():
+    # <x^2> of G_6 has order 6, index two in the order of G_3, but is no
+    # subgroup of G_3
+    G6 = DicyclicGroup(6)
+    H = G6.cyclic(G6.element(2))
+    with pytest.raises(ParameterError):
+        admissible_homomorphisms(DicyclicGroup(3), H, Signature(1, 0, (3, 6)))
 
 
 # -- minimal hyperbolic genus ------------------------------------------
@@ -169,13 +154,13 @@ def test_sigma_hyp_even_witness_family():
 
 
 def non_orientable_genus(n: int, gamma: int, orders: tuple[int, ...]) -> int:
-    return nec_genus(n, NECSignature(gamma, orders))
+    return rh_genus(4 * n, Signature(1, gamma, orders))
 
 
 def bounded_nec_signatures(n):
     """(g, sig) for every signature within the default bounds gamma <= 1,
     r <= 3 of genus >= 2, sorted."""
-    return [(g, NECSignature(gamma, orders))
+    return [(g, Signature(1, gamma, orders))
             for g, gamma, orders in bounded_signatures(n, non_orientable_genus, 1, 3)
             if g >= 2]
 
@@ -232,8 +217,8 @@ def test_sigma_hyp_bounds_are_complete():
     # gamma <= 1, r <= 3, which sigma_hyp relies on.
     for n in range(2, 41):
         for g in range(2, 2 * n):
-            assert all(gamma <= 1 and len(orders) <= 3
-                       for gamma, orders in quotient_signatures(n, g, 1)), (n, g)
+            assert all(sig.gamma <= 1 and len(sig.cone_orders) <= 3
+                       for sig in quotient_signatures(n, g, 1)), (n, g)
 
 
 def test_sigma_hyp_rejects_too_small_bounds():

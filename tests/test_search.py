@@ -1,15 +1,40 @@
-"""Tests for the closed-form words and the vector search of `search.py`.
+"""Tests for the quotient layer of `search.py`: signatures, the closed-form
+words, the long relation and the vector search.
 
 The oracles are the loops over the multiplication table that the
-search ran before its products became closed form.
+search ran before its products became closed form, and the element
+products that the validators ran before they checked the long relation
+on indices.
 """
 
 import itertools
 
+import pytest
 from hypothesis import given, strategies as st
 
+from dicyclic_dessins.errors import InadmissibleSignatureError
 from dicyclic_dessins.group import DicyclicGroup
-from dicyclic_dessins.search import commutators, order_pool, squares, vectors
+from dicyclic_dessins.search import (
+    Signature,
+    commutators,
+    cone_pools,
+    order_pool,
+    relation_holds,
+    squares,
+    vectors,
+)
+
+
+def test_signature_validation():
+    for handle in (1, 2):
+        assert Signature(handle, 0, [2, 3]).cone_orders == (2, 3)
+        with pytest.raises(InadmissibleSignatureError):
+            Signature(handle, -1, ())
+        with pytest.raises(InadmissibleSignatureError):
+            Signature(handle, 0, (1,))
+    for handle in (0, 3):
+        with pytest.raises(InadmissibleSignatureError):
+            Signature(handle, 0, ())
 
 
 def commutators_oracle(G, hyper):
@@ -74,9 +99,39 @@ def test_words_match_the_table_on_drawn_tuples(data):
     assert commutators(G, pairs) == commutators_oracle(G, pairs)
 
 
-def _order_pools(G, orders, within=None):
-    members = range(G.order) if within is None else sorted(within)
-    return [[i for i in members if G.order_table[i] == m] for m in orders]
+def relation_oracle(G, word, hyper, cones):
+    """word(hyper) * c_1 ... c_r == 1 in `GroupElement` arithmetic."""
+    prod = G.identity
+    elements = [G.element_at(i) for i in hyper]
+    if word is commutators:
+        for a, b in zip(elements[::2], elements[1::2]):
+            prod = prod * a * b * a.inverse() * b.inverse()
+    else:
+        for a in elements:
+            prod = prod * a * a
+    for c in cones:
+        prod = prod * G.element_at(c)
+    return prod.is_identity()
+
+
+@given(st.data())
+def test_relation_holds_matches_element_arithmetic(data):
+    n = data.draw(st.integers(2, 12))
+    G = DicyclicGroup(n)
+    index = st.integers(0, G.order - 1)
+    word = data.draw(st.sampled_from([commutators, squares]))
+    hyper = tuple(data.draw(st.lists(index, max_size=4)))
+    if word is commutators:
+        hyper = hyper[: len(hyper) // 2 * 2]
+    head = tuple(data.draw(st.lists(index, max_size=3)))
+    # close the relation half of the time, so both outcomes are drawn
+    if data.draw(st.booleans()):
+        total = word(G, hyper)
+        for c in head:
+            total = G.mul(total, c)
+        head += (G.inverse_table[total],)
+    expected = relation_oracle(G, word, hyper, head)
+    assert relation_holds(G, word, hyper, head) == expected
 
 
 def test_vectors_match_the_table_search_on_triangular_triples():
@@ -93,7 +148,7 @@ def test_vectors_match_the_table_search_on_genus_one_quotients():
         hyper_pools = [range(G.order)] * 2
         hits = 0
         for m in order_pool(n):
-            pools = _order_pools(G, (m,))
+            pools = cone_pools(G, (m,))
             found = list(vectors(G, hyper_pools, commutators, pools))
             assert found == vectors_oracle(
                 G, hyper_pools, commutators_oracle, pools), (n, m)
@@ -113,7 +168,7 @@ def test_vectors_match_the_table_search_on_square_words():
             for m in order_pool(n):
                 for alphas, orders in ((1, (m, m)), (2, (m,))):
                     alpha_pools = [outside] * alphas
-                    pools = _order_pools(G, orders, H.members)
+                    pools = cone_pools(G, orders, H.members)
                     found = list(vectors(G, alpha_pools, squares, pools))
                     assert found == vectors_oracle(
                         G, alpha_pools, squares_oracle, pools), (n, H, orders)
