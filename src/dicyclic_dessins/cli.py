@@ -60,7 +60,8 @@ def census_report(n: int) -> Report:
                 "pairs": e.pair_count,
                 "conjugacy_orbits": e.conjugacy_orbits,
                 "automorphism_orbits": e.automorphism_orbits,
-                "representative": [repr(c) for c in e.representative.cone_images],
+                "representative": [repr(e.representative.group.element_at(c))
+                                   for c in e.representative.cone_images],
             }
             for e in result.entries
         ],
@@ -160,6 +161,7 @@ def hyper_report(n: int, gamma_max: int, r_max: int) -> Report:
         "hyper", {"n": n, "gamma_max": gamma_max, "r_max": r_max}
     )
     g, witness = real_forms.sigma_hyp(n, gamma_max, r_max)
+    element = witness.group.element_at
     expected = n + 1 if n % 2 == 0 else 2 * n - 2
     anchor = (
         "sigma^hyp(G_n) = n+1 for n even" if n % 2 == 0
@@ -172,8 +174,8 @@ def hyper_report(n: int, gamma_max: int, r_max: int) -> Report:
             "signature": {"gamma": witness.sig.gamma,
                           "cone_orders": list(witness.sig.cone_orders)},
             "plus_part": repr(witness.plus_part),
-            "alpha_images": [repr(a) for a in witness.alpha_images],
-            "beta_images": [repr(b) for b in witness.beta_images],
+            "alpha_images": [repr(element(a)) for a in witness.alpha_images],
+            "beta_images": [repr(element(b)) for b in witness.beta_images],
             "scope": "reflection-free non-orientable quotients "
                      "(the induced involution is fixed-point free)",
         },
@@ -315,7 +317,8 @@ def genus_report(n: int, mode: str, g_max: int) -> Report:
                 "gamma": witness.quotient_genus,
                 "cone_orders": list(witness.signature.cone_orders),
             },
-            "cone_images": [repr(c) for c in witness.cone_images],
+            "cone_images": [repr(witness.group.element_at(c))
+                            for c in witness.cone_images],
         },
     )
     return report
@@ -363,12 +366,9 @@ def _per_n_report(n: int, seed: int, heavy: bool) -> Report:
     )
 
     act1 = covering.census_representative(n, "I")
-    fps = {
-        "x": covering.fixed_point_count(act1, group.x),
-        "x^n": covering.fixed_point_count(act1, group.element(n)),
-        "y": covering.fixed_point_count(act1, group.y),
-        "xy": covering.fixed_point_count(act1, group.x * group.y),
-    }
+    # x^a y^b has index 2a + b
+    indices = {"x": 2, "x^n": 2 * n, "y": 1, "xy": 3}
+    fps = {name: covering.fixed_point_count(act1, i) for name, i in indices.items()}
     report.add(
         "case_I_fixed_points",
         "fixed points of (x, x^n, y, xy) = (2, 2+2n, 2, 2)",
@@ -377,25 +377,23 @@ def _per_n_report(n: int, seed: int, heavy: bool) -> Report:
     )
     pnf, free = covering.is_purely_non_free(act1)
     report.add("case_I_purely_non_free", "the genus-n action is purely non-free",
-               pnf, {"free_elements": [repr(g) for g in free]})
+               pnf, {"free_elements": [repr(group.element_at(i)) for i in free]})
     actions = [act1]
     if n % 2 == 1:
         act2 = covering.census_representative(n, "II")
         actions.append(act2)
         _, free2 = covering.is_purely_non_free(act2)
-        expected_free = sorted(
-            group.element(k) for k in range(1, 2 * n, 2) if k != n
-        )
+        expected_free = [2 * k for k in range(1, 2 * n, 2) if k != n]
         report.add(
             "case_II_free_elements",
             "exactly the odd powers of x other than x^n act freely",
-            sorted(free2) == expected_free,
-            {"free_elements": [repr(g) for g in sorted(free2)]},
+            free2 == expected_free,
+            {"free_elements": [repr(group.element_at(i)) for i in free2]},
         )
     # The stated claim fails for every n that is not a power of two: some
     # odd-order subgroups of <x> have quotients of positive genus.  The
     # refined claim keeps only the subgroups holding the involution x^n.
-    involution = group.element(n)
+    involution = 2 * n  # the index of x^n
     counterexamples, involution_counterexamples = [], []
     for case_name, act in zip(("I", "II"), actions):
         for H in group.subgroups:
@@ -409,7 +407,7 @@ def _per_n_report(n: int, seed: int, heavy: bool) -> Report:
                     "order": H.order,
                     "quotient_genus": qg,
                 })
-                if involution in H:
+                if involution in H.members:
                     involution_counterexamples.append(counterexamples[-1])
     report.add(
         "quotient_genera",
@@ -423,7 +421,8 @@ def _per_n_report(n: int, seed: int, heavy: bool) -> Report:
         "involution_quotient_genera",
         "S/H has genus zero for every H containing x^n",
         not involution_counterexamples,
-        {"subgroups_checked": sum(1 for H in group.subgroups if involution in H),
+        {"subgroups_checked": sum(1 for H in group.subgroups
+                                  if involution in H.members),
          "actions_checked": len(actions),
          "counterexamples": involution_counterexamples},
     )

@@ -9,9 +9,10 @@ conjugacy classes, genera and signatures of intermediate
 quotients, and the full census of triangular actions of a dicyclic
 group.  It owns `index_vectors`, the orientable enumerator over the
 vector search of `search.py` that the census representatives and the
-genus searches share.  Validation, fixed points, free classes, coset
-cycles and the census run on element indices; `GroupElement` values
-appear only in the actions and in the results.
+genus searches share.  Every element here is an index 2a + b: the
+images of an action, the argument of `fixed_point_count`, the free
+elements and the coset cycles; the command-line reports convert them
+to `GroupElement` values.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable
 
 from . import search
 from .errors import ConstructionError, InadmissibleSignatureError, ParameterError
-from .group import DicyclicGroup, GroupElement, Subgroup
+from .group import DicyclicGroup, Subgroup
 
 
 @dataclass
@@ -32,16 +33,16 @@ class GeneratingVector:
 
     hyperbolic_images holds the 2*gamma' images (a1, b1, ..., ag, bg) of
     the handle generators; cone_images the elliptic images, whose exact
-    orders are the cone orders (torsion-free kernel).  A triangular
-    action is the case gamma' = 0 with three cone images (c1, c2, c3):
-    c1 c2 c3 = 1, so <c1, c2> = <c1, c2, c3> is the whole group, and the
-    quotient is the sphere with three cone points.
+    orders are the cone orders (torsion-free kernel).  Both hold element
+    indices.  A triangular action is the case gamma' = 0 with three cone
+    images (c1, c2, c3): c1 c2 c3 = 1, so <c1, c2> = <c1, c2, c3> is the
+    whole group, and the quotient is the sphere with three cone points.
     """
 
     group: DicyclicGroup
     quotient_genus: int
-    hyperbolic_images: tuple[GroupElement, ...]
-    cone_images: tuple[GroupElement, ...]
+    hyperbolic_images: tuple[int, ...]
+    cone_images: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.hyperbolic_images) != 2 * self.quotient_genus:
@@ -49,20 +50,20 @@ class GeneratingVector:
                 f"need {2 * self.quotient_genus} hyperbolic images, "
                 f"got {len(self.hyperbolic_images)}"
             )
-        group = self.group
-        hyper = tuple(map(group.index_of, self.hyperbolic_images))
-        cones = tuple(map(group.index_of, self.cone_images))
+        group, hyper, cones = self.group, self.hyperbolic_images, self.cone_images
+        group.check_indices((*hyper, *cones))
         if 0 in cones:
             raise ParameterError("cone images must be nontrivial")
         if not search.relation_holds(group, search.commutators, hyper, cones):
             raise ParameterError("long relation fails for these images")
-        if len(group._closure_indices(hyper + cones)) != group.order:
+        if len(group._closure_indices((*hyper, *cones))) != group.order:
             raise ParameterError("images do not generate the group")
 
     @cached_property
     def signature(self) -> search.Signature:
+        table = self.group.order_table
         return search.Signature(
-            2, self.quotient_genus, tuple(c.order() for c in self.cone_images)
+            2, self.quotient_genus, tuple(table[c] for c in self.cone_images)
         )
 
     def genus(self) -> int:
@@ -72,23 +73,23 @@ class GeneratingVector:
 # -- fixed points ------------------------------------------------------
 
 
-def fixed_point_count(act: GeneratingVector, g: GroupElement) -> int:
-    """Number of fixed points of g on the covering surface.
+def fixed_point_count(act: GeneratingVector, g: int) -> int:
+    """Number of fixed points on the covering surface of the element g (an index).
 
     The class function fix(g) = sum_i |C_G(g)| |cl(g) meet <c_i>| / m_i:
     g fixes a point over the i-th cone point for each coset h<c_i> with
     h^-1 g h in <c_i>, and every conjugate of g is h^-1 g h for exactly
     |C_G(g)| = |G| / |cl(g)| elements h.
     """
-    if g.is_identity():
-        raise ParameterError("the identity fixes every point")
     group = act.group
-    i = group.index_of(g)
-    cls = next(cls for cls in group.conjugacy_classes if i in cls)
+    group.check_indices((g,))
+    if g == 0:
+        raise ParameterError("the identity fixes every point")
+    cls = next(cls for cls in group.conjugacy_classes if g in cls)
     centraliser = group.order // len(cls)
     total = 0
     for c in act.cone_images:
-        cyc = group._closure_indices((group.index_of(c),))
+        cyc = group._closure_indices((c,))
         total += centraliser * len(cls & cyc) // len(cyc)
     return total
 
@@ -103,22 +104,20 @@ def free_classes(group: DicyclicGroup, cones: Iterable[int]) -> list[frozenset[i
     return [cls for cls in group.conjugacy_classes if cls.isdisjoint(non_free)]
 
 
-def free_elements(act: GeneratingVector) -> list[GroupElement]:
-    """Nontrivial elements acting without fixed points, sorted.
+def free_elements(act: GeneratingVector) -> list[int]:
+    """Indices of the nontrivial elements acting without fixed points, sorted.
 
     The members of the `free_classes`; `fixed_point_count` is zero on
     exactly these elements.
     """
-    group = act.group
-    free = free_classes(group, map(group.index_of, act.cone_images))
-    return [group.element_at(i) for i in sorted(i for cls in free for i in cls)]
+    return sorted(i for cls in free_classes(act.group, act.cone_images) for i in cls)
 
 
-def is_purely_non_free(act: GeneratingVector) -> tuple[bool, list[GroupElement]]:
+def is_purely_non_free(act: GeneratingVector) -> tuple[bool, list[int]]:
     """True iff every nontrivial element has a fixed point.
 
-    Returns the witness list of freely acting elements (empty when the
-    action is purely non-free).
+    Returns the witness list of freely acting element indices (empty
+    when the action is purely non-free).
     """
     witnesses = free_elements(act)
     return (len(witnesses) == 0, witnesses)
@@ -127,8 +126,9 @@ def is_purely_non_free(act: GeneratingVector) -> tuple[bool, list[GroupElement]]
 # -- intermediate quotients --------------------------------------------
 
 
-def _coset_cycles(group: DicyclicGroup, H: Subgroup, c: GroupElement) -> list[int]:
-    """Cycle lengths of left multiplication by c on the cosets G/H.
+def _coset_cycles(group: DicyclicGroup, H: Subgroup, c: int) -> list[int]:
+    """Cycle lengths of left multiplication by the element of index c on
+    the cosets G/H.
 
     One pass in index order names each coset gH by its least index, the
     first member the pass meets; the cycles start from those names in
@@ -141,7 +141,6 @@ def _coset_cycles(group: DicyclicGroup, H: Subgroup, c: GroupElement) -> list[in
             reps.append(g)
             for h in H.members:
                 rep_of[group.mul(g, h)] = g
-    ci = group.index_of(c)
     lengths = []
     seen = set()
     for start in reps:
@@ -151,7 +150,7 @@ def _coset_cycles(group: DicyclicGroup, H: Subgroup, c: GroupElement) -> list[in
         while cur not in seen:
             seen.add(cur)
             length += 1
-            cur = rep_of[group.mul(ci, cur)]
+            cur = rep_of[group.mul(c, cur)]
         lengths.append(length)
     return lengths
 
@@ -183,7 +182,7 @@ def quotient_signature(act: GeneratingVector, H: Subgroup) -> search.Signature:
     group, genus = act.group, quotient_genus(act, H)
     orders = []
     for c in act.cone_images:
-        m = c.order()
+        m = group.order_table[c]
         for length in _coset_cycles(group, H, c):
             if m % length != 0:
                 raise InadmissibleSignatureError(
@@ -311,7 +310,7 @@ def _least_vector(group: DicyclicGroup, signature: tuple[int, ...]) -> Generatin
     found = next(index_vectors(group, search.Signature(2, 0, signature)), None)
     if found is None:
         raise ParameterError(f"no action of signature {signature} for n={group.n}")
-    return GeneratingVector(group, 0, (), tuple(map(group.element_at, found[1])))
+    return GeneratingVector(group, 0, (), found[1])
 
 
 def census_representative(n: int, case: str) -> GeneratingVector:

@@ -33,17 +33,10 @@ TORUS_SIGNATURES = (
 )
 
 
-def _generating_vector(group: DicyclicGroup, sig: Signature,
-                       hyper: tuple[int, ...], cones: tuple[int, ...]) -> GeneratingVector:
-    return GeneratingVector(group, sig.gamma,
-                            tuple(map(group.element_at, hyper)),
-                            tuple(map(group.element_at, cones)))
-
-
 def generating_vectors(group: DicyclicGroup, sig: Signature):
     """Every generating vector with this signature, in index order."""
     for hyper, cones in index_vectors(group, sig):
-        yield _generating_vector(group, sig, hyper, cones)
+        yield GeneratingVector(group, sig.gamma, hyper, cones)
 
 
 def exists_generating_vector(
@@ -81,7 +74,7 @@ def pure_symmetric_genus(n: int, g_max: int) -> tuple[int, GeneratingVector]:
         for sig in search.quotient_signatures(n, g, 2):
             for hyper, cones in index_vectors(group, sig):
                 if not free_classes(group, cones):
-                    return g, _generating_vector(group, sig, hyper, cones)
+                    return g, GeneratingVector(group, sig.gamma, hyper, cones)
     raise SearchExhaustedError(
         f"no purely-non-free action of G_{n} found up to genus {g_max}"
     )

@@ -91,13 +91,18 @@ class Subgroup:
     """A subgroup given by its member index set plus the generators it came from.
 
     Equality and hashing see (n, members) only, so a subgroup equals its
-    lattice entry whichever generators named it.  `g in H` takes a
-    `GroupElement`; `H.members` holds indices 2a + b.
+    lattice entry whichever generators named it.  `H.members` and
+    `generator_indices` hold indices 2a + b; `g in H` and `generators`
+    are the `GroupElement` edge for callers and reports.
     """
 
     n: int
     members: IndexSubgroup
-    generators: tuple[GroupElement, ...] = field(compare=False)
+    generator_indices: tuple[int, ...] = field(compare=False)
+
+    @property
+    def generators(self) -> tuple[GroupElement, ...]:
+        return tuple(GroupElement(self.n, *divmod(i, 2)) for i in self.generator_indices)
 
     @property
     def order(self) -> int:
@@ -166,10 +171,10 @@ class IndexSubgroup(Set):
 class DicyclicGroup:
     """The dicyclic group of order 4n, with enumeration helpers.
 
-    Elements are also addressable by an integer index (2a + b), used
-    by the enumeration cores: `mul`, the inverse and order tables, the
-    closures, the subgroup member sets and the conjugacy classes are
-    indices, the rest of the public surface GroupElement values.
+    Elements are also addressable by an integer index (2a + b), the one
+    element representation of the layers above: `mul`, the tables, the
+    closures, the subgroups and the conjugacy classes are indices, and
+    GroupElement values only the input and output edge.
 
     The constructor keeps exactly one group: it returns the last group
     it built when n matches, and otherwise builds a new one and holds
@@ -237,6 +242,12 @@ class DicyclicGroup:
     def element_at(self, i: int) -> GroupElement:
         return GroupElement(self.n, i // 2, i % 2)
 
+    def check_indices(self, indices: Iterable[object]) -> None:
+        """Raise ParameterError unless every entry is an int in range(4n)."""
+        for i in indices:
+            if not (isinstance(i, int) and 0 <= i < self.order):
+                raise ParameterError(f"{i!r} is not an element index of G_{self.n}")
+
     def mul(self, i: int, j: int) -> int:
         """Index of the product of elements i and j: i + j for even i and
         i - j + 2n (j mod 2) for odd i, mod 4n, since x^a y^b * x^c y^d =
@@ -285,9 +296,11 @@ class DicyclicGroup:
             d = gcd(d, a - s if b else a)
         return IndexSubgroup(self.order, d, s)
 
+    def _subgroup(self, gen_indices: tuple[int, ...]) -> Subgroup:
+        return Subgroup(self.n, self._closure_indices(gen_indices), gen_indices)
+
     def subgroup_generated(self, generators: Iterable[GroupElement]) -> Subgroup:
-        gens = tuple(generators)
-        return Subgroup(self.n, self._closure_indices(map(self.index_of, gens)), gens)
+        return self._subgroup(tuple(map(self.index_of, generators)))
 
     def cyclic(self, e: GroupElement) -> Subgroup:
         return self.subgroup_generated([e])
@@ -310,8 +323,7 @@ class DicyclicGroup:
         for members in member_sets:
             pairs = itertools.combinations_with_replacement(sorted(members), 2)
             gens = next(p for p in pairs if self._closure_indices(p) == members)
-            result.append(Subgroup(self.n, members,
-                                   tuple(map(self.element_at, dict.fromkeys(gens)))))
+            result.append(Subgroup(self.n, members, tuple(dict.fromkeys(gens))))
         result.sort(key=lambda H: (H.order, sorted(H.members)))
         return tuple(result)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError
@@ -66,11 +67,13 @@ class Permutation:
         return Permutation(tuple(images))
 
     def __pow__(self, k: int) -> "Permutation":
-        result = Permutation.identity(self.degree)
-        base = self if k >= 0 else self.inverse()
-        for _ in range(abs(k)):
-            result = base * result
-        return result
+        """p^k in O(degree): each point moves k steps along its cycle."""
+        images = [0] * self.degree
+        for cycle in self.cycles(include_fixed=True):
+            length = len(cycle)
+            for pos, point in enumerate(cycle):
+                images[point - 1] = cycle[(pos + k) % length]
+        return Permutation(tuple(images))
 
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))
@@ -96,12 +99,7 @@ class Permutation:
         return tuple(sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True))
 
     def order(self) -> int:
-        p = self
-        k = 1
-        while not p.is_identity():
-            p = p * self
-            k += 1
-        return k
+        return lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
     def __repr__(self) -> str:
         cyc = self.cycles()
@@ -205,15 +203,16 @@ class DessinMonodromy:
         return (self.white * self.black).inverse()
 
     def is_transitive(self) -> bool:
+        moves = [self.white, self.black, self.white.inverse(), self.black.inverse()]
         reached = {1}
         frontier = [1]
         while frontier:
             e = frontier.pop()
-            for p in (self.white, self.black):
-                for q in (p(e), p.inverse()(e)):
-                    if q not in reached:
-                        reached.add(q)
-                        frontier.append(q)
+            for p in moves:
+                q = p(e)
+                if q not in reached:
+                    reached.add(q)
+                    frontier.append(q)
         return len(reached) == self.edge_count
 
     def monodromy_group_order(self) -> int:
@@ -269,18 +268,16 @@ class DessinMonodromy:
 def regular_dessin(act: GeneratingVector) -> DessinMonodromy:
     """The regular dessin of a triangular action, on |G| edges.
 
-    Edges are the group elements (in sorted order, 1-based); white and
-    black are left multiplication by the first two triple entries, so
-    transitivity and |Aut| = |G| hold by construction and are verified
-    by the tests rather than assumed.
+    Edge i + 1 is the element of index i; white and black are left
+    multiplication by the first two triple entries, so transitivity and
+    |Aut| = |G| hold by construction and are verified by the tests
+    rather than assumed.
     """
     group = act.group
-    els = sorted(group.elements)
-    position = {e: i + 1 for i, e in enumerate(els)}
     c1, c2, _ = act.cone_images
 
-    def left_mult(g) -> Permutation:
-        return Permutation(tuple(position[g * e] for e in els))
+    def left_mult(c: int) -> Permutation:
+        return Permutation(tuple(group.mul(c, i) + 1 for i in range(group.order)))
 
     return DessinMonodromy(
         edge_count=group.order, white=left_mult(c1), black=left_mult(c2)

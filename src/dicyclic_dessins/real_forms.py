@@ -15,8 +15,9 @@ search: the quotient signatures of each genus are `search.Signature`
 values with handle 1 from inverting the Riemann-Hurwitz formula
 (`search.quotient_signatures`), their genus is `search.rh_genus`, and
 their images come from the vector engine of `search.py`, all shared
-with the orientable layers.  It also builds the pseudo-real family with
-all of its computable properties.
+with the orientable layers.  Images are element indices 2a + b, as in
+`covering.py`.  It also builds the pseudo-real family with all of its
+computable properties.
 """
 
 from __future__ import annotations
@@ -26,60 +27,61 @@ from dataclasses import dataclass
 
 from . import search
 from .errors import ConstructionError, ParameterError, SearchExhaustedError
-from .group import DicyclicGroup, GroupElement, Subgroup
+from .group import DicyclicGroup, Subgroup
 from .search import Signature, rh_genus
 
 
 @dataclass
 class NECActionData:
-    """A conformal/anticonformal dicyclic action, as a finite datum."""
+    """A conformal/anticonformal dicyclic action, as a finite datum; the
+    glide-reflection and elliptic images are element indices."""
 
     group: DicyclicGroup
     plus_part: Subgroup
     sig: Signature
-    alpha_images: tuple[GroupElement, ...]
-    beta_images: tuple[GroupElement, ...]
+    alpha_images: tuple[int, ...]
+    beta_images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        self.group.check_indices((*self.alpha_images, *self.beta_images))
         problems = self.violations()
         if problems:
             raise ParameterError("; ".join(problems))
 
     def violations(self) -> list[str]:
-        group, H = self.group, self.plus_part
+        group, members = self.group, self.plus_part.members
+        orders = group.order_table
         out = []
-        if H.index_in(group) != 2:
+        if self.plus_part.index_in(group) != 2:
             out.append("plus part is not an index-two subgroup")
         if len(self.alpha_images) != self.sig.gamma + 1:
             out.append("wrong number of glide-reflection images")
         if len(self.beta_images) != len(self.sig.cone_orders):
             out.append("wrong number of elliptic images")
         for a in self.alpha_images:
-            if a in H:
-                out.append(f"alpha image {a!r} lies in the plus part")
+            if a in members:
+                out.append(f"alpha image {group.element_at(a)!r} lies in the plus part")
         for b, m in zip(self.beta_images, self.sig.cone_orders):
-            if b not in H:
-                out.append(f"beta image {b!r} outside the plus part")
-            if b.order() != m:
-                out.append(f"beta image {b!r} has order {b.order()}, not {m}")
-        alphas = tuple(map(group.index_of, self.alpha_images))
-        betas = tuple(map(group.index_of, self.beta_images))
+            if b not in members:
+                out.append(f"beta image {group.element_at(b)!r} outside the plus part")
+            if orders[b] != m:
+                out.append(f"beta image {group.element_at(b)!r} has order "
+                           f"{orders[b]}, not {m}")
+        alphas, betas = self.alpha_images, self.beta_images
         if not search.relation_holds(group, search.squares, alphas, betas):
             out.append("long relation fails")
-        if len(group._closure_indices(alphas + betas)) != group.order:
+        if len(group._closure_indices((*alphas, *betas))) != group.order:
             out.append("images do not generate the group")
-        if group._closure_indices(self._plus_generators()) != H.members:
+        if group._closure_indices(self._plus_generators()) != members:
             out.append("orientation-preserving images do not fill the plus part")
         return out
 
     def _plus_generators(self) -> list[int]:
-        """Indices of the beta images, the alpha squares, the
-        alpha-conjugates of the betas and the mixed alpha products."""
-        group = self.group
-        mul, inv = group.mul, group.inverse_table
-        alphas = [group.index_of(a) for a in self.alpha_images]
-        betas = [group.index_of(b) for b in self.beta_images]
-        gens = betas + [mul(a, a) for a in alphas]
+        """The beta images, the alpha squares, the alpha-conjugates of the
+        betas and the mixed alpha products."""
+        mul, inv = self.group.mul, self.group.inverse_table
+        alphas, betas = self.alpha_images, self.beta_images
+        gens = [*betas] + [mul(a, a) for a in alphas]
         gens += [mul(mul(a, b), inv[a]) for a in alphas for b in betas]
         gens += [mul(a1, a2) for a1, a2 in itertools.combinations(alphas, 2)]
         return gens or [0]
@@ -110,9 +112,7 @@ def admissible_homomorphisms(
     alpha_pools = [outside] * (sig.gamma + 1)
     for alphas, betas in search.vectors(group, alpha_pools, search.squares, beta_pools):
         try:
-            found.append(NECActionData(group, plus_part, sig,
-                                       tuple(map(group.element_at, alphas)),
-                                       tuple(map(group.element_at, betas))))
+            found.append(NECActionData(group, plus_part, sig, alphas, betas))
         except ParameterError:
             continue
         if limit is not None and len(found) >= limit:
@@ -192,15 +192,10 @@ def build_pseudo_real(n: int, q: int) -> PseudoRealCertificate:
         raise ParameterError(f"need q >= 2, got q={q}")
     l = n * (2 * q - 1)
     group = DicyclicGroup(n)
-    plus_part = group.cyclic(group.x)
+    plus_part = group._subgroup((2,))  # <x>; x has index 2 and y index 1
     sig = Signature(1, 0, (2 * n,) * l)
-    action = NECActionData(
-        group,
-        plus_part,
-        sig,
-        alpha_images=(group.y,),
-        beta_images=(group.x,) * l,
-    )
+    action = NECActionData(group, plus_part, sig,
+                           alpha_images=(1,), beta_images=(2,) * l)
     genus = rh_genus(group.order, sig)
     # Riemann-Hurwitz through S -> S/<x>: degree 2n, genus-zero base,
     # exactly 2l cone points of order 2n.  Over the denominator 2n,
@@ -217,7 +212,7 @@ def build_pseudo_real(n: int, q: int) -> PseudoRealCertificate:
             f"expected {expected}"
         )
     outside_orders = sorted(
-        {g.order() for g in group.elements if g not in plus_part}
+        {group.order_table[i] for i in range(group.order) if i not in plus_part.members}
     )
     if outside_orders != [4]:
         raise ConstructionError(
@@ -225,7 +220,7 @@ def build_pseudo_real(n: int, q: int) -> PseudoRealCertificate:
         )
     report = {
         "unique_involution": "x^n",
-        "involution_inside_plus_part": group.element(n) in plus_part,
+        "involution_inside_plus_part": 2 * n in plus_part.members,
         "orders_outside_plus_part": outside_orders,
         "cone_point_count_on_cyclic_quotient": 2 * l,
         "maximality": "assumed (maximal-signature list; 2l > 6 holds)",

@@ -10,7 +10,8 @@ word(hyper) * c_1 ... c_r = 1 with a product of commutators (orientable)
 or of squares (non-orientable), and the one exhaustive generating-vector
 search.  Both words are sums in the abelian <x>, and the cone products
 follow the closed-form `DicyclicGroup.mul`, so no product table is
-built.  Callers convert indices to `GroupElement` at the edge.
+built.  The actions hold the index tuples as they come; only the
+command-line reports convert them to `GroupElement` values.
 """
 
 from __future__ import annotations

@@ -63,16 +63,16 @@ def test_criterion_03_fixed_points_and_free_sets():
         G = DicyclicGroup(n)
         act = covering.census_representative(n, "I")
         counts = (
-            covering.fixed_point_count(act, G.x),
-            covering.fixed_point_count(act, G.element(n)),
-            covering.fixed_point_count(act, G.y),
-            covering.fixed_point_count(act, G.x * G.y),
+            covering.fixed_point_count(act, G.index_of(G.x)),
+            covering.fixed_point_count(act, G.index_of(G.element(n))),
+            covering.fixed_point_count(act, G.index_of(G.y)),
+            covering.fixed_point_count(act, G.index_of(G.x * G.y)),
         )
         ok = ok and counts == (2, 2 + 2 * n, 2, 2)
         if n % 2 == 1:
             act2 = covering.census_representative(n, "II")
             expected = sorted(
-                G.element(k) for k in range(1, 2 * n, 2) if k != n
+                G.index_of(G.element(k)) for k in range(1, 2 * n, 2) if k != n
             )
             ok = ok and sorted(covering.free_elements(act2)) == expected
     _report(3, "fixed-point counts (2, 2+2n, 2, 2) and case II free sets", ok)
@@ -170,8 +170,9 @@ def test_criterion_07_sigma_hyp():
         G = DicyclicGroup(n)
         g, witness = real_forms.sigma_hyp(n)
         ok = ok and g == n + 1 and not witness.violations()
-        ok = ok and witness.alpha_images == (G.x,)
-        ok = ok and witness.beta_images == (G.y, G.y * G.element(n - 2))
+        ok = ok and witness.alpha_images == (G.index_of(G.x),)
+        ok = ok and witness.beta_images == (G.index_of(G.y),
+                                            G.index_of(G.y * G.element(n - 2)))
     for n in (3, 5, 7):
         g, witness = real_forms.sigma_hyp(n)
         ok = ok and g == 2 * n - 2 and not witness.violations()

@@ -318,3 +318,26 @@ def test_payloads_match_the_pinned_digest():
         texts += [report.payload_json() for report in reports]
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     assert digest == PAYLOAD_DIGEST
+
+
+# sha256 of the paper-report payloads that
+# test_paper_report_sections_match_the_pinned_digest builds; the same rule
+# as PAYLOAD_DIGEST applies.
+PAPER_REPORT_DIGEST = "1cb2a447c225091497d79c3326be541b02d1662f5e8041a7b2bf4b8e67ef2df3"
+FLOAT_CLAIMS = ("relation:", "anticonformal:", "belyi_projection")
+
+
+def test_paper_report_sections_match_the_pinned_digest():
+    # the per-n report for n = 2..12 pins what the command digest skips:
+    # the fixed points, the free elements and the quotient genera; the
+    # curve claims are left out for their float fields
+    texts = []
+    claims = 0
+    for n in range(2, 13):
+        report = cli._per_n_report(n, 0, False)
+        report.claims = [c for c in report.claims if not c.id.startswith(FLOAT_CLAIMS)]
+        claims += len(report.claims)
+        texts.append(report.payload_json())
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert claims == 309
+    assert digest == PAPER_REPORT_DIGEST

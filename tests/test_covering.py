@@ -24,9 +24,14 @@ from dicyclic_dessins.errors import (
     ParameterError,
 )
 from dicyclic_dessins.genus import pure_symmetric_genus, strong_symmetric_genus
-from dicyclic_dessins.group import DicyclicGroup
+from dicyclic_dessins.group import DicyclicGroup, GroupElement
 from dicyclic_dessins.search import Signature, commutators, order_pool, rh_genus, vectors
 from test_group import closure_oracle
+
+
+def indices(G, *elements):
+    """The element indices of the given elements, the form every action holds."""
+    return tuple(map(G.index_of, elements))
 
 
 # -- Riemann-Hurwitz ----------------------------------------------------
@@ -95,21 +100,29 @@ def test_rh_genus_matches_fraction_oracle():
 def test_triangular_action_rejects_a_non_generating_pair():
     G = DicyclicGroup(4)
     with pytest.raises(ParameterError, match="images do not generate the group"):
-        GeneratingVector(G, 0, (), (G.x, G.x, G.element(-2)))
+        GeneratingVector(G, 0, (), indices(G, G.x, G.x, G.element(-2)))
 
 
 def test_generating_vector_rejects_non_generating_images():
     G = DicyclicGroup(4)
     with pytest.raises(ParameterError, match="images do not generate the group"):
-        GeneratingVector(G, 0, (), (G.x, G.element(-1)))
+        GeneratingVector(G, 0, (), indices(G, G.x, G.element(-1)))
     with pytest.raises(ParameterError, match="images do not generate the group"):
-        GeneratingVector(G, 1, (G.x, G.element(2)), (G.element(4), G.element(4)))
+        GeneratingVector(G, 1, indices(G, G.x, G.element(2)),
+                         indices(G, G.element(4), G.element(4)))
 
 
 def test_generating_vector_rejects_trivial_cone_images():
     G = DicyclicGroup(4)
     with pytest.raises(ParameterError, match="cone images must be nontrivial"):
-        GeneratingVector(G, 0, (), (G.identity, G.x, G.element(-1)))
+        GeneratingVector(G, 0, (), indices(G, G.identity, G.x, G.element(-1)))
+    # and images that are no element index of G_4: out of range, an
+    # element (of G_4 or of another group) or no number at all
+    for bad in (-1, G.order, G.x, GroupElement(5, 1, 0), 2.0, None):
+        with pytest.raises(ParameterError, match="is not an element index of G_4"):
+            GeneratingVector(G, 0, (), (bad, 2, 13))
+        with pytest.raises(ParameterError, match="is not an element index of G_4"):
+            GeneratingVector(G, 1, (2, bad), (4,))
 
 
 def test_generating_vector_rejects_a_failing_long_relation():
@@ -117,9 +130,9 @@ def test_generating_vector_rejects_a_failing_long_relation():
     # [x, y] * x = x^3
     G = DicyclicGroup(4)
     with pytest.raises(ParameterError, match="long relation fails for these images"):
-        GeneratingVector(G, 0, (), (G.x, G.y, G.y))
+        GeneratingVector(G, 0, (), indices(G, G.x, G.y, G.y))
     with pytest.raises(ParameterError, match="long relation fails for these images"):
-        GeneratingVector(G, 1, (G.x, G.y), (G.x,))
+        GeneratingVector(G, 1, indices(G, G.x, G.y), indices(G, G.x))
 
 
 # -- census -------------------------------------------------------------
@@ -153,7 +166,7 @@ def test_census_representatives_are_generating_triples():
     for n in range(2, 7):
         for case in ("I",) if n % 2 == 0 else ("I", "II"):
             act = census_representative(n, case)
-            c1, c2, c3 = act.cone_images
+            c1, c2, c3 = map(act.group.element_at, act.cone_images)
             assert (c1 * c2 * c3).is_identity()
             expected_genus = n if case == "I" else n - 1
             assert act.genus() == expected_genus
@@ -203,7 +216,7 @@ def test_census_orbit_counts_match_orbit_search():
             assert entry.pair_count == len(pairs)
             assert entry.conjugacy_orbits == _orbit_count(pairs, conj_moves), n
             assert entry.automorphism_orbits == _orbit_count(pairs, aut_moves), n
-            i, j, k = (G.index_of(c) for c in entry.representative.cone_images)
+            i, j, k = entry.representative.cone_images
             assert (i, j) == min(pairs) and k == inv[mul[i][j]]
 
 
@@ -231,10 +244,9 @@ def test_census_equals_the_search_census():
     # the closed-form counts and the least-vector representatives against
     # the enumeration of every generating pair
     for n in range(2, 41):
-        G = DicyclicGroup(n)
         census = [
             (e.signature, e.pair_count, e.conjugacy_orbits, e.automorphism_orbits,
-             tuple(map(G.index_of, e.representative.cone_images)))
+             e.representative.cone_images)
             for e in triangular_census(n).entries
         ]
         assert census == search_census(n), n
@@ -287,12 +299,12 @@ def test_automorphism_group_order():
 
 
 def fixed_point_oracle(act, g) -> int:
-    """Fixed points of g by scanning conjugates: for each cone image c,
-    the cosets h<c> with h^-1 g h in <c> (the condition is constant on
-    cosets since <c> normalises itself)."""
+    """Fixed points of the element g by scanning conjugates: for each cone
+    image c, the cosets h<c> with h^-1 g h in <c> (the condition is
+    constant on cosets since <c> normalises itself)."""
     group = act.group
     total = 0
-    for c in act.cone_images:
+    for c in map(group.element_at, act.cone_images):
         cyc = group.cyclic(c)
         hits = sum(
             1 for h in group.elements if h.inverse() * g * h in cyc
@@ -317,18 +329,27 @@ def test_fixed_point_count_matches_conjugate_scan():
         actions.append(strong_symmetric_genus(n, n + 2)[1])
         actions.append(pure_symmetric_genus(n, n + 2)[1])
     for act in actions:
-        for g in act.group.elements[1:]:
-            assert fixed_point_count(act, g) == fixed_point_oracle(act, g), (act, g)
+        for i, g in enumerate(act.group.elements[1:], start=1):
+            assert fixed_point_count(act, i) == fixed_point_oracle(act, g), (act, g)
 
 
 def test_case_I_fixed_point_counts():
     for n in range(2, 9):
         G = DicyclicGroup(n)
         act = census_representative(n, "I")
-        assert fixed_point_count(act, G.x) == 2
-        assert fixed_point_count(act, G.element(n)) == 2 + 2 * n
-        assert fixed_point_count(act, G.y) == 2
-        assert fixed_point_count(act, G.x * G.y) == 2
+        assert fixed_point_count(act, G.index_of(G.x)) == 2
+        assert fixed_point_count(act, G.index_of(G.element(n))) == 2 + 2 * n
+        assert fixed_point_count(act, G.index_of(G.y)) == 2
+        assert fixed_point_count(act, G.index_of(G.x * G.y)) == 2
+
+
+def test_fixed_point_count_rejects_the_identity_and_non_indices():
+    act = census_representative(4, "I")
+    with pytest.raises(ParameterError, match="the identity fixes every point"):
+        fixed_point_count(act, 0)
+    for bad in (-1, 16, act.group.x, GroupElement(5, 1, 0), 2.0, None):
+        with pytest.raises(ParameterError, match="is not an element index of G_4"):
+            fixed_point_count(act, bad)
 
 
 def test_case_I_purely_non_free():
@@ -343,8 +364,9 @@ def test_case_II_free_elements():
     for n in (3, 5, 7):
         G = DicyclicGroup(n)
         act = census_representative(n, "II")
-        expected = sorted(G.element(k) for k in range(1, 2 * n, 2) if k != n)
-        assert sorted(free_elements(act)) == expected
+        expected = sorted(G.index_of(G.element(k))
+                          for k in range(1, 2 * n, 2) if k != n)
+        assert free_elements(act) == expected
         pure, _ = is_purely_non_free(act)
         assert not pure
 
@@ -358,7 +380,7 @@ def test_free_elements_match_fixed_point_oracle():
         actions.append(pure_symmetric_genus(n, n + 2)[1])
     for act in actions:
         oracle = [
-            g for g in act.group.elements
+            i for i, g in enumerate(act.group.elements)
             if not g.is_identity() and fixed_point_oracle(act, g) == 0
         ]
         assert free_elements(act) == oracle
@@ -387,7 +409,6 @@ def coset_cycles_oracle(group, H, c) -> list[int]:
     of the indices of gh and starting each cycle at the least unseen name."""
     mul = group.mul_table
     rep_of = [min(mul[g][h] for h in H.members) for g in range(group.order)]
-    ci = group.index_of(c)
     lengths = []
     unseen = set(rep_of)
     while unseen:
@@ -397,7 +418,7 @@ def coset_cycles_oracle(group, H, c) -> list[int]:
         while True:
             unseen.discard(cur)
             length += 1
-            cur = rep_of[mul[ci][cur]]
+            cur = rep_of[mul[c][cur]]
             if cur == start:
                 break
         lengths.append(length)

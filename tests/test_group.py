@@ -12,7 +12,7 @@ from dicyclic_dessins.covering import quotient_genus, triangular_census
 from dicyclic_dessins.errors import ParameterError
 from dicyclic_dessins.genus import pure_symmetric_genus, strong_symmetric_genus
 from dicyclic_dessins.group import DicyclicGroup, GroupElement
-from dicyclic_dessins.real_forms import sigma_hyp
+from dicyclic_dessins.real_forms import build_pseudo_real, sigma_hyp
 
 
 def test_rejects_small_n():
@@ -72,6 +72,31 @@ def test_no_production_path_builds_the_product_table(n):
     cli._per_n_report(n, 0, True)
     assert DicyclicGroup(n) is G
     assert "mul_table" not in vars(G)
+
+
+def test_no_production_search_path_builds_a_group_element(monkeypatch):
+    # the census, the searches and the pseudo-real datum hold element
+    # indices only; GroupElement is the edge of the reports and the tests
+    runs = (
+        lambda: triangular_census(24),
+        lambda: strong_symmetric_genus(27, 29),
+        lambda: pure_symmetric_genus(32, 34),
+        lambda: sigma_hyp(33),
+        lambda: sigma_hyp(40),
+        lambda: build_pseudo_real(12, 2),
+    )
+    built = []
+    post_init = GroupElement.__post_init__
+
+    def counting_post_init(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(GroupElement, "__post_init__", counting_post_init)
+    for run in runs:
+        DicyclicGroup(2)  # evict the shared group, so each run starts cold
+        run()
+    assert built == []
 
 
 def test_order_is_4n():

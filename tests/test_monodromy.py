@@ -52,6 +52,31 @@ def test_cycle_type_sums_to_degree(p):
     assert (p ** p.order()).is_identity()
 
 
+def power_by_products(p: Permutation, k: int) -> Permutation:
+    """p^k by |k| multiplications, the oracle for the cycle-walking power."""
+    result = Permutation.identity(p.degree)
+    base = p if k >= 0 else p.inverse()
+    for _ in range(abs(k)):
+        result = base * result
+    return result
+
+
+def order_by_products(p: Permutation) -> int:
+    """The least k >= 1 with p^k the identity, by repeated multiplication."""
+    q, k = p, 1
+    while not q.is_identity():
+        q, k = q * p, k + 1
+    return k
+
+
+@given(st.integers(1, 7).flatmap(lambda d: permutations(d)))
+def test_power_and_order_match_repeated_multiplication(p):
+    d = p.degree
+    for k in range(-2 * d, 2 * d + 1):
+        assert p ** k == power_by_products(p, k), k
+    assert p.order() == order_by_products(p)
+
+
 def test_permutation_group_order_symmetric():
     gens = [
         Permutation.from_cycles(4, [(1, 2)]),

@@ -3,7 +3,7 @@
 import pytest
 
 from dicyclic_dessins.errors import InadmissibleSignatureError, ParameterError
-from dicyclic_dessins.group import DicyclicGroup
+from dicyclic_dessins.group import DicyclicGroup, GroupElement
 from dicyclic_dessins.real_forms import (
     NECActionData,
     admissible_homomorphisms,
@@ -11,7 +11,7 @@ from dicyclic_dessins.real_forms import (
     sigma_hyp,
 )
 from dicyclic_dessins.search import Signature, quotient_signatures, rh_genus
-from test_covering import check_rh_genus_against_oracle
+from test_covering import check_rh_genus_against_oracle, indices
 from test_genus import bounded_signatures, listed_signatures
 
 
@@ -44,8 +44,8 @@ def test_action_data_requires_index_two_plus_part():
             G,
             G.cyclic(G.element(2)),  # order 2, index 4
             Signature(1, 0, (4, 4)),
-            alpha_images=(G.x,),
-            beta_images=(G.y, G.y),
+            alpha_images=indices(G, G.x),
+            beta_images=indices(G, G.y, G.y),
         )
 
 
@@ -53,8 +53,8 @@ def betas_and_alpha_squares_generate_plus_part(datum: NECActionData) -> bool:
     """The plus-part test without the alpha-conjugates of the betas and
     the mixed alpha products, which `NECActionData` needs (see below)."""
     G = datum.group
-    gens = [G.index_of(b) for b in datum.beta_images]
-    gens += [G.index_of(a * a) for a in datum.alpha_images]
+    gens = list(datum.beta_images)
+    gens += [G.mul(a, a) for a in datum.alpha_images]
     return G._closure_indices(gens) == datum.plus_part.members
 
 
@@ -64,7 +64,7 @@ def test_action_data_accepts_known_witness():
     H = G.subgroup_generated([G.element(2), G.y])
     datum = NECActionData(
         G, H, Signature(1, 0, (4, 4)),
-        alpha_images=(G.x,), beta_images=(G.y, G.y),
+        alpha_images=indices(G, G.x), beta_images=indices(G, G.y, G.y),
     )
     assert datum.genus() == 3
     assert betas_and_alpha_squares_generate_plus_part(datum)
@@ -77,11 +77,20 @@ def test_action_data_rejects_non_generating_images():
     H = G.subgroup_generated([G.element(2), G.y])
     with pytest.raises(ParameterError) as info:
         NECActionData(G, H, Signature(1, 0, (4,)),
-                      alpha_images=(G.x,), beta_images=(G.element(6),))
+                      alpha_images=indices(G, G.x), beta_images=indices(G, G.element(6)))
     assert str(info.value).split("; ") == [
         "images do not generate the group",
         "orientation-preserving images do not fill the plus part",
     ]
+    # and images that are no element index of G_4: out of range, an
+    # element (of G_4 or of another group) or no number at all
+    for bad in (-1, G.order, G.x, GroupElement(5, 1, 0), 2.0, None):
+        with pytest.raises(ParameterError, match="is not an element index of G_4"):
+            NECActionData(G, H, Signature(1, 0, (4,)), alpha_images=(bad,),
+                          beta_images=(12,))
+        with pytest.raises(ParameterError, match="is not an element index of G_4"):
+            NECActionData(G, H, Signature(1, 0, (4,)), alpha_images=(2,),
+                          beta_images=(bad,))
 
 
 def test_action_data_rejects_a_failing_long_relation():
@@ -90,8 +99,8 @@ def test_action_data_rejects_a_failing_long_relation():
     G = DicyclicGroup(2)
     H = G.subgroup_generated([G.element(2), G.y])
     with pytest.raises(ParameterError) as info:
-        NECActionData(G, H, Signature(1, 0, (4, 4)),
-                      alpha_images=(G.x,), beta_images=(G.y, G.element(2, 1)))
+        NECActionData(G, H, Signature(1, 0, (4, 4)), alpha_images=indices(G, G.x),
+                      beta_images=indices(G, G.y, G.element(2, 1)))
     assert str(info.value) == "long relation fails"
 
 
@@ -100,7 +109,7 @@ def test_alpha_squares_alone_can_miss_the_plus_part():
     # mixed product y * xy = x, since both squares are x^2
     G = DicyclicGroup(2)
     datum = NECActionData(G, G.cyclic(G.x), Signature(1, 1, ()),
-                          alpha_images=(G.y, G.x * G.y), beta_images=())
+                          alpha_images=indices(G, G.y, G.x * G.y), beta_images=())
     plus_image = G._closure_indices(datum._plus_generators())
     assert plus_image == frozenset(range(0, G.order, 2))  # <x>, the even indices
     assert not betas_and_alpha_squares_generate_plus_part(datum)
@@ -149,8 +158,8 @@ def test_sigma_hyp_even_witness_family():
     for n in (2, 4, 6):
         G = DicyclicGroup(n)
         _, witness = sigma_hyp(n)
-        assert witness.alpha_images == (G.x,)
-        assert witness.beta_images == (G.y, G.y * G.element(n - 2))
+        assert witness.alpha_images == indices(G, G.x)
+        assert witness.beta_images == indices(G, G.y, G.y * G.element(n - 2))
 
 
 def non_orientable_genus(n: int, gamma: int, orders: tuple[int, ...]) -> int:
