@@ -13,7 +13,10 @@ shares the signature type, the inversion and the vector engine of
 Genus zero is impossible because the group is none of the sphere groups
 (cyclic, dihedral, A4, S4, A5); genus one is excluded computationally
 by exhausting the five flat signatures (see `torus_exclusion_report`).
-The search therefore starts at genus two.
+The search therefore starts at genus two.  It ends by genus n: the
+case-I census action (0; 4, 4, 2n) has genus n and is purely non-free.
+So the walks stop at `last_genus(n)` = n + 2, and running out of genera
+is a `SearchExhaustedError` that only a broken search can raise.
 """
 
 from __future__ import annotations
@@ -46,20 +49,25 @@ def exists_generating_vector(
     return next(generating_vectors(group, sig), None)
 
 
-def strong_symmetric_genus(n: int, g_max: int) -> tuple[int, GeneratingVector]:
+def last_genus(n: int) -> int:
+    """The last genus the walks try, two past the case-I bound n."""
+    return n + 2
+
+
+def strong_symmetric_genus(n: int) -> tuple[int, GeneratingVector]:
     """Least genus >= 2 admitting any conformal action of the group."""
     group = DicyclicGroup(n)
-    for g in range(2, g_max + 1):
+    for g in range(2, last_genus(n) + 1):
         for sig in search.quotient_signatures(n, g, 2):
             witness = exists_generating_vector(group, sig)
             if witness is not None:
                 return g, witness
     raise SearchExhaustedError(
-        f"no action of G_{n} found up to genus {g_max}"
+        f"no action of G_{n} found up to genus {last_genus(n)}"
     )
 
 
-def pure_symmetric_genus(n: int, g_max: int) -> tuple[int, GeneratingVector]:
+def pure_symmetric_genus(n: int) -> tuple[int, GeneratingVector]:
     """Least genus >= 2 admitting a purely-non-free conformal action.
 
     Every vector of each candidate signature is tested, not just the
@@ -70,13 +78,13 @@ def pure_symmetric_genus(n: int, g_max: int) -> tuple[int, GeneratingVector]:
     only the witness becomes a `GeneratingVector`.
     """
     group = DicyclicGroup(n)
-    for g in range(2, g_max + 1):
+    for g in range(2, last_genus(n) + 1):
         for sig in search.quotient_signatures(n, g, 2):
             for hyper, cones in index_vectors(group, sig):
                 if not free_classes(group, cones):
                     return g, GeneratingVector(group, sig.gamma, hyper, cones)
     raise SearchExhaustedError(
-        f"no purely-non-free action of G_{n} found up to genus {g_max}"
+        f"no purely-non-free action of G_{n} found up to genus {last_genus(n)}"
     )
 
 

@@ -243,9 +243,9 @@ class DicyclicGroup:
         return GroupElement(self.n, i // 2, i % 2)
 
     def check_indices(self, indices: Iterable[object]) -> None:
-        """Raise ParameterError unless every entry is an int in range(4n)."""
+        """Raise ParameterError unless every entry is a non-bool int in range(4n)."""
         for i in indices:
-            if not (isinstance(i, int) and 0 <= i < self.order):
+            if not (type(i) is int and 0 <= i < self.order):
                 raise ParameterError(f"{i!r} is not an element index of G_{self.n}")
 
     def mul(self, i: int, j: int) -> int:

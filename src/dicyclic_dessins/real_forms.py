@@ -120,38 +120,28 @@ def admissible_homomorphisms(
     return found
 
 
-def sigma_hyp(
-    n: int,
-    gamma_max: int = 1,
-    r_max: int = 3,
-) -> tuple[int, NECActionData]:
+def sigma_hyp(n: int) -> tuple[int, NECActionData]:
     """Minimal genus >= 2 of a conformal/anticonformal dicyclic action.
 
-    Walks g = 2, 3, ... through the non-orientable quotient signatures of
-    each genus (`search.quotient_signatures` with handle 1) that have
-    gamma <= gamma_max and r <= r_max, in the order they are listed, and
-    returns the first admissible datum over the index-two plus parts.
-    No signature within the bounds has genus above
-    2n (gamma_max + r_max - 1), so the walk gives up there.
+    Walks g = 2, ..., 2n - 1 through the non-orientable quotient
+    signatures of each genus (`search.quotient_signatures` with handle
+    1), in the order they are listed, and returns the first admissible
+    datum over the index-two plus parts.  The stated values, n + 1 (n
+    even) and 2n - 2 (n odd), lie below 2n, so the walk stops there and
+    raises `SearchExhaustedError` if it finds no action.
     """
-    if gamma_max < 1 or r_max < 3:
-        raise ParameterError("bounds must allow gamma_max >= 1 and r_max >= 3")
     group = DicyclicGroup(n)
     plus_parts = group.index_two_subgroups()
-    # Completeness: for g < 2n, (g - 1)/2n = gamma - 1 + sum(1 - 1/m) < 1
-    # forces gamma <= 1 and, each term being at least 1/2, r <= 3.  So a
-    # walk that stops below 2n, as it does at the values n + 1 (n even)
-    # and 2n - 2 (n odd) that `hyper` checks, lost nothing to the bounds.
-    for g in range(2, 2 * n * (gamma_max + r_max - 1) + 1):
+    # For g < 2n, (g - 1)/2n = gamma - 1 + sum(1 - 1/m) < 1 forces
+    # gamma <= 1 and, each term being at least 1/2, r <= 3: the scope,
+    # gamma <= 1 and r <= 3, that `hyper` reports.
+    for g in range(2, 2 * n):
         for sig in search.quotient_signatures(n, g, 1):
-            if sig.gamma > gamma_max or len(sig.cone_orders) > r_max:
-                continue
             for H in plus_parts:
-                witnesses = admissible_homomorphisms(group, H, sig, limit=1)
-                if witnesses:
-                    return g, witnesses[0]
+                for witness in admissible_homomorphisms(group, H, sig, limit=1):
+                    return g, witness
     raise SearchExhaustedError(
-        f"no admissible action for n={n} within gamma<={gamma_max}, r<={r_max}"
+        f"no admissible action for n={n} exists below genus {2 * n}"
     )
 
 

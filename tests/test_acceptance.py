@@ -197,8 +197,8 @@ def test_criterion_09_minimal_genera():
     ok = True
     for n in (2, 3, 4, 5):
         expected_strong = n if n % 2 == 0 else n - 1
-        ok = ok and genus.strong_symmetric_genus(n, n + 2)[0] == expected_strong
-        ok = ok and genus.pure_symmetric_genus(n, n + 2)[0] == n
+        ok = ok and genus.strong_symmetric_genus(n)[0] == expected_strong
+        ok = ok and genus.pure_symmetric_genus(n)[0] == n
         ok = ok and all(genus.torus_exclusion_report(n).values())
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 120.0

@@ -6,8 +6,9 @@ run and the directory of the imported package first on PYTHONPATH, so
 they exercise the same code the tests import: the checkout's `src`, or
 the installed package.  The import-footprint test runs `cli.main` in a
 fresh interpreter on the same path and lists the modules it loaded.
-The package-export and model-name tests, and the last one, which draws
-many small command lines, run in process.
+The package-export, model-name, README-usage and search-exhaustion
+tests, and the last one, which draws many small command lines, run in
+process.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,11 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicyclic_dessins
-from dicyclic_dessins import cli
+from dicyclic_dessins import cli, reports, search
 from dicyclic_dessins.curves import MODEL_NAMES
 
 CLI = [sys.executable, "-m", "dicyclic_dessins"]
 PACKAGE_ROOT = str(Path(dicyclic_dessins.__file__).resolve().parent.parent)
+README = Path(__file__).resolve().parent.parent / "README.md"
 CLI_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(
@@ -45,6 +48,21 @@ def run_cli(*args):
 
 def payload_of(completed):
     return json.loads(completed.stdout)["payload"]
+
+
+def run_in_process(*args):
+    """Run `cli.main` on these arguments; (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        old_argv, sys.argv = sys.argv, ["dicyclic-dessins", *args]
+        try:
+            cli.main()
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            sys.argv = old_argv
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_census_passes():
@@ -109,7 +127,7 @@ def test_curves_seed_determinism():
 
 
 @pytest.mark.parametrize("args", [
-    ("hyper", "--n", "2", "--gamma-max", "0"),
+    ("hyper", "--n", "1"),
     ("curves", "--n", "2", "--model", "Sn_hyperelliptic", "--trials", "0"),
     ("curves", "--n", "3", "--model", "Sn_cyclic"),
     ("curves", "--n", "2", "--model", "Sn_hyperelliptic", "--tol", "0"),
@@ -118,6 +136,10 @@ def test_curves_seed_determinism():
     ("census", "--n", "2", "--json", "{file}/x.json"),
     ("monodromy", "--n", "3", "--case", "II", "--dot", "{missing}/x.dot"),
     ("paper-report", "--n-range", "2..2", "--out", "{file}/report"),
+    # the searches prove their own bounds, so no command takes one
+    ("genus", "--n", "3", "--g-max", "5"),
+    ("hyper", "--n", "3", "--gamma-max", "1"),
+    ("hyper", "--n", "3", "--r-max", "3"),
 ])
 def test_bad_parameter_values_are_usage_errors(args, tmp_path):
     file = tmp_path / "file"
@@ -127,6 +149,28 @@ def test_bad_parameter_values_are_usage_errors(args, tmp_path):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
+
+
+def test_a_search_that_runs_out_of_genera_exits_3(monkeypatch):
+    monkeypatch.setattr(search, "quotient_signatures", lambda n, g, handle: [])
+    for args in (("genus", "--n", "3"), ("hyper", "--n", "3")):
+        code, out, err = run_in_process(*args)
+        assert code == 3, (args, err)
+        assert out == ""
+        assert err.startswith("search exhausted: "), err
+
+
+def test_readme_usage_lists_every_option_of_every_command():
+    # the ```sh block of README.md whose lines run dicyclic-dessins
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    (usage,) = [b for b in blocks if b.startswith("dicyclic-dessins ")]
+    documented = {}
+    for line in usage.splitlines():
+        _, command, rest = line.split(" ", 2)
+        documented[command] = set(re.findall(r"--[a-z][a-z-]*", rest))
+    wired = {name: {opt for p in command.params for opt in p.opts}
+             for name, command in cli.cli.commands.items()}
+    assert documented == wired
 
 
 @pytest.mark.parametrize("args", [
@@ -230,8 +274,17 @@ FRONT = ["cli", "errors", "reports"]
     (["genus", "--n", "3"], FRONT + ["covering", "genus", "group", "search"], False),
     (["hyper", "--n", "4"], FRONT + ["group", "real_forms", "search"], False),
     (["monodromy", "--n", "3", "--case", "I"], FRONT + ["monodromy"], False),
+    (["pseudo-real", "--n", "3", "--q", "2"],
+     FRONT + ["group", "real_forms", "search"], False),
+    (["curves", "--n", "3", "--model", "Rn_cyclic", "--trials", "5"],
+     FRONT + ["curves"], False),
+    (["paper-report", "--n-range", "2..3", "--out", "{out}"],
+     FRONT + ["covering", "covers", "curves", "genus", "group", "monodromy",
+              "real_forms", "search"], False),
 ])
-def test_each_command_imports_only_the_layers_it_runs(args, modules, fractions):
+def test_each_command_imports_only_the_layers_it_runs(args, modules, fractions,
+                                                     tmp_path):
+    args = [a.format(out=tmp_path / "report") for a in args]
     result = subprocess.run(
         [sys.executable, "-c", FOOTPRINT, *args],
         capture_output=True, text=True, timeout=300, env=CLI_ENV,
@@ -264,11 +317,11 @@ small = st.integers(-1, 4)
 OPTIONS = {
     "census": {},
     "monodromy": {"--case": st.sampled_from(["I", "II"])},
-    "hyper": {"--gamma-max": small, "--r-max": small},
+    "hyper": {},
     "pseudo-real": {"--q": small},
     "curves": {"--model": st.sampled_from(MODEL_NAMES), "--trials": small,
                "--tol": st.floats() | st.just(1e-9)},
-    "genus": {"--mode": st.sampled_from(["strong", "pure"]), "--g-max": small},
+    "genus": {"--mode": st.sampled_from(["strong", "pure"])},
 }
 
 
@@ -285,17 +338,8 @@ def command_lines(draw):
 @given(command_lines())
 def test_any_small_command_line_exits_with_a_documented_code(args):
     # in process, so an escaping exception fails the test with its traceback
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        old_argv, sys.argv = sys.argv, ["dicyclic-dessins", *args]
-        try:
-            cli.main()
-            code = 0
-        except SystemExit as exc:
-            code = exc.code
-        finally:
-            sys.argv = old_argv
-    assert code in {0, 1, 2, 3}, (args, code, err.getvalue())
+    code, _, err = run_in_process(*args)
+    assert code in {0, 1, 2, 3}, (args, code, err)
 
 
 # sha256 of the payloads that test_payloads_match_the_pinned_digest builds.
@@ -309,13 +353,12 @@ def test_payloads_match_the_pinned_digest():
     # are left out because their float fields depend on the C math library
     texts = []
     for n in range(2, 13):
-        reports = [cli.census_report(n), cli.monodromy_report(n, "I")]
+        built = [reports.census_report(n), reports.monodromy_report(n, "I")]
         if n % 2:
-            reports.append(cli.monodromy_report(n, "II"))
-        reports += [cli.hyper_report(n, 1, 3), cli.pseudo_real_report(n, 2),
-                    cli.genus_report(n, "strong", n + 2),
-                    cli.genus_report(n, "pure", n + 2)]
-        texts += [report.payload_json() for report in reports]
+            built.append(reports.monodromy_report(n, "II"))
+        built += [reports.hyper_report(n), reports.pseudo_real_report(n, 2),
+                  reports.genus_report(n, "strong"), reports.genus_report(n, "pure")]
+        texts += [report.payload_json() for report in built]
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     assert digest == PAYLOAD_DIGEST
 
@@ -334,7 +377,7 @@ def test_paper_report_sections_match_the_pinned_digest():
     texts = []
     claims = 0
     for n in range(2, 13):
-        report = cli._per_n_report(n, 0, False)
+        report = reports.per_n_report(n, 0, False)
         report.claims = [c for c in report.claims if not c.id.startswith(FLOAT_CLAIMS)]
         claims += len(report.claims)
         texts.append(report.payload_json())

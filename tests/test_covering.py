@@ -118,7 +118,8 @@ def test_generating_vector_rejects_trivial_cone_images():
         GeneratingVector(G, 0, (), indices(G, G.identity, G.x, G.element(-1)))
     # and images that are no element index of G_4: out of range, an
     # element (of G_4 or of another group) or no number at all
-    for bad in (-1, G.order, G.x, GroupElement(5, 1, 0), 2.0, None):
+    for bad in (-1, G.order, G.x, GroupElement(5, 1, 0), 2.0, None,
+                True, False):
         with pytest.raises(ParameterError, match="is not an element index of G_4"):
             GeneratingVector(G, 0, (), (bad, 2, 13))
         with pytest.raises(ParameterError, match="is not an element index of G_4"):
@@ -326,8 +327,8 @@ def test_fixed_point_count_matches_conjugate_scan():
     # element of every census representative and minimal-genus witness
     actions = _census_representatives(12)
     for n in range(2, 13):
-        actions.append(strong_symmetric_genus(n, n + 2)[1])
-        actions.append(pure_symmetric_genus(n, n + 2)[1])
+        actions.append(strong_symmetric_genus(n)[1])
+        actions.append(pure_symmetric_genus(n)[1])
     for act in actions:
         for i, g in enumerate(act.group.elements[1:], start=1):
             assert fixed_point_count(act, i) == fixed_point_oracle(act, g), (act, g)
@@ -347,7 +348,8 @@ def test_fixed_point_count_rejects_the_identity_and_non_indices():
     act = census_representative(4, "I")
     with pytest.raises(ParameterError, match="the identity fixes every point"):
         fixed_point_count(act, 0)
-    for bad in (-1, 16, act.group.x, GroupElement(5, 1, 0), 2.0, None):
+    for bad in (-1, 16, act.group.x, GroupElement(5, 1, 0), 2.0, None,
+                True, False):
         with pytest.raises(ParameterError, match="is not an element index of G_4"):
             fixed_point_count(act, bad)
 
@@ -376,8 +378,8 @@ def test_free_elements_match_fixed_point_oracle():
     # fixed points element by element
     actions = _census_representatives(10)
     for n in range(2, 7):
-        actions.append(strong_symmetric_genus(n, n + 2)[1])
-        actions.append(pure_symmetric_genus(n, n + 2)[1])
+        actions.append(strong_symmetric_genus(n)[1])
+        actions.append(pure_symmetric_genus(n)[1])
     for act in actions:
         oracle = [
             i for i, g in enumerate(act.group.elements)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from dicyclic_dessins import curves
-from dicyclic_dessins.cli import curves_report
+from dicyclic_dessins.reports import curves_report
 from dicyclic_dessins.curves import (
     ADMISSION_TOLERANCE,
     BRANCH_DISTANCE,

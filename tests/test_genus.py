@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from dicyclic_dessins import search
 from dicyclic_dessins.covering import fixed_point_count, is_purely_non_free
 from dicyclic_dessins.errors import InadmissibleSignatureError, SearchExhaustedError
 from dicyclic_dessins.genus import (
@@ -15,6 +16,7 @@ from dicyclic_dessins.genus import (
     torus_exclusion_report,
 )
 from dicyclic_dessins.group import DicyclicGroup
+from dicyclic_dessins.real_forms import sigma_hyp
 from dicyclic_dessins.search import Signature, order_pool, quotient_signatures, rh_genus
 
 
@@ -65,7 +67,7 @@ def test_genus_one_signatures_are_the_flat_ones():
 def test_strong_symmetric_genus_values():
     for n in (2, 3, 4, 5):
         expected = n if n % 2 == 0 else n - 1
-        g, witness = strong_symmetric_genus(n, n + 2)
+        g, witness = strong_symmetric_genus(n)
         assert g == expected
         gens = list(witness.hyperbolic_images) + list(witness.cone_images)
         G = DicyclicGroup(n)
@@ -74,7 +76,7 @@ def test_strong_symmetric_genus_values():
 
 def test_pure_symmetric_genus_values():
     for n in (2, 3, 4, 5):
-        g, witness = pure_symmetric_genus(n, n + 2)
+        g, witness = pure_symmetric_genus(n)
         assert g == n
         # purity cross-check against the coset fixed-point oracle:
         # on a genus-0 quotient a purely-non-free triangular witness
@@ -85,32 +87,36 @@ def test_pure_symmetric_genus_values():
                 assert fixed_point_count(witness, i) > 0
 
 
-def pure_symmetric_genus_oracle(n: int, g_max: int):
+def pure_symmetric_genus_oracle(n: int):
     """The pure search one vector at a time: each vector of each candidate
-    signature becomes a GeneratingVector tested by is_purely_non_free."""
+    signature up to genus n + 2 becomes a GeneratingVector tested by
+    is_purely_non_free."""
     group = DicyclicGroup(n)
-    for g in range(2, g_max + 1):
+    for g in range(2, n + 3):
         for sig in quotient_signatures(n, g, 2):
             for vector in generating_vectors(group, sig):
                 if is_purely_non_free(vector)[0]:
                     return g, vector
-    raise SearchExhaustedError(f"no purely-non-free action of G_{n} up to {g_max}")
+    raise SearchExhaustedError(f"no purely-non-free action of G_{n} up to {n + 2}")
 
 
 def test_pure_search_matches_vector_oracle():
     for n in range(2, 14):
-        g, witness = pure_symmetric_genus(n, n + 2)
-        oracle_g, oracle = pure_symmetric_genus_oracle(n, n + 2)
+        g, witness = pure_symmetric_genus(n)
+        oracle_g, oracle = pure_symmetric_genus_oracle(n)
         assert g == oracle_g, n
         assert witness.quotient_genus == oracle.quotient_genus, n
         assert witness.hyperbolic_images == oracle.hyperbolic_images, n
         assert witness.cone_images == oracle.cone_images, n
 
 
-def test_search_exhaustion_raises():
-    with pytest.raises(SearchExhaustedError):
-        # G_5 has no action below genus 4, so a cap of 3 must exhaust
-        strong_symmetric_genus(5, 3)
+def test_search_exhaustion_raises(monkeypatch):
+    # the walks prove their own bounds, so only a search that lists no
+    # signature at all can run out of genera
+    monkeypatch.setattr(search, "quotient_signatures", lambda n, g, handle: [])
+    for run in (strong_symmetric_genus, pure_symmetric_genus, sigma_hyp):
+        with pytest.raises(SearchExhaustedError):
+            run(5)
 
 
 def test_torus_exclusion():
@@ -130,7 +136,7 @@ def test_flat_signatures_have_no_generating_vector():
 def test_strong_witness_is_minimal_signature_action():
     # for n even the minimum is attained by the triangular action itself
     for n in (2, 4):
-        g, witness = strong_symmetric_genus(n, n + 1)
+        g, witness = strong_symmetric_genus(n)
         assert witness.quotient_genus == 0
         G = witness.group
         assert sorted(G.element_at(c).order() for c in witness.cone_images) == sorted(

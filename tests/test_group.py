@@ -7,7 +7,7 @@ from math import prod
 import pytest
 from hypothesis import given, strategies as st
 
-from dicyclic_dessins import cli
+from dicyclic_dessins import reports
 from dicyclic_dessins.covering import quotient_genus, triangular_census
 from dicyclic_dessins.errors import ParameterError
 from dicyclic_dessins.genus import pure_symmetric_genus, strong_symmetric_genus
@@ -42,10 +42,10 @@ def test_report_payloads_do_not_depend_on_section_order():
     # cold: each n = 5 section builds its group afresh; warm: the sections
     # run in reverse after an n = 6 section, and reuse one shared group
     sections = (
-        lambda n: cli.census_report(n),
-        lambda n: cli.genus_report(n, "strong", n + 2),
-        lambda n: cli.genus_report(n, "pure", n + 2),
-        lambda n: cli.hyper_report(n, 1, 3),
+        lambda n: reports.census_report(n),
+        lambda n: reports.genus_report(n, "strong"),
+        lambda n: reports.genus_report(n, "pure"),
+        lambda n: reports.hyper_report(n),
     )
     cold = []
     for section in sections:
@@ -63,13 +63,13 @@ def test_no_production_path_builds_the_product_table(n):
     DicyclicGroup(n + 1)  # evict the shared group, so the next one is fresh
     G = DicyclicGroup(n)
     census = triangular_census(n)
-    strong_symmetric_genus(n, 4 * n)
-    pure_symmetric_genus(n, 4 * n)
+    strong_symmetric_genus(n)
+    pure_symmetric_genus(n)
     sigma_hyp(n)
     for entry in census.entries:
         for H in G.subgroups:
             quotient_genus(entry.representative, H)
-    cli._per_n_report(n, 0, True)
+    reports.per_n_report(n, 0, True)
     assert DicyclicGroup(n) is G
     assert "mul_table" not in vars(G)
 
@@ -79,8 +79,8 @@ def test_no_production_search_path_builds_a_group_element(monkeypatch):
     # indices only; GroupElement is the edge of the reports and the tests
     runs = (
         lambda: triangular_census(24),
-        lambda: strong_symmetric_genus(27, 29),
-        lambda: pure_symmetric_genus(32, 34),
+        lambda: strong_symmetric_genus(27),
+        lambda: pure_symmetric_genus(32),
         lambda: sigma_hyp(33),
         lambda: sigma_hyp(40),
         lambda: build_pseudo_real(12, 2),
