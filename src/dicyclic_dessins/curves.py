@@ -28,11 +28,15 @@ hyperelliptic models by rounding the argument (see `_branch_distance`).
 A word applies a nonnegative exponent literally, so an order relation
 such as x^(2n) = 1 takes its 2n steps; only a negative exponent is
 rewritten modulo the map's order.  A claim bundle draws its points once
-and walks every word at one point before moving to the next, sharing the
-power trajectory of each (map, start point) pair between words: x^(2n),
-x^n and x^(2n-1) take one chain of 2n steps.  A sample point or a
-trajectory whose arithmetic overflows (or, in a map, divides by a power
-that underflowed to zero) is resampled like one that enters the
+and walks them a block of BLOCK points at a time: each map step advances
+a whole column of the block, and every word walked on the block shares
+the power trajectory of each (map, start column) pair: x^(2n), x^n and
+x^(2n-1) take one chain of 2n steps.  The report of a model walks its
+relation and anticonformal words as one bundle, so u^-1 and y^-1 in the
+anticonformal words read the relations' u and y chains.  A block's
+trajectories are dropped before the next block starts.  A sample point
+or a trajectory whose arithmetic overflows (or, in a map, divides by a
+power that underflowed to zero) is resampled like one that enters the
 exclusion zone around poles and branch points.
 
 Reports are deterministic functions of (model, word, seed).
@@ -43,7 +47,7 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import ParameterError, SamplingError
 
@@ -342,85 +346,98 @@ def _word_parity(model: CurveModel, word: Word) -> int:
     return parity % 2
 
 
-class _NearPole(Exception):
-    """A trajectory entered the sampling exclusion zone, or its arithmetic
-    overflowed; resample."""
+# Start points a bundle walks together: each map step advances a column of
+# at most BLOCK slots, and a block's trails are dropped before the next block
+# starts, so the memory a bundle holds does not grow with its trials.
+BLOCK = 10
 
 
-def _apply_word(
-    model: CurveModel, word: Word, p: Point, memo: dict
-) -> tuple[Point, float]:
-    """Apply a word right to left (group notation) and track curve drift.
+def _factors(model: CurveModel, word: Word) -> Iterator[tuple]:
+    """Yield (trail, step) for each factor of `word`, first applied first.
 
-    Returns the final point together with the worst relative residual of
-    any intermediate point; drifting off the curve is an error the
-    caller reports, while landing in the exclusion zone around poles and
-    branch points aborts the trajectory for resampling.  A factor m^k
-    reads the first k steps of the trajectory of m from its start point
-    out of `memo`, keyed by (map name, start point), and extends it when
-    it is shorter: words walked from the same point share their steps.
+    A word applies its factors right to left (group notation); a
+    nonnegative exponent takes its steps as written, a negative one is
+    rewritten modulo the map's order.  A trail, (map name, node), is the
+    power trajectory of a map from the column a node names: None for the
+    start column, else the (trail, step) an earlier factor reached.  Words
+    that apply one map to one column share its trail: x^(2n), x^n and
+    x^(2n-1) read one chain of 2n steps.
     """
-    worst = 0.0
+    node = None
     for name, exponent in reversed(word):
-        m = model.maps[name]
-        steps = exponent if exponent >= 0 else exponent % m.order
-        trail = memo.get((name, p))
-        if trail is None:
-            trail = memo[name, p] = ([p], [0.0])
-        points, drifts = trail
-        if steps >= len(points):
-            _extend_trajectory(model, m.func, points, drifts, steps)
-        p = points[steps]
-        if drifts[steps] > worst:
-            worst = drifts[steps]
-    return p, worst
+        order = model.maps[name].order
+        node = ((name, node), exponent if exponent >= 0 else exponent % order)
+        yield node
 
 
-def _extend_trajectory(
-    model: CurveModel,
-    func: Callable[[Point], Point],
-    points: list[Point],
-    drifts: list[float],
-    steps: int,
-) -> None:
-    """The step loop: extend a power trajectory of `func` to `steps` steps.
+def _trail(model: CurveModel, name: str, start: list, reads: set) -> dict:
+    """The step loop: walk the map `name` from every slot of `start`, one
+    column per step, to the last step in `reads`; returns {step: (points,
+    drifts)} for step 0 and the steps in `reads`.
 
-    points[k] is func^k(points[0]) and drifts[k] the worst residual of
-    points[1..k].  Each step tests the exclusion zone before it and the
-    finiteness of its image after it; either failure, or an overflow or
-    a division by an underflowed zero in the map or the residual, raises
-    `_NearPole` and leaves the trajectory as long as it got, so a retry
-    fails at the same step.
+    Column k holds the k-th image of each start point, and its drift
+    column the worst residual of steps 1..k.  Each slot tests the
+    exclusion zone before its step and the finiteness of its image after
+    it; either failure, or an overflow or a division by an underflowed
+    zero in the map or the residual, kills the slot: it holds None from
+    that step on.  The other slots walk on, each applying the same
+    expressions in the same order as it would alone.
 
     Every branch value is 0 or on the unit circle, so a z whose modulus
     lies SHELL or more from both 0 and 1 is outside the zone without
     asking `branch_distance`: |z - b| >= ||z| - |b||, and the factor two
     in SHELL covers the rounding of both moduli.
     """
+    func = model.maps[name].func
     branch_distance = model.branch_distance
     sides = model.sides
     isfinite = cmath.isfinite
-    p = points[-1]
-    worst = drifts[-1]
-    try:
-        for _ in range(steps + 1 - len(points)):
+    column, drift = start, [0.0] * len(start)
+    kept = {0: (column, drift)}
+    for step in range(1, max(reads) + 1):
+        last = column
+        column, drift = [None] * len(last), drift[:]
+        for s, p in enumerate(last):
+            if p is None:
+                continue
             z = p[0]
             modulus = abs(z)
             if ((modulus < SHELL or -SHELL < modulus - 1.0 < SHELL)
                     and branch_distance(z) < BRANCH_DISTANCE):
-                raise _NearPole
-            p = func(p)
-            z, w = p
-            if not (isfinite(z) and isfinite(w)):
-                raise _NearPole
-            lhs, rhs = sides(z, w)
-            r = abs(lhs - rhs) / (1.0 + (abs(lhs) + abs(rhs)))
-            if r > worst:
-                worst = r
-            points.append(p)
-            drifts.append(worst)
-    except (OverflowError, ZeroDivisionError):
-        raise _NearPole from None
+                continue
+            try:
+                p = func(p)
+                z, w = p
+                if isfinite(z) and isfinite(w):
+                    lhs, rhs = sides(z, w)
+                    r = abs(lhs - rhs) / (1.0 + (abs(lhs) + abs(rhs)))
+                    if r > drift[s]:
+                        drift[s] = r
+                    column[s] = p
+            except (OverflowError, ZeroDivisionError):
+                pass
+        if step in reads:
+            kept[step] = (column, drift)
+    return kept
+
+
+def _images(
+    model: CurveModel, reads: dict, walked: dict, words: list[Word], start: list
+) -> Iterator[tuple]:
+    """Each word applied to the column `start`: a tuple per slot of the
+    image under each word and its worst residual on the way, the image
+    None if the walk died.  A trail not yet in `walked` is walked to the
+    steps `reads` lists for it."""
+    images: list = []
+    for word in words:
+        column, worst = start, [0.0] * len(start)
+        for trail, step in _factors(model, word):
+            if trail not in walked:
+                walked[trail] = _trail(model, trail[0], column, reads[trail])
+            column, drift = walked[trail][step]
+            worst = list(map(max, worst, drift))
+        images += column, worst
+    return zip(*images)
 
 
 def _word_description(word: Word) -> str:
@@ -443,16 +460,17 @@ def _verify_bundle(
 ) -> list[WordReport]:
     """Check word identities (word, expected) on one draw of sample points.
 
-    `expected` is another word, or "identity".  The loop over sample
-    indices is the outer one: at each point every word and its expected
-    word are walked with one memo of power trajectories, dropped before
-    the next point.  A check whose trajectory leaves the sampling safety
-    zone (hits a pole or a branch point) or overflows redraws its point
-    from its own seed sequence seed + 1, seed + 2, ... and counts it, so
-    each report equals the one its check would get alone.
+    `expected` is another word, or "identity".  The points are walked a
+    block of BLOCK at a time: every word and its expected word walk the
+    whole block, and share one store of trails that is dropped before the
+    next block starts.  A check whose walk at a slot leaves the sampling
+    safety zone (hits a pole or a branch point) or overflows redraws that
+    slot's point from its own seed sequence seed + 1, seed + 2, ... and
+    counts it, so each report equals the one its check would get alone.
     """
     reports: list[WordReport] = []
     live: list[tuple[WordReport, Word, Word]] = []
+    reads: dict = {}
     for word, expected in checks:
         for name, _ in word:
             if name not in model.maps:
@@ -470,31 +488,31 @@ def _verify_bundle(
         )
         reports.append(report)
         live.append((report, word, expected_word))
+        for trail, step in [*_factors(model, word), *_factors(model, expected_word)]:
+            reads.setdefault(trail, set()).add(step)
     if not live:
         return reports
-    for start in model.sample_points(trials, seed):
-        memo: dict = {}
-        for report, word, expected_word in live:
-            p = start
-            while True:
-                try:
-                    got, drift_got = _apply_word(model, word, p, memo)
-                    want, drift_want = _apply_word(model, expected_word, p, memo)
-                    break
-                except _NearPole:
+    starts = model.sample_points(trials, seed)
+    for first in range(0, trials, BLOCK):
+        block = starts[first:first + BLOCK]
+        walked: dict = {}
+        for report, *words in live:
+            for g, dg, w, dw in _images(model, reads, walked, words, block):
+                while g is None or w is None:
                     report.resampled += 1
                     if report.resampled > 10 * trials:
                         raise SamplingError(
                             "too many trajectories hit the exclusion zone"
                         )
-                    p = model.sample_points(1, seed + report.resampled)[0]
-            err = max(
-                abs(got[0] - want[0]) / (1.0 + abs(want[0])),
-                abs(got[1] - want[1]) / (1.0 + abs(want[1])),
-                drift_got,
-                drift_want,
-            )
-            report.max_error = max(report.max_error, err)
+                    start = model.sample_points(1, seed + report.resampled)
+                    [(g, dg, w, dw)] = _images(model, reads, {}, words, start)
+                err = max(
+                    abs(g[0] - w[0]) / (1.0 + abs(w[0])),
+                    abs(g[1] - w[1]) / (1.0 + abs(w[1])),
+                    dg,
+                    dw,
+                )
+                report.max_error = max(report.max_error, err)
     for report, _, _ in live:
         report.passed = report.max_error < tolerance
     return reports
@@ -516,19 +534,17 @@ def verify_word(
 # -- claim bundles ------------------------------------------------------
 
 
-def verify_dicyclic_relations(
-    model: CurveModel, tolerance: float = 1e-9, trials: int = 100, seed: int = 0
-) -> list[WordReport]:
-    """The defining relations x^(2n) = 1, y^2 = x^n, y^-1 x y = x^-1,
-    plus the definitional identities tying x to u on each model."""
+def _checks(model: CurveModel) -> tuple[list[Check], list[Check]]:
+    """The relation checks and, on the hyperelliptic models, the
+    anticonformal ones."""
     n = model.n
-    checks: list[Check] = [
+    relations: list[Check] = [
         ([("x", 2 * n)], "identity"),
         ([("y", 2)], [("x", n)]),
         ([("y", -1), ("x", 1), ("y", 1)], [("x", -1)]),
     ]
     if model.name == "Sn_hyperelliptic":
-        checks += [
+        relations += [
             ([("u", 2)], [("x", 1)]),
             ([("u", 4 * n)], "identity"),
             ([("y", 4)], "identity"),
@@ -536,14 +552,28 @@ def verify_dicyclic_relations(
             ([("u", 1), ("y", -1)], [("y", 1), ("u", -1)]),
         ]
         if n == 2:
-            checks.append(([("t", 3)], "identity"))
+            relations.append(([("t", 3)], "identity"))
     elif model.name == "Rn_hyperelliptic":
-        checks += [
+        relations += [
             ([("y", 2), ("u", 2)], [("x", 1)]),
             ([("u", 2 * n)], "identity"),
             ([("y", 4)], "identity"),
         ]
-    return _verify_bundle(model, checks, tolerance, trials, seed)
+    if "tau" not in model.maps:
+        return relations, []
+    return relations, [
+        ([("tau", 2)], "identity"),
+        ([("tau", 1), ("u", 1), ("tau", 1)], [("u", -1)]),
+        ([("tau", 1), ("y", 1), ("tau", 1)], [("y", -1)]),
+    ]
+
+
+def verify_dicyclic_relations(
+    model: CurveModel, tolerance: float = 1e-9, trials: int = 100, seed: int = 0
+) -> list[WordReport]:
+    """The defining relations x^(2n) = 1, y^2 = x^n, y^-1 x y = x^-1,
+    plus the definitional identities tying x to u on each model."""
+    return _verify_bundle(model, _checks(model)[0], tolerance, trials, seed)
 
 
 def verify_belyi(
@@ -590,12 +620,21 @@ def verify_anticonformal(
     tau y tau = y^-1 on the hyperelliptic models."""
     if "tau" not in model.maps:
         raise ParameterError("tau is defined on the hyperelliptic models only")
-    checks: list[Check] = [
-        ([("tau", 2)], "identity"),
-        ([("tau", 1), ("u", 1), ("tau", 1)], [("u", -1)]),
-        ([("tau", 1), ("y", 1), ("tau", 1)], [("y", -1)]),
-    ]
-    return _verify_bundle(model, checks, tolerance, trials, seed)
+    return _verify_bundle(model, _checks(model)[1], tolerance, trials, seed)
+
+
+def verify_model_words(
+    model: CurveModel, tolerance: float = 1e-9, trials: int = 100, seed: int = 0
+) -> tuple[list[WordReport], list[WordReport]]:
+    """The reports of `verify_dicyclic_relations` and, on the hyperelliptic
+    models, of `verify_anticonformal` (else []), from one bundle: the
+    anticonformal words read u^-1 and y^-1 off the relations' u and y
+    trajectories instead of walking them again."""
+    relations, anticonformal = _checks(model)
+    reports = _verify_bundle(
+        model, relations + anticonformal, tolerance, trials, seed
+    )
+    return reports[:len(relations)], reports[len(relations):]
 
 
 def applicable_models(n: int) -> list[str]:

@@ -245,7 +245,8 @@ def curves_report(n: int, model_name: str, seed: int, trials: int, tol: float) -
         {"n": n, "model": model_name, "seed": seed, "trials": trials, "tol": tol},
     )
     model = curves.CurveModel(model_name, n)
-    for wr in curves.verify_dicyclic_relations(model, tol, trials, seed):
+    relations, anticonformal = curves.verify_model_words(model, tol, trials, seed)
+    for wr in relations:
         report.add(f"relation:{wr.description}", "dicyclic relations hold on the model",
                    wr.passed, wr.as_dict())
     if model_name.endswith("hyperelliptic"):
@@ -253,7 +254,7 @@ def curves_report(n: int, model_name: str, seed: int, trials: int, tol: float) -
         report.add("belyi_projection",
                    "pi is deck-invariant with branch values {0,1,inf}",
                    belyi["pass"], belyi)
-        for wr in curves.verify_anticonformal(model, tol, trials, seed):
+        for wr in anticonformal:
             report.add(f"anticonformal:{wr.description}",
                        "conjugation inverts the generators",
                        wr.passed, wr.as_dict())

@@ -253,12 +253,13 @@ def test_step_zone_test_equals_full_scan():
             locus = model.branch_locus()
             for z in probes:
                 full = min(abs(z - b) for b in locus)
-                try:
-                    curves._apply_word(model, [("x", 1)], (z, 1 + 0j), {})
-                    stopped = False
-                except curves._NearPole:
-                    stopped = True
+                (image,), _ = curves._trail(model, "x", [(z, 1 + 0j)], {1})[1]
+                stopped = image is None
                 assert stopped == (full < BRANCH_DISTANCE), (name, n, z)
+
+
+class _NearPole(Exception):
+    """The oracle's trajectory entered the exclusion zone; resample."""
 
 
 def _scan_apply_word(model, word, p):
@@ -273,10 +274,10 @@ def _scan_apply_word(model, word, p):
         steps = exponent if exponent >= 0 else exponent % m.order
         for _ in range(steps):
             if min(abs(p[0] - b) for b in locus) < BRANCH_DISTANCE:
-                raise curves._NearPole
+                raise _NearPole
             p = m(p)
             if not (cmath.isfinite(p[0]) and cmath.isfinite(p[1])):
-                raise curves._NearPole
+                raise _NearPole
             lhs, rhs = _relation_sides(model, p)
             worst = max(worst, _relative(lhs - rhs, lhs, rhs))
     return p, worst
@@ -328,7 +329,7 @@ def _scan_verify_word(model, word, expected, tolerance, trials, seed):
         try:
             got, drift_got = _scan_apply_word(model, word, p)
             want, drift_want = _scan_apply_word(model, expected_word, p)
-        except curves._NearPole:
+        except _NearPole:
             resampled += 1
             assert resampled <= 10 * trials
             points[done] = model.sample_points(1, extra_seed)[0]
@@ -456,6 +457,97 @@ def test_relations_bundle_shares_power_trajectories():
     assert [r.as_dict() for r in alone] == [r.as_dict() for r in reports]
 
 
+def test_model_words_share_the_relation_trajectories():
+    # On Sn_hyperelliptic the anticonformal words read u^-1 = u^(4n-1)
+    # and y^-1 = y^3 off the relations' u and y chains: beyond the
+    # relations' 6n + 10 steps per point they take tau^2 (2 steps) and
+    # u then tau, y then tau after the shared tau (2 + 2), so 6n + 16.
+    # Alone the anticonformal bundle takes 2 + 2 + (4n - 1) + 2 + 3
+    # = 4n + 8, and the two bundles 10n + 18.  On Rn_hyperelliptic,
+    # whose u has order 2n, the anticonformal words add those 6 steps
+    # to the relations' 2n (x) + 4 (y) + 1 + 3 (y^-1 x y) + 2n (u)
+    # + 2 (y^2 after u^2) = 4n + 10; alone they take 2n + 8.
+    for name, n, relations_steps, joint_steps, two_bundles_steps in (
+        ("Sn_hyperelliptic", 8, 6 * 8 + 10, 6 * 8 + 16, 10 * 8 + 18),
+        ("Rn_hyperelliptic", 7, 4 * 7 + 10, 4 * 7 + 16, 4 * 7 + 10 + 2 * 7 + 8),
+    ):
+        model = CurveModel(name, n)
+        calls = _count_steps(model)
+        relations, anticonformal = curves.verify_model_words(model)
+        assert calls[0] == 100 * joint_steps, name
+        calls[0] = 0
+        alone = verify_dicyclic_relations(model)
+        assert calls[0] == 100 * relations_steps, name
+        alone_anticonformal = verify_anticonformal(model)
+        assert calls[0] == 100 * two_bundles_steps, name
+        assert ([r.as_dict() for r in relations + anticonformal]
+                == [r.as_dict() for r in alone + alone_anticonformal])
+    relations, anticonformal = curves.verify_model_words(CurveModel("Sn_cyclic", 4))
+    assert anticonformal == [] and len(relations) == 3
+
+
+def test_partial_blocks_resample_like_the_word_by_word_oracle(monkeypatch):
+    # Trial counts that leave the last block short, with redraw points
+    # planted in the first and the last slot of a block: each planted
+    # point is 5e-4 from a branch point, so every word stops before its
+    # first step and each check redraws it once.
+    block = curves.BLOCK
+    cases = []
+    for trials in (1, block - 1, block + 1, 37):
+        slots = sorted({0, block - 1, block, trials - 1} & set(range(trials)))
+        for n, name in ((3, "Sn_hyperelliptic"), (3, "Rn_hyperelliptic"),
+                        (4, "Sn_cyclic"), (5, "Rn_cyclic")):
+            model = CurveModel(name, n)
+            locus = model.branch_locus()
+            points = model.sample_points(trials, 6)
+            for slot in slots:
+                points[slot] = _near(model, locus[1 + slot % 2], 5e-4)
+            model._samples[trials, 6] = points
+            cases.append((model, trials, len(slots)))
+
+    def reports(model, trials):
+        relations, anticonformal = curves.verify_model_words(
+            model, trials=trials, seed=6)
+        alone = verify_dicyclic_relations(model, trials=trials, seed=6)
+        if model.name.endswith("hyperelliptic"):
+            alone += verify_anticonformal(model, trials=trials, seed=6)
+        return json.dumps([r.as_dict() for r in relations + anticonformal + alone])
+
+    fast = [reports(model, trials) for model, trials, _ in cases]
+    monkeypatch.setattr(curves, "_verify_bundle", _scan_verify_bundle)
+    for (model, trials, planted), got in zip(cases, fast):
+        assert got == reports(model, trials), (model.name, trials)
+        assert all(r["resampled"] == planted for r in json.loads(got)), (
+            model.name, trials)
+
+
+def test_trajectory_columns_hold_at_most_a_block(monkeypatch):
+    # Each block's columns are dropped before the next block starts, so
+    # no column is wider than BLOCK and every block keeps the same
+    # columns whatever the number of trials.
+    block = curves.BLOCK
+    trail = curves._trail
+    calls = []
+
+    def recording(model, name, start, reads):
+        columns = trail(model, name, start, reads)
+        calls.append((len(start), len(columns)))
+        return columns
+
+    monkeypatch.setattr(curves, "_trail", recording)
+
+    def walk(trials):
+        calls.clear()
+        curves.verify_model_words(CurveModel("Sn_hyperelliptic", 4), trials=trials)
+        return list(calls)
+
+    one = walk(block)
+    many = walk(5 * block + 3)
+    assert [width for width, _ in one] == [block] * len(one)
+    assert [width for width, _ in many] == [block] * (5 * len(one)) + [3] * len(one)
+    assert [kept for _, kept in many] == [kept for _, kept in one] * 6
+
+
 def test_order_relations_are_not_vacuous():
     # m^order = 1 applies its steps: a wrong root of unity fails it, and
     # on the true model the report is the error of an explicit loop of
@@ -517,8 +609,8 @@ def test_step_loop_stops_in_the_exclusion_zone():
         model = CurveModel(name, 3)
         for b in model.branch_locus()[1:]:
             p = model.lift(b * (1 + BRANCH_DISTANCE / 2))
-            with pytest.raises(curves._NearPole):
-                curves._apply_word(model, [("x", 1)], p, {})
+            (image,), _ = curves._trail(model, "x", [p], {1})[1]
+            assert image is None, (name, b)
 
 
 def test_sampler_rejects_points_in_the_exclusion_zone():
