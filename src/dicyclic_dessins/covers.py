@@ -98,8 +98,7 @@ def normalize(t: CoverTriple) -> tuple[CoverTriple, int]:
 
 def class_count(n: int, case: str) -> int:
     """Number of equivalence classes of admissible triples."""
-    canon = {normalize(t)[0] for t in admissible_triples(n, case)}
-    return len(canon)
+    return len(canonical_representatives(n, case))
 
 
 def canonical_representatives(n: int, case: str) -> list[CoverTriple]:

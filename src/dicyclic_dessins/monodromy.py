@@ -109,7 +109,9 @@ class Permutation:
 
 
 def permutation_group_order(generators: list[Permutation]) -> int:
-    """Order of the group generated, by plain closure."""
+    """Order of the group generated, by plain closure: the test oracle of
+    `DessinMonodromy.is_regular`; no report calls it, and it stays here
+    for `monodromy_group_order`, which `bench/tracer.py` wraps."""
     if not generators:
         return 1
     members = {Permutation.identity(generators[0].degree)}
@@ -154,7 +156,9 @@ def verify_remark_relations(n: int) -> dict:
 
     Returns a report mapping each relation to a bool; "group_order_4n"
     confirms that eta -> x, sigma -> y extends to an isomorphism (the
-    relations plus the matching order force one).
+    relations plus the matching order force one): the pair acts
+    regularly on its 4n points, so it generates a group of order 4n
+    (`DessinMonodromy.is_regular`).
     """
     eta, sigma = build_remark_permutations(n)
     degree = 4 * n
@@ -169,7 +173,7 @@ def verify_remark_relations(n: int) -> dict:
             sigma.inverse() * eta * sigma == eta.inverse(),
         "eta_power_n_explicit_form": eta ** n == eta_n_explicit,
         "sigma_squared_equals_eta_power_n": sigma * sigma == eta ** n,
-        "group_order_4n": permutation_group_order([eta, sigma]) == 4 * n,
+        "group_order_4n": DessinMonodromy(degree, eta, sigma).is_regular(),
     }
     tau1 = sigma ** 3 * eta
     checks["case_I_triple_tau_sigma_eta"] = (tau1 * sigma * eta).is_identity()
@@ -216,37 +220,48 @@ class DessinMonodromy:
         return len(reached) == self.edge_count
 
     def monodromy_group_order(self) -> int:
+        """|<white, black>| by closure: the test oracle of `is_regular`, kept
+        here, as no report calls it, because `bench/tracer.py` wraps it."""
         return permutation_group_order([self.white, self.black])
 
-    def automorphism_count(self) -> int:
-        """Permutations of the edges commuting with white and black.
+    def _extends(self, target: int) -> bool:
+        """Whether an automorphism (a permutation commuting with white and
+        black) sends edge 1 to `target`: it is determined by that image,
+        so it is extended greedily and kept if a consistent bijection."""
+        mapping = {1: target}
+        frontier = [1]
+        while frontier:
+            e = frontier.pop()
+            for p in (self.white, self.black):
+                img = p(mapping[e])
+                src = p(e)
+                if src not in mapping:
+                    mapping[src] = img
+                    frontier.append(src)
+                elif mapping[src] != img:
+                    return False
+        return len(mapping) == self.edge_count and \
+            len(set(mapping.values())) == self.edge_count
 
-        An automorphism of a transitive pair is determined by the image
-        of one edge, so each candidate image is extended greedily and
-        kept only if globally consistent.
+    def automorphism_count(self) -> int:
+        """Permutations of the edges commuting with white and black."""
+        return sum(map(self._extends, range(1, self.edge_count + 1)))
+
+    def is_regular(self) -> bool:
+        """Whether the monodromy group M acts regularly on the edges, that
+        is (being transitive) has order edge_count, in O(edge_count).
+
+        If the pair is transitive and automorphisms a, b send edge 1 to
+        white(1) and black(1), then <a, b> is transitive: g(1) = h(1) with
+        h in <a, b> gives white(g(1)) = h(white(1)) = (h a)(1), likewise
+        for black, and inverses are powers.  So the centraliser C of M is
+        transitive; as the centraliser of a transitive group it is
+        semiregular, hence regular.  M centralises C, so M is semiregular
+        and, being transitive, regular.  Conversely a regular M has a
+        regular C, which holds a and b.
         """
-        gens = [self.white, self.black]
-        count = 0
-        for target in range(1, self.edge_count + 1):
-            mapping = {1: target}
-            frontier = [1]
-            ok = True
-            while frontier and ok:
-                e = frontier.pop()
-                for p in gens:
-                    img = p(mapping[e])
-                    src = p(e)
-                    if src in mapping:
-                        if mapping[src] != img:
-                            ok = False
-                            break
-                    else:
-                        mapping[src] = img
-                        frontier.append(src)
-            if ok and len(mapping) == self.edge_count and \
-                    len(set(mapping.values())) == self.edge_count:
-                count += 1
-        return count
+        return self.is_transitive() and self._extends(self.white(1)) and \
+            self._extends(self.black(1))
 
     def euler_characteristic(self) -> int:
         v = len(self.white.cycles(include_fixed=True))

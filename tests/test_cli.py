@@ -114,6 +114,24 @@ def test_pseudo_real():
     assert result.returncode == 0
 
 
+def test_a_broken_pseudo_real_genus_fails_its_claims(monkeypatch):
+    # the claims are the only check of the pseudo-real invariants, so a
+    # wrong genus reads as failing claims with their data, not a traceback
+    from dicyclic_dessins import real_forms
+
+    monkeypatch.setattr(real_forms, "rh_genus",
+                        lambda order, sig: search.rh_genus(order, sig) + 1)
+    report = reports.pseudo_real_report(3, 2)
+    failed = {c.id: c.data for c in report.failures()}
+    assert failed == {
+        "genus_formula": {"l": 9, "genus": 41},
+        "genus_cross_check": {"nec": 41, "cyclic_cover": 40},
+    }
+    code, out, err = run_in_process("pseudo-real", "--n", "3", "--q", "2")
+    assert code == 1 and err == ""
+    assert json.loads(out)["payload"] == report.payload()
+
+
 def test_curves_pass_and_unknown_model():
     ok = run_cli("curves", "--n", "2", "--model", "Sn_hyperelliptic")
     assert ok.returncode == 0

@@ -1,11 +1,15 @@
 """Tests for permutations, the explicit monodromy pair and dessin data."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from dicyclic_dessins import monodromy, reports
 from dicyclic_dessins.covering import census_representative
 from dicyclic_dessins.search import rh_genus
 from dicyclic_dessins.monodromy import (
+    DessinMonodromy,
     Permutation,
     build_remark_permutations,
     export_dot,
@@ -117,6 +121,7 @@ def test_remark_dessin_case_I():
         assert dessin.monodromy_group_order() == 4 * n
         # regular: automorphism count equals edge count
         assert dessin.automorphism_count() == 4 * n
+        assert dessin.is_regular()
 
 
 def test_remark_dessin_case_II():
@@ -125,6 +130,7 @@ def test_remark_dessin_case_II():
         assert dessin.is_transitive()
         assert dessin.genus() == n - 1
         assert dessin.monodromy_group_order() == 4 * n
+        assert dessin.is_regular()
 
 
 def test_case_II_requires_odd_n():
@@ -155,6 +161,51 @@ def test_regular_dessin_matches_remark_dessin():
             dessin = regular_dessin(act)
             assert dessin.genus() == remark_dessin(n, case).genus()
             assert dessin_genus_matches_rh(act)
+
+
+def regular_by_closure(dessin: DessinMonodromy) -> bool:
+    """The oracle of `is_regular`: transitive, and the BFS closure of the
+    pair has as many elements as there are edges."""
+    return dessin.is_transitive() and permutation_group_order(
+        [dessin.white, dessin.black]) == dessin.edge_count
+
+
+def test_is_regular_matches_the_closure_on_the_paper_dessins():
+    for n in range(2, 41):
+        eta, sigma = build_remark_permutations(n)
+        dessins = [DessinMonodromy(4 * n, eta, sigma)]
+        for case in ("I",) if n % 2 == 0 else ("I", "II"):
+            dessins.append(remark_dessin(n, case))
+            dessins.append(regular_dessin(census_representative(n, case)))
+        for dessin in dessins:
+            assert dessin.is_regular() and regular_by_closure(dessin), n
+
+
+def test_is_regular_matches_the_closure_on_random_pairs():
+    rng = random.Random(1)
+    outcomes = []
+    for _ in range(2000):
+        degree = rng.randint(1, 6)
+        white, black = (Permutation(tuple(rng.sample(range(1, degree + 1), degree)))
+                        for _ in range(2))
+        dessin = DessinMonodromy(degree, white, black)
+        outcomes.append(dessin.is_regular())
+        assert outcomes[-1] == regular_by_closure(dessin), (white, black)
+    assert True in outcomes and False in outcomes
+
+
+def test_no_report_path_closes_the_monodromy_group(monkeypatch):
+    # the reports decide the group order by regularity; the closure is the
+    # oracle of the tests above
+    def closure(*args):
+        raise AssertionError("a report closed a permutation group")
+
+    monkeypatch.setattr(monodromy, "permutation_group_order", closure)
+    monkeypatch.setattr(DessinMonodromy, "monodromy_group_order", closure)
+    for n in range(3, 8):
+        for case in ("I",) if n % 2 == 0 else ("I", "II"):
+            assert reports.monodromy_report(n, case).all_pass()
+    reports.per_n_report(5, 0, True)
 
 
 def test_case_I_graph_is_doubled_cycle():
