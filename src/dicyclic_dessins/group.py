@@ -16,7 +16,6 @@ n is the same, so every report section for one n reuses them.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -312,7 +311,10 @@ class DicyclicGroup:
         H meets <x> in <x^d>; a y-element of H squares to x^n, so d | n,
         and its coset mod <x^d> fixes i.  Each subgroup is named by its
         least generating pair in combinations_with_replacement order of
-        its member indices, stored as (i,) when i = j.
+        its member indices, stored as (i,) when i = j: the pairs (0, j)
+        come first, so a cyclic subgroup is named by its least generator
+        (x^d, or x^s y when d = n), and a non-cyclic one by its two least
+        nonzero members, 2s + 1 < 2d.
         """
         divisors = [d for d in range(1, 2 * self.n + 1) if 2 * self.n % d == 0]
         member_sets = [self._closure_indices((2 * d % self.order,)) for d in divisors] + [
@@ -321,9 +323,12 @@ class DicyclicGroup:
         ]
         result = []
         for members in member_sets:
-            pairs = itertools.combinations_with_replacement(sorted(members), 2)
-            gens = next(p for p in pairs if self._closure_indices(p) == members)
-            result.append(Subgroup(self.n, members, tuple(dict.fromkeys(gens))))
+            d, s = members.d, members.s
+            if s is None:
+                gens = tuple(dict.fromkeys((0, 2 * d % self.order)))
+            else:
+                gens = (0, 2 * s + 1) if d == self.n else (2 * s + 1, 2 * d)
+            result.append(Subgroup(self.n, members, gens))
         result.sort(key=lambda H: (H.order, sorted(H.members)))
         return tuple(result)
 

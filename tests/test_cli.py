@@ -19,6 +19,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,17 @@ def test_a_search_that_runs_out_of_genera_exits_3(monkeypatch):
         assert err.startswith("search exhausted: "), err
 
 
+@pytest.mark.parametrize("args", [
+    ("curves", "--n", "800", "--model", "Sn_hyperelliptic"),
+    ("curves", "--n", "801", "--model", "Rn_hyperelliptic"),
+])
+def test_an_overflowing_belyi_projection_exits_2(args):
+    # in process, so an escaping OverflowError fails the test
+    code, out, err = run_in_process(*args)
+    assert code == 2 and out == "", err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_readme_usage_lists_every_option_of_every_command():
     # the ```sh block of README.md whose lines run dicyclic-dessins
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
@@ -310,6 +322,20 @@ def test_each_command_imports_only_the_layers_it_runs(args, modules, fractions,
     assert result.returncode == 0, result.stderr
     loaded = json.loads(result.stdout)
     assert loaded == {"modules": sorted(modules), "fractions": fractions}
+
+
+def test_every_module_compiles_below_the_parser_token_step():
+    # Runs without cached bytecode (PYTHONDONTWRITEBYTECODE, a fresh
+    # checkout) compile every imported module from source, and CPython's
+    # parser doubles its token array past 4,096 tokens, which costs about
+    # 0.2 MB of peak memory per module over the step.  Counted as the
+    # tokenizer yields them, without comments and non-logical newlines.
+    skipped = {tokenize.COMMENT, tokenize.NL}
+    for path in sorted(Path(PACKAGE_ROOT, "dicyclic_dessins").glob("*.py")):
+        with path.open() as source:
+            count = sum(t.type not in skipped
+                        for t in tokenize.generate_tokens(source.readline))
+        assert count < 4096, (path.name, count)
 
 
 def test_package_exports_resolve_lazily_to_their_submodules():
