@@ -182,6 +182,10 @@ def main() -> None:
         # --dot, --out) cannot be written
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    except MemoryError:
+        # an input too large to hold, such as a huge --q or --n
+        click.echo("error: the input is too large to hold in memory", err=True)
+        sys.exit(2)
     except click.ClickException as exc:
         exc.show()
         sys.exit(exc.exit_code)

@@ -139,7 +139,7 @@ def _coset_cycles(group: DicyclicGroup, H: Subgroup, c: int) -> list[int]:
     for g in range(group.order):
         if rep_of[g] < 0:
             reps.append(g)
-            for h in H.members:
+            for h in H:
                 rep_of[group.mul(g, h)] = g
     lengths = []
     seen = set()

@@ -149,6 +149,10 @@ class CurveModel:
         _, rhs = self.sides(z, 0j)
         if self.name.endswith("hyperelliptic"):
             return (z, cmath.sqrt(rhs))
+        if abs(rhs) < 2.2250738585072014e-308:
+            # below sys.float_info.min the right-hand side has lost its
+            # bits to underflow, and its 2n-th root carries none
+            raise ValueError("the right-hand side underflows")
         return (z, cmath.exp(cmath.log(rhs) / (2 * self.n)))
 
     def sample_points(self, count: int, seed: int) -> list[Point]:
@@ -185,7 +189,7 @@ class CurveModel:
                 admitted = self.residual(p) <= ADMISSION_TOLERANCE
             except (OverflowError, ValueError):
                 # a power of z overflowed, or the cyclic right-hand side
-                # underflowed to 0 and has no logarithm: reject, as off
+                # underflowed below the normal floats: reject, as off
                 # the curve
                 continue
             if admitted:

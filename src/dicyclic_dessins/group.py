@@ -17,7 +17,7 @@ n is the same, so every report section for one n reuses them.
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator
@@ -85,65 +85,37 @@ class GroupElement:
         return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup given by its member index set plus the generators it came from.
+class Subgroup(Set):
+    """The subgroup <x^d> union <x^d> x^s y of the dicyclic group G_n.
 
-    Equality and hashing see (n, members) only, so a subgroup equals its
-    lattice entry whichever generators named it.  `H.members` and
-    `generator_indices` hold indices 2a + b; `g in H` and `generators`
-    are the `GroupElement` edge for callers and reports.
+    s is None when there is no y-coset, and is kept reduced mod d, so
+    (n, d, s) names the subgroup.  As a set it holds element indices
+    2a + b: `len`, `in` and `==` between two subgroups are O(1),
+    iteration lists <x^d> and then the coset, and `&`, `|` and `-`
+    return plain frozensets; it is equal to, and hashes like, the
+    frozenset of its members.  `g in H` for a `GroupElement` g and
+    `generators` are the element edge.
     """
 
-    n: int
-    members: IndexSubgroup
-    generator_indices: tuple[int, ...] = field(compare=False)
+    __slots__ = ("n", "d", "s")
 
-    @property
-    def generators(self) -> tuple[GroupElement, ...]:
-        return tuple(GroupElement(self.n, *divmod(i, 2)) for i in self.generator_indices)
+    def __init__(self, n: int, d: int, s: int | None):
+        self.n, self.d, self.s = n, d, None if s is None else s % d
+
+    def __len__(self) -> int:
+        return 2 * self.n // self.d * (1 if self.s is None else 2)
 
     @property
     def order(self) -> int:
-        return len(self.members)
-
-    def index_in(self, group: "DicyclicGroup") -> int:
-        if group.n != self.n:
-            raise ParameterError(f"subgroup of G_{self.n} passed to G_{group.n}")
-        return group.order // self.order
-
-    def __contains__(self, e: object) -> bool:
-        return (isinstance(e, GroupElement) and e.n == self.n
-                and 2 * e.a + e.b in self.members)
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
-    def __repr__(self) -> str:
-        gens = ",".join(repr(g) for g in self.generators)
-        return f"<{gens}> (order {self.order})"
-
-
-class IndexSubgroup(Set):
-    """The index set of <x^d> union <x^d> x^s y in a group of the given order.
-
-    s is None when there is no y-coset, and is kept reduced mod d, so
-    (order, d, s) names the set.  `len`, `in` and `==` between two of
-    them are O(1), iteration lists <x^d> and then the coset, and `&`,
-    `|` and `-` return plain frozensets.  Equal to, and hashes like, the
-    frozenset of its members.
-    """
-
-    __slots__ = ("order", "d", "s")
-
-    def __init__(self, order: int, d: int, s: int | None):
-        self.order, self.d, self.s = order, d, None if s is None else s % d
-
-    def __len__(self) -> int:
-        return self.order // (2 * self.d) * (1 if self.s is None else 2)
+        return len(self)
 
     def __contains__(self, i: object) -> bool:
-        if not (isinstance(i, int) and 0 <= i < self.order):
+        # an index, or a GroupElement of the same group; a bool is neither
+        if type(i) is not int:
+            if not (isinstance(i, GroupElement) and i.n == self.n):
+                return False
+            i = 2 * i.a + i.b
+        elif not 0 <= i < 4 * self.n:
             return False
         a, b = divmod(i, 2)
         if b:
@@ -151,13 +123,14 @@ class IndexSubgroup(Set):
         return a % self.d == 0
 
     def __iter__(self) -> Iterator[int]:
-        yield from range(0, self.order, 2 * self.d)
+        step, order = 2 * self.d, 4 * self.n
+        yield from range(0, order, step)
         if self.s is not None:
-            yield from range(2 * self.s + 1, self.order, 2 * self.d)
+            yield from range(2 * self.s + 1, order, step)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, IndexSubgroup):
-            return (self.order, self.d, self.s) == (other.order, other.d, other.s)
+        if isinstance(other, Subgroup):
+            return (self.n, self.d, self.s) == (other.n, other.d, other.s)
         return super().__eq__(other)
 
     __hash__ = Set._hash
@@ -165,6 +138,34 @@ class IndexSubgroup(Set):
     @classmethod
     def _from_iterable(cls, it: Iterable[int]) -> frozenset[int]:
         return frozenset(it)
+
+    @property
+    def generator_indices(self) -> tuple[int, ...]:
+        """The least generating pair in combinations_with_replacement order
+        of the member indices, stored as (i,) when i = j: the pairs (0, j)
+        come first, so a cyclic subgroup is named by its least generator
+        (x^d, or x^s y when d = n), and a non-cyclic one by its two least
+        nonzero members, 2s + 1 < 2d."""
+        d, s = self.d, self.s
+        if s is None:
+            return tuple(dict.fromkeys((0, 2 * d % (4 * self.n))))
+        return (0, 2 * s + 1) if d == self.n else (2 * s + 1, 2 * d)
+
+    @property
+    def generators(self) -> tuple[GroupElement, ...]:
+        return tuple(GroupElement(self.n, *divmod(i, 2)) for i in self.generator_indices)
+
+    def index_in(self, group: "DicyclicGroup") -> int:
+        if group.n != self.n:
+            raise ParameterError(f"subgroup of G_{self.n} passed to G_{group.n}")
+        return group.order // self.order
+
+    def is_trivial(self) -> bool:
+        return self.order == 1
+
+    def __repr__(self) -> str:
+        gens = ",".join(repr(g) for g in self.generators)
+        return f"<{gens}> (order {self.order})"
 
 
 class DicyclicGroup:
@@ -275,7 +276,7 @@ class DicyclicGroup:
 
     # -- subgroups -------------------------------------------------------
 
-    def _closure_indices(self, gen_indices: Iterable[int]) -> IndexSubgroup:
+    def _closure_indices(self, gen_indices: Iterable[int]) -> Subgroup:
         """The subgroup generated by the given indices, in closed form.
 
         With generators x^a y^b (index 2a + b), <S> = <x^d> union <x^d> x^s y,
@@ -293,13 +294,10 @@ class DicyclicGroup:
             if b and s is None:
                 s, d = a, gcd(d, self.n)
             d = gcd(d, a - s if b else a)
-        return IndexSubgroup(self.order, d, s)
-
-    def _subgroup(self, gen_indices: tuple[int, ...]) -> Subgroup:
-        return Subgroup(self.n, self._closure_indices(gen_indices), gen_indices)
+        return Subgroup(self.n, d, s)
 
     def subgroup_generated(self, generators: Iterable[GroupElement]) -> Subgroup:
-        return self._subgroup(tuple(map(self.index_of, generators)))
+        return self._closure_indices(map(self.index_of, generators))
 
     def cyclic(self, e: GroupElement) -> Subgroup:
         return self.subgroup_generated([e])
@@ -309,28 +307,14 @@ class DicyclicGroup:
         """All subgroups: <x^d> for d | 2n, <x^d, x^i y> for d | n, 0 <= i < d.
 
         H meets <x> in <x^d>; a y-element of H squares to x^n, so d | n,
-        and its coset mod <x^d> fixes i.  Each subgroup is named by its
-        least generating pair in combinations_with_replacement order of
-        its member indices, stored as (i,) when i = j: the pairs (0, j)
-        come first, so a cyclic subgroup is named by its least generator
-        (x^d, or x^s y when d = n), and a non-cyclic one by its two least
-        nonzero members, 2s + 1 < 2d.
+        and its coset mod <x^d> fixes i.  Sorted by order, then by members.
         """
-        divisors = [d for d in range(1, 2 * self.n + 1) if 2 * self.n % d == 0]
-        member_sets = [self._closure_indices((2 * d % self.order,)) for d in divisors] + [
-            self._closure_indices((2 * d, 2 * i + 1))
-            for d in divisors if self.n % d == 0 for i in range(d)
+        n = self.n
+        divisors = [d for d in range(1, 2 * n + 1) if 2 * n % d == 0]
+        result = [Subgroup(n, d, None) for d in divisors] + [
+            Subgroup(n, d, i) for d in divisors if n % d == 0 for i in range(d)
         ]
-        result = []
-        for members in member_sets:
-            d, s = members.d, members.s
-            if s is None:
-                gens = tuple(dict.fromkeys((0, 2 * d % self.order)))
-            else:
-                gens = (0, 2 * s + 1) if d == self.n else (2 * s + 1, 2 * d)
-            result.append(Subgroup(self.n, members, gens))
-        result.sort(key=lambda H: (H.order, sorted(H.members)))
-        return tuple(result)
+        return tuple(sorted(result, key=lambda H: (H.order, sorted(H))))
 
     def index_two_subgroups(self) -> list[Subgroup]:
         return [H for H in self.subgroups if H.order * 2 == self.order]

@@ -206,19 +206,6 @@ class DessinMonodromy:
     def face(self) -> Permutation:
         return (self.white * self.black).inverse()
 
-    def is_transitive(self) -> bool:
-        moves = [self.white, self.black, self.white.inverse(), self.black.inverse()]
-        reached = {1}
-        frontier = [1]
-        while frontier:
-            e = frontier.pop()
-            for p in moves:
-                q = p(e)
-                if q not in reached:
-                    reached.add(q)
-                    frontier.append(q)
-        return len(reached) == self.edge_count
-
     def monodromy_group_order(self) -> int:
         """|<white, black>| by closure: the test oracle of `is_regular`, kept
         here, as no report calls it, because `bench/tracer.py` wraps it."""
@@ -251,17 +238,18 @@ class DessinMonodromy:
         """Whether the monodromy group M acts regularly on the edges, that
         is (being transitive) has order edge_count, in O(edge_count).
 
-        If the pair is transitive and automorphisms a, b send edge 1 to
-        white(1) and black(1), then <a, b> is transitive: g(1) = h(1) with
-        h in <a, b> gives white(g(1)) = h(white(1)) = (h a)(1), likewise
-        for black, and inverses are powers.  So the centraliser C of M is
+        `_extends` holds only when its mapping, defined on the orbit of
+        edge 1 under M, covers every edge, so it implies that M is
+        transitive.  If automorphisms a, b send edge 1 to white(1) and
+        black(1), then <a, b> is transitive: g(1) = h(1) with h in <a, b>
+        gives white(g(1)) = h(white(1)) = (h a)(1), likewise for black,
+        and inverses are powers.  So the centraliser C of M is
         transitive; as the centraliser of a transitive group it is
         semiregular, hence regular.  M centralises C, so M is semiregular
-        and, being transitive, regular.  Conversely a regular M has a
-        regular C, which holds a and b.
+        and, being transitive, regular.  Conversely a regular M is
+        transitive and has a regular C, which holds a and b.
         """
-        return self.is_transitive() and self._extends(self.white(1)) and \
-            self._extends(self.black(1))
+        return self._extends(self.white(1)) and self._extends(self.black(1))
 
     def euler_characteristic(self) -> int:
         v = len(self.white.cycles(include_fixed=True))

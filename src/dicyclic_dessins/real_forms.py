@@ -48,20 +48,20 @@ class NECActionData:
             raise ParameterError("; ".join(problems))
 
     def violations(self) -> list[str]:
-        group, members = self.group, self.plus_part.members
+        group, plus_part = self.group, self.plus_part
         orders = group.order_table
         out = []
-        if self.plus_part.index_in(group) != 2:
+        if plus_part.index_in(group) != 2:
             out.append("plus part is not an index-two subgroup")
         if len(self.alpha_images) != self.sig.gamma + 1:
             out.append("wrong number of glide-reflection images")
         if len(self.beta_images) != len(self.sig.cone_orders):
             out.append("wrong number of elliptic images")
         for a in self.alpha_images:
-            if a in members:
+            if a in plus_part:
                 out.append(f"alpha image {group.element_at(a)!r} lies in the plus part")
         for b, m in zip(self.beta_images, self.sig.cone_orders):
-            if b not in members:
+            if b not in plus_part:
                 out.append(f"beta image {group.element_at(b)!r} outside the plus part")
             if orders[b] != m:
                 out.append(f"beta image {group.element_at(b)!r} has order "
@@ -97,8 +97,8 @@ def admissible_homomorphisms(
     """
     if plus_part.index_in(group) != 2:
         raise ParameterError("plus part must have index two")
-    outside = [i for i in range(group.order) if i not in plus_part.members]
-    beta_pools = search.cone_pools(group, sig.cone_orders, plus_part.members)
+    outside = [i for i in range(group.order) if i not in plus_part]
+    beta_pools = search.cone_pools(group, sig.cone_orders, plus_part)
     found: list[NECActionData] = []
     alpha_pools = [outside] * (sig.gamma + 1)
     for alphas, betas in search.vectors(group, alpha_pools, search.squares, beta_pools):
@@ -171,7 +171,7 @@ def build_pseudo_real(n: int, q: int) -> PseudoRealCertificate:
         raise ParameterError(f"need q >= 2, got q={q}")
     l = n * (2 * q - 1)
     group = DicyclicGroup(n)
-    plus_part = group._subgroup((2,))  # <x>; x has index 2 and y index 1
+    plus_part = Subgroup(n, 1, None)  # <x>
     sig = Signature(1, 0, (2 * n,) * l)
     action = NECActionData(group, plus_part, sig,
                            alpha_images=(1,), beta_images=(2,) * l)
@@ -184,11 +184,11 @@ def build_pseudo_real(n: int, q: int) -> PseudoRealCertificate:
     euler = two_n * (-2 * two_n + 2 * l * (two_n - 1))
     genus_cyclic = 1 + euler // (2 * two_n)
     outside_orders = sorted(
-        {group.order_table[i] for i in range(group.order) if i not in plus_part.members}
+        {group.order_table[i] for i in range(group.order) if i not in plus_part}
     )
     report = {
         "unique_involution": "x^n",
-        "involution_inside_plus_part": 2 * n in plus_part.members,
+        "involution_inside_plus_part": 2 * n in plus_part,
         "orders_outside_plus_part": outside_orders,
         "cone_point_count_on_cyclic_quotient": 2 * l,
         "maximality": "assumed (maximal-signature list; 2l > 6 holds)",

@@ -358,7 +358,7 @@ def per_n_report(n: int, seed: int, heavy: bool) -> Report:
                     "order": H.order,
                     "quotient_genus": qg,
                 })
-                if involution in H.members:
+                if involution in H:
                     involution_counterexamples.append(counterexamples[-1])
     report.add(
         "quotient_genera",
@@ -373,7 +373,7 @@ def per_n_report(n: int, seed: int, heavy: bool) -> Report:
         "S/H has genus zero for every H containing x^n",
         not involution_counterexamples,
         {"subgroups_checked": sum(1 for H in group.subgroups
-                                  if involution in H.members),
+                                  if involution in H),
          "actions_checked": len(actions),
          "counterexamples": involution_counterexamples},
     )

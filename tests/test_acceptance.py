@@ -94,7 +94,7 @@ def _expected_quotient_genus(n: int, case: str, H) -> int | None:
     if G.element(n) in H:
         return 0
     m = H.order
-    if m % 2 == 0 or n % m != 0 or any(i % 2 for i in H.members):
+    if m % 2 == 0 or n % m != 0 or any(i % 2 for i in H):
         return None
     return n // m if case == "I" else n // m - 1
 

@@ -190,6 +190,30 @@ def test_an_overflowing_belyi_projection_exits_2(args):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_a_large_cyclic_curve_starts_from_normal_floats():
+    # this draw once admitted a start point whose right-hand side had
+    # underflowed to a subnormal, and the relations then failed
+    code, out, err = run_in_process("curves", "--n", "350", "--model", "Sn_cyclic",
+                                    "--seed", "901")
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("args", [
+    ("pseudo-real", "--n", "2", "--q", "100000000000"),
+    ("monodromy", "--n", "1000000000000", "--case", "I"),
+])
+def test_an_input_too_large_to_hold_exits_2(args, monkeypatch):
+    # the builders raise MemoryError whatever the machine's overcommit
+    def refuse(*_):
+        raise MemoryError
+
+    monkeypatch.setattr(reports, "pseudo_real_report", refuse)
+    monkeypatch.setattr(reports, "monodromy_report", refuse)
+    code, out, err = run_in_process(*args)
+    assert code == 2 and out == "", err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_readme_usage_lists_every_option_of_every_command():
     # the ```sh block of README.md whose lines run dicyclic-dessins
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)

@@ -410,7 +410,7 @@ def coset_cycles_oracle(group, H, c) -> list[int]:
     """Cycle lengths of c on G/H, naming each coset gH by the min over H
     of the indices of gh and starting each cycle at the least unseen name."""
     mul = group.mul_table
-    rep_of = [min(mul[g][h] for h in H.members) for g in range(group.order)]
+    rep_of = [min(mul[g][h] for h in H) for g in range(group.order)]
     lengths = []
     unseen = set(rep_of)
     while unseen:
@@ -508,7 +508,7 @@ def test_quotient_genus_constant_on_conjugate_subgroups():
         base = quotient_genus(act, H)
         for g in G.elements:
             K = G.subgroup_generated(
-                [g * h * g.inverse() for h in map(G.element_at, H.members)]
+                [g * h * g.inverse() for h in map(G.element_at, H)]
             )
             assert quotient_genus(act, K) == base
 

@@ -3,6 +3,7 @@
 import cmath
 import json
 import random
+import sys
 
 import pytest
 
@@ -160,6 +161,15 @@ def test_cyclic_model_residuals_stay_relative():
     model = CurveModel("Sn_cyclic", 8)
     points = model.sample_points(50, seed=1)
     assert all(model.residual(p) < ADMISSION_TOLERANCE for p in points)
+
+
+def test_cyclic_samples_start_from_a_normal_right_hand_side():
+    # at n = 800 the seed-160 draw once started from |rhs| = 2.8e-321, a
+    # subnormal whose 2n-th root keeps too few bits for the y map
+    model = CurveModel("Sn_cyclic", 800)
+    for seed in range(200):
+        ((z, _),) = model.sample_points(1, seed)
+        assert abs(model.sides(z, 0j)[1]) >= sys.float_info.min, seed
 
 
 def test_sn_cyclic_y_map_equals_the_printed_formula():

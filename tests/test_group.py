@@ -161,7 +161,7 @@ def test_index_two_subgroups():
         subs = G.index_two_subgroups()
         assert len(subs) == (3 if n % 2 == 0 else 1)
         cyclic_part = G.cyclic(G.x)
-        assert any(H.members == cyclic_part.members for H in subs)
+        assert any(H == cyclic_part for H in subs)
 
 
 def test_subgroup_lattice_is_closed_under_conjugation():
@@ -169,8 +169,8 @@ def test_subgroup_lattice_is_closed_under_conjugation():
     for H in G.subgroups:
         for g in G.elements:
             conj = frozenset(G.index_of(g * G.element_at(h) * g.inverse())
-                             for h in H.members)
-            assert any(conj == K.members for K in G.subgroups)
+                             for h in H)
+            assert any(conj == K for K in G.subgroups)
 
 
 def test_automorphisms_fix_relations():
@@ -326,21 +326,27 @@ def test_closure_matches_oracle_on_index_lists(data):
     G = _groups[data.draw(st.integers(2, 24), label="n")]
     gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=5), label="gens")
     assert_closure_matches_oracle(G, gens)
+    # every subgroup has one name, however it was built: the closure's
+    # generators generate it and are those of its lattice entry
+    H = G._closure_indices(gens)
+    assert G._closure_indices(H.generator_indices) == H, gens
+    (entry,) = [K for K in G.subgroups if K == H]
+    assert H.generator_indices == entry.generator_indices, gens
 
 
 def test_subgroups_match_all_pairs_oracle():
     for n in range(2, 25):
         G = _groups[n]
         got = [
-            (sorted(H.members), tuple(map(G.index_of, H.generators)))
+            (sorted(H), tuple(map(G.index_of, H.generators)))
             for H in G.subgroups
         ]
         assert got == subgroups_oracle(G), n
 
 
 def test_subgroup_membership_and_equality_at_the_element_edge():
-    # `g in H` takes a GroupElement and H.members holds indices; both must
-    # agree with the breadth-first closure of H's generators
+    # `g in H` takes a GroupElement or an index; both must agree with the
+    # breadth-first closure of H's generators
     for n in range(2, 13):
         G = _groups[n]
         stranger = GroupElement(n + 1, 0, 0)  # index 0, but of another group
@@ -348,14 +354,15 @@ def test_subgroup_membership_and_equality_at_the_element_edge():
             oracle = closure_oracle(G, map(G.index_of, H.generators))
             for g in G.elements:
                 i = G.index_of(g)
-                assert (g in H) == (i in H.members) == (i in oracle), (n, H, g)
+                assert (g in H) == (i in H) == (i in oracle), (n, H, g)
             assert stranger not in H
+            assert True not in H and False not in H
             # equality and hash see the members, never the generators
-            all_members = [G.element_at(i) for i in sorted(H.members)]
+            all_members = [G.element_at(i) for i in sorted(H)]
             for gens in (H.generators, H.generators[::-1], all_members,
                          (*H.generators, G.identity)):
                 K = G.subgroup_generated(gens)
-                assert K.generators == tuple(gens)
+                assert K.generators == H.generators
                 assert [K == L for L in G.subgroups] == [L is H for L in G.subgroups]
                 assert hash(K) == hash(H), (n, H, gens)
         assert len(set(G.subgroups)) == len(G.subgroups)

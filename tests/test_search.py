@@ -164,11 +164,11 @@ def test_vectors_match_the_table_search_on_square_words():
     for n in range(2, 7):
         G = DicyclicGroup(n)
         for H in G.index_two_subgroups():
-            outside = [i for i in range(G.order) if i not in H.members]
+            outside = [i for i in range(G.order) if i not in H]
             for m in order_pool(n):
                 for alphas, orders in ((1, (m, m)), (2, (m,))):
                     alpha_pools = [outside] * alphas
-                    pools = cone_pools(G, orders, H.members)
+                    pools = cone_pools(G, orders, H)
                     found = list(vectors(G, alpha_pools, squares, pools))
                     assert found == vectors_oracle(
                         G, alpha_pools, squares_oracle, pools), (n, H, orders)
