@@ -3,22 +3,22 @@
 Given a generating vector for a group action (a triangular action is
 one with quotient genus 0 and three cone images), this module computes
 the covering surface's genus through `search.rh_genus` with handle 2,
-fixed-point counts of individual elements through the class function
-fix(g) = sum_i |C_G(g)| |cl(g) meet <c_i>| / m_i, the freely acting
-conjugacy classes, genera and signatures of intermediate
-quotients, and the full census of triangular actions of a dicyclic
-group.  It owns `index_vectors`, the orientable enumerator over the
-vector search of `search.py` that the census representatives and the
-genus searches share.  Every element here is an index 2a + b: the
-images of an action, the argument of `fixed_point_count`, the free
-elements and the coset cycles; the command-line reports convert them
-to `GroupElement` values.
+one table per action of the fixed-point counts of every element, the
+free elements and (by the Lefschetz formula) the genera of intermediate
+quotients read off that table, their signatures from coset cycles, and
+the full census of triangular actions of a dicyclic group.  It owns
+`index_vectors`, the orientable enumerator over the vector search of
+`search.py` that the census representatives and the genus searches
+share.  Every element here is an index 2a + b: the images of an action,
+the fixed-point table, the free elements and the coset cycles; the
+command-line reports convert them to `GroupElement` values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import filterfalse
 from math import gcd
 from typing import Iterable
 
@@ -66,6 +66,10 @@ class GeneratingVector:
             2, self.quotient_genus, tuple(table[c] for c in self.cone_images)
         )
 
+    @cached_property
+    def fixed_points(self) -> list[int]:
+        return fixed_points(self.group, self.cone_images)
+
     def genus(self) -> int:
         return search.rh_genus(self.group.order, self.signature)
 
@@ -73,44 +77,37 @@ class GeneratingVector:
 # -- fixed points ------------------------------------------------------
 
 
-def fixed_point_count(act: GeneratingVector, g: int) -> int:
-    """Number of fixed points on the covering surface of the element g (an index).
+def fixed_points(group: DicyclicGroup, cones: Iterable[int]) -> list[int]:
+    """fix(g) for every element index g of an action with these cone indices.
 
     The class function fix(g) = sum_i |C_G(g)| |cl(g) meet <c_i>| / m_i:
     g fixes a point over the i-th cone point for each coset h<c_i> with
     h^-1 g h in <c_i>, and every conjugate of g is h^-1 g h for exactly
-    |C_G(g)| = |G| / |cl(g)| elements h.
+    |C_G(g)| = |G| / |cl(g)| elements h.  The identity's entry counts the
+    cone points, so it is 0 for an unramified action.
     """
-    group = act.group
-    group.check_indices((g,))
+    fix = [0] * group.order
+    for c in cones:
+        cyc = frozenset(group._closure_indices((c,)))  # & runs in C on a frozenset
+        for cls in filterfalse(cyc.isdisjoint, group.conjugacy_classes):
+            count = group.order // len(cls) * len(cls & cyc) // len(cyc)
+            for g in cls:
+                fix[g] += count
+    return fix
+
+
+def fixed_point_count(act: GeneratingVector, g: int) -> int:
+    """Number of fixed points on the covering surface of the element g (an
+    index): its entry in the table `GeneratingVector.fixed_points`."""
+    act.group.check_indices((g,))
     if g == 0:
         raise ParameterError("the identity fixes every point")
-    cls = next(cls for cls in group.conjugacy_classes if g in cls)
-    centraliser = group.order // len(cls)
-    total = 0
-    for c in act.cone_images:
-        cyc = group._closure_indices((c,))
-        total += centraliser * len(cls & cyc) // len(cyc)
-    return total
-
-
-def free_classes(group: DicyclicGroup, cones: Iterable[int]) -> list[frozenset[int]]:
-    """The conjugacy classes (index sets) that act freely, given cone indices.
-
-    g fixes a point iff its class meets a cone cyclic subgroup <c_i>; the
-    identity's class is never free.
-    """
-    non_free = frozenset({0}).union(*(group._closure_indices((c,)) for c in cones))
-    return [cls for cls in group.conjugacy_classes if cls.isdisjoint(non_free)]
+    return act.fixed_points[g]
 
 
 def free_elements(act: GeneratingVector) -> list[int]:
-    """Indices of the nontrivial elements acting without fixed points, sorted.
-
-    The members of the `free_classes`; `fixed_point_count` is zero on
-    exactly these elements.
-    """
-    return sorted(i for cls in free_classes(act.group, act.cone_images) for i in cls)
+    """Indices of the nontrivial elements acting without fixed points, sorted."""
+    return [g for g, fix in enumerate(act.fixed_points) if g and not fix]
 
 
 def is_purely_non_free(act: GeneratingVector) -> tuple[bool, list[int]]:
@@ -124,6 +121,20 @@ def is_purely_non_free(act: GeneratingVector) -> tuple[bool, list[int]]:
 
 
 # -- intermediate quotients --------------------------------------------
+
+
+def quotient_genus(act: GeneratingVector, H: Subgroup) -> int:
+    """Genus of the intermediate quotient S/H, by the Lefschetz formula.
+
+    H^1(S) has the character 2g at 1 and 2 - fix(h) at h != 1, and its
+    H-invariant part has dimension 2 genus(S/H) (T. Breuer, "Characters
+    and Automorphism Groups of Compact Riemann Surfaces", 2000).
+    """
+    H.index_in(act.group)
+    trace = 2 * act.genus() + sum(2 - act.fixed_points[h] for h in H if h)
+    if trace % (2 * len(H)):
+        raise ConstructionError(f"Lefschetz trace {trace} is not divisible by 2|H|")
+    return trace // (2 * len(H))
 
 
 def _coset_cycles(group: DicyclicGroup, H: Subgroup, c: int) -> list[int]:
@@ -155,32 +166,16 @@ def _coset_cycles(group: DicyclicGroup, H: Subgroup, c: int) -> list[int]:
     return lengths
 
 
-def quotient_genus(act: GeneratingVector, H: Subgroup) -> int:
-    """Genus of the intermediate quotient S/H.
-
-    Riemann-Hurwitz through the branched cover S/H -> S/G of degree
-    [G:H]: each cycle of a cone image on G/H of length L contributes
-    L - 1 to the branching.
-    """
-    group = act.group
-    sheets = H.index_in(group)
-    branch = 0
-    for c in act.cone_images:
-        branch += sum(length - 1 for length in _coset_cycles(group, H, c))
-    g2 = 2 * (1 + sheets * (act.quotient_genus - 1)) + branch
-    if g2 % 2 != 0:
-        raise InadmissibleSignatureError("odd Euler defect; H is not a subgroup?")
-    return g2 // 2
-
-
 def quotient_signature(act: GeneratingVector, H: Subgroup) -> search.Signature:
-    """Signature of S/H: genus plus the cone orders left downstairs.
+    """Signature of S/H, from the cycles of the cone images on G/H.
 
     A cycle of length L of a cone image of order m yields a cone point
-    of order m/L whenever m/L > 1.
+    of order m/L whenever m/L > 1 and adds L - 1 to the branching of
+    S/H -> S/G, of degree [G:H]; Riemann-Hurwitz then gives the genus,
+    a computation independent of the Lefschetz `quotient_genus`.
     """
-    group, genus = act.group, quotient_genus(act, H)
-    orders = []
+    group, sheets = act.group, H.index_in(act.group)
+    branch, orders = 0, []
     for c in act.cone_images:
         m = group.order_table[c]
         for length in _coset_cycles(group, H, c):
@@ -188,9 +183,13 @@ def quotient_signature(act: GeneratingVector, H: Subgroup) -> search.Signature:
                 raise InadmissibleSignatureError(
                     "coset cycle length does not divide the cone order"
                 )
+            branch += length - 1
             if m // length > 1:
                 orders.append(m // length)
-    return search.Signature(2, genus, tuple(sorted(orders)))
+    g2 = 2 * (1 + sheets * (act.quotient_genus - 1)) + branch
+    if g2 % 2 != 0:
+        raise InadmissibleSignatureError("odd Euler defect; H is not a subgroup?")
+    return search.Signature(2, g2 // 2, tuple(sorted(orders)))
 
 
 # -- triangular census -------------------------------------------------

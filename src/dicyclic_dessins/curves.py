@@ -73,7 +73,6 @@ class NamedMap:
     order relation m^order = 1 takes `order` steps.
     """
 
-    name: str
     func: Callable[[Point], Point]
     order: int
 
@@ -256,7 +255,7 @@ def _build_maps(model: CurveModel) -> dict[str, NamedMap]:
     maps: dict[str, NamedMap] = {}
 
     def add(name: str, func, order: int) -> None:
-        maps[name] = NamedMap(name, func, order)
+        maps[name] = NamedMap(func, order)
 
     if model.name == "Sn_hyperelliptic":
         add("u", lambda p: (r2n * p[0], r4n * p[1]), 4 * n)

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from dicyclic_dessins import covering, reports
 from dicyclic_dessins.covering import (
     GeneratingVector,
     _coset_cycles,
@@ -23,9 +24,22 @@ from dicyclic_dessins.errors import (
     InadmissibleSignatureError,
     ParameterError,
 )
-from dicyclic_dessins.genus import pure_symmetric_genus, strong_symmetric_genus
+from dicyclic_dessins.genus import (
+    exists_generating_vector,
+    generating_vectors,
+    last_genus,
+    pure_symmetric_genus,
+    strong_symmetric_genus,
+)
 from dicyclic_dessins.group import DicyclicGroup, GroupElement
-from dicyclic_dessins.search import Signature, commutators, order_pool, rh_genus, vectors
+from dicyclic_dessins.search import (
+    Signature,
+    commutators,
+    order_pool,
+    quotient_signatures,
+    rh_genus,
+    vectors,
+)
 from test_group import closure_oracle
 
 
@@ -388,6 +402,19 @@ def test_free_elements_match_fixed_point_oracle():
         assert free_elements(act) == oracle
 
 
+def test_an_unramified_action_has_every_nontrivial_element_free():
+    # with no cone points the identity's entry of the table is 0 as well,
+    # and it must still not be listed as a free element
+    act = exists_generating_vector(DicyclicGroup(2), Signature(2, 2, ()))
+    assert act.genus() == 9
+    assert act.fixed_points == [0] * 8
+    assert free_elements(act) == list(range(1, 8))
+    assert is_purely_non_free(act) == (False, list(range(1, 8)))
+    # with cone points the identity's entry counts them
+    ramified = census_representative(4, "I")
+    assert ramified.fixed_points[0] == 16 // 4 + 16 // 4 + 16 // 8
+
+
 def test_fixed_points_satisfy_riemann_hurwitz():
     # cross-oracle: summing fixed points over nontrivial elements must
     # reproduce the genus through the Riemann-Hurwitz formula
@@ -523,6 +550,55 @@ def test_quotient_signature_reproduces_genus():
                 continue
             sig = quotient_signature(act, H)
             assert rh_genus(H.order, sig) == act.genus()
+
+
+def _first_vectors(n: int, count: int):
+    """The first `count` generating vectors of every orientable signature
+    of genus at most n + 2."""
+    group = DicyclicGroup(n)
+    for g in range(2, last_genus(n) + 1):
+        for sig in quotient_signatures(n, g, 2):
+            yield from itertools.islice(generating_vectors(group, sig), count)
+
+
+def test_lefschetz_quotient_genus_matches_coset_cycles():
+    # two independent computations of every quotient genus: the Lefschetz
+    # sum over H of the fixed-point table, and Riemann-Hurwitz over the
+    # coset cycles of the cone images
+    actions = [
+        census_representative(n, case)
+        for n in (*range(2, 41), 64, 127, 128)
+        for case in (("I",) if n % 2 == 0 else ("I", "II"))
+    ]
+    actions += [act for n in range(2, 9) for act in _first_vectors(n, 5)]
+    assert any(act.quotient_genus >= 1 for act in actions)
+    for act in actions:
+        for H in act.group.subgroups:
+            assert quotient_genus(act, H) == quotient_signature(act, H).gamma, (act, H)
+
+
+def test_no_production_path_walks_coset_cycles(monkeypatch):
+    # the reports and the pure search read the fixed-point table; the
+    # coset walk of quotient_signature is the oracle of the test above
+    def walk(*args):
+        raise AssertionError("a production path walked coset cycles")
+
+    monkeypatch.setattr(covering, "_coset_cycles", walk)
+    act = census_representative(5, "I")
+    with pytest.raises(AssertionError):
+        quotient_signature(act, act.group.subgroups[1])
+    for n in (5, 6):
+        reports.per_n_report(n, 0, True)
+    pure_symmetric_genus(8)
+
+
+def test_quotient_genus_rejects_a_table_that_breaks_lefschetz():
+    # an unramified table on the genus-3 action: x^2 (order 3) gives the
+    # trace 2*3 + 2*2 = 10, not divisible by 2|H| = 6
+    act = census_representative(3, "I")
+    act.fixed_points = [0] * act.group.order
+    with pytest.raises(ConstructionError, match="Lefschetz trace 10"):
+        quotient_genus(act, act.group.cyclic(act.group.element(2)))
 
 
 def _act_and_foreign_subgroup():

@@ -445,7 +445,7 @@ def _count_steps(model):
         def counted(p, func=m.func):
             calls[0] += 1
             return func(p)
-        model.maps[name] = curves.NamedMap(name, counted, m.order)
+        model.maps[name] = curves.NamedMap(counted, m.order)
     return calls
 
 

@@ -58,7 +58,7 @@ def test_report_payloads_do_not_depend_on_section_order():
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_no_production_path_builds_the_product_table(n):
-    # the searches, the census, the coset cycles and a heavy report all
+    # the searches, the census, the quotient genera and a heavy report all
     # multiply by the closed-form `mul`; the table is for the tests only
     DicyclicGroup(n + 1)  # evict the shared group, so the next one is fresh
     G = DicyclicGroup(n)
