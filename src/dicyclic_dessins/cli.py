@@ -1,4 +1,4 @@
-"""Command-line front end: the click wiring only.
+"""Command-line front end: the argparse wiring only.
 
 Each subcommand runs one verification suite, built by its report
 builder in `reports.py`, prints a JSON envelope (deterministic payload
@@ -7,151 +7,126 @@ claim passed.  Exit codes: 0 all pass, 1 claim failure, 2 usage or
 sampling error, 3 search exhausted: a search found no action below the
 genus bound that its completeness argument states.
 
-This module imports no layer: the builders import the layers they call
-when they run, so a command loads only the layers it uses and `--help`
-loads none.
+The command line is parsed with the standard library alone, and `main`
+imports `reports` once the parse has succeeded, so `--help` and usage
+errors load no report code.  The builders import the layers they call
+when they run, so a command loads only the layers it uses.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import sys
 import time
 from pathlib import Path
 
-import click
-
-from . import reports
 from .errors import ParameterError, SamplingError, SearchExhaustedError
+
+
+class UsageError(Exception):
+    """The command line does not parse, or an option is outside its domain."""
+
+
+class _Formatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix=None):
+        # argparse passes prefix "" when it builds a subcommand's prog
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors into `main`, which reports them as
+    `error: <message>` with exit code 2."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise click.UsageError(message)
+        raise UsageError(message)
 
 
-def _finish(report: reports.Report, started: float, json_path: str | None = None) -> None:
+def _finish(report, started: float, json_path: str | None = None) -> None:
     ms = (time.perf_counter() - started) * 1000.0
     if json_path:
         Path(json_path).write_text(report.payload_json())
-    click.echo(report.envelope_json(ms), nl=False)
+    sys.stdout.write(report.envelope_json(ms))
     if not report.all_pass():
         sys.exit(1)
 
 
-@click.group()
-def cli() -> None:
-    """Desk-scale verifier for triangular dicyclic group actions."""
-
-
-@cli.command()
-@click.option("--n", type=int, required=True)
-@click.option("--json", "json_path", type=click.Path(), default=None)
-def census(n: int, json_path: str | None) -> None:
+def census(reports, args) -> None:
     """Classify all triangular actions for one n."""
-    _require(n >= 2, "census needs --n >= 2")
+    _require(args.n >= 2, "census needs --n >= 2")
     started = time.perf_counter()
-    _finish(reports.census_report(n), started, json_path)
+    _finish(reports.census_report(args.n), started, args.json_path)
 
 
-@cli.command("monodromy")
-@click.option("--n", type=int, required=True)
-@click.option("--case", "case", type=click.Choice(["I", "II"]), required=True)
-@click.option("--dot", "dot_path", type=click.Path(), default=None)
-@click.option("--json", "json_path", type=click.Path(), default=None)
-def monodromy_cmd(n: int, case: str, dot_path: str | None, json_path: str | None) -> None:
+def monodromy_cmd(reports, args) -> None:
     """Verify the explicit permutation monodromy for one n."""
+    n, case = args.n, args.case
     _require(n >= 2, "monodromy needs --n >= 2")
     _require(not (case == "II" and n % 2 == 0), "case II needs odd --n")
     started = time.perf_counter()
     report = reports.monodromy_report(n, case)
-    if dot_path:
-        Path(dot_path).write_text(reports.monodromy_dot(n, case))
-    _finish(report, started, json_path)
+    if args.dot_path:
+        Path(args.dot_path).write_text(reports.monodromy_dot(n, case))
+    _finish(report, started, args.json_path)
 
 
-@cli.command()
-@click.option("--n", type=int, required=True)
-@click.option("--json", "json_path", type=click.Path(), default=None)
-def hyper(n: int, json_path: str | None) -> None:
+def hyper(reports, args) -> None:
     """Minimal genus with anticonformal elements, by exhaustive search.
 
     It tries every non-orientable signature below genus 2n, where the minimum lies.
     """
-    _require(n >= 2, "hyper needs --n >= 2")
+    _require(args.n >= 2, "hyper needs --n >= 2")
     started = time.perf_counter()
-    _finish(reports.hyper_report(n), started, json_path)
+    _finish(reports.hyper_report(args.n), started, args.json_path)
 
 
-@cli.command("pseudo-real")
-@click.option("--n", type=int, required=True)
-@click.option("--q", type=int, required=True)
-@click.option("--json", "json_path", type=click.Path(), default=None)
-def pseudo_real(n: int, q: int, json_path: str | None) -> None:
+def pseudo_real(reports, args) -> None:
     """Build and verify one pseudo-real certificate."""
-    _require(n >= 2, "pseudo-real needs --n >= 2")
-    _require(q >= 2, "pseudo-real needs --q >= 2")
+    _require(args.n >= 2, "pseudo-real needs --n >= 2")
+    _require(args.q >= 2, "pseudo-real needs --q >= 2")
     started = time.perf_counter()
-    _finish(reports.pseudo_real_report(n, q), started, json_path)
+    _finish(reports.pseudo_real_report(args.n, args.q), started, args.json_path)
 
 
-@cli.command()
-@click.option("--n", type=int, required=True)
-# The names of curves.MODEL_NAMES, spelt out so that building the command
-# line does not import the curve models.
-@click.option("--model", "model_name",
-              type=click.Choice(["Sn_hyperelliptic", "Rn_hyperelliptic",
-                                 "Sn_cyclic", "Rn_cyclic"]),
-              required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.option("--json", "json_path", type=click.Path(), default=None)
-def curves_cmd(n: int, model_name: str, seed: int, trials: int, tol: float,
-               json_path: str | None) -> None:
+def curves_cmd(reports, args) -> None:
     """Numerically verify one curve model's self-maps."""
+    n, model_name, tol = args.n, args.model_name, args.tol
     _require(n >= 2, "curves needs --n >= 2")
     _require(not (model_name.startswith("Rn") and n % 2 == 0),
              f"{model_name} needs odd --n")
     _require(math.isfinite(tol) and tol > 0, "curves needs a finite --tol > 0")
     started = time.perf_counter()
-    _finish(reports.curves_report(n, model_name, seed, trials, tol), started, json_path)
+    report = reports.curves_report(n, model_name, args.seed, args.trials, tol)
+    _finish(report, started, args.json_path)
 
 
-@cli.command("genus")
-@click.option("--n", type=int, required=True)
-@click.option("--mode", type=click.Choice(["strong", "pure"]), default="strong",
-              show_default=True)
-@click.option("--json", "json_path", type=click.Path(), default=None)
-def genus_cmd(n: int, mode: str, json_path: str | None) -> None:
+def genus_cmd(reports, args) -> None:
     """Minimal-genus search (strong or pure symmetric genus) up to genus n + 2."""
-    _require(n >= 2, "genus needs --n >= 2")
+    _require(args.n >= 2, "genus needs --n >= 2")
     started = time.perf_counter()
-    _finish(reports.genus_report(n, mode), started, json_path)
+    _finish(reports.genus_report(args.n, args.mode), started, args.json_path)
 
 
-@cli.command("paper-report")
-@click.option("--n-range", "n_range", type=str, required=True,
-              help="inclusive range, e.g. 2..6")
-@click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--heavy", is_flag=True,
-              help="run the minimal-genus searches for every n, not just n <= 5")
-def paper_report(n_range: str, out_dir: str, seed: int, heavy: bool) -> None:
+def paper_report(reports, args) -> None:
     """Run the full suite per n; one JSON per n plus a markdown summary."""
     try:
-        lo_s, hi_s = n_range.split("..")
+        lo_s, hi_s = args.n_range.split("..")
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
-        raise click.UsageError(f"--n-range must look like 2..6, got {n_range!r}")
+        raise UsageError(f"--n-range must look like 2..6, got {args.n_range!r}")
     _require(lo >= 2, "--n-range must start at 2 or above")
     _require(hi >= lo, "--n-range is empty")
-    out = Path(out_dir)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_ok = True
     lines = ["# Verification summary", ""]
     for n in range(lo, hi + 1):
-        report = reports.per_n_report(n, seed, heavy)
+        report = reports.per_n_report(n, args.seed, args.heavy)
         (out / f"n{n}.json").write_text(report.payload_json())
         failures = report.failures()
         all_ok = all_ok and not failures
@@ -165,34 +140,100 @@ def paper_report(n_range: str, out_dir: str, seed: int, heavy: bool) -> None:
             lines.append(f"- FAIL `{c.id}`: {c.anchor}")
         lines.append("")
     (out / "summary.md").write_text("\n".join(lines))
-    click.echo(f"wrote {hi - lo + 1} reports to {out}")
+    print(f"wrote {hi - lo + 1} reports to {out}")
     if not all_ok:
         sys.exit(1)
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command line: one subparser per command, whose `run`
+    default is the function that runs it."""
+    # no -h and no abbreviated option names: every option has one spelling
+    style = dict(formatter_class=_Formatter, add_help=False, allow_abbrev=False)
+    parser = _Parser(prog="dicyclic-dessins",
+                     description="Desk-scale verifier for triangular dicyclic group actions.",
+                     **style)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, run):
+        doc = run.__doc__
+        sub = commands.add_parser(name, help=doc.splitlines()[0], description=doc, **style)
+        sub.set_defaults(run=run)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        return sub
+
+    n = dict(type=int, required=True)
+    json = dict(dest="json_path", metavar="PATH")
+    default = "default: %(default)s"
+
+    sub = command("census", census)
+    sub.add_argument("--n", **n)
+    sub.add_argument("--json", **json)
+
+    sub = command("monodromy", monodromy_cmd)
+    sub.add_argument("--n", **n)
+    sub.add_argument("--case", choices=["I", "II"], required=True)
+    sub.add_argument("--dot", dest="dot_path", metavar="PATH")
+    sub.add_argument("--json", **json)
+
+    sub = command("hyper", hyper)
+    sub.add_argument("--n", **n)
+    sub.add_argument("--json", **json)
+
+    sub = command("pseudo-real", pseudo_real)
+    sub.add_argument("--n", **n)
+    sub.add_argument("--q", type=int, required=True)
+    sub.add_argument("--json", **json)
+
+    sub = command("curves", curves_cmd)
+    sub.add_argument("--n", **n)
+    # The names of curves.MODEL_NAMES, spelt out so that building the
+    # command line does not import the curve models.
+    sub.add_argument("--model", dest="model_name", required=True,
+                     choices=["Sn_hyperelliptic", "Rn_hyperelliptic",
+                              "Sn_cyclic", "Rn_cyclic"])
+    sub.add_argument("--seed", type=int, default=0, help=default)
+    sub.add_argument("--trials", type=int, default=100, help=default)
+    sub.add_argument("--tol", type=float, default=1e-9, help=default)
+    sub.add_argument("--json", **json)
+
+    sub = command("genus", genus_cmd)
+    sub.add_argument("--n", **n)
+    sub.add_argument("--mode", choices=["strong", "pure"], default="strong", help=default)
+    sub.add_argument("--json", **json)
+
+    sub = command("paper-report", paper_report)
+    sub.add_argument("--n-range", dest="n_range", required=True,
+                     help="inclusive range, e.g. 2..6")
+    sub.add_argument("--out", dest="out_dir", metavar="PATH", required=True)
+    sub.add_argument("--seed", type=int, default=0, help=default)
+    sub.add_argument("--heavy", action="store_true",
+                     help="run the minimal-genus searches for every n, not just n <= 5")
+    return parser
+
+
 def main() -> None:
     try:
-        cli.main(standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(2)
-    except (ParameterError, SamplingError, OSError) as exc:
+        args = build_parser().parse_args()
+        # only after a successful parse: --help and usage errors load no report code
+        from . import reports
+
+        args.run(reports, args)
+    except (UsageError, ParameterError, SamplingError, OSError) as exc:
         # SamplingError: too many curve points or trajectories were
         # rejected at these parameters; OSError: an output path (--json,
         # --dot, --out) cannot be written
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     except MemoryError:
         # an input too large to hold, such as a huge --q or --n
-        click.echo("error: the input is too large to hold in memory", err=True)
+        print("error: the input is too large to hold in memory", file=sys.stderr)
         sys.exit(2)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(exc.exit_code)
-    except click.exceptions.Abort:
+    except KeyboardInterrupt:
         sys.exit(130)
     except SearchExhaustedError as exc:
-        click.echo(f"search exhausted: {exc}", err=True)
+        print(f"search exhausted: {exc}", file=sys.stderr)
         sys.exit(3)
 
 

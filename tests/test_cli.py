@@ -8,9 +8,10 @@ the installed package.  The import-footprint test runs `cli.main` in a
 fresh interpreter on the same path and lists the modules it loaded.
 The package-export, model-name, README-usage and search-exhaustion
 tests, and the last one, which draws many small command lines, run in
-process.
+process; the standard-library test reads the package sources.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -159,6 +160,16 @@ def test_curves_seed_determinism():
     ("genus", "--n", "3", "--g-max", "5"),
     ("hyper", "--n", "3", "--gamma-max", "1"),
     ("hyper", "--n", "3", "--r-max", "3"),
+    # usage errors the parser itself reports
+    (),
+    ("bogus",),
+    ("census",),
+    ("census", "--n", "abc"),
+    ("genus", "--n", "3", "--mode", "x"),
+    ("census", "--n", "3", "--bogus"),
+    # every option has one spelling: no abbreviations and no -h
+    ("curves", "--n", "2", "--model", "Sn_hyperelliptic", "--tri", "5"),
+    ("-h",),
 ])
 def test_bad_parameter_values_are_usage_errors(args, tmp_path):
     file = tmp_path / "file"
@@ -168,6 +179,14 @@ def test_bad_parameter_values_are_usage_errors(args, tmp_path):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [("--help",), ("census", "--help")])
+def test_help_exits_0_with_usage_on_stdout(args):
+    # the check the bench's setup spawn makes before it times anything
+    result = run_cli(*args)
+    assert result.returncode == 0
+    assert "Usage" in result.stdout
 
 
 def test_a_search_that_runs_out_of_genera_exits_3(monkeypatch):
@@ -214,6 +233,12 @@ def test_an_input_too_large_to_hold_exits_2(args, monkeypatch):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def commands():
+    """The subparser of each command, by name."""
+    (action,) = [a for a in cli.build_parser()._actions if isinstance(a.choices, dict)]
+    return action.choices
+
+
 def test_readme_usage_lists_every_option_of_every_command():
     # the ```sh block of README.md whose lines run dicyclic-dessins
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
@@ -222,8 +247,8 @@ def test_readme_usage_lists_every_option_of_every_command():
     for line in usage.splitlines():
         _, command, rest = line.split(" ", 2)
         documented[command] = set(re.findall(r"--[a-z][a-z-]*", rest))
-    wired = {name: {opt for p in command.params for opt in p.opts}
-             for name, command in cli.cli.commands.items()}
+    wired = {name: {opt for a in parser._actions for opt in a.option_strings} - {"--help"}
+             for name, parser in commands().items()}
     assert documented == wired
 
 
@@ -304,8 +329,10 @@ def test_envelope_has_timing_outside_payload():
     assert isinstance(envelope["ms"], float)
 
 
+# json is imported only after the footprint is taken, since the report
+# code is what should load it
 FOOTPRINT = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from dicyclic_dessins import cli
 sys.argv = ["dicyclic-dessins", *sys.argv[1:]]
 with contextlib.redirect_stdout(io.StringIO()):
@@ -313,31 +340,37 @@ with contextlib.redirect_stdout(io.StringIO()):
         cli.main()
     except SystemExit:
         pass
-print(json.dumps({
+loaded = {
     "modules": sorted(name.split(".", 1)[1] for name in sys.modules
                       if name.startswith("dicyclic_dessins.")),
     "fractions": "fractions" in sys.modules,
-}))
+    "click": "click" in sys.modules,
+    "serializers": [name for name in ("dataclasses", "json") if name in sys.modules],
+}
+import json
+print(json.dumps(loaded))
 """
 FRONT = ["cli", "errors", "reports"]
+SERIALIZERS = ["dataclasses", "json"]
 
 
-@pytest.mark.parametrize("args, modules, fractions", [
-    (["--help"], FRONT, False),
-    (["census", "--n", "4"], FRONT + ["covering", "group", "search"], False),
-    (["genus", "--n", "3"], FRONT + ["covering", "genus", "group", "search"], False),
-    (["hyper", "--n", "4"], FRONT + ["group", "real_forms", "search"], False),
-    (["monodromy", "--n", "3", "--case", "I"], FRONT + ["monodromy"], False),
+@pytest.mark.parametrize("args, modules, fractions, serializers", [
+    (["--help"], ["cli", "errors"], False, []),
+    (["census", "--n", "4"], FRONT + ["covering", "group", "search"], False, SERIALIZERS),
+    (["genus", "--n", "3"], FRONT + ["covering", "genus", "group", "search"], False,
+     SERIALIZERS),
+    (["hyper", "--n", "4"], FRONT + ["group", "real_forms", "search"], False, SERIALIZERS),
+    (["monodromy", "--n", "3", "--case", "I"], FRONT + ["monodromy"], False, SERIALIZERS),
     (["pseudo-real", "--n", "3", "--q", "2"],
-     FRONT + ["group", "real_forms", "search"], False),
+     FRONT + ["group", "real_forms", "search"], False, SERIALIZERS),
     (["curves", "--n", "3", "--model", "Rn_cyclic", "--trials", "5"],
-     FRONT + ["curves"], False),
+     FRONT + ["curves"], False, SERIALIZERS),
     (["paper-report", "--n-range", "2..3", "--out", "{out}"],
      FRONT + ["covering", "covers", "curves", "genus", "group", "monodromy",
-              "real_forms", "search"], False),
+              "real_forms", "search"], False, SERIALIZERS),
 ])
 def test_each_command_imports_only_the_layers_it_runs(args, modules, fractions,
-                                                     tmp_path):
+                                                     serializers, tmp_path):
     args = [a.format(out=tmp_path / "report") for a in args]
     result = subprocess.run(
         [sys.executable, "-c", FOOTPRINT, *args],
@@ -345,7 +378,25 @@ def test_each_command_imports_only_the_layers_it_runs(args, modules, fractions,
     )
     assert result.returncode == 0, result.stderr
     loaded = json.loads(result.stdout)
-    assert loaded == {"modules": sorted(modules), "fractions": fractions}
+    assert loaded == {"modules": sorted(modules), "fractions": fractions,
+                      "click": False, "serializers": serializers}
+
+
+def test_the_package_imports_only_the_standard_library():
+    # a third-party import here would be a runtime dependency and a cost
+    # paid by every spawn of the command line
+    for path in sorted(Path(PACKAGE_ROOT, "dicyclic_dessins").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert (top in sys.stdlib_module_names
+                        or top in {"__future__", "dicyclic_dessins"}), (path.name, name)
 
 
 def test_every_module_compiles_below_the_parser_token_step():
@@ -377,8 +428,8 @@ def test_package_exports_resolve_lazily_to_their_submodules():
 
 
 def test_model_choices_spell_out_the_curve_models():
-    (model,) = [p for p in cli.curves_cmd.params if p.name == "model_name"]
-    assert list(model.type.choices) == list(MODEL_NAMES)
+    (model,) = [a for a in commands()["curves"]._actions if "--model" in a.option_strings]
+    assert list(model.choices) == list(MODEL_NAMES)
 
 
 small = st.integers(-1, 4)
