@@ -97,8 +97,6 @@ def curves_cmd(reports, args) -> None:
     """Numerically verify one curve model's self-maps."""
     n, model_name, tol = args.n, args.model_name, args.tol
     _require(n >= 2, "curves needs --n >= 2")
-    _require(not (model_name.startswith("Rn") and n % 2 == 0),
-             f"{model_name} needs odd --n")
     _require(math.isfinite(tol) and tol > 0, "curves needs a finite --tol > 0")
     started = time.perf_counter()
     report = reports.curves_report(n, model_name, args.seed, args.trials, tol)

@@ -223,15 +223,6 @@ class DicyclicGroup:
             for b in (0, 1)
         )
 
-    def __iter__(self) -> Iterator[GroupElement]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return self.order
-
-    def __contains__(self, e: GroupElement) -> bool:
-        return isinstance(e, GroupElement) and e.n == self.n
-
     # -- index arithmetic (the enumeration cores) ------------------------
 
     def index_of(self, e: GroupElement) -> int:

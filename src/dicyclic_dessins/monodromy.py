@@ -69,7 +69,7 @@ class Permutation:
     def __pow__(self, k: int) -> "Permutation":
         """p^k in O(degree): each point moves k steps along its cycle."""
         images = [0] * self.degree
-        for cycle in self.cycles(include_fixed=True):
+        for cycle in self.cycles():
             length = len(cycle)
             for pos, point in enumerate(cycle):
                 images[point - 1] = cycle[(pos + k) % length]
@@ -78,7 +78,8 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Every cycle, fixed points included, each from its least point."""
         seen = [False] * self.degree
         out = []
         for start in range(1, self.degree + 1):
@@ -91,18 +92,17 @@ class Permutation:
                 cycle.append(cur)
                 seen[cur - 1] = True
                 cur = self(cur)
-            if len(cycle) > 1 or include_fixed:
-                out.append(tuple(cycle))
+            out.append(tuple(cycle))
         return out
 
     def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True))
+        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles(include_fixed=True)))
+        return lcm(*(len(c) for c in self.cycles()))
 
     def __repr__(self) -> str:
-        cyc = self.cycles()
+        cyc = [c for c in self.cycles() if len(c) > 1]
         if not cyc:
             return "()"
         return "".join("(" + ",".join(map(str, c)) + ")" for c in cyc)
@@ -252,9 +252,9 @@ class DessinMonodromy:
         return self._extends(self.white(1)) and self._extends(self.black(1))
 
     def euler_characteristic(self) -> int:
-        v = len(self.white.cycles(include_fixed=True))
-        v += len(self.black.cycles(include_fixed=True))
-        f = len(self.face.cycles(include_fixed=True))
+        v = len(self.white.cycles())
+        v += len(self.black.cycles())
+        f = len(self.face.cycles())
         return v - self.edge_count + f
 
     def genus(self) -> int:
@@ -333,8 +333,8 @@ class BipartiteMapGraph:
 
 
 def graph_of(dessin: DessinMonodromy) -> BipartiteMapGraph:
-    white_cycles = dessin.white.cycles(include_fixed=True)
-    black_cycles = dessin.black.cycles(include_fixed=True)
+    white_cycles = dessin.white.cycles()
+    black_cycles = dessin.black.cycles()
     white_of = {e: i for i, cyc in enumerate(white_cycles) for e in cyc}
     black_of = {e: i for i, cyc in enumerate(black_cycles) for e in cyc}
     edges = [
@@ -359,33 +359,26 @@ def _multi_adjacency(graph: BipartiteMapGraph) -> dict[tuple[str, int], dict[tup
 def is_doubled_cycle(graph: BipartiteMapGraph, m: int) -> bool:
     """True iff the graph is the cycle on m vertices with doubled edges.
 
-    Brute-force isomorphism search: pick a start vertex, then walk the
-    putative doubled cycle, demanding exactly two distinct neighbours of
-    multiplicity two at every step (degree pruning makes the walk
-    deterministic up to the initial direction).
+    Once every vertex has exactly two distinct neighbours, each joined
+    by two edges, the graph is a disjoint union of doubled cycles, so
+    one walk from a start vertex decides whether it is a single one:
+    it is iff the walk returns after visiting all m vertices.
     """
     if m < 3:
         return False
     if graph.vertex_count != m or graph.edge_count != 2 * m:
         return False
     adj = _multi_adjacency(graph)
-    for v, nbrs in adj.items():
+    for nbrs in adj.values():
         if len(nbrs) != 2 or any(mult != 2 for mult in nbrs.values()):
             return False
     start = min(adj)
-    for first in adj[start]:
-        prev, cur = start, first
-        visited = [start]
-        while cur != start:
-            visited.append(cur)
-            nxt = [u for u in adj[cur] if u != prev]
-            if len(nxt) != 1:
-                break
-            prev, cur = cur, nxt[0]
-        else:
-            if len(visited) == m:
-                return True
-    return False
+    prev, cur = start, next(iter(adj[start]))
+    length = 1
+    while cur != start:
+        length += 1
+        prev, cur = cur, next(u for u in adj[cur] if u != prev)
+    return length == m
 
 
 # -- DOT export ---------------------------------------------------------

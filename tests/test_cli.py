@@ -8,7 +8,8 @@ the installed package.  The import-footprint test runs `cli.main` in a
 fresh interpreter on the same path and lists the modules it loaded.
 The package-export, model-name, README-usage and search-exhaustion
 tests, and the last one, which draws many small command lines, run in
-process; the standard-library test reads the package sources.
+process; the standard-library, token-step and dead-code tests read the
+sources.
 """
 
 import ast
@@ -21,6 +22,7 @@ import re
 import subprocess
 import sys
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -150,6 +152,8 @@ def test_curves_seed_determinism():
     ("hyper", "--n", "1"),
     ("curves", "--n", "2", "--model", "Sn_hyperelliptic", "--trials", "0"),
     ("curves", "--n", "3", "--model", "Sn_cyclic"),
+    ("curves", "--n", "4", "--model", "Rn_hyperelliptic"),
+    ("curves", "--n", "4", "--model", "Rn_cyclic"),
     ("curves", "--n", "2", "--model", "Sn_hyperelliptic", "--tol", "0"),
     ("curves", "--n", "2", "--model", "Sn_hyperelliptic", "--tol", "inf"),
     # unwritable output paths, below a regular file
@@ -411,6 +415,53 @@ def test_every_module_compiles_below_the_parser_token_step():
             count = sum(t.type not in skipped
                         for t in tokenize.generate_tokens(source.readline))
         assert count < 4096, (path.name, count)
+
+
+# methods that a library calls: collections.abc calls
+# Subgroup._from_iterable, and argparse calls _Formatter.add_usage
+LIBRARY_HOOKS = {"_from_iterable", "add_usage"}
+
+
+def _named(tree):
+    """How often each name is used in a tree: as a Name, an Attribute or
+    an imported name."""
+    return Counter(
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute)
+        else node.name.rpartition(".")[2]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    )
+
+
+def test_every_package_definition_is_named_elsewhere():
+    # The package holds only what something calls: each function,
+    # method and class defined in it is named outside its own body, in
+    # the package, the tests or the bench, or is part of a dotted target
+    # in the SPANS and COUNTS that bench/tracer.py wraps.  Dunder methods
+    # and LIBRARY_HOOKS are called from outside.  The check sees names
+    # only, so a dead definition whose name is also used for something
+    # else (another method, an attribute, a variable) goes unnoticed.
+    root = Path(__file__).resolve().parent.parent
+    package = sorted(Path(PACKAGE_ROOT, "dicyclic_dessins").glob("*.py"))
+    others = sorted(root.glob("tests/*.py")) + sorted(root.glob("bench/*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in package + others}
+    uses = sum((_named(tree) for tree in trees.values()), Counter())
+    for node in trees[root / "bench" / "tracer.py"].body:
+        target = getattr(node, "targets", [None])[0]
+        if getattr(target, "id", None) in ("SPANS", "COUNTS"):
+            for entry in node.value.elts:
+                uses.update(entry.elts[1].value.split("."))
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in package
+        for node in ast.walk(trees[path])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in LIBRARY_HOOKS
+        and uses[node.name] <= _named(node)[node.name]
+    ]
+    assert unused == []
 
 
 def test_package_exports_resolve_lazily_to_their_submodules():

@@ -6,64 +6,46 @@ import pytest
 
 from dicyclic_dessins.covers import (
     CoverTriple,
-    _case_conditions,
     admissible_triples,
     canonical_representatives,
     class_count,
-    condition_readings_report,
     normalize,
     orbit,
 )
 from dicyclic_dessins.errors import ParameterError
 
 
-def _cube_admissible_triples(n, case):
-    """Exhaustive scan of {1, ..., 2n-1}^3: the oracle for the O(n) loop."""
-    out = []
-    rng = range(1, 2 * n)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if _case_conditions(n, case, a, b, c):
-                    out.append(CoverTriple(n, case, a, b, c))
-    return out
+def _printed_conditions(n, case, a, b, c, strict=True):
+    """The paper's admissibility conditions on one exponent triple.
 
-
-def _cube_condition_readings(n):
-    """Both case-I readings over the whole cube, as sets of triples."""
+    Case I is the printed condition (b, c coprime to n), plus with
+    `strict` the branch-order-2n condition gcd(b, 2n) = gcd(c, 2n) = 1
+    at the points +-1.
+    """
     two_n = 2 * n
-    verbatim = set()
-    strict = set()
-    rng = range(1, two_n)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if gcd(a, two_n) != n or (b + c) % two_n != 0:
-                    continue
-                if gcd(a + b + c, two_n) != n:
-                    continue
-                if gcd(b, n) == 1 and gcd(c, n) == 1:
-                    verbatim.add((a, b, c))
-                    if gcd(b, two_n) == 1 and gcd(c, two_n) == 1:
-                        strict.add((a, b, c))
-    return verbatim, strict
+    if gcd(a, two_n) != n or (b + c) % two_n != 0:
+        return False
+    if gcd(a + b + c, two_n) != n:
+        return False
+    if case == "II":
+        return gcd(b, two_n) == 2 and gcd(c, two_n) == 2
+    if gcd(b, n) != 1 or gcd(c, n) != 1:
+        return False
+    return not strict or (gcd(b, two_n) == 1 and gcd(c, two_n) == 1)
+
+
+def _cube_scan(n, case, strict=True):
+    """Exhaustive scan of {1, ..., 2n-1}^3: the oracle for the O(n) loop."""
+    rng = range(1, 2 * n)
+    return [CoverTriple(n, case, a, b, c)
+            for a in rng for b in rng for c in rng
+            if _printed_conditions(n, case, a, b, c, strict)]
 
 
 def test_admissible_triples_match_the_cube_scan():
     for n in range(2, 31):
         for case in ("I",) if n % 2 == 0 else ("I", "II"):
-            assert admissible_triples(n, case) == _cube_admissible_triples(n, case), (
-                n, case)
-
-
-def test_condition_readings_match_the_cube_scan():
-    for n in range(2, 31):
-        verbatim, strict = _cube_condition_readings(n)
-        report = condition_readings_report(n)
-        assert report["verbatim_count"] == len(verbatim)
-        assert report["strict_count"] == len(strict)
-        assert report["readings_agree"] == (verbatim == strict)
-        assert report["verbatim_only"] == sorted(verbatim - strict)
+            assert admissible_triples(n, case) == _cube_scan(n, case), (n, case)
 
 
 def test_first_exponent_is_forced_to_n():
@@ -122,8 +104,14 @@ def test_orbits_partition_the_admissible_set():
 
 
 def test_condition_readings_diverge_only_for_odd_n():
-    # the two printed gcd readings agree for even n and differ for odd
-    # n, where the weaker one also admits the other family's cover
+    # the printed case-I condition and the branch-order reading agree
+    # for even n, where b coprime to n forces b odd; for odd n the
+    # printed one also admits exactly the case-II triples
     for n in range(2, 13):
-        report = condition_readings_report(n)
-        assert report["readings_agree"] == (n % 2 == 0), report
+        verbatim = {t.as_tuple() for t in _cube_scan(n, "I", strict=False)}
+        strict = {t.as_tuple() for t in _cube_scan(n, "I")}
+        if n % 2 == 0:
+            assert verbatim == strict, n
+        else:
+            case_II = {t.as_tuple() for t in _cube_scan(n, "II")}
+            assert strict.isdisjoint(case_II) and verbatim == strict | case_II, n

@@ -9,6 +9,7 @@ from dicyclic_dessins import monodromy, reports
 from dicyclic_dessins.covering import census_representative
 from dicyclic_dessins.search import rh_genus
 from dicyclic_dessins.monodromy import (
+    BipartiteMapGraph,
     DessinMonodromy,
     Permutation,
     build_remark_permutations,
@@ -28,7 +29,8 @@ from dicyclic_dessins.monodromy import (
 def test_from_cycles_roundtrip():
     p = Permutation.from_cycles(5, [(1, 2, 3)])
     assert p(1) == 2 and p(3) == 1 and p(4) == 4
-    assert p.cycles() == [(1, 2, 3)]
+    assert p.cycles() == [(1, 2, 3), (4,), (5,)]
+    assert repr(p) == "(1,2,3)"
     assert p.order() == 3
 
 
@@ -238,6 +240,27 @@ def test_case_II_graph_is_also_a_doubled_cycle():
     for n in (3, 5):
         graph = graph_of(remark_dessin(n, "II"))
         assert is_doubled_cycle(graph, 2 * n)
+
+
+def _doubled_cycles(*lengths):
+    """Disjoint doubled cycles w0 b0 w1 b1 ... of the given even lengths."""
+    edges, w0 = [], 0
+    for length in lengths:
+        half = length // 2
+        for i in range(half):
+            w, w_next = w0 + i, w0 + (i + 1) % half
+            edges += [(w, w), (w, w), (w_next, w), (w_next, w)]
+        w0 += half
+    vertices = [(i,) for i in range(w0)]
+    return BipartiteMapGraph(vertices, list(vertices), edges)
+
+
+def test_disjoint_doubled_cycles_are_not_one_doubled_cycle():
+    # every degree is right, but the graph has two components
+    assert is_doubled_cycle(_doubled_cycles(8), 8)
+    two = _doubled_cycles(4, 4)
+    assert (two.vertex_count, two.edge_count) == (8, 16)
+    assert not is_doubled_cycle(two, 8)
 
 
 def test_dot_export_is_deterministic():
