@@ -16,18 +16,16 @@ command-line reports convert them to `GroupElement` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import filterfalse
 from math import gcd
-from typing import Iterable
 
 from . import search
 from .errors import ConstructionError, InadmissibleSignatureError, ParameterError
 from .group import DicyclicGroup, Subgroup
 
 
-@dataclass
 class GeneratingVector:
     """Images of the standard Fuchsian generators under a surjection.
 
@@ -39,18 +37,19 @@ class GeneratingVector:
     whole group, and the quotient is the sphere with three cone points.
     """
 
-    group: DicyclicGroup
-    quotient_genus: int
-    hyperbolic_images: tuple[int, ...]
-    cone_images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.hyperbolic_images) != 2 * self.quotient_genus:
+    def __init__(
+        self,
+        group: DicyclicGroup,
+        quotient_genus: int,
+        hyperbolic_images: tuple[int, ...],
+        cone_images: tuple[int, ...],
+    ):
+        if len(hyperbolic_images) != 2 * quotient_genus:
             raise ParameterError(
-                f"need {2 * self.quotient_genus} hyperbolic images, "
-                f"got {len(self.hyperbolic_images)}"
+                f"need {2 * quotient_genus} hyperbolic images, "
+                f"got {len(hyperbolic_images)}"
             )
-        group, hyper, cones = self.group, self.hyperbolic_images, self.cone_images
+        hyper, cones = hyperbolic_images, cone_images
         group.check_indices((*hyper, *cones))
         if 0 in cones:
             raise ParameterError("cone images must be nontrivial")
@@ -58,6 +57,8 @@ class GeneratingVector:
             raise ParameterError("long relation fails for these images")
         if len(group._closure_indices((*hyper, *cones))) != group.order:
             raise ParameterError("images do not generate the group")
+        self.group, self.quotient_genus = group, quotient_genus
+        self.hyperbolic_images, self.cone_images = hyper, cones
 
     @cached_property
     def signature(self) -> search.Signature:
@@ -94,6 +95,20 @@ def fixed_points(group: DicyclicGroup, cones: Iterable[int]) -> list[int]:
             for g in cls:
                 fix[g] += count
     return fix
+
+
+def is_pure(group: DicyclicGroup, cones: Iterable[int]) -> bool:
+    """Whether every nontrivial element has a fixed point, that is
+    all(fixed_points(group, cones)[1:]), one bit per conjugacy class.
+
+    A term of the class function in `fixed_points` is positive exactly
+    when cl(g) meets <c_i>, so fix(g) > 0 iff some <c_i> meets cl(g): the
+    test needs the union of the <c_i>, not the table.
+    """
+    covered = set()
+    for c in cones:
+        covered.update(group._closure_indices((c,)))
+    return all(not covered.isdisjoint(cls) for cls in group.conjugacy_classes[1:])
 
 
 def fixed_point_count(act: GeneratingVector, g: int) -> int:
@@ -195,21 +210,33 @@ def quotient_signature(act: GeneratingVector, H: Subgroup) -> search.Signature:
 # -- triangular census -------------------------------------------------
 
 
-@dataclass
 class CensusEntry:
     """All generating pairs whose ordered signature is a fixed triple."""
 
-    signature: tuple[int, int, int]
-    pair_count: int
-    conjugacy_orbits: int
-    automorphism_orbits: int
-    representative: GeneratingVector
+    __slots__ = ("signature", "pair_count", "conjugacy_orbits",
+                 "automorphism_orbits", "representative")
+
+    def __init__(
+        self,
+        signature: tuple[int, int, int],
+        pair_count: int,
+        conjugacy_orbits: int,
+        automorphism_orbits: int,
+        representative: GeneratingVector,
+    ):
+        self.signature, self.pair_count = signature, pair_count
+        self.conjugacy_orbits = conjugacy_orbits
+        self.automorphism_orbits = automorphism_orbits
+        self.representative = representative
 
 
-@dataclass
 class ActionCensus:
-    n: int
-    entries: list[CensusEntry]
+    """The census entries of G_n, one per ordered signature."""
+
+    __slots__ = ("n", "entries")
+
+    def __init__(self, n: int, entries: list[CensusEntry]):
+        self.n, self.entries = n, entries
 
     def unordered_types(self) -> dict[tuple[int, ...], dict[str, int]]:
         """Aggregate the ordered entries by unordered signature type."""

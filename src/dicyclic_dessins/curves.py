@@ -46,8 +46,7 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .errors import ParameterError, SamplingError
 
@@ -64,7 +63,6 @@ def root_of_unity(m: int) -> complex:
     return cmath.exp(2j * cmath.pi / m)
 
 
-@dataclass(frozen=True)
 class NamedMap:
     """A self-map of a model, as a coordinate formula.
 
@@ -73,53 +71,47 @@ class NamedMap:
     order relation m^order = 1 takes `order` steps.
     """
 
-    func: Callable[[Point], Point]
-    order: int
+    __slots__ = ("func", "order")
+
+    def __init__(self, func: Callable[[Point], Point], order: int):
+        self.func, self.order = func, order
 
     def __call__(self, p: Point) -> Point:
         return self.func(p)
 
 
-@dataclass
 class CurveModel:
     """A named curve family at a fixed n, with its map dictionary.
 
     `perturb` shifts the primitive root used in the map formulas by a
     relative amount; it exists solely for the sensitivity control that
-    shows the numeric checks would catch a wrong formula.
+    shows the numeric checks would catch a wrong formula.  `sides` and
+    `branch_distance` are the functions picked for the model, and
+    `_samples` keeps the points drawn per (count, seed).
     """
 
-    name: str
-    n: int
-    perturb: float = 0.0
-    maps: dict[str, NamedMap] = field(init=False)
-    sides: Callable[[complex, complex], tuple[complex, complex]] = field(
-        init=False, repr=False, compare=False
-    )
-    branch_distance: Callable[[complex], float] = field(
-        init=False, repr=False, compare=False
-    )
-    _samples: dict[tuple[int, int], list[Point]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    __slots__ = ("name", "n", "perturb", "maps", "sides", "branch_distance",
+                 "_samples")
 
-    def __post_init__(self) -> None:
-        if self.name not in MODEL_NAMES:
-            raise ParameterError(f"unknown model {self.name!r}")
-        if self.n < 2:
-            raise ParameterError(f"need n >= 2, got n={self.n}")
-        if self.name.startswith("Rn") and self.n % 2 == 0:
-            raise ParameterError(f"{self.name} needs n odd")
-        if self.name == "Sn_cyclic" and self.n % 2 == 1:
+    def __init__(self, name: str, n: int, perturb: float = 0.0):
+        if name not in MODEL_NAMES:
+            raise ParameterError(f"unknown model {name!r}")
+        if n < 2:
+            raise ParameterError(f"need n >= 2, got n={n}")
+        if name.startswith("Rn") and n % 2 == 0:
+            raise ParameterError(f"{name} needs n odd")
+        if name == "Sn_cyclic" and n % 2 == 1:
             # The y map sends the curve to itself only when n is even: its
             # image satisfies v^{2n} = (-1)^n rhs, so for odd n it lands
             # off the curve and no order-4 lift with these
             # coordinates exists in the stated form.
-            raise ParameterError(f"{self.name} needs n even")
-        self.sides = _relation_sides(self.name, self.n)
+            raise ParameterError(f"{name} needs n even")
+        self.name, self.n, self.perturb = name, n, perturb
+        self._samples = {}
+        self.sides = _relation_sides(name, n)
         self.maps = _build_maps(self)
         self.branch_distance = _branch_distance(
-            self.branch_locus(), self.name.endswith("hyperelliptic")
+            self.branch_locus(), name.endswith("hyperelliptic")
         )
 
     # -- defining relation ---------------------------------------------
@@ -306,16 +298,19 @@ def belyi_projection(n: int, p: Point) -> complex:
 Word = list[tuple[str, int]]
 
 
-@dataclass
 class WordReport:
-    model: str
-    n: int
-    description: str
-    trials: int
-    max_error: float
-    tolerance: float
-    passed: bool
-    resampled: int = 0
+    """The check of one word identity on a model: the largest error seen
+    over its trials, and how many sample points it resampled."""
+
+    __slots__ = ("model", "n", "description", "trials", "max_error",
+                 "tolerance", "passed", "resampled")
+
+    def __init__(self, model: str, n: int, description: str, trials: int,
+                 max_error: float, tolerance: float, passed: bool,
+                 resampled: int = 0):
+        self.model, self.n, self.description = model, n, description
+        self.trials, self.max_error, self.tolerance = trials, max_error, tolerance
+        self.passed, self.resampled = passed, resampled
 
     def as_dict(self) -> dict:
         return {

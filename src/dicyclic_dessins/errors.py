@@ -1,4 +1,12 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the attribute guard of
+its immutable value types."""
+
+
+def read_only(self: object, name: str, *value: object) -> None:
+    """`__setattr__` and `__delattr__` of an immutable value type; its
+    `__init__` sets the slots through `object.__setattr__`."""
+    action = "assign to" if value else "delete"
+    raise AttributeError(f"cannot {action} field {name!r}")
 
 
 class ParameterError(ValueError):

@@ -22,7 +22,7 @@ is a `SearchExhaustedError` that only a broken search can raise.
 from __future__ import annotations
 
 from . import search
-from .covering import GeneratingVector, fixed_points, index_vectors
+from .covering import GeneratingVector, index_vectors, is_pure
 from .errors import SearchExhaustedError
 from .group import DicyclicGroup
 from .search import Signature
@@ -73,15 +73,15 @@ def pure_symmetric_genus(n: int) -> tuple[int, GeneratingVector]:
     Every vector of each candidate signature is tested, not just the
     first; purity was found constant on the vectors of every candidate
     signature up to genus n for n = 2..13, 27 and 33.  The test runs on
-    the index vector: it is pure when every nontrivial element has a
-    nonzero entry in its table `covering.fixed_points`, and only the
-    witness becomes a `GeneratingVector`.
+    the cone indices, one bit per conjugacy class (`covering.is_pure`),
+    and only the witness becomes a `GeneratingVector`, whose fixed-point
+    table is built when a report reads it.
     """
     group = DicyclicGroup(n)
     for g in range(2, last_genus(n) + 1):
         for sig in search.quotient_signatures(n, g, 2):
             for hyper, cones in index_vectors(group, sig):
-                if all(fixed_points(group, cones)[1:]):
+                if is_pure(group, cones):
                     return g, GeneratingVector(group, sig.gamma, hyper, cones)
     raise SearchExhaustedError(
         f"no purely-non-free action of G_{n} found up to genus {last_genus(n)}"

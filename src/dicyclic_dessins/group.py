@@ -16,28 +16,69 @@ n is the same, so every report section for one n reuses them.
 
 from __future__ import annotations
 
-from collections.abc import Set
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Set
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Iterator
 
-from .errors import ParameterError
+from .errors import ParameterError, read_only
 
 
-@dataclass(frozen=True, order=True)
 class GroupElement:
-    """Normal form x^a y^b of an element of the dicyclic group of order 4n."""
+    """Normal form x^a y^b of an element of the dicyclic group of order 4n.
 
-    n: int
-    a: int
-    b: int
+    Immutable; equal, hashed and ordered as the tuple (n, a, b).
+    """
+
+    __slots__ = ("n", "a", "b")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, n: int, a: int, b: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        # Every construction passes here: bench/tracer.py and the tests
+        # count the elements built by wrapping this method.
         if self.n < 2:
             raise ParameterError(f"group parameter must be >= 2, got n={self.n}")
         object.__setattr__(self, "a", self.a % (2 * self.n))
         object.__setattr__(self, "b", self.b % 2)
+
+    def _key(self) -> tuple[int, int, int]:
+        return (self.n, self.a, self.b)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __lt__(self, other: GroupElement) -> bool:
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return self._key() < other._key()
+
+    def __le__(self, other: GroupElement) -> bool:
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return self._key() <= other._key()
+
+    def __gt__(self, other: GroupElement) -> bool:
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return self._key() > other._key()
+
+    def __ge__(self, other: GroupElement) -> bool:
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return self._key() >= other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return (GroupElement, self._key())
 
     def _check_same_group(self, other: "GroupElement") -> None:
         if self.n != other.n:

@@ -12,28 +12,38 @@ the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import TYPE_CHECKING
 
-from .errors import ParameterError
-
-if TYPE_CHECKING:
-    from .covering import GeneratingVector
+from .errors import ParameterError, read_only
 
 CONVENTION = "white=c1, black=c2, face=c3; c1*c2*c3=1 read left to right"
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """A permutation of {1, ..., N}, stored as the tuple of images."""
+    """A permutation of {1, ..., N}, stored as the tuple of images.
 
-    images: tuple[int, ...]
+    Immutable; equal and hashed as the tuple (images,), and unordered.
+    """
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+    __slots__ = ("images",)
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(1, len(images) + 1)):
             raise ParameterError("images are not a bijection of 1..N")
+        object.__setattr__(self, "images", images)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Permutation:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __reduce__(self):
+        return (Permutation, (self.images,))
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -194,13 +204,11 @@ def verify_remark_relations(n: int) -> dict:
 # -- regular dessins ----------------------------------------------------
 
 
-@dataclass
 class DessinMonodromy:
     """A dessin as a pair of permutations on its edge set."""
 
-    edge_count: int
-    white: Permutation
-    black: Permutation
+    def __init__(self, edge_count: int, white: Permutation, black: Permutation):
+        self.edge_count, self.white, self.black = edge_count, white, black
 
     @cached_property
     def face(self) -> Permutation:
@@ -268,7 +276,7 @@ class DessinMonodromy:
                 self.face.cycle_type())
 
 
-def regular_dessin(act: GeneratingVector) -> DessinMonodromy:
+def regular_dessin(act: covering.GeneratingVector) -> DessinMonodromy:
     """The regular dessin of a triangular action, on |G| edges.
 
     Edge i + 1 is the element of index i; white and black are left
@@ -310,7 +318,6 @@ def remark_dessin(n: int, case: str) -> DessinMonodromy:
 # -- bipartite map graphs ----------------------------------------------
 
 
-@dataclass
 class BipartiteMapGraph:
     """The underlying bipartite multigraph of a dessin.
 
@@ -319,9 +326,16 @@ class BipartiteMapGraph:
     edges are preserved.
     """
 
-    white_vertices: list[tuple[int, ...]]
-    black_vertices: list[tuple[int, ...]]
-    edges: list[tuple[int, int]]  # (white vertex index, black vertex index)
+    __slots__ = ("white_vertices", "black_vertices", "edges")
+
+    def __init__(
+        self,
+        white_vertices: list[tuple[int, ...]],
+        black_vertices: list[tuple[int, ...]],
+        edges: list[tuple[int, int]],  # (white vertex index, black vertex index)
+    ):
+        self.white_vertices, self.black_vertices = white_vertices, black_vertices
+        self.edges = edges
 
     @property
     def vertex_count(self) -> int:

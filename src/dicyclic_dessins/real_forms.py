@@ -22,26 +22,28 @@ computable properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import search
 from .errors import ParameterError, SearchExhaustedError
 from .group import DicyclicGroup, Subgroup
 from .search import Signature, rh_genus
 
 
-@dataclass
 class NECActionData:
     """A conformal/anticonformal dicyclic action, as a finite datum; the
     glide-reflection and elliptic images are element indices."""
 
-    group: DicyclicGroup
-    plus_part: Subgroup
-    sig: Signature
-    alpha_images: tuple[int, ...]
-    beta_images: tuple[int, ...]
+    __slots__ = ("group", "plus_part", "sig", "alpha_images", "beta_images")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        group: DicyclicGroup,
+        plus_part: Subgroup,
+        sig: Signature,
+        alpha_images: tuple[int, ...],
+        beta_images: tuple[int, ...],
+    ):
+        self.group, self.plus_part, self.sig = group, plus_part, sig
+        self.alpha_images, self.beta_images = alpha_images, beta_images
         self.group.check_indices((*self.alpha_images, *self.beta_images))
         problems = self.violations()
         if problems:
@@ -136,17 +138,25 @@ def sigma_hyp(n: int) -> tuple[int, NECActionData]:
 # -- pseudo-real construction ------------------------------------------
 
 
-@dataclass
 class PseudoRealCertificate:
     """Computable evidence for one member of the pseudo-real family."""
 
-    n: int
-    q: int
-    l: int
-    action: NECActionData
-    genus: int
-    genus_via_cyclic_cover: int
-    obstruction_report: dict
+    __slots__ = ("n", "q", "l", "action", "genus", "genus_via_cyclic_cover",
+                 "obstruction_report")
+
+    def __init__(
+        self,
+        n: int,
+        q: int,
+        l: int,
+        action: NECActionData,
+        genus: int,
+        genus_via_cyclic_cover: int,
+        obstruction_report: dict,
+    ):
+        self.n, self.q, self.l, self.action = n, q, l, action
+        self.genus, self.genus_via_cyclic_cover = genus, genus_via_cyclic_cover
+        self.obstruction_report = obstruction_report
 
     @property
     def expected_genus(self) -> int:

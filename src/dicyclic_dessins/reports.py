@@ -20,21 +20,20 @@ benchmark's tracer sets, takes effect.  They turn indices into elements.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 VALID_STATUSES = ("pass", "fail", "assumed")
 
 
-@dataclass
 class Claim:
-    id: str
-    anchor: str
-    status: str
-    data: object = None
+    """One checked statement: its id, its anchor, a status in
+    VALID_STATUSES and the supporting data."""
 
-    def __post_init__(self) -> None:
-        if self.status not in VALID_STATUSES:
-            raise ValueError(f"invalid status {self.status!r}")
+    __slots__ = ("id", "anchor", "status", "data")
+
+    def __init__(self, id: str, anchor: str, status: str, data: object = None):
+        if status not in VALID_STATUSES:
+            raise ValueError(f"invalid status {status!r}")
+        self.id, self.anchor, self.status, self.data = id, anchor, status, data
 
     def as_dict(self) -> dict:
         return {
@@ -45,11 +44,13 @@ class Claim:
         }
 
 
-@dataclass
 class Report:
-    command: str
-    params: dict
-    claims: list[Claim] = field(default_factory=list)
+    """A command's parameters and its claims, in the order they were made."""
+
+    __slots__ = ("command", "params", "claims")
+
+    def __init__(self, command: str, params: dict):
+        self.command, self.params, self.claims = command, params, []
 
     def add(self, id: str, anchor: str, ok: bool, data: object = None) -> Claim:
         claim = Claim(id, anchor, "pass" if ok else "fail", data)

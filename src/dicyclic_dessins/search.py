@@ -17,30 +17,51 @@ command-line reports convert them to `GroupElement` values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import lcm
 
-from .errors import InadmissibleSignatureError, ParameterError
+from .errors import InadmissibleSignatureError, ParameterError, read_only
 from .group import DicyclicGroup
 
 
-@dataclass(frozen=True)
 class Signature:
     """Quotient-orbifold datum: the handle (2 for an orientable quotient of
-    genus gamma, 1 for gamma + 1 crosscaps), gamma and the cone orders."""
+    genus gamma, 1 for gamma + 1 crosscaps), gamma and the cone orders.
 
-    handle: int
-    gamma: int
-    cone_orders: tuple[int, ...]
+    Immutable; equal and hashed as the tuple (handle, gamma, cone_orders),
+    and unordered.
+    """
 
-    def __post_init__(self) -> None:
-        if self.handle not in (1, 2):
+    __slots__ = ("handle", "gamma", "cone_orders")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, handle: int, gamma: int, cone_orders: tuple[int, ...]):
+        if handle not in (1, 2):
             raise InadmissibleSignatureError("handle must be 1 or 2")
-        if self.gamma < 0:
+        if gamma < 0:
             raise InadmissibleSignatureError("gamma must be >= 0")
-        if any(m < 2 for m in self.cone_orders):
+        if any(m < 2 for m in cone_orders):
             raise InadmissibleSignatureError("cone orders must be >= 2")
-        object.__setattr__(self, "cone_orders", tuple(self.cone_orders))
+        object.__setattr__(self, "handle", handle)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "cone_orders", tuple(cone_orders))
+
+    def _key(self) -> tuple[int, int, tuple[int, ...]]:
+        return (self.handle, self.gamma, self.cone_orders)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Signature:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return (Signature, self._key())
+
+    def __repr__(self) -> str:
+        return (f"Signature(handle={self.handle!r}, gamma={self.gamma!r}, "
+                f"cone_orders={self.cone_orders!r})")
 
 
 def rh_genus(group_order: int, sig: Signature) -> int:

@@ -349,13 +349,13 @@ loaded = {
                       if name.startswith("dicyclic_dessins.")),
     "fractions": "fractions" in sys.modules,
     "click": "click" in sys.modules,
+    "inspect": "inspect" in sys.modules,
     "serializers": [name for name in ("dataclasses", "json") if name in sys.modules],
 }
 import json
 print(json.dumps(loaded))
 """
 FRONT = ["cli", "errors", "reports"]
-SERIALIZERS = ["dataclasses", "json"]
 
 
 @pytest.mark.parametrize("args, modules, fractions", [
@@ -380,15 +380,17 @@ def test_each_command_imports_only_the_layers_it_runs(args, modules, fractions, 
     )
     assert result.returncode == 0, result.stderr
     loaded = json.loads(result.stdout)
-    # the serializers come with the report code, and only with it
-    serializers = SERIALIZERS if "reports" in modules else []
+    # json comes with the report code, and only with it; the records are
+    # hand-written classes, so no command loads dataclasses (or the
+    # inspect module that it imports)
+    serializers = ["json"] if "reports" in modules else []
     assert loaded == {"modules": sorted(modules), "fractions": fractions,
-                      "click": False, "serializers": serializers}
+                      "click": False, "inspect": False, "serializers": serializers}
 
 
-def test_the_package_imports_only_the_standard_library():
-    # a third-party import here would be a runtime dependency and a cost
-    # paid by every spawn of the command line
+def package_imports():
+    """(file name, top-level module) for every absolute import under the
+    package, at any depth: module level, in a function or in a block."""
     for path in sorted(Path(PACKAGE_ROOT, "dicyclic_dessins").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -398,9 +400,24 @@ def test_the_package_imports_only_the_standard_library():
             else:
                 continue
             for name in names:
-                top = name.split(".")[0]
-                assert (top in sys.stdlib_module_names
-                        or top in {"__future__", "dicyclic_dessins"}), (path.name, name)
+                yield path.name, name.split(".")[0]
+
+
+def test_the_package_imports_only_the_standard_library():
+    # a third-party import here would be a runtime dependency and a cost
+    # paid by every spawn of the command line
+    for where, top in package_imports():
+        assert (top in sys.stdlib_module_names
+                or top in {"__future__", "dicyclic_dessins"}), (where, top)
+
+
+def test_the_package_imports_neither_dataclasses_nor_typing():
+    # the records are hand-written classes, and annotations are strings
+    # (`from __future__ import annotations`) whose abstract types come
+    # from collections.abc: dataclasses costs every spawn its import
+    # (inspect, ast, dis, tokenize) and a generated class per record
+    for where, top in package_imports():
+        assert top not in {"dataclasses", "typing"}, (where, top)
 
 
 def test_every_module_compiles_below_the_parser_token_step():

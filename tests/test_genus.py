@@ -1,16 +1,24 @@
 """Tests for the minimal-genus searches."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from dicyclic_dessins import search
-from dicyclic_dessins.covering import fixed_point_count, is_purely_non_free
+from dicyclic_dessins.covering import (
+    fixed_point_count,
+    fixed_points,
+    index_vectors,
+    is_pure,
+    is_purely_non_free,
+)
 from dicyclic_dessins.errors import InadmissibleSignatureError, SearchExhaustedError
 from dicyclic_dessins.genus import (
     TORUS_SIGNATURES,
     exists_generating_vector,
     generating_vectors,
+    last_genus,
     pure_symmetric_genus,
     strong_symmetric_genus,
     torus_exclusion_report,
@@ -108,6 +116,30 @@ def test_pure_search_matches_vector_oracle():
         assert witness.quotient_genus == oracle.quotient_genus, n
         assert witness.hyperbolic_images == oracle.hyperbolic_images, n
         assert witness.cone_images == oracle.cone_images, n
+
+
+def test_purity_per_class_matches_the_fixed_point_table():
+    # the pure search's one bit per conjugacy class against the whole
+    # table, on the first vectors of every signature it walks, and on
+    # every one or two nontrivial cone indices (the class formula of
+    # `fixed_points` holds for any cones, generating or not)
+    outcomes = Counter()
+    for n in range(2, 9):
+        group = DicyclicGroup(n)
+        for g in range(2, last_genus(n) + 1):
+            for sig in quotient_signatures(n, g, 2):
+                for _, cones in itertools.islice(index_vectors(group, sig), 5):
+                    pure = all(fixed_points(group, cones)[1:])
+                    assert is_pure(group, cones) == pure, (n, sig, cones)
+                    outcomes[pure] += 1
+    assert outcomes[True] and outcomes[False]
+    for n in range(2, 7):
+        group = DicyclicGroup(n)
+        nontrivial = range(1, group.order)
+        for r in (1, 2):
+            for cones in itertools.combinations_with_replacement(nontrivial, r):
+                pure = all(fixed_points(group, cones)[1:])
+                assert is_pure(group, cones) == pure, (n, cones)
 
 
 def test_search_exhaustion_raises(monkeypatch):
