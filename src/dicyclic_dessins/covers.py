@@ -17,17 +17,16 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import ParameterError, read_only
+from .errors import OrderedValue, ParameterError
 
 
-class CoverTriple:
+class CoverTriple(OrderedValue):
     """The exponents (a, b, c) of one cover of case I or II at n.
 
     Immutable; equal, hashed and ordered as the tuple (n, case, a, b, c).
     """
 
     __slots__ = ("n", "case", "a", "b", "c")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, n: int, case: str, a: int, b: int, c: int):
         object.__setattr__(self, "n", n)
@@ -38,41 +37,6 @@ class CoverTriple:
 
     def _key(self) -> tuple[int, str, int, int, int]:
         return (self.n, self.case, self.a, self.b, self.c)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CoverTriple:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __lt__(self, other: CoverTriple) -> bool:
-        if other.__class__ is not CoverTriple:
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __le__(self, other: CoverTriple) -> bool:
-        if other.__class__ is not CoverTriple:
-            return NotImplemented
-        return self._key() <= other._key()
-
-    def __gt__(self, other: CoverTriple) -> bool:
-        if other.__class__ is not CoverTriple:
-            return NotImplemented
-        return self._key() > other._key()
-
-    def __ge__(self, other: CoverTriple) -> bool:
-        if other.__class__ is not CoverTriple:
-            return NotImplemented
-        return self._key() >= other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        return (CoverTriple, self._key())
-
-    def __repr__(self) -> str:
-        return (f"CoverTriple(n={self.n!r}, case={self.case!r}, a={self.a!r}, "
-                f"b={self.b!r}, c={self.c!r})")
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)

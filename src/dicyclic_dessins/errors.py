@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the attribute guard of
-its immutable value types."""
+"""Exception types shared across the toolkit, and `Value` and
+`OrderedValue`, the one contract of its immutable value types."""
 
 
 def read_only(self: object, name: str, *value: object) -> None:
@@ -7,6 +7,56 @@ def read_only(self: object, name: str, *value: object) -> None:
     `__init__` sets the slots through `object.__setattr__`."""
     action = "assign to" if value else "delete"
     raise AttributeError(f"cannot {action} field {name!r}")
+
+
+class Value:
+    """An immutable value: equal, hashed, pickled and printed as the tuple
+    `_key()` of its fields, in `__slots__` order; a value of another
+    class is never equal."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return (self.__class__, self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={v!r}" for name, v in zip(self.__slots__, self._key()))
+        return f"{self.__class__.__name__}({fields})"
+
+
+class OrderedValue(Value):
+    """A `Value` also ordered as its `_key()`, within its own class."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() < other._key()
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() <= other._key()
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() > other._key()
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() >= other._key()
 
 
 class ParameterError(ValueError):

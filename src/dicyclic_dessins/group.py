@@ -20,17 +20,16 @@ from collections.abc import Iterable, Iterator, Set
 from functools import cached_property
 from math import gcd
 
-from .errors import ParameterError, read_only
+from .errors import OrderedValue, ParameterError
 
 
-class GroupElement:
+class GroupElement(OrderedValue):
     """Normal form x^a y^b of an element of the dicyclic group of order 4n.
 
     Immutable; equal, hashed and ordered as the tuple (n, a, b).
     """
 
     __slots__ = ("n", "a", "b")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, n: int, a: int, b: int):
         object.__setattr__(self, "n", n)
@@ -48,37 +47,6 @@ class GroupElement:
 
     def _key(self) -> tuple[int, int, int]:
         return (self.n, self.a, self.b)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not GroupElement:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __lt__(self, other: GroupElement) -> bool:
-        if other.__class__ is not GroupElement:
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __le__(self, other: GroupElement) -> bool:
-        if other.__class__ is not GroupElement:
-            return NotImplemented
-        return self._key() <= other._key()
-
-    def __gt__(self, other: GroupElement) -> bool:
-        if other.__class__ is not GroupElement:
-            return NotImplemented
-        return self._key() > other._key()
-
-    def __ge__(self, other: GroupElement) -> bool:
-        if other.__class__ is not GroupElement:
-            return NotImplemented
-        return self._key() >= other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        return (GroupElement, self._key())
 
     def _check_same_group(self, other: "GroupElement") -> None:
         if self.n != other.n:

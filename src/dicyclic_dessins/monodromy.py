@@ -15,35 +15,26 @@ from __future__ import annotations
 from functools import cached_property
 from math import lcm
 
-from .errors import ParameterError, read_only
+from .errors import ParameterError, Value
 
 CONVENTION = "white=c1, black=c2, face=c3; c1*c2*c3=1 read left to right"
 
 
-class Permutation:
+class Permutation(Value):
     """A permutation of {1, ..., N}, stored as the tuple of images.
 
     Immutable; equal and hashed as the tuple (images,), and unordered.
     """
 
     __slots__ = ("images",)
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, images: tuple[int, ...]):
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ParameterError("images are not a bijection of 1..N")
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", tuple(images))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Permutation:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
-    def __reduce__(self):
-        return (Permutation, (self.images,))
+    def _key(self) -> tuple[tuple[int, ...]]:
+        return (self.images,)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":

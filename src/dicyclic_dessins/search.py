@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 from math import lcm
 
-from .errors import InadmissibleSignatureError, ParameterError, read_only
+from .errors import InadmissibleSignatureError, ParameterError, Value
 from .group import DicyclicGroup
 
 
-class Signature:
+class Signature(Value):
     """Quotient-orbifold datum: the handle (2 for an orientable quotient of
     genus gamma, 1 for gamma + 1 crosscaps), gamma and the cone orders.
 
@@ -32,7 +32,6 @@ class Signature:
     """
 
     __slots__ = ("handle", "gamma", "cone_orders")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, handle: int, gamma: int, cone_orders: tuple[int, ...]):
         if handle not in (1, 2):
@@ -47,21 +46,6 @@ class Signature:
 
     def _key(self) -> tuple[int, int, tuple[int, ...]]:
         return (self.handle, self.gamma, self.cone_orders)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Signature:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        return (Signature, self._key())
-
-    def __repr__(self) -> str:
-        return (f"Signature(handle={self.handle!r}, gamma={self.gamma!r}, "
-                f"cone_orders={self.cone_orders!r})")
 
 
 def rh_genus(group_order: int, sig: Signature) -> int:

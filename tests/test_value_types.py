@@ -5,13 +5,17 @@ Each is compared, hashed or sorted somewhere (set membership in the
 closure oracles, sorted orbits, equality of words), so each keeps one
 equality, hash and order over its fields, rejects attribute assignment,
 prints a fixed repr and validates its input.  The expected values are
-written out literally, so a change in any of them fails here.
+written out literally, so a change in any of them fails here.  The
+contract itself lives once, in `errors.Value` (and `errors.OrderedValue`
+for the two ordered types); no class keeps its own copy, and no value
+equals or is ordered against a value of another of the four types.
 """
 
 import pickle
 
 import pytest
 
+from dicyclic_dessins import errors
 from dicyclic_dessins.covers import CoverTriple
 from dicyclic_dessins.errors import InadmissibleSignatureError, ParameterError
 from dicyclic_dessins.group import GroupElement
@@ -43,6 +47,36 @@ def test_equality_and_hash_follow_the_fields(value, same, other, fields):
     assert same in {value} and other not in {value}
     assert {value: "v"}[same] == "v"
     assert len({value, same, other}) == 2
+
+
+def test_the_contract_is_inherited_not_copied():
+    contract = {"__eq__", "__hash__", "__reduce__", "__setattr__", "__delattr__",
+                "__lt__", "__le__", "__gt__", "__ge__"}
+    for value, *_ in VALUES:
+        assert contract.isdisjoint(vars(type(value))), type(value).__name__
+    assert issubclass(GroupElement, errors.OrderedValue)
+    assert issubclass(CoverTriple, errors.OrderedValue)
+    for cls in (Signature, Permutation):
+        assert issubclass(cls, errors.Value)
+        assert not issubclass(cls, errors.OrderedValue)
+
+
+def test_values_of_different_types_are_never_equal():
+    for value, *_ in VALUES:
+        for other, *_ in VALUES:
+            if type(other) is not type(value):
+                assert value != other and not value == other
+    # the keys (3, 1, 1) < (4, "I", 4, 1, 7) would compare, the classes do not
+    with pytest.raises(TypeError):
+        GroupElement(3, 1, 1) < CoverTriple(4, "I", 4, 1, 7)
+    with pytest.raises(TypeError):
+        CoverTriple(4, "I", 4, 1, 7) >= GroupElement(3, 1, 1)
+
+    class Twin(GroupElement):
+        __slots__ = ()
+
+    # equal keys, another class: still unequal
+    assert Twin(3, 1, 1) != GroupElement(3, 1, 1)
 
 
 @pytest.mark.parametrize("value, same, other, fields", VALUES, ids=IDS)
@@ -120,5 +154,9 @@ def test_permutation_repr_validation_and_no_order():
     assert repr(Permutation.identity(3)) == "()"
     with pytest.raises(ParameterError, match="images are not a bijection of 1..N"):
         Permutation((1, 1))
+    built_from_a_list = Permutation([2, 1, 3])
+    assert built_from_a_list == Permutation((2, 1, 3))
+    assert hash(built_from_a_list) == hash(Permutation((2, 1, 3)))
+    assert built_from_a_list.images == (2, 1, 3)
     with pytest.raises(TypeError):
         sorted([Permutation((1, 2)), Permutation((2, 1))])
