@@ -42,88 +42,60 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise UsageError(message)
+def _at_least(low: int):
+    """The type of an integer option whose values start at low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
-def _finish(report, started: float, json_path: str | None = None) -> None:
+def tolerance(text: str) -> float:
+    """The type of `--tol`: a finite float > 0."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return tol
+
+
+def _n_range(text: str) -> range:
+    """The type of `--n-range`: lo..hi, inclusive, with 2 <= lo <= hi."""
+    lo, _, hi = text.partition("..")
+    if not (lo.isdecimal() and hi.isdecimal() and 2 <= int(lo) <= int(hi)):
+        raise argparse.ArgumentTypeError(f"must be lo..hi, 2 <= lo <= hi, got {text!r}")
+    return range(int(lo), int(hi) + 1)
+
+
+def run_report(reports, args) -> None:
+    """Build the command's report, write it to --json, print its envelope
+    and exit 1 if a claim fails."""
+    started = time.perf_counter()
+    report = args.build(reports, args)
     ms = (time.perf_counter() - started) * 1000.0
-    if json_path:
-        Path(json_path).write_text(report.payload_json())
+    if args.json_path:
+        Path(args.json_path).write_text(report.payload_json())
     sys.stdout.write(report.envelope_json(ms))
     if not report.all_pass():
         sys.exit(1)
 
 
-def census(reports, args) -> None:
-    """Classify all triangular actions for one n."""
-    _require(args.n >= 2, "census needs --n >= 2")
-    started = time.perf_counter()
-    _finish(reports.census_report(args.n), started, args.json_path)
-
-
-def monodromy_cmd(reports, args) -> None:
-    """Verify the explicit permutation monodromy for one n."""
-    n, case = args.n, args.case
-    _require(n >= 2, "monodromy needs --n >= 2")
-    _require(not (case == "II" and n % 2 == 0), "case II needs odd --n")
-    started = time.perf_counter()
-    report = reports.monodromy_report(n, case)
+def monodromy_with_dot(reports, args):
+    """The monodromy report, and its dessin's graph written to --dot."""
+    report = reports.monodromy_report(args.n, args.case)
     if args.dot_path:
-        Path(args.dot_path).write_text(reports.monodromy_dot(n, case))
-    _finish(report, started, args.json_path)
-
-
-def hyper(reports, args) -> None:
-    """Minimal genus with anticonformal elements, by exhaustive search.
-
-    It tries every non-orientable signature below genus 2n, where the minimum lies.
-    """
-    _require(args.n >= 2, "hyper needs --n >= 2")
-    started = time.perf_counter()
-    _finish(reports.hyper_report(args.n), started, args.json_path)
-
-
-def pseudo_real(reports, args) -> None:
-    """Build and verify one pseudo-real certificate."""
-    _require(args.n >= 2, "pseudo-real needs --n >= 2")
-    _require(args.q >= 2, "pseudo-real needs --q >= 2")
-    started = time.perf_counter()
-    _finish(reports.pseudo_real_report(args.n, args.q), started, args.json_path)
-
-
-def curves_cmd(reports, args) -> None:
-    """Numerically verify one curve model's self-maps."""
-    n, model_name, tol = args.n, args.model_name, args.tol
-    _require(n >= 2, "curves needs --n >= 2")
-    _require(math.isfinite(tol) and tol > 0, "curves needs a finite --tol > 0")
-    started = time.perf_counter()
-    report = reports.curves_report(n, model_name, args.seed, args.trials, tol)
-    _finish(report, started, args.json_path)
-
-
-def genus_cmd(reports, args) -> None:
-    """Minimal-genus search (strong or pure symmetric genus) up to genus n + 2."""
-    _require(args.n >= 2, "genus needs --n >= 2")
-    started = time.perf_counter()
-    _finish(reports.genus_report(args.n, args.mode), started, args.json_path)
+        Path(args.dot_path).write_text(reports.monodromy_dot(args.n, args.case))
+    return report
 
 
 def paper_report(reports, args) -> None:
     """Run the full suite per n; one JSON per n plus a markdown summary."""
-    try:
-        lo_s, hi_s = args.n_range.split("..")
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
-        raise UsageError(f"--n-range must look like 2..6, got {args.n_range!r}")
-    _require(lo >= 2, "--n-range must start at 2 or above")
-    _require(hi >= lo, "--n-range is empty")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_ok = True
     lines = ["# Verification summary", ""]
-    for n in range(lo, hi + 1):
+    for n in args.n_range:
         report = reports.per_n_report(n, args.seed, args.heavy)
         (out / f"n{n}.json").write_text(report.payload_json())
         failures = report.failures()
@@ -138,14 +110,14 @@ def paper_report(reports, args) -> None:
             lines.append(f"- FAIL `{c.id}`: {c.anchor}")
         lines.append("")
     (out / "summary.md").write_text("\n".join(lines))
-    print(f"wrote {hi - lo + 1} reports to {out}")
+    print(f"wrote {len(args.n_range)} reports to {out}")
     if not all_ok:
         sys.exit(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole command line: one subparser per command, whose `run`
-    default is the function that runs it."""
+    default runs it; `run_report` runs the one report of its `build`."""
     # no -h and no abbreviated option names: every option has one spelling
     style = dict(formatter_class=_Formatter, add_help=False, allow_abbrev=False)
     parser = _Parser(prog="dicyclic-dessins",
@@ -154,37 +126,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--help", action="help", help="Show this message and exit.")
     commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
 
-    def command(name, run):
-        doc = run.__doc__
+    def command(name, doc, build=None, run=run_report):
         sub = commands.add_parser(name, help=doc.splitlines()[0], description=doc, **style)
-        sub.set_defaults(run=run)
+        sub.set_defaults(run=run, build=build)
         sub.add_argument("--help", action="help", help="Show this message and exit.")
         return sub
 
-    n = dict(type=int, required=True)
+    n = dict(type=_at_least(2), required=True)
     json = dict(dest="json_path", metavar="PATH")
     default = "default: %(default)s"
 
-    sub = command("census", census)
+    sub = command("census", "Classify all triangular actions for one n.",
+                  lambda reports, args: reports.census_report(args.n))
     sub.add_argument("--n", **n)
     sub.add_argument("--json", **json)
 
-    sub = command("monodromy", monodromy_cmd)
+    sub = command("monodromy", "Verify the explicit permutation monodromy for one n.",
+                  monodromy_with_dot)
     sub.add_argument("--n", **n)
     sub.add_argument("--case", choices=["I", "II"], required=True)
     sub.add_argument("--dot", dest="dot_path", metavar="PATH")
     sub.add_argument("--json", **json)
 
-    sub = command("hyper", hyper)
+    sub = command("hyper", "Minimal genus with anticonformal elements, by exhaustive search."
+                  "\n\nIt tries every non-orientable signature below genus 2n, where the "
+                  "minimum lies.", lambda reports, args: reports.hyper_report(args.n))
     sub.add_argument("--n", **n)
     sub.add_argument("--json", **json)
 
-    sub = command("pseudo-real", pseudo_real)
+    sub = command("pseudo-real", "Build and verify one pseudo-real certificate.",
+                  lambda reports, args: reports.pseudo_real_report(args.n, args.q))
     sub.add_argument("--n", **n)
-    sub.add_argument("--q", type=int, required=True)
+    sub.add_argument("--q", type=_at_least(2), required=True)
     sub.add_argument("--json", **json)
 
-    sub = command("curves", curves_cmd)
+    sub = command("curves", "Numerically verify one curve model's self-maps.",
+                  lambda reports, args: reports.curves_report(
+                      args.n, args.model_name, args.seed, args.trials, args.tol))
     sub.add_argument("--n", **n)
     # The names of curves.MODEL_NAMES, spelt out so that building the
     # command line does not import the curve models.
@@ -192,17 +170,19 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["Sn_hyperelliptic", "Rn_hyperelliptic",
                               "Sn_cyclic", "Rn_cyclic"])
     sub.add_argument("--seed", type=int, default=0, help=default)
-    sub.add_argument("--trials", type=int, default=100, help=default)
-    sub.add_argument("--tol", type=float, default=1e-9, help=default)
+    sub.add_argument("--trials", type=_at_least(1), default=100, help=default)
+    sub.add_argument("--tol", type=tolerance, default=1e-9, help=default)
     sub.add_argument("--json", **json)
 
-    sub = command("genus", genus_cmd)
+    sub = command("genus", "Minimal-genus search (strong or pure symmetric genus) up to "
+                  "genus n + 2.",
+                  lambda reports, args: reports.genus_report(args.n, args.mode))
     sub.add_argument("--n", **n)
     sub.add_argument("--mode", choices=["strong", "pure"], default="strong", help=default)
     sub.add_argument("--json", **json)
 
-    sub = command("paper-report", paper_report)
-    sub.add_argument("--n-range", dest="n_range", required=True,
+    sub = command("paper-report", paper_report.__doc__, run=paper_report)
+    sub.add_argument("--n-range", dest="n_range", type=_n_range, required=True,
                      help="inclusive range, e.g. 2..6")
     sub.add_argument("--out", dest="out_dir", metavar="PATH", required=True)
     sub.add_argument("--seed", type=int, default=0, help=default)

@@ -7,10 +7,10 @@ one table per action of the fixed-point counts of every element, the
 free elements and (by the Lefschetz formula) the genera of intermediate
 quotients read off that table, their signatures from coset cycles, and
 the full census of triangular actions of a dicyclic group.  It owns
-`index_vectors`, the orientable enumerator over the vector search of
-`search.py` that the census representatives and the genus searches
-share.  Every element here is an index 2a + b: the images of an action,
-the fixed-point table, the free elements and the coset cycles; the
+`generating_vectors`, the orientable `search.vectors` as actions, whose
+first hit the census representatives and the genus searches share.
+Every element here is an index 2a + b: the images of an action, the
+fixed-point table, the free elements and the coset cycles; the
 command-line reports convert them to `GroupElement` values.
 """
 
@@ -53,7 +53,7 @@ class GeneratingVector:
         group.check_indices((*hyper, *cones))
         if 0 in cones:
             raise ParameterError("cone images must be nontrivial")
-        if not search.relation_holds(group, search.commutators, hyper, cones):
+        if not search.relation_holds(group, 2, hyper, cones):
             raise ParameterError("long relation fails for these images")
         if len(group._closure_indices((*hyper, *cones))) != group.order:
             raise ParameterError("images do not generate the group")
@@ -73,6 +73,19 @@ class GeneratingVector:
 
     def genus(self) -> int:
         return search.rh_genus(self.group.order, self.signature)
+
+
+def generating_vectors(group: DicyclicGroup, sig: search.Signature):
+    """Every generating vector of an orientable signature, in index order."""
+    for hyper, cones in search.vectors(group, sig):
+        yield GeneratingVector(group, sig.gamma, hyper, cones)
+
+
+def exists_generating_vector(
+    group: DicyclicGroup, sig: search.Signature
+) -> GeneratingVector | None:
+    """The first generating vector with this signature, or None."""
+    return next(generating_vectors(group, sig), None)
 
 
 # -- fixed points ------------------------------------------------------
@@ -315,28 +328,11 @@ def triangular_census(n: int) -> ActionCensus:
             pair_count=pairs,
             conjugacy_orbits=_free_orbits(pairs, two_n, "conjugacy"),
             automorphism_orbits=_free_orbits(pairs, automorphisms, "automorphism"),
-            representative=_least_vector(group, sig),
+            representative=exists_generating_vector(group, search.Signature(2, 0, sig)),
         )
         for sig, pairs in sorted(counts.items())
     ]
     return ActionCensus(n, entries)
-
-
-def index_vectors(group: DicyclicGroup, sig: search.Signature):
-    """Every generating vector of an orientable signature as (hyper, cones)
-    index tuples, in index order."""
-    hyper_pools = [range(group.order)] * (2 * sig.gamma)
-    return search.vectors(group, hyper_pools, search.commutators,
-                          search.cone_pools(group, sig.cone_orders))
-
-
-def _least_vector(group: DicyclicGroup, signature: tuple[int, ...]) -> GeneratingVector:
-    """The least generating vector of a triangular signature in index order:
-    the first hit of `index_vectors`."""
-    found = next(index_vectors(group, search.Signature(2, 0, signature)), None)
-    if found is None:
-        raise ParameterError(f"no action of signature {signature} for n={group.n}")
-    return GeneratingVector(group, 0, (), found[1])
 
 
 def census_representative(n: int, case: str) -> GeneratingVector:
@@ -347,10 +343,9 @@ def census_representative(n: int, case: str) -> GeneratingVector:
     representative, the least vector of that signature.
     """
     group = DicyclicGroup(n)
-    if case == "I":
-        return _least_vector(group, (4, 4, 2 * n))
-    if case == "II":
-        if n % 2 == 0 or n < 3:
-            raise ParameterError("case II needs n >= 3 odd")
-        return _least_vector(group, (4, 4, n))
-    raise ParameterError(f"case must be 'I' or 'II', got {case!r}")
+    if case not in ("I", "II"):
+        raise ParameterError(f"case must be 'I' or 'II', got {case!r}")
+    if case == "II" and (n % 2 == 0 or n < 3):
+        raise ParameterError("case II needs n >= 3 odd")
+    orders = (4, 4, 2 * n if case == "I" else n)
+    return exists_generating_vector(group, search.Signature(2, 0, orders))

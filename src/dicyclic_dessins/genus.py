@@ -5,10 +5,10 @@ Finds the least genus over which the dicyclic group acts conformally
 conformal action (pure symmetric genus).  At each genus the finitely
 many orientable quotient signatures come from inverting Riemann-Hurwitz
 (`search.quotient_signatures` with handle 2), and each is searched for
-a realising generating vector by `covering.index_vectors`, the
-enumerator that the census representatives use too; `real_forms`
-shares the signature type, the inversion and the vector engine of
-`search.py`.
+a realising generating vector by `search.vectors`, through the
+`covering.exists_generating_vector` that the census representatives use
+too; `real_forms` shares the signature type, the inversion and the
+vector engine of `search.py`.
 
 Genus zero is impossible because the group is none of the sphere groups
 (cyclic, dihedral, A4, S4, A5); genus one is excluded computationally
@@ -22,7 +22,8 @@ is a `SearchExhaustedError` that only a broken search can raise.
 from __future__ import annotations
 
 from . import search
-from .covering import GeneratingVector, index_vectors, is_pure
+from .covering import (GeneratingVector, exists_generating_vector,
+                       generating_vectors, is_pure)
 from .errors import SearchExhaustedError
 from .group import DicyclicGroup
 from .search import Signature
@@ -34,19 +35,6 @@ TORUS_SIGNATURES = (
     Signature(2, 0, (2, 3, 6)),
     Signature(2, 1, ()),
 )
-
-
-def generating_vectors(group: DicyclicGroup, sig: Signature):
-    """Every generating vector with this signature, in index order."""
-    for hyper, cones in index_vectors(group, sig):
-        yield GeneratingVector(group, sig.gamma, hyper, cones)
-
-
-def exists_generating_vector(
-    group: DicyclicGroup, sig: Signature
-) -> GeneratingVector | None:
-    """The first generating vector with this signature, or None."""
-    return next(generating_vectors(group, sig), None)
 
 
 def last_genus(n: int) -> int:
@@ -80,7 +68,7 @@ def pure_symmetric_genus(n: int) -> tuple[int, GeneratingVector]:
     group = DicyclicGroup(n)
     for g in range(2, last_genus(n) + 1):
         for sig in search.quotient_signatures(n, g, 2):
-            for hyper, cones in index_vectors(group, sig):
+            for hyper, cones in search.vectors(group, sig):
                 if is_pure(group, cones):
                     return g, GeneratingVector(group, sig.gamma, hyper, cones)
     raise SearchExhaustedError(

@@ -267,8 +267,9 @@ class DessinMonodromy:
                 self.face.cycle_type())
 
 
-def regular_dessin(act: covering.GeneratingVector) -> DessinMonodromy:
-    """The regular dessin of a triangular action, on |G| edges.
+def regular_dessin(act) -> DessinMonodromy:
+    """The regular dessin of a triangular action act, a
+    `covering.GeneratingVector`, on |G| edges.
 
     Edge i + 1 is the element of index i; white and black are left
     multiplication by the first two triple entries, so transitivity and
@@ -294,15 +295,12 @@ def remark_dessin(n: int, case: str) -> DessinMonodromy:
     permutation is then a power of eta of the expected order (2n in
     case I, n in case II).
     """
-    eta, sigma = build_remark_permutations(n)
-    if case == "I":
-        tau = sigma ** 3 * eta
-    elif case == "II":
-        if n % 2 == 0:
-            raise ParameterError("case II needs n odd")
-        tau = eta ** (n - 2) * sigma
-    else:
+    if case not in ("I", "II"):
         raise ParameterError(f"case must be 'I' or 'II', got {case!r}")
+    if case == "II" and n % 2 == 0:
+        raise ParameterError("case II needs n odd")
+    eta, sigma = build_remark_permutations(n)
+    tau = sigma ** 3 * eta if case == "I" else eta ** (n - 2) * sigma
     return DessinMonodromy(4 * n, sigma, tau)
 
 

@@ -14,10 +14,11 @@ This module certifies the minimal hyperbolic genus values by exhaustive
 search: the quotient signatures of each genus are `search.Signature`
 values with handle 1 from inverting the Riemann-Hurwitz formula
 (`search.quotient_signatures`), their genus is `search.rh_genus`, and
-their images come from the vector engine of `search.py`, all shared
-with the orientable layers.  Images are element indices 2a + b, as in
-`covering.py`.  It also builds the pseudo-real family with all of its
-computable properties.
+their images come from `search.vectors`, which reads the word of
+squares and the image pools off the signature and the plus part, all
+shared with the orientable layers.  Images are element indices 2a + b,
+as in `covering.py`.  It also builds the pseudo-real family with all of
+its computable properties.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class NECActionData:
                 out.append(f"beta image {group.element_at(b)!r} has order "
                            f"{orders[b]}, not {m}")
         alphas, betas = self.alpha_images, self.beta_images
-        if not search.relation_holds(group, search.squares, alphas, betas):
+        if not search.relation_holds(group, self.sig.handle, alphas, betas):
             out.append("long relation fails")
         # Generation settles the plus part too: with transversal {1, a_1},
         # Reidemeister-Schreier gives it the betas, the alpha squares, the
@@ -91,19 +92,17 @@ def admissible_homomorphisms(
 ) -> list[NECActionData]:
     """Exhaustive list of admissible image tuples for one signature.
 
-    `search.vectors` with the word of squares, glide-reflection images
-    outside the plus part and elliptic images inside it, so every vector
-    passes `NECActionData.violations` by construction.  Results come out
-    in a fixed lexicographic order; `limit` truncates early when only
-    existence (or one witness) is needed.
+    `search.vectors` of the handle-1 signature over this plus part puts
+    the glide-reflection images outside it and the elliptic images inside
+    it, so every vector passes `NECActionData.violations` by
+    construction.  Results come out in a fixed lexicographic order;
+    `limit` truncates early when only existence (or one witness) is
+    needed.
     """
     if plus_part.index_in(group) != 2:
         raise ParameterError("plus part must have index two")
-    outside = [i for i in range(group.order) if i not in plus_part]
-    beta_pools = search.cone_pools(group, sig.cone_orders, plus_part)
     found: list[NECActionData] = []
-    alpha_pools = [outside] * (sig.gamma + 1)
-    for alphas, betas in search.vectors(group, alpha_pools, search.squares, beta_pools):
+    for alphas, betas in search.vectors(group, sig, plus_part):
         found.append(NECActionData(group, plus_part, sig, alphas, betas))
         if limit is not None and len(found) >= limit:
             break

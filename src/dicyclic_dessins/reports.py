@@ -133,12 +133,12 @@ def monodromy_report(n: int, case: str) -> Report:
     from . import monodromy
 
     report = Report("monodromy", {"n": n, "case": case})
+    dessin = monodromy.remark_dessin(n, case)  # first: it checks the case's domain
     relations = monodromy.verify_remark_relations(n)
     for name, ok in relations["checks"].items():
         if case == "I" and name.startswith("case_II"):
             continue
         report.add(name, "explicit permutation pair relations", ok)
-    dessin = monodromy.remark_dessin(n, case)
     expected_genus = n if case == "I" else n - 1
     genus = dessin.genus()
     report.add(

@@ -8,7 +8,10 @@ Surfaces*, 2000).  This module holds the one `Signature` type, the genus
 `rh_genus`, its inversion `quotient_signatures`, the long relation
 word(hyper) * c_1 ... c_r = 1 with a product of commutators (orientable)
 or of squares (non-orientable), and the one exhaustive generating-vector
-search.  Both words are sums in the abelian <x>, and the cone products
+search.  The quotient kind is decided here alone: `vectors(group, sig,
+plus_part)` reads the word and the hyperbolic pools off the handle and
+the cone pools off the cone orders, and `relation_holds` takes the
+handle.  Both words are sums in the abelian <x>, and the cone products
 follow the closed-form `DicyclicGroup.mul`, so no product table is
 built.  The actions hold the index tuples as they come; only the
 command-line reports convert them to `GroupElement` values.
@@ -134,37 +137,44 @@ def squares(group: DicyclicGroup, hyper: tuple[int, ...]) -> int:
     return 2 * total % group.order
 
 
-def relation_holds(group: DicyclicGroup, word, hyper, cones) -> bool:
-    """Whether word(hyper) * c_1 ... c_r is the identity, on indices; word
-    is `commutators` or `squares`."""
-    total = word(group, hyper)
+WORDS = {2: commutators, 1: squares}
+
+
+def relation_holds(group: DicyclicGroup, handle: int, hyper, cones) -> bool:
+    """Whether word(hyper) * c_1 ... c_r is the identity, on indices, with
+    the word of this handle: `commutators` for 2, `squares` for 1."""
+    total = WORDS[handle](group, hyper)
     for c in cones:
         total = group.mul(total, c)
     return total == 0
 
 
-def cone_pools(group: DicyclicGroup, orders, within=None) -> list[list[int]]:
-    """For each cone order m, the indices of order m in index order, only
-    those in `within` when it is given."""
-    table = group.order_table
-    members = range(group.order) if within is None else sorted(within)
-    return [[i for i in members if table[i] == m] for m in orders]
+def vectors(group: DicyclicGroup, sig: Signature, plus_part=None):
+    """Yield every generating vector (hyper, cones) of this signature as
+    index tuples, in lexicographic order.
 
-
-def vectors(group: DicyclicGroup, hyper_pools, word, cone_pools):
-    """Yield every generating vector (hyper, cones) of index tuples.
-
-    hyper[i] ranges over hyper_pools[i] and cones[j] over cone_pools[j],
-    in lexicographic order.  The last cone image is forced by the long
-    relation; without cone images the forced image must be the identity.
+    The signature decides the quotient kind.  Handle 2 takes 2 gamma
+    hyperbolic images from the whole group and the word of commutators;
+    handle 1 takes gamma + 1 glide-reflection images from outside the
+    index-two `plus_part` and the word of squares.  The cone image c_j
+    has order m_j and lies in `plus_part` (the whole group when it is
+    None).  The last cone image is forced by the long relation; without
+    cone images the forced image must be the identity.
     """
-    if not all(cone_pools):
+    order, table = group.order, group.order_table
+    if sig.handle == 2:
+        hyper_pools = [range(order)] * (2 * sig.gamma)
+    else:
+        hyper_pools = [[i for i in range(order) if i not in plus_part]] * (sig.gamma + 1)
+    members = range(order) if plus_part is None else sorted(plus_part)
+    pools = [[i for i in members if table[i] == m] for m in sig.cone_orders]
+    if not all(pools):
         return
-    two_n, order, inv = 2 * group.n, group.order, group.inverse_table
-    last_pool = set(cone_pools[-1]) if cone_pools else {0}
+    word, two_n, inv = WORDS[sig.handle], 2 * group.n, group.inverse_table
+    last_pool = set(pools[-1]) if pools else {0}
     for hyper in itertools.product(*hyper_pools):
         prod = word(group, hyper)
-        for head in itertools.product(*cone_pools[:-1]):
+        for head in itertools.product(*pools[:-1]):
             total = prod
             for c in head:
                 # group.mul(total, c), written out in the one hot loop
@@ -172,6 +182,6 @@ def vectors(group: DicyclicGroup, hyper_pools, word, cone_pools):
             last = inv[total]
             if last not in last_pool:
                 continue
-            cones = head + (last,) if cone_pools else ()
-            if len(group._closure_indices(hyper + cones)) == group.order:
+            cones = head + (last,) if pools else ()
+            if len(group._closure_indices(hyper + cones)) == order:
                 yield hyper, cones

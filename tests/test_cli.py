@@ -9,12 +9,15 @@ fresh interpreter on the same path and lists the modules it loaded.
 The package-export, model-name, README-usage and search-exhaustion
 tests, and the last one, which draws many small command lines, run in
 process; the standard-library, token-step and dead-code tests read the
-sources.
+sources, and the annotation test resolves the annotations of every
+package function.
 """
 
 import ast
 import contextlib
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import os
@@ -22,6 +25,7 @@ import re
 import subprocess
 import sys
 import tokenize
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -30,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dicyclic_dessins
-from dicyclic_dessins import cli, reports, search
+from dicyclic_dessins import cli, monodromy, reports, search
 from dicyclic_dessins.curves import MODEL_NAMES
 
 CLI = [sys.executable, "-m", "dicyclic_dessins"]
@@ -183,6 +187,40 @@ def test_bad_parameter_values_are_usage_errors(args, tmp_path):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("args, option", [
+    (("census", "--n", "1"), "--n"),
+    (("genus", "--n", "0"), "--n"),
+    (("monodromy", "--n", "1", "--case", "I"), "--n"),
+    (("curves", "--n", "1", "--model", "Sn_hyperelliptic"), "--n"),
+    (("pseudo-real", "--n", "3", "--q", "1"), "--q"),
+    (("paper-report", "--n-range", "1..3", "--out", "{out}"), "--n-range"),
+    (("paper-report", "--n-range", "3..2", "--out", "{out}"), "--n-range"),
+    (("paper-report", "--n-range", "2..3..4", "--out", "{out}"), "--n-range"),
+    (("curves", "--n", "2", "--model", "Sn_hyperelliptic", "--trials", "0"), "--trials"),
+])
+def test_an_out_of_domain_value_is_reported_against_its_option(args, option, tmp_path):
+    code, out, err = run_in_process(*(a.format(out=tmp_path / "report") for a in args))
+    assert code == 2 and out == "", err
+    assert err.startswith("error: ") and option in err, err
+    assert not (tmp_path / "report").exists()
+
+
+def test_case_II_at_even_n_writes_no_dot_file(tmp_path, monkeypatch):
+    # the domain of --case II is the report's to check, and it fails
+    # before any permutation is built or the graph is written
+    def refuse(n):
+        raise AssertionError(f"work done for n={n} before the domain check")
+
+    monkeypatch.setattr(monodromy, "build_remark_permutations", refuse)
+    monkeypatch.setattr(monodromy, "verify_remark_relations", refuse)
+    dot = tmp_path / "graph.dot"
+    code, out, err = run_in_process("monodromy", "--n", "4", "--case", "II",
+                                    "--dot", str(dot))
+    assert code == 2 and out == "", err
+    assert err.startswith("error: ")
+    assert not dot.exists()
 
 
 @pytest.mark.parametrize("args", [("--help",), ("census", "--help")])
@@ -418,6 +456,35 @@ def test_the_package_imports_neither_dataclasses_nor_typing():
     # (inspect, ast, dis, tokenize) and a generated class per record
     for where, top in package_imports():
         assert top not in {"dataclasses", "typing"}, (where, top)
+
+
+def package_functions():
+    """Every function defined at the top of a package module, and every
+    method, property getter and cached-property function of its classes."""
+    for path in sorted(Path(PACKAGE_ROOT, "dicyclic_dessins").glob("*.py")):
+        name = "dicyclic_dessins" + ("" if path.stem == "__init__" else f".{path.stem}")
+        module = importlib.import_module(name)
+        for obj in list(vars(module).values()):
+            if getattr(obj, "__module__", None) != name:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for member in members:
+                for attr in ("fget", "func", "__func__"):
+                    member = getattr(member, attr, member)
+                if inspect.isfunction(member):
+                    yield member
+
+
+def test_every_annotation_resolves():
+    # annotations are strings, so a name that the module never imports
+    # goes unnoticed until something such as typing.get_type_hints reads it
+    unresolved = []
+    for func in package_functions():
+        try:
+            typing.get_type_hints(func)
+        except NameError as exc:
+            unresolved.append(f"{func.__module__}.{func.__qualname__}: {exc}")
+    assert unresolved == []
 
 
 def test_every_module_compiles_below_the_parser_token_step():

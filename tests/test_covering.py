@@ -34,7 +34,6 @@ from dicyclic_dessins.genus import (
 from dicyclic_dessins.group import DicyclicGroup, GroupElement
 from dicyclic_dessins.search import (
     Signature,
-    commutators,
     order_pool,
     quotient_signatures,
     rh_genus,
@@ -236,16 +235,16 @@ def test_census_orbit_counts_match_orbit_search():
 
 
 def search_census(n: int) -> list[tuple]:
-    """The census by exhaustive search: every generating triple over three
-    nontrivial pools, grouped by ordered order triple, with the counts of
+    """The census by exhaustive search: every generating triple of every
+    ordered triple of cone orders from `order_pool`, with the counts of
     pairs, of conjugacy orbits (|G/Z(G)| from the classes of size one)
     and of automorphism orbits (|Aut G| from the scan), and the least
     triple as the representative."""
     G = DicyclicGroup(n)
-    nontrivial = range(1, G.order)
     by_sig: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for _, cones in vectors(G, (), commutators, [nontrivial] * 3):
-        by_sig.setdefault(tuple(G.order_table[c] for c in cones), []).append(cones)
+    for orders in itertools.product(order_pool(n), repeat=3):
+        for _, cones in vectors(G, Signature(2, 0, orders)):
+            by_sig.setdefault(tuple(G.order_table[c] for c in cones), []).append(cones)
     centre = sum(1 for cls in G.conjugacy_classes if len(cls) == 1)
     automorphisms = len(G.automorphisms)
     return [

@@ -9,7 +9,6 @@ from dicyclic_dessins import search
 from dicyclic_dessins.covering import (
     fixed_point_count,
     fixed_points,
-    index_vectors,
     is_pure,
     is_purely_non_free,
 )
@@ -128,7 +127,7 @@ def test_purity_per_class_matches_the_fixed_point_table():
         group = DicyclicGroup(n)
         for g in range(2, last_genus(n) + 1):
             for sig in quotient_signatures(n, g, 2):
-                for _, cones in itertools.islice(index_vectors(group, sig), 5):
+                for _, cones in itertools.islice(search.vectors(group, sig), 5):
                     pure = all(fixed_points(group, cones)[1:])
                     assert is_pure(group, cones) == pure, (n, sig, cones)
                     outcomes[pure] += 1

@@ -7,17 +7,19 @@ products that the validators ran before they checked the long relation
 on indices.
 """
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dicyclic_dessins import search
 from dicyclic_dessins.errors import InadmissibleSignatureError
 from dicyclic_dessins.group import DicyclicGroup
 from dicyclic_dessins.search import (
     Signature,
     commutators,
-    cone_pools,
     order_pool,
     relation_holds,
     squares,
@@ -76,6 +78,13 @@ def vectors_oracle(G, hyper_pools, word, cone_pools):
     return found
 
 
+def cone_pools(G, orders, within=None):
+    """For each cone order m, the indices of the elements of order m in
+    index order, only those in `within` when it is given."""
+    members = range(G.order) if within is None else sorted(within)
+    return [[i for i in members if G.element_at(i).order() == m] for m in orders]
+
+
 def test_words_match_the_table_on_every_pair():
     for n in range(2, 25):
         G = DicyclicGroup(n)
@@ -119,7 +128,8 @@ def test_relation_holds_matches_element_arithmetic(data):
     n = data.draw(st.integers(2, 12))
     G = DicyclicGroup(n)
     index = st.integers(0, G.order - 1)
-    word = data.draw(st.sampled_from([commutators, squares]))
+    handle = data.draw(st.sampled_from([2, 1]))
+    word = {2: commutators, 1: squares}[handle]
     hyper = tuple(data.draw(st.lists(index, max_size=4)))
     if word is commutators:
         hyper = hyper[: len(hyper) // 2 * 2]
@@ -131,14 +141,15 @@ def test_relation_holds_matches_element_arithmetic(data):
             total = G.mul(total, c)
         head += (G.inverse_table[total],)
     expected = relation_oracle(G, word, hyper, head)
-    assert relation_holds(G, word, hyper, head) == expected
+    assert relation_holds(G, handle, hyper, head) == expected
 
 
 def test_vectors_match_the_table_search_on_triangular_triples():
     for n in range(2, 9):
         G = DicyclicGroup(n)
         pools = [range(1, G.order)] * 3
-        found = list(vectors(G, (), commutators, pools))
+        found = sorted(vector for orders in itertools.product(order_pool(n), repeat=3)
+                       for vector in vectors(G, Signature(2, 0, orders)))
         assert found and found == vectors_oracle(G, (), commutators_oracle, pools), n
 
 
@@ -149,7 +160,7 @@ def test_vectors_match_the_table_search_on_genus_one_quotients():
         hits = 0
         for m in order_pool(n):
             pools = cone_pools(G, (m,))
-            found = list(vectors(G, hyper_pools, commutators, pools))
+            found = list(vectors(G, Signature(2, 1, (m,))))
             assert found == vectors_oracle(
                 G, hyper_pools, commutators_oracle, pools), (n, m)
             hits += len(found)
@@ -169,8 +180,22 @@ def test_vectors_match_the_table_search_on_square_words():
                 for alphas, orders in ((1, (m, m)), (2, (m,))):
                     alpha_pools = [outside] * alphas
                     pools = cone_pools(G, orders, H)
-                    found = list(vectors(G, alpha_pools, squares, pools))
+                    found = list(vectors(G, Signature(1, alphas - 1, orders), H))
                     assert found == vectors_oracle(
                         G, alpha_pools, squares_oracle, pools), (n, H, orders)
                     hits += len(found)
     assert hits
+
+
+def test_only_search_names_the_words():
+    # the quotient kind is decided in search.py alone: every other module
+    # passes a signature or a handle to the engine, never a word
+    words = {"commutators", "squares"}
+    naming = {
+        path.name
+        for path in Path(search.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id in words
+        or isinstance(node, ast.Attribute) and node.attr in words
+    }
+    assert naming == {"search.py"}
