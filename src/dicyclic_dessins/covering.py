@@ -1,14 +1,17 @@
-"""Combinatorial covering-space calculus for orientable quotients.
+"""Combinatorial covering-space calculus, and the one action record.
 
-Given a generating vector for a group action (a triangular action is
-one with quotient genus 0 and three cone images), this module computes
-the covering surface's genus through `search.rh_genus` with handle 2,
-one table per action of the fixed-point counts of every element, the
-free elements and (by the Lefschetz formula) the genera of intermediate
-quotients read off that table, their signatures from coset cycles, and
-the full census of triangular actions of a dicyclic group.  It owns
-`generating_vectors`, the orientable `search.vectors` as actions, whose
-first hit the census representatives and the genus searches share.
+`GeneratingVector` records an action with either quotient kind,
+orientable or over an index-two plus part, and its `violations` is the
+one validator of an action.  For a generating vector (a triangular
+action is an orientable one with quotient genus 0 and three cone
+images) this module computes the covering surface's genus through
+`search.rh_genus`, one table per action of the fixed-point counts of
+every element, the free elements and, for orientable quotients, (by
+the Lefschetz formula) the genera of intermediate quotients read off
+that table and their signatures from coset cycles; and the full census
+of triangular actions of a dicyclic group.  It owns
+`generating_vectors`, `search.vectors` as actions of either kind, which
+the census, the genus searches and `real_forms` read.
 Every element here is an index 2a + b: the images of an action, the
 fixed-point table, the free elements and the coset cycles; the
 command-line reports convert them to `GroupElement` values.
@@ -27,12 +30,16 @@ from .group import DicyclicGroup, Subgroup
 
 
 class GeneratingVector:
-    """Images of the standard Fuchsian generators under a surjection.
+    """Images of the standard Fuchsian or NEC generators under a surjection.
 
-    hyperbolic_images holds the 2*gamma' images (a1, b1, ..., ag, bg) of
-    the handle generators; cone_images the elliptic images, whose exact
-    orders are the cone orders (torsion-free kernel).  Both hold element
-    indices.  A triangular action is the case gamma' = 0 with three cone
+    Without a plus part the quotient is orientable of genus gamma'
+    (handle 2), and hyperbolic_images holds the 2*gamma' images (a1, b1,
+    ..., ag, bg) of the handle generators.  Over an index-two plus part
+    it has gamma' + 1 crosscaps (handle 1), and hyperbolic_images holds
+    the gamma' + 1 glide-reflection images, outside the plus part.
+    cone_images holds the elliptic images, inside it, whose exact orders
+    are the cone orders (torsion-free kernel).  All hold element indices.
+    A triangular action is the orientable case gamma' = 0 with three cone
     images (c1, c2, c3): c1 c2 c3 = 1, so <c1, c2> = <c1, c2, c3> is the
     whole group, and the quotient is the sphere with three cone points.
     """
@@ -43,28 +50,47 @@ class GeneratingVector:
         quotient_genus: int,
         hyperbolic_images: tuple[int, ...],
         cone_images: tuple[int, ...],
+        plus_part: Subgroup | None = None,
     ):
-        if len(hyperbolic_images) != 2 * quotient_genus:
-            raise ParameterError(
-                f"need {2 * quotient_genus} hyperbolic images, "
-                f"got {len(hyperbolic_images)}"
-            )
-        hyper, cones = hyperbolic_images, cone_images
-        group.check_indices((*hyper, *cones))
+        group.check_indices((*hyperbolic_images, *cone_images))
+        self.group, self.quotient_genus, self.plus_part = group, quotient_genus, plus_part
+        self.hyperbolic_images, self.cone_images = hyperbolic_images, cone_images
+        self.handle = 2 if plus_part is None else 1
+        problems = self.violations()
+        if problems:
+            raise ParameterError("; ".join(problems))
+
+    def violations(self) -> list[str]:
+        group, plus_part = self.group, self.plus_part
+        hyper, cones = self.hyperbolic_images, self.cone_images
+        out = []
+        if plus_part is not None and plus_part.index_in(group) != 2:
+            out.append("plus part is not an index-two subgroup")
+        count = 2 * self.quotient_genus if self.handle == 2 else self.quotient_genus + 1
+        if len(hyper) != count:
+            out.append(f"need {count} hyperbolic images, got {len(hyper)}")
         if 0 in cones:
-            raise ParameterError("cone images must be nontrivial")
-        if not search.relation_holds(group, 2, hyper, cones):
-            raise ParameterError("long relation fails for these images")
+            out.append("cone images must be nontrivial")
+        if plus_part is not None:
+            out += [f"glide-reflection image {group.element_at(a)!r} lies in the "
+                    "plus part" for a in hyper if a in plus_part]
+            out += [f"cone image {group.element_at(c)!r} lies outside the plus part"
+                    for c in cones if c not in plus_part]
+        if not search.relation_holds(group, self.handle, hyper, cones):
+            out.append("long relation fails")
+        # Generation settles the plus part too: with transversal {1, a_1},
+        # Reidemeister-Schreier gives it the cone images, the a_i^2, the
+        # a_i-conjugates of the cone images and the a_i a_j (i < j), since
+        # a_j a_i = a_j^2 (a_i a_j)^-1 a_i^2.
         if len(group._closure_indices((*hyper, *cones))) != group.order:
-            raise ParameterError("images do not generate the group")
-        self.group, self.quotient_genus = group, quotient_genus
-        self.hyperbolic_images, self.cone_images = hyper, cones
+            out.append("images do not generate the group")
+        return out
 
     @cached_property
     def signature(self) -> search.Signature:
         table = self.group.order_table
         return search.Signature(
-            2, self.quotient_genus, tuple(table[c] for c in self.cone_images)
+            self.handle, self.quotient_genus, tuple(table[c] for c in self.cone_images)
         )
 
     @cached_property
@@ -75,10 +101,13 @@ class GeneratingVector:
         return search.rh_genus(self.group.order, self.signature)
 
 
-def generating_vectors(group: DicyclicGroup, sig: search.Signature):
-    """Every generating vector of an orientable signature, in index order."""
-    for hyper, cones in search.vectors(group, sig):
-        yield GeneratingVector(group, sig.gamma, hyper, cones)
+def generating_vectors(
+    group: DicyclicGroup, sig: search.Signature, plus_part: Subgroup | None = None
+):
+    """Every generating vector of this signature, in index order; a
+    handle-1 signature takes the index-two plus part."""
+    for hyper, cones in search.vectors(group, sig, plus_part):
+        yield GeneratingVector(group, sig.gamma, hyper, cones, plus_part)
 
 
 def exists_generating_vector(
@@ -156,8 +185,11 @@ def quotient_genus(act: GeneratingVector, H: Subgroup) -> int:
 
     H^1(S) has the character 2g at 1 and 2 - fix(h) at h != 1, and its
     H-invariant part has dimension 2 genus(S/H) (T. Breuer, "Characters
-    and Automorphism Groups of Compact Riemann Surfaces", 2000).
+    and Automorphism Groups of Compact Riemann Surfaces", 2000).  It
+    needs a conformal action: an anticonformal h has another trace.
     """
+    if act.plus_part is not None:
+        raise ParameterError("quotient_genus needs an orientable quotient")
     H.index_in(act.group)
     trace = 2 * act.genus() + sum(2 - act.fixed_points[h] for h in H if h)
     if trace % (2 * len(H)):
@@ -202,6 +234,8 @@ def quotient_signature(act: GeneratingVector, H: Subgroup) -> search.Signature:
     S/H -> S/G, of degree [G:H]; Riemann-Hurwitz then gives the genus,
     a computation independent of the Lefschetz `quotient_genus`.
     """
+    if act.plus_part is not None:
+        raise ParameterError("quotient_signature needs an orientable quotient")
     group, sheets = act.group, H.index_in(act.group)
     branch, orders = 0, []
     for c in act.cone_images:

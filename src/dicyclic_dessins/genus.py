@@ -7,8 +7,8 @@ many orientable quotient signatures come from inverting Riemann-Hurwitz
 (`search.quotient_signatures` with handle 2), and each is searched for
 a realising generating vector by `search.vectors`, through the
 `covering.exists_generating_vector` that the census representatives use
-too; `real_forms` shares the signature type, the inversion and the
-vector engine of `search.py`.
+too; `real_forms` shares the signature type, the inversion, the vector
+engine of `search.py` and the `GeneratingVector` record.
 
 Genus zero is impossible because the group is none of the sphere groups
 (cyclic, dihedral, A4, S4, A5); genus one is excluded computationally
@@ -22,8 +22,7 @@ is a `SearchExhaustedError` that only a broken search can raise.
 from __future__ import annotations
 
 from . import search
-from .covering import (GeneratingVector, exists_generating_vector,
-                       generating_vectors, is_pure)
+from .covering import GeneratingVector, exists_generating_vector, is_pure
 from .errors import SearchExhaustedError
 from .group import DicyclicGroup
 from .search import Signature

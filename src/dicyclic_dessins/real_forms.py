@@ -1,87 +1,35 @@
-"""The anticonformal side: non-orientable quotient data for dicyclic actions.
+"""The anticonformal side: minimal hyperbolic genus and the pseudo-real family.
 
-An action with anticonformal elements is encoded combinatorially by the
-index-two conformal subgroup, a non-orientable quotient signature
-(gamma + 1 crosscaps, r cone points) and the images of the glide
-reflection and elliptic generators, subject to the long relation
+An action with anticonformal elements is a `covering.GeneratingVector`
+with a plus part: the index-two conformal subgroup, a non-orientable
+quotient (gamma + 1 crosscaps, r cone points) and the images of the
+glide reflection and elliptic generators, subject to the long relation
 alpha_1^2 ... alpha_(gamma+1)^2 beta_1 ... beta_r = 1 with torsion-free
-kernel (exact cone orders).  Reflection generators are excluded
-throughout: the quotients arising here have no boundary, because the
-induced anticonformal involution acts without fixed points (the only
-involution x^n lies in every index-two subgroup).
+kernel (exact cone orders), all of which that record checks.  Reflection
+generators are excluded throughout: the quotients arising here have no
+boundary, because the induced anticonformal involution acts without
+fixed points (the only involution x^n lies in every index-two subgroup).
 
 This module certifies the minimal hyperbolic genus values by exhaustive
 search: the quotient signatures of each genus are `search.Signature`
 values with handle 1 from inverting the Riemann-Hurwitz formula
-(`search.quotient_signatures`), their genus is `search.rh_genus`, and
-their images come from `search.vectors`, which reads the word of
-squares and the image pools off the signature and the plus part, all
-shared with the orientable layers.  Images are element indices 2a + b,
-as in `covering.py`.  It also builds the pseudo-real family with all of
-its computable properties.
+(`search.quotient_signatures`), and their images come from
+`covering.generating_vectors` over each plus part, that is from
+`search.vectors`, which reads the word of squares and the image pools
+off the signature and the plus part; the record, its genus and the
+engine are shared with the orientable layers.  It also builds the
+pseudo-real family with all of its computable properties.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 from . import search
+from .covering import GeneratingVector, generating_vectors
 from .errors import ParameterError, SearchExhaustedError
 from .group import DicyclicGroup, Subgroup
 from .search import Signature, rh_genus
-
-
-class NECActionData:
-    """A conformal/anticonformal dicyclic action, as a finite datum; the
-    glide-reflection and elliptic images are element indices."""
-
-    __slots__ = ("group", "plus_part", "sig", "alpha_images", "beta_images")
-
-    def __init__(
-        self,
-        group: DicyclicGroup,
-        plus_part: Subgroup,
-        sig: Signature,
-        alpha_images: tuple[int, ...],
-        beta_images: tuple[int, ...],
-    ):
-        self.group, self.plus_part, self.sig = group, plus_part, sig
-        self.alpha_images, self.beta_images = alpha_images, beta_images
-        self.group.check_indices((*self.alpha_images, *self.beta_images))
-        problems = self.violations()
-        if problems:
-            raise ParameterError("; ".join(problems))
-
-    def violations(self) -> list[str]:
-        group, plus_part = self.group, self.plus_part
-        orders = group.order_table
-        out = []
-        if plus_part.index_in(group) != 2:
-            out.append("plus part is not an index-two subgroup")
-        if len(self.alpha_images) != self.sig.gamma + 1:
-            out.append("wrong number of glide-reflection images")
-        if len(self.beta_images) != len(self.sig.cone_orders):
-            out.append("wrong number of elliptic images")
-        for a in self.alpha_images:
-            if a in plus_part:
-                out.append(f"alpha image {group.element_at(a)!r} lies in the plus part")
-        for b, m in zip(self.beta_images, self.sig.cone_orders):
-            if b not in plus_part:
-                out.append(f"beta image {group.element_at(b)!r} outside the plus part")
-            if orders[b] != m:
-                out.append(f"beta image {group.element_at(b)!r} has order "
-                           f"{orders[b]}, not {m}")
-        alphas, betas = self.alpha_images, self.beta_images
-        if not search.relation_holds(group, self.sig.handle, alphas, betas):
-            out.append("long relation fails")
-        # Generation settles the plus part too: with transversal {1, a_1},
-        # Reidemeister-Schreier gives it the betas, the alpha squares, the
-        # alpha-conjugates of the betas and the a_i a_j (i < j), since
-        # a_j a_i = a_j^2 (a_i a_j)^-1 a_i^2.
-        if len(group._closure_indices((*alphas, *betas))) != group.order:
-            out.append("images do not generate the group")
-        return out
-
-    def genus(self) -> int:
-        return rh_genus(self.group.order, self.sig)
 
 
 def admissible_homomorphisms(
@@ -89,27 +37,20 @@ def admissible_homomorphisms(
     plus_part: Subgroup,
     sig: Signature,
     limit: int | None = None,
-) -> list[NECActionData]:
+) -> list[GeneratingVector]:
     """Exhaustive list of admissible image tuples for one signature.
 
-    `search.vectors` of the handle-1 signature over this plus part puts
+    The handle-1 `covering.generating_vectors` over this plus part puts
     the glide-reflection images outside it and the elliptic images inside
-    it, so every vector passes `NECActionData.violations` by
-    construction.  Results come out in a fixed lexicographic order;
-    `limit` truncates early when only existence (or one witness) is
-    needed.
+    it.  Results come out in a fixed lexicographic order; `limit`
+    truncates early when only existence (or one witness) is needed.
     """
     if plus_part.index_in(group) != 2:
         raise ParameterError("plus part must have index two")
-    found: list[NECActionData] = []
-    for alphas, betas in search.vectors(group, sig, plus_part):
-        found.append(NECActionData(group, plus_part, sig, alphas, betas))
-        if limit is not None and len(found) >= limit:
-            break
-    return found
+    return list(islice(generating_vectors(group, sig, plus_part), limit))
 
 
-def sigma_hyp(n: int) -> tuple[int, NECActionData]:
+def sigma_hyp(n: int) -> tuple[int, GeneratingVector]:
     """Minimal genus >= 2 of a conformal/anticonformal dicyclic action.
 
     Walks g = 2, ..., 2n - 1 through the non-orientable quotient
@@ -148,7 +89,7 @@ class PseudoRealCertificate:
         n: int,
         q: int,
         l: int,
-        action: NECActionData,
+        action: GeneratingVector,
         genus: int,
         genus_via_cyclic_cover: int,
         obstruction_report: dict,
@@ -181,10 +122,8 @@ def build_pseudo_real(n: int, q: int) -> PseudoRealCertificate:
     l = n * (2 * q - 1)
     group = DicyclicGroup(n)
     plus_part = Subgroup(n, 1, None)  # <x>
-    sig = Signature(1, 0, (2 * n,) * l)
-    action = NECActionData(group, plus_part, sig,
-                           alpha_images=(1,), beta_images=(2,) * l)
-    genus = rh_genus(group.order, sig)
+    action = GeneratingVector(group, 0, (1,), (2,) * l, plus_part)
+    genus = rh_genus(group.order, action.signature)
     # Riemann-Hurwitz through S -> S/<x>: degree 2n, genus-zero base,
     # exactly 2l cone points of order 2n.  Over the denominator 2n,
     # 2g - 2 = 2n (-2 * 2n + 2l (2n - 1)) / 2n, an integer since 4n

@@ -191,11 +191,11 @@ def hyper_report(n: int) -> Report:
         "minimal_hyperbolic_genus", anchor, g == expected,
         {
             "genus": g,
-            "signature": {"gamma": witness.sig.gamma,
-                          "cone_orders": list(witness.sig.cone_orders)},
+            "signature": {"gamma": witness.signature.gamma,
+                          "cone_orders": list(witness.signature.cone_orders)},
             "plus_part": repr(witness.plus_part),
-            "alpha_images": [repr(element(a)) for a in witness.alpha_images],
-            "beta_images": [repr(element(b)) for b in witness.beta_images],
+            "alpha_images": [repr(element(a)) for a in witness.hyperbolic_images],
+            "beta_images": [repr(element(b)) for b in witness.cone_images],
             "scope": "reflection-free non-orientable quotients "
                      "(the induced involution is fixed-point free)",
         },
@@ -302,10 +302,10 @@ def per_n_report(n: int, seed: int, heavy: bool) -> Report:
     from .group import DicyclicGroup
 
     report = Report("paper-report", {"n": n, "seed": seed})
+    cases = ("I",) if n % 2 == 0 else ("I", "II")  # case II needs n odd
     report.claims.extend(census_report(n).claims)
-    report.claims.extend(monodromy_report(n, "I").claims)
-    if n % 2 == 1:
-        report.claims.extend(monodromy_report(n, "II").claims)
+    for case in cases:
+        report.claims.extend(monodromy_report(n, case).claims)
 
     group = DicyclicGroup(n)
     sizes = sorted(len(c) for c in group.conjugacy_classes)
@@ -317,7 +317,8 @@ def per_n_report(n: int, seed: int, heavy: bool) -> Report:
         {"sizes": sizes},
     )
 
-    act1 = covering.census_representative(n, "I")
+    actions = [covering.census_representative(n, case) for case in cases]
+    act1 = actions[0]
     # x^a y^b has index 2a + b
     indices = {"x": 2, "x^n": 2 * n, "y": 1, "xy": 3}
     fps = {name: covering.fixed_point_count(act1, i) for name, i in indices.items()}
@@ -330,11 +331,8 @@ def per_n_report(n: int, seed: int, heavy: bool) -> Report:
     pnf, free = covering.is_purely_non_free(act1)
     report.add("case_I_purely_non_free", "the genus-n action is purely non-free",
                pnf, {"free_elements": [repr(group.element_at(i)) for i in free]})
-    actions = [act1]
-    if n % 2 == 1:
-        act2 = covering.census_representative(n, "II")
-        actions.append(act2)
-        _, free2 = covering.is_purely_non_free(act2)
+    if "II" in cases:
+        _, free2 = covering.is_purely_non_free(actions[1])
         expected_free = [2 * k for k in range(1, 2 * n, 2) if k != n]
         report.add(
             "case_II_free_elements",
@@ -347,7 +345,7 @@ def per_n_report(n: int, seed: int, heavy: bool) -> Report:
     # refined claim keeps only the subgroups holding the involution x^n.
     involution = 2 * n  # the index of x^n
     counterexamples, involution_counterexamples = [], []
-    for case_name, act in zip(("I", "II"), actions):
+    for case_name, act in zip(cases, actions):
         for H in group.subgroups:
             if H.is_trivial():
                 continue
@@ -379,7 +377,7 @@ def per_n_report(n: int, seed: int, heavy: bool) -> Report:
          "counterexamples": involution_counterexamples},
     )
 
-    for case in ("I",) if n % 2 == 0 else ("I", "II"):
+    for case in cases:
         reps = [t.as_tuple() for t in covers.canonical_representatives(n, case)]
         count = len(reps)
         expected_rep = (n, 1, 2 * n - 1) if case == "I" else (n, 2, 2 * n - 2)

@@ -11,10 +11,11 @@ or of squares (non-orientable), and the one exhaustive generating-vector
 search.  The quotient kind is decided here alone: `vectors(group, sig,
 plus_part)` reads the word and the hyperbolic pools off the handle and
 the cone pools off the cone orders, and `relation_holds` takes the
-handle.  Both words are sums in the abelian <x>, and the cone products
-follow the closed-form `DicyclicGroup.mul`, so no product table is
-built.  The actions hold the index tuples as they come; only the
-command-line reports convert them to `GroupElement` values.
+handle that the one action record, `covering.GeneratingVector`, reads
+off its plus part.  Both words are sums in the abelian <x>, and the cone
+products follow the closed-form `DicyclicGroup.mul`, so no product
+table is built.  The records hold the index tuples as they come; only
+the command-line reports convert them to `GroupElement` values.
 """
 
 from __future__ import annotations

@@ -170,8 +170,8 @@ def test_criterion_07_sigma_hyp():
         G = DicyclicGroup(n)
         g, witness = real_forms.sigma_hyp(n)
         ok = ok and g == n + 1 and not witness.violations()
-        ok = ok and witness.alpha_images == (G.index_of(G.x),)
-        ok = ok and witness.beta_images == (G.index_of(G.y),
+        ok = ok and witness.hyperbolic_images == (G.index_of(G.x),)
+        ok = ok and witness.cone_images == (G.index_of(G.y),
                                             G.index_of(G.y * G.element(n - 2)))
     for n in (3, 5, 7):
         g, witness = real_forms.sigma_hyp(n)

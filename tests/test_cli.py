@@ -400,10 +400,11 @@ FRONT = ["cli", "errors", "reports"]
     (["--help"], ["cli", "errors"], False),
     (["census", "--n", "4"], FRONT + ["covering", "group", "search"], False),
     (["genus", "--n", "3"], FRONT + ["covering", "genus", "group", "search"], False),
-    (["hyper", "--n", "4"], FRONT + ["group", "real_forms", "search"], False),
+    (["hyper", "--n", "4"],
+     FRONT + ["covering", "group", "real_forms", "search"], False),
     (["monodromy", "--n", "3", "--case", "I"], FRONT + ["monodromy"], False),
     (["pseudo-real", "--n", "3", "--q", "2"],
-     FRONT + ["group", "real_forms", "search"], False),
+     FRONT + ["covering", "group", "real_forms", "search"], False),
     (["curves", "--n", "3", "--model", "Rn_cyclic", "--trials", "5"],
      FRONT + ["curves"], False),
     (["paper-report", "--n-range", "2..3", "--out", "{out}"],

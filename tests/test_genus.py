@@ -9,6 +9,7 @@ from dicyclic_dessins import search
 from dicyclic_dessins.covering import (
     fixed_point_count,
     fixed_points,
+    generating_vectors,
     is_pure,
     is_purely_non_free,
 )
@@ -16,7 +17,6 @@ from dicyclic_dessins.errors import InadmissibleSignatureError, SearchExhaustedE
 from dicyclic_dessins.genus import (
     TORUS_SIGNATURES,
     exists_generating_vector,
-    generating_vectors,
     last_genus,
     pure_symmetric_genus,
     strong_symmetric_genus,

@@ -4,10 +4,10 @@ import itertools
 
 import pytest
 
+from dicyclic_dessins.covering import GeneratingVector
 from dicyclic_dessins.errors import InadmissibleSignatureError, ParameterError
 from dicyclic_dessins.group import DicyclicGroup, GroupElement
 from dicyclic_dessins.real_forms import (
-    NECActionData,
     admissible_homomorphisms,
     build_pseudo_real,
     sigma_hyp,
@@ -42,43 +42,43 @@ def test_nec_genus_matches_fraction_oracle():
 def test_action_data_requires_index_two_plus_part():
     G = DicyclicGroup(2)
     with pytest.raises(ParameterError):
-        NECActionData(
+        GeneratingVector(
             G,
-            G.cyclic(G.element(2)),  # order 2, index 4
-            Signature(1, 0, (4, 4)),
-            alpha_images=indices(G, G.x),
-            beta_images=indices(G, G.y, G.y),
+            0,
+            hyperbolic_images=indices(G, G.x),
+            cone_images=indices(G, G.y, G.y),
+            plus_part=G.cyclic(G.element(2)),  # order 2, index 4
         )
 
 
-def betas_and_alpha_squares_generate_plus_part(datum: NECActionData) -> bool:
+def betas_and_alpha_squares_generate_plus_part(datum: GeneratingVector) -> bool:
     """The plus-part test without the alpha-conjugates of the betas and
     the mixed alpha products, which the plus part can need (see below)."""
     G = datum.group
-    gens = list(datum.beta_images)
-    gens += [G.mul(a, a) for a in datum.alpha_images]
+    gens = list(datum.cone_images)
+    gens += [G.mul(a, a) for a in datum.hyperbolic_images]
     return G._closure_indices(gens) == datum.plus_part
 
 
-def plus_generators(datum: NECActionData) -> list[int]:
+def plus_generators(datum: GeneratingVector) -> list[int]:
     """The Reidemeister-Schreier images of the plus part: the beta images,
     the alpha squares, the alpha-conjugates of the betas and the mixed
     alpha products a_i a_j (i < j)."""
     mul, inv = datum.group.mul, datum.group.inverse_table
-    alphas, betas = datum.alpha_images, datum.beta_images
+    alphas, betas = datum.hyperbolic_images, datum.cone_images
     gens = [*betas] + [mul(a, a) for a in alphas]
     gens += [mul(mul(a, b), inv[a]) for a in alphas for b in betas]
     gens += [mul(a1, a2) for a1, a2 in itertools.combinations(alphas, 2)]
     return gens or [0]
 
 
-def plus_generators_fill_plus_part(datum: NECActionData) -> bool:
+def plus_generators_fill_plus_part(datum: GeneratingVector) -> bool:
     G = datum.group
     return G._closure_indices(plus_generators(datum)) == datum.plus_part
 
 
 def test_every_admissible_datum_fills_its_plus_part():
-    # `NECActionData` checks generation only: generating images whose
+    # `GeneratingVector` checks generation only: generating images whose
     # alphas lie outside an index-two plus part and betas inside it fill
     # the plus part, by Reidemeister-Schreier with transversal {1, a_1}.
     # Every vector of every handle-1 signature of genus 2..2n+1 is a
@@ -99,9 +99,9 @@ def test_action_data_accepts_known_witness():
     # n=2: alpha -> x outside <y>-side subgroup, betas (y, y)
     G = DicyclicGroup(2)
     H = G.subgroup_generated([G.element(2), G.y])
-    datum = NECActionData(
-        G, H, Signature(1, 0, (4, 4)),
-        alpha_images=indices(G, G.x), beta_images=indices(G, G.y, G.y),
+    datum = GeneratingVector(
+        G, 0, hyperbolic_images=indices(G, G.x), cone_images=indices(G, G.y, G.y),
+        plus_part=H,
     )
     assert datum.genus() == 3
     assert betas_and_alpha_squares_generate_plus_part(datum)
@@ -114,19 +114,19 @@ def test_action_data_rejects_non_generating_images():
     G = DicyclicGroup(4)
     H = G.subgroup_generated([G.element(2), G.y])
     with pytest.raises(ParameterError) as info:
-        NECActionData(G, H, Signature(1, 0, (4,)),
-                      alpha_images=indices(G, G.x), beta_images=indices(G, G.element(6)))
+        GeneratingVector(G, 0, hyperbolic_images=indices(G, G.x),
+                         cone_images=indices(G, G.element(6)), plus_part=H)
     assert str(info.value) == "images do not generate the group"
     # and images that are no element index of G_4: out of range, an
     # element (of G_4 or of another group) or no number at all
     for bad in (-1, G.order, G.x, GroupElement(5, 1, 0), 2.0, None,
                 True, False):
         with pytest.raises(ParameterError, match="is not an element index of G_4"):
-            NECActionData(G, H, Signature(1, 0, (4,)), alpha_images=(bad,),
-                          beta_images=(12,))
+            GeneratingVector(G, 0, hyperbolic_images=(bad,), cone_images=(12,),
+                             plus_part=H)
         with pytest.raises(ParameterError, match="is not an element index of G_4"):
-            NECActionData(G, H, Signature(1, 0, (4,)), alpha_images=(2,),
-                          beta_images=(bad,))
+            GeneratingVector(G, 0, hyperbolic_images=(2,), cone_images=(bad,),
+                             plus_part=H)
 
 
 def test_action_data_rejects_a_failing_long_relation():
@@ -135,8 +135,8 @@ def test_action_data_rejects_a_failing_long_relation():
     G = DicyclicGroup(2)
     H = G.subgroup_generated([G.element(2), G.y])
     with pytest.raises(ParameterError) as info:
-        NECActionData(G, H, Signature(1, 0, (4, 4)), alpha_images=indices(G, G.x),
-                      beta_images=indices(G, G.y, G.element(2, 1)))
+        GeneratingVector(G, 0, hyperbolic_images=indices(G, G.x),
+                         cone_images=indices(G, G.y, G.element(2, 1)), plus_part=H)
     assert str(info.value) == "long relation fails"
 
 
@@ -144,8 +144,8 @@ def test_alpha_squares_alone_can_miss_the_plus_part():
     # n=2, two crosscaps, alpha -> (y, xy): the plus part <x> needs the
     # mixed product y * xy = x, since both squares are x^2
     G = DicyclicGroup(2)
-    datum = NECActionData(G, G.cyclic(G.x), Signature(1, 1, ()),
-                          alpha_images=indices(G, G.y, G.x * G.y), beta_images=())
+    datum = GeneratingVector(G, 1, hyperbolic_images=indices(G, G.y, G.x * G.y),
+                             cone_images=(), plus_part=G.cyclic(G.x))
     plus_image = G._closure_indices(plus_generators(datum))
     assert plus_image == frozenset(range(0, G.order, 2))  # <x>, the even indices
     assert not betas_and_alpha_squares_generate_plus_part(datum)
@@ -184,7 +184,7 @@ def test_sigma_hyp_odd_n():
         g, witness = sigma_hyp(n)
         assert g == 2 * n - 2
         assert witness.plus_part == DicyclicGroup(n).cyclic(DicyclicGroup(n).x)
-        assert tuple(sorted(witness.sig.cone_orders)) == (n, 2 * n)
+        assert tuple(sorted(witness.signature.cone_orders)) == (n, 2 * n)
 
 
 def test_sigma_hyp_even_witness_family():
@@ -192,8 +192,8 @@ def test_sigma_hyp_even_witness_family():
     for n in (2, 4, 6):
         G = DicyclicGroup(n)
         _, witness = sigma_hyp(n)
-        assert witness.alpha_images == indices(G, G.x)
-        assert witness.beta_images == indices(G, G.y, G.y * G.element(n - 2))
+        assert witness.hyperbolic_images == indices(G, G.x)
+        assert witness.cone_images == indices(G, G.y, G.y * G.element(n - 2))
 
 
 def non_orientable_genus(n: int, gamma: int, orders: tuple[int, ...]) -> int:
@@ -268,8 +268,8 @@ def test_pseudo_real_genus_formula():
 def test_pseudo_real_action_is_admissible():
     cert = build_pseudo_real(3, 2)
     assert not cert.action.violations()
-    assert cert.action.sig.gamma == 0
-    assert set(cert.action.sig.cone_orders) == {2 * cert.n}
+    assert cert.action.signature.gamma == 0
+    assert set(cert.action.signature.cone_orders) == {2 * cert.n}
 
 
 def test_pseudo_real_obstruction_report():

@@ -199,3 +199,23 @@ def test_only_search_names_the_words():
         or isinstance(node, ast.Attribute) and node.attr in words
     }
     assert naming == {"search.py"}
+
+
+def test_only_the_action_record_validates_an_action():
+    # one validator: no module but search.py (which defines it) and
+    # covering.py (whose GeneratingVector checks every action) calls
+    # relation_holds, or defines a class with a violations method
+    checking = set()
+    for path in Path(search.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "relation_holds":
+                    checking.add(path.name)
+            elif isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "violations"
+                for item in node.body
+            ):
+                checking.add(path.name)
+    assert checking <= {"search.py", "covering.py"}
+    assert "covering.py" in checking
