@@ -25,7 +25,8 @@ from itertools import filterfalse
 from math import gcd
 
 from . import search
-from .errors import ConstructionError, InadmissibleSignatureError, ParameterError
+from .errors import (ConstructionError, InadmissibleSignatureError, ParameterError,
+                     check_case)
 from .group import DicyclicGroup, Subgroup
 
 
@@ -345,8 +346,6 @@ def triangular_census(n: int) -> ActionCensus:
     2n, and |Aut G| is the closed form `DicyclicGroup.automorphism_count`.
     A count that does not divide is a bug, not a rounding matter.
     """
-    if n < 2:
-        raise ParameterError(f"census needs n >= 2, got n={n}")
     group = DicyclicGroup(n)
     two_n = 2 * n
     counts: dict[tuple[int, int, int], int] = {}
@@ -370,16 +369,13 @@ def triangular_census(n: int) -> ActionCensus:
 
 
 def census_representative(n: int, case: str) -> GeneratingVector:
-    """Representative triangular action for case I or II.
+    """Representative triangular action for one of `errors.cases(n)`.
 
-    Case I is the ordered signature (4, 4, 2n) (any n >= 2); case II is
-    (4, 4, n) and needs n >= 3 odd.  Both are the census entry's
-    representative, the least vector of that signature.
+    Case I is the ordered signature (4, 4, 2n) and case II is (4, 4, n).
+    Both are the census entry's representative, the least vector of that
+    signature.
     """
     group = DicyclicGroup(n)
-    if case not in ("I", "II"):
-        raise ParameterError(f"case must be 'I' or 'II', got {case!r}")
-    if case == "II" and (n % 2 == 0 or n < 3):
-        raise ParameterError("case II needs n >= 3 odd")
+    check_case(n, case)
     orders = (4, 4, 2 * n if case == "I" else n)
     return exists_generating_vector(group, search.Signature(2, 0, orders))

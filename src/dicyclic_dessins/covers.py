@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import OrderedValue, ParameterError
+from .errors import OrderedValue, ParameterError, check_case
 
 
 class CoverTriple(OrderedValue):
@@ -57,10 +57,7 @@ def admissible_triples(n: int, case: str) -> list[CoverTriple]:
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got n={n}")
-    if case not in ("I", "II"):
-        raise ParameterError(f"case must be 'I' or 'II', got {case!r}")
-    if case == "II" and n % 2 == 0:
-        raise ParameterError("case II covers only exist for n odd")
+    check_case(n, case)
     two_n, want = 2 * n, 1 if case == "I" else 2
     return [CoverTriple(n, case, n, b, two_n - b)
             for b in range(1, two_n) if gcd(b, two_n) == want]

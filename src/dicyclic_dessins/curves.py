@@ -93,19 +93,20 @@ class CurveModel:
     __slots__ = ("name", "n", "perturb", "maps", "sides", "branch_distance",
                  "_samples")
 
+    # The parity of n (1 odd, 0 even) a model needs, if any.  The R-family
+    # is built for odd n.  The y map of Sn_cyclic sends the curve to itself
+    # only when n is even: its image satisfies v^{2n} = (-1)^n rhs, so for
+    # odd n it lands off the curve and no order-4 lift with these
+    # coordinates exists in the stated form.
+    PARITY = {"Rn_hyperelliptic": 1, "Sn_cyclic": 0, "Rn_cyclic": 1}
+
     def __init__(self, name: str, n: int, perturb: float = 0.0):
         if name not in MODEL_NAMES:
             raise ParameterError(f"unknown model {name!r}")
         if n < 2:
             raise ParameterError(f"need n >= 2, got n={n}")
-        if name.startswith("Rn") and n % 2 == 0:
-            raise ParameterError(f"{name} needs n odd")
-        if name == "Sn_cyclic" and n % 2 == 1:
-            # The y map sends the curve to itself only when n is even: its
-            # image satisfies v^{2n} = (-1)^n rhs, so for odd n it lands
-            # off the curve and no order-4 lift with these
-            # coordinates exists in the stated form.
-            raise ParameterError(f"{name} needs n even")
+        if name not in applicable_models(n):
+            raise ParameterError(f"{name} needs n {('even', 'odd')[self.PARITY[name]]}")
         self.name, self.n, self.perturb = name, n, perturb
         self._samples = {}
         self.sides = _relation_sides(name, n)
@@ -592,12 +593,6 @@ def verify_model_words(
 
 
 def applicable_models(n: int) -> list[str]:
-    """Model names whose printed formulas apply at this n.
-
-    The R-family needs n odd by construction; the singular cyclic model
-    of the S-family needs n even (see the constructor note on the parity
-    of its y formula).
-    """
-    if n % 2 == 1:
-        return ["Sn_hyperelliptic", "Rn_hyperelliptic", "Rn_cyclic"]
-    return ["Sn_hyperelliptic", "Sn_cyclic"]
+    """Model names whose printed formulas apply at this n, in
+    `MODEL_NAMES` order: those whose `CurveModel.PARITY` n has."""
+    return [name for name in MODEL_NAMES if CurveModel.PARITY.get(name, n % 2) == n % 2]

@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and `Value` and
-`OrderedValue`, the one contract of its immutable value types."""
+"""Exception types shared across the toolkit, `Value` and
+`OrderedValue`, the one contract of its immutable value types, and
+`cases`, the one rule for which of the paper's two cases exist at n."""
 
 
 def read_only(self: object, name: str, *value: object) -> None:
@@ -62,6 +63,19 @@ class OrderedValue(Value):
 class ParameterError(ValueError):
     """Elements of groups with different parameters were mixed, or a
     parameter is outside its documented domain."""
+
+
+def cases(n: int) -> tuple[str, ...]:
+    """The paper's cases at n, in order: case I, of type (4, 4, 2n), for
+    every n >= 2, and case II, of type (4, 4, n), for odd n only."""
+    return ("I",) if n % 2 == 0 else ("I", "II")
+
+
+def check_case(n: int, case: str) -> None:
+    """Raise `ParameterError` unless `case` is one of `cases(n)`."""
+    if case not in cases(n):
+        raise ParameterError(f"no case {case!r} at n={n}: case I holds for "
+                             "every n >= 2, case II for odd n only")
 
 
 class InadmissibleSignatureError(ValueError):

@@ -13,9 +13,8 @@ the identity.
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm
 
-from .errors import ParameterError, Value
+from .errors import ParameterError, Value, cases, check_case
 
 CONVENTION = "white=c1, black=c2, face=c3; c1*c2*c3=1 read left to right"
 
@@ -99,9 +98,6 @@ class Permutation(Value):
     def cycle_type(self) -> tuple[int, ...]:
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
-    def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles()))
-
     def __repr__(self) -> str:
         cyc = [c for c in self.cycles() if len(c) > 1]
         if not cyc:
@@ -178,7 +174,7 @@ def verify_remark_relations(n: int) -> dict:
     }
     tau1 = sigma ** 3 * eta
     checks["case_I_triple_tau_sigma_eta"] = (tau1 * sigma * eta).is_identity()
-    if n % 2 == 1:
+    if "II" in cases(n):
         tau2 = eta ** (n - 2) * sigma
         checks["case_II_triple_tau_sigma_eta2"] = (
             tau2 * sigma * eta * eta
@@ -291,14 +287,11 @@ def remark_dessin(n: int, case: str) -> DessinMonodromy:
     """The dessin generated by the explicit permutation pair.
 
     White is sigma and black is tau, where tau = sigma^3 * eta in case I
-    and tau = eta^(n-2) * sigma in case II (n odd).  The derived face
-    permutation is then a power of eta of the expected order (2n in
-    case I, n in case II).
+    and tau = eta^(n-2) * sigma in case II, for a case in
+    `errors.cases(n)`.  The derived face permutation is then a power of
+    eta of the expected order (2n in case I, n in case II).
     """
-    if case not in ("I", "II"):
-        raise ParameterError(f"case must be 'I' or 'II', got {case!r}")
-    if case == "II" and n % 2 == 0:
-        raise ParameterError("case II needs n odd")
+    check_case(n, case)
     eta, sigma = build_remark_permutations(n)
     tau = sigma ** 3 * eta if case == "I" else eta ** (n - 2) * sigma
     return DessinMonodromy(4 * n, sigma, tau)

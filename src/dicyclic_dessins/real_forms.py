@@ -29,7 +29,7 @@ from . import search
 from .covering import GeneratingVector, generating_vectors
 from .errors import ParameterError, SearchExhaustedError
 from .group import DicyclicGroup, Subgroup
-from .search import Signature, rh_genus
+from .search import Signature
 
 
 def admissible_homomorphisms(
@@ -45,8 +45,6 @@ def admissible_homomorphisms(
     it.  Results come out in a fixed lexicographic order; `limit`
     truncates early when only existence (or one witness) is needed.
     """
-    if plus_part.index_in(group) != 2:
-        raise ParameterError("plus part must have index two")
     return list(islice(generating_vectors(group, sig, plus_part), limit))
 
 
@@ -115,15 +113,12 @@ def build_pseudo_real(n: int, q: int) -> PseudoRealCertificate:
     report's claims read off the orders recorded here; maximality of the
     group rests on a maximal-signature assumption recorded as such.
     """
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got n={n}")
     if q < 2:
         raise ParameterError(f"need q >= 2, got q={q}")
     l = n * (2 * q - 1)
     group = DicyclicGroup(n)
     plus_part = Subgroup(n, 1, None)  # <x>
     action = GeneratingVector(group, 0, (1,), (2,) * l, plus_part)
-    genus = rh_genus(group.order, action.signature)
     # Riemann-Hurwitz through S -> S/<x>: degree 2n, genus-zero base,
     # exactly 2l cone points of order 2n.  Over the denominator 2n,
     # 2g - 2 = 2n (-2 * 2n + 2l (2n - 1)) / 2n, an integer since 4n
@@ -146,7 +141,7 @@ def build_pseudo_real(n: int, q: int) -> PseudoRealCertificate:
         q=q,
         l=l,
         action=action,
-        genus=genus,
+        genus=action.genus(),
         genus_via_cyclic_cover=genus_cyclic,
         obstruction_report=report,
     )

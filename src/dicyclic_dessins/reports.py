@@ -89,7 +89,7 @@ class Report:
 
 
 def census_report(n: int) -> Report:
-    from . import covering
+    from . import covering, errors
 
     report = Report("census", {"n": n})
     result = covering.triangular_census(n)
@@ -108,14 +108,12 @@ def census_report(n: int) -> Report:
         ],
         "unordered_types": {str(list(k)): v for k, v in sorted(types.items())},
     }
-    if n % 2 == 0:
-        expected_types = [tuple(sorted((4, 4, 2 * n)))]
-        anchor = "exactly one triangular action: unordered type {4,4,2n}"
-    else:
-        expected_types = sorted(
-            [tuple(sorted((4, 4, 2 * n))), tuple(sorted((4, 4, n)))]
-        )
-        anchor = "exactly two triangular actions: types {4,4,2n} and {4,4,n}"
+    third = {"I": 2 * n, "II": n}  # case I has type (4, 4, 2n), case II (4, 4, n)
+    expected_types = sorted(tuple(sorted((4, 4, third[c]))) for c in errors.cases(n))
+    anchor = {
+        1: "exactly one triangular action: unordered type {4,4,2n}",
+        2: "exactly two triangular actions: types {4,4,2n} and {4,4,n}",
+    }[len(expected_types)]
     report.add("unordered_types", anchor, sorted(types) == expected_types, data)
     report.add(
         "one_automorphism_orbit_per_ordered_type",
@@ -130,13 +128,15 @@ def census_report(n: int) -> Report:
 
 
 def monodromy_report(n: int, case: str) -> Report:
-    from . import monodromy
+    from . import errors, monodromy
 
     report = Report("monodromy", {"n": n, "case": case})
     dessin = monodromy.remark_dessin(n, case)  # first: it checks the case's domain
     relations = monodromy.verify_remark_relations(n)
+    cases = errors.cases(n)
+    later = cases[cases.index(case) + 1:]  # their triples are in their own reports
     for name, ok in relations["checks"].items():
-        if case == "I" and name.startswith("case_II"):
+        if any(name.startswith(f"case_{c}_") for c in later):
             continue
         report.add(name, "explicit permutation pair relations", ok)
     expected_genus = n if case == "I" else n - 1
@@ -298,11 +298,11 @@ def genus_report(n: int, mode: str) -> Report:
 
 def per_n_report(n: int, seed: int, heavy: bool) -> Report:
     """Everything verifiable for a single n, bundled."""
-    from . import covering, covers, curves, genus
+    from . import covering, covers, curves, errors, genus
     from .group import DicyclicGroup
 
     report = Report("paper-report", {"n": n, "seed": seed})
-    cases = ("I",) if n % 2 == 0 else ("I", "II")  # case II needs n odd
+    cases = errors.cases(n)
     report.claims.extend(census_report(n).claims)
     for case in cases:
         report.claims.extend(monodromy_report(n, case).claims)

@@ -9,13 +9,14 @@ Surfaces*, 2000).  This module holds the one `Signature` type, the genus
 word(hyper) * c_1 ... c_r = 1 with a product of commutators (orientable)
 or of squares (non-orientable), and the one exhaustive generating-vector
 search.  The quotient kind is decided here alone: `vectors(group, sig,
-plus_part)` reads the word and the hyperbolic pools off the handle and
-the cone pools off the cone orders, and `relation_holds` takes the
-handle that the one action record, `covering.GeneratingVector`, reads
-off its plus part.  Both words are sums in the abelian <x>, and the cone
-products follow the closed-form `DicyclicGroup.mul`, so no product
-table is built.  The records hold the index tuples as they come; only
-the command-line reports convert them to `GroupElement` values.
+plus_part)` checks that the plus part matches the handle, reads the word
+and the hyperbolic pools off the handle and the cone pools off the cone
+orders, and `relation_holds` takes the handle that the one action
+record, `covering.GeneratingVector`, reads off its plus part.  Both
+words are sums in the abelian <x>, and the cone products follow the
+closed-form `DicyclicGroup.mul`, so no product table is built.  The
+records hold the index tuples as they come; only the command-line
+reports convert them to `GroupElement` values.
 """
 
 from __future__ import annotations
@@ -154,14 +155,19 @@ def vectors(group: DicyclicGroup, sig: Signature, plus_part=None):
     """Yield every generating vector (hyper, cones) of this signature as
     index tuples, in lexicographic order.
 
-    The signature decides the quotient kind.  Handle 2 takes 2 gamma
-    hyperbolic images from the whole group and the word of commutators;
-    handle 1 takes gamma + 1 glide-reflection images from outside the
-    index-two `plus_part` and the word of squares.  The cone image c_j
-    has order m_j and lies in `plus_part` (the whole group when it is
-    None).  The last cone image is forced by the long relation; without
-    cone images the forced image must be the identity.
+    The signature decides the quotient kind.  Handle 2 takes no plus
+    part, 2 gamma hyperbolic images from the whole group and the word of
+    commutators; handle 1 takes an index-two `plus_part` of this group,
+    gamma + 1 glide-reflection images from outside it and the word of
+    squares.  Any other pair raises `ParameterError` before the search.
+    The cone image c_j has order m_j and lies in `plus_part` (the whole
+    group when it is None).  The last cone image is forced by the long
+    relation; without cone images the forced image must be the identity.
     """
+    one_sided = sig.handle == 1
+    if (plus_part is not None) != one_sided or one_sided and plus_part.index_in(group) != 2:
+        raise ParameterError("a handle-2 signature takes no plus part and a handle-1 "
+                             "signature an index-two subgroup of this group")
     order, table = group.order, group.order_table
     if sig.handle == 2:
         hyper_pools = [range(order)] * (2 * sig.gamma)

@@ -124,11 +124,12 @@ def test_pseudo_real():
 
 def test_a_broken_pseudo_real_genus_fails_its_claims(monkeypatch):
     # the claims are the only check of the pseudo-real invariants, so a
-    # wrong genus reads as failing claims with their data, not a traceback
-    from dicyclic_dessins import real_forms
+    # wrong genus of the action record reads as failing claims with their
+    # data, not a traceback
+    from dicyclic_dessins.covering import GeneratingVector
 
-    monkeypatch.setattr(real_forms, "rh_genus",
-                        lambda order, sig: search.rh_genus(order, sig) + 1)
+    monkeypatch.setattr(GeneratingVector, "genus",
+                        lambda act: search.rh_genus(act.group.order, act.signature) + 1)
     report = reports.pseudo_real_report(3, 2)
     failed = {c.id: c.data for c in report.failures()}
     assert failed == {
@@ -486,6 +487,27 @@ def test_every_annotation_resolves():
         except NameError as exc:
             unresolved.append(f"{func.__module__}.{func.__qualname__}: {exc}")
     assert unresolved == []
+
+
+def test_every_case_domain_is_checked_by_the_one_owner():
+    # which cases exist at n is the rule of errors.cases alone: every
+    # package function taking n and case refuses a missing case with the
+    # message of errors.check_case, so no module states the rule again
+    from dicyclic_dessins.errors import ParameterError, check_case
+
+    taking = [func for func in package_functions()
+              if "." not in func.__qualname__
+              and {"n", "case"} <= set(inspect.signature(func).parameters)]
+    names = {func.__name__ for func in taking}
+    assert {"census_representative", "remark_dessin", "admissible_triples",
+            "monodromy_report"} <= names, names
+    for n, case in ((4, "II"), (3, "III")):
+        with pytest.raises(ParameterError) as owner:
+            check_case(n, case)
+        for func in taking:
+            with pytest.raises(ParameterError) as info:
+                func(n=n, case=case)
+            assert str(info.value) == str(owner.value), (func.__qualname__, n, case)
 
 
 def test_every_module_compiles_below_the_parser_token_step():

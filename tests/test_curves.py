@@ -43,6 +43,21 @@ def test_sn_cyclic_needs_even_n():
         CurveModel("Sn_cyclic", 3)
 
 
+def test_applicable_models_are_the_models_that_construct():
+    # CurveModel.PARITY is the one statement of the model domains, so the
+    # list of models and the constructor can never disagree
+    for n in range(2, 13):
+        accepted = []
+        for name in curves.MODEL_NAMES:
+            try:
+                CurveModel(name, n)
+            except ParameterError as exc:
+                assert str(exc) == f"{name} needs n {'odd' if n % 2 == 0 else 'even'}"
+            else:
+                accepted.append(name)
+        assert applicable_models(n) == accepted, n
+
+
 def test_sample_points_lie_on_curve():
     for n in (2, 3):
         for name in applicable_models(n):

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dicyclic_dessins import search
-from dicyclic_dessins.errors import InadmissibleSignatureError
+from dicyclic_dessins.covering import generating_vectors
+from dicyclic_dessins.errors import InadmissibleSignatureError, ParameterError
 from dicyclic_dessins.group import DicyclicGroup
+from dicyclic_dessins.real_forms import admissible_homomorphisms
 from dicyclic_dessins.search import (
     Signature,
     commutators,
@@ -185,6 +187,31 @@ def test_vectors_match_the_table_search_on_square_words():
                         G, alpha_pools, squares_oracle, pools), (n, H, orders)
                     hits += len(found)
     assert hits
+
+
+def test_every_search_refuses_a_mismatched_plus_part():
+    # a handle-2 signature takes no plus part and a handle-1 signature an
+    # index-two subgroup of the searched group; any other pair is refused
+    # before a vector is searched
+    G, G6 = DicyclicGroup(3), DicyclicGroup(6)
+    H = G.index_two_subgroups()[0]
+    orientable, one_sided = Signature(2, 0, (4, 4, 3)), Signature(1, 0, (3, 6))
+    mismatches = [
+        (orientable, H),
+        (Signature(2, 1, ()), H),
+        (one_sided, None),
+        (one_sided, G.cyclic(G.element(2))),  # <x^2>, of index four
+        (one_sided, G6.cyclic(G6.element(2))),  # index two in size, not in G_3
+    ]
+    for sig, plus_part in mismatches:
+        with pytest.raises(ParameterError):
+            next(vectors(G, sig, plus_part))
+        with pytest.raises(ParameterError):
+            next(generating_vectors(G, sig, plus_part))
+        with pytest.raises(ParameterError):
+            admissible_homomorphisms(G, plus_part, sig, limit=1)
+    # the matching pairs are searched: case II and sigma^hyp(G_3) = 4
+    assert next(vectors(G, orientable)) and next(vectors(G, one_sided, H))
 
 
 def test_only_search_names_the_words():
