@@ -106,9 +106,10 @@ def generating_vectors(
     group: DicyclicGroup, sig: search.Signature, plus_part: Subgroup | None = None
 ):
     """Every generating vector of this signature, in index order; a
-    handle-1 signature takes the index-two plus part."""
-    for hyper, cones in search.vectors(group, sig, plus_part):
-        yield GeneratingVector(group, sig.gamma, hyper, cones, plus_part)
+    handle-1 signature takes the index-two plus part.  A mismatched pair
+    raises here, as in `search.vectors`, not when a vector is drawn."""
+    return (GeneratingVector(group, sig.gamma, hyper, cones, plus_part)
+            for hyper, cones in search.vectors(group, sig, plus_part))
 
 
 def exists_generating_vector(

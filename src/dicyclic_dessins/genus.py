@@ -4,15 +4,19 @@ Finds the least genus over which the dicyclic group acts conformally
 (strong symmetric genus), and the least genus of a purely-non-free
 conformal action (pure symmetric genus).  At each genus the finitely
 many orientable quotient signatures come from inverting Riemann-Hurwitz
-(`search.quotient_signatures` with handle 2), and each is searched for
-a realising generating vector by `search.vectors`, through the
-`covering.exists_generating_vector` that the census representatives use
-too; `real_forms` shares the signature type, the inversion, the vector
-engine of `search.py` and the `GeneratingVector` record.
+(`search.quotient_signatures` with handle 2).  The genus-0 ones are
+decided in closed form by `search.admits`, and the walks skip those it
+refutes; each other one is searched for a realising generating vector
+by `search.vectors`, through the `covering.exists_generating_vector`
+that the census representatives use too, so the witness is the first
+vector in index order.  `real_forms` shares the signature type, the
+inversion, the decision, the vector engine of `search.py` and the
+`GeneratingVector` record.
 
 Genus zero is impossible because the group is none of the sphere groups
 (cyclic, dihedral, A4, S4, A5); genus one is excluded computationally
-by exhausting the five flat signatures (see `torus_exclusion_report`).
+by exhausting the five flat signatures (see `torus_exclusion_report`),
+and `search.admits` refutes the four genus-0 ones in closed form too.
 The search therefore starts at genus two.  It ends by genus n: the
 case-I census action (0; 4, 4, 2n) has genus n and is purely non-free.
 So the walks stop at `last_genus(n)` = n + 2, and running out of genera
@@ -42,10 +46,13 @@ def last_genus(n: int) -> int:
 
 
 def strong_symmetric_genus(n: int) -> tuple[int, GeneratingVector]:
-    """Least genus >= 2 admitting any conformal action of the group."""
+    """Least genus >= 2 admitting any conformal action of the group,
+    searching only the signatures that `search.admits` does not refute."""
     group = DicyclicGroup(n)
     for g in range(2, last_genus(n) + 1):
         for sig in search.quotient_signatures(n, g, 2):
+            if search.admits(group, sig) is False:
+                continue
             witness = exists_generating_vector(group, sig)
             if witness is not None:
                 return g, witness
@@ -67,6 +74,8 @@ def pure_symmetric_genus(n: int) -> tuple[int, GeneratingVector]:
     group = DicyclicGroup(n)
     for g in range(2, last_genus(n) + 1):
         for sig in search.quotient_signatures(n, g, 2):
+            if search.admits(group, sig) is False:
+                continue
             for hyper, cones in search.vectors(group, sig):
                 if is_pure(group, cones):
                     return g, GeneratingVector(group, sig.gamma, hyper, cones)

@@ -10,15 +10,16 @@ generators are excluded throughout: the quotients arising here have no
 boundary, because the induced anticonformal involution acts without
 fixed points (the only involution x^n lies in every index-two subgroup).
 
-This module certifies the minimal hyperbolic genus values by exhaustive
-search: the quotient signatures of each genus are `search.Signature`
-values with handle 1 from inverting the Riemann-Hurwitz formula
-(`search.quotient_signatures`), and their images come from
-`covering.generating_vectors` over each plus part, that is from
-`search.vectors`, which reads the word of squares and the image pools
-off the signature and the plus part; the record, its genus and the
-engine are shared with the orientable layers.  It also builds the
-pseudo-real family with all of its computable properties.
+This module certifies the minimal hyperbolic genus values: the quotient
+signatures of each genus are `search.Signature` values with handle 1
+from inverting the Riemann-Hurwitz formula (`search.quotient_signatures`).
+Over the plus part <x> `search.admits` decides each in closed form, and
+the walk skips the pairs it refutes; the images of the others come from
+`covering.generating_vectors` over each plus part, that is from the
+exhaustive `search.vectors`, which reads the word of squares and the
+image pools off the signature and the plus part; the record, its genus,
+the decision and the engine are shared with the orientable layers.  It
+also builds the pseudo-real family with all of its computable properties.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def sigma_hyp(n: int) -> tuple[int, GeneratingVector]:
     Walks g = 2, ..., 2n - 1 through the non-orientable quotient
     signatures of each genus (`search.quotient_signatures` with handle
     1), in the order they are listed, and returns the first admissible
-    datum over the index-two plus parts.  The stated values, n + 1 (n
+    datum over the index-two plus parts, searching only the pairs that
+    `search.admits` does not refute.  The stated values, n + 1 (n
     even) and 2n - 2 (n odd), lie below 2n, so the walk stops there and
     raises `SearchExhaustedError` if it finds no action.
     """
@@ -66,6 +68,8 @@ def sigma_hyp(n: int) -> tuple[int, GeneratingVector]:
     for g in range(2, 2 * n):
         for sig in search.quotient_signatures(n, g, 1):
             for H in plus_parts:
+                if search.admits(group, sig, H) is False:
+                    continue
                 for witness in admissible_homomorphisms(group, H, sig, limit=1):
                     return g, witness
     raise SearchExhaustedError(

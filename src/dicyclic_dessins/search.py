@@ -9,20 +9,27 @@ Surfaces*, 2000).  This module holds the one `Signature` type, the genus
 word(hyper) * c_1 ... c_r = 1 with a product of commutators (orientable)
 or of squares (non-orientable), and the one exhaustive generating-vector
 search.  The quotient kind is decided here alone: `vectors(group, sig,
-plus_part)` checks that the plus part matches the handle, reads the word
-and the hyperbolic pools off the handle and the cone pools off the cone
-orders, and `relation_holds` takes the handle that the one action
-record, `covering.GeneratingVector`, reads off its plus part.  Both
-words are sums in the abelian <x>, and the cone products follow the
-closed-form `DicyclicGroup.mul`, so no product table is built.  The
-records hold the index tuples as they come; only the command-line
-reports convert them to `GroupElement` values.
+plus_part)` checks, when it is called, that the plus part matches the
+handle, reads the word and the hyperbolic pools off the handle and the
+cone pools off the cone orders, and `relation_holds` takes the handle
+that the one action record, `covering.GeneratingVector`, reads off its
+plus part.  Both words are sums in the abelian <x>, and the cone
+products follow the closed-form `DicyclicGroup.mul`, so no product
+table is built.  The records hold the index tuples as they come; only
+the command-line reports convert them to `GroupElement` values.
+
+Beside the inversion, `admits(group, sig, plus_part)` decides in closed
+form whether a signature has a generating vector, for orientable
+genus-0 signatures and over the plus part <x>, and returns None
+elsewhere.  The minimal-genus walks skip the signatures it refutes and
+search the rest, so their witness is still the first vector in index
+order; `vectors` itself stays exhaustive and is the oracle of `admits`.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InadmissibleSignatureError, ParameterError, Value
 from .group import DicyclicGroup
@@ -151,23 +158,101 @@ def relation_holds(group: DicyclicGroup, handle: int, hyper, cones) -> bool:
     return total == 0
 
 
+def _check_pair(group: DicyclicGroup, sig: Signature, plus_part) -> None:
+    """Raise `ParameterError` unless a handle-2 signature comes with no
+    plus part and a handle-1 signature with an index-two subgroup of
+    this group: the pairs that `vectors` and `admits` take."""
+    one_sided = sig.handle == 1
+    if (plus_part is not None) != one_sided or one_sided and plus_part.index_in(group) != 2:
+        raise ParameterError("a handle-2 signature takes no plus part and a handle-1 "
+                             "signature an index-two subgroup of this group")
+
+
+def admits(group: DicyclicGroup, sig: Signature, plus_part=None) -> bool | None:
+    """Whether this signature has a generating vector over this plus
+    part, where a closed form decides it, and None elsewhere: for
+    orientable signatures with gamma >= 1, and over the plus parts
+    <x^2, y> and <x^2, xy> of even n.  It checks the pair as `vectors`
+    does, and `vectors` stays the exhaustive oracle.
+
+    Hurwitz moves permute the cone images and keep their orders, their
+    product and the group they generate, so only the multiset of cone
+    orders matters.  Every element outside <x> is some x^s y, of order 4,
+    and a product of them lies in <x> iff there are evenly many.  An
+    element x^a of order m has gcd(a, 2n) = 2n/m, so gcd(n, a) = gcd(n,
+    2n/m) whatever the unit a m/2n; by `DicyclicGroup._closure_indices`
+    the images generate iff they hold some x^s y and gcd(n, the
+    differences of the y-exponents, the x-exponents) = 1.
+
+    Orientable, gamma = 0 (Harvey's method for cyclic groups, W. J.
+    Harvey, Quart. J. Math. 1966): every m_j is 4 or divides 2n, and
+    an even number t >= 2 of the f order-4 cones are y-elements, the
+    others x^(+-n/2), which needs n even.  With t >= 4 the differences
+    of s_1, s_2, s_3 are free, s_2 - s_1 = 1 generates and s_4 solves
+    the relation.  With t = 2 the relation fixes s_2 - s_1 to n plus the
+    sum of the x-exponents, so generation needs gcd(n, 2n/L) = 1 for the
+    lcm L of the other orders: L = 2n, or L = n with n odd.
+
+    Handle 1 over <x> (k = gamma + 1 crosscaps; E. Bujalance et al.,
+    LNM 1439, 1990): the glide reflections are y-elements, each squaring
+    to x^n, and the cone images lie in <x>, so every m_j divides 2n and
+    the relation is sum (2n/m_j) u_j = kn (mod 2n) for units u_j mod
+    m_j.  Each cone's terms are the elements of order m_j in Z/2n, a
+    set that the units of Z/2n fix, so the reachable sums are unions of
+    those orbits, the residues of one gcd with 2n each, and one pass per
+    cone over the gcds reached decides the sum.  For k >= 2 a second
+    free glide reflection generates; for k = 1 generation needs gcd(n,
+    2n/L) = 1 for the lcm L of all the orders.
+    """
+    _check_pair(group, sig, plus_part)
+    n, two_n, orders = group.n, 2 * group.n, sig.cone_orders
+    if sig.handle == 2:
+        if sig.gamma:
+            return None
+        if any(m != 4 and two_n % m for m in orders):
+            return False
+        fours = orders.count(4)
+        if fours < 2 or n % 2 and fours % 2:
+            return False
+        if fours >= 4:
+            return True
+        rest = lcm(*(m for m in orders if m != 4), *(4,) * (fours - 2))
+        return rest == two_n or n % 2 == 1 and rest == n
+    if plus_part.s is not None:  # <x^2, y> or <x^2, xy>, at even n
+        return None
+    if any(two_n % m for m in orders):
+        return False
+    k = sig.gamma + 1
+    if k == 1 and gcd(n, two_n // lcm(*orders)) != 1:
+        return False
+    reached = {two_n}  # gcd(sum, 2n) of the sums so far; the empty sum is 0
+    for m in orders:
+        steps = [two_n // m * u for u in range(1, m) if gcd(u, m) == 1]
+        reached = {gcd(g + step, two_n) for g in reached for step in steps}
+    return gcd(k * n, two_n) in reached
+
+
 def vectors(group: DicyclicGroup, sig: Signature, plus_part=None):
-    """Yield every generating vector (hyper, cones) of this signature as
-    index tuples, in lexicographic order.
+    """An iterator over every generating vector (hyper, cones) of this
+    signature as index tuples, in lexicographic order.
 
     The signature decides the quotient kind.  Handle 2 takes no plus
     part, 2 gamma hyperbolic images from the whole group and the word of
     commutators; handle 1 takes an index-two `plus_part` of this group,
     gamma + 1 glide-reflection images from outside it and the word of
-    squares.  Any other pair raises `ParameterError` before the search.
-    The cone image c_j has order m_j and lies in `plus_part` (the whole
-    group when it is None).  The last cone image is forced by the long
-    relation; without cone images the forced image must be the identity.
+    squares.  Any other pair raises `ParameterError` here, when it is
+    called, not when the first vector is drawn.
     """
-    one_sided = sig.handle == 1
-    if (plus_part is not None) != one_sided or one_sided and plus_part.index_in(group) != 2:
-        raise ParameterError("a handle-2 signature takes no plus part and a handle-1 "
-                             "signature an index-two subgroup of this group")
+    _check_pair(group, sig, plus_part)
+    return _search(group, sig, plus_part)
+
+
+def _search(group: DicyclicGroup, sig: Signature, plus_part):
+    """The exhaustive search behind `vectors`.  The cone image c_j has
+    order m_j and lies in `plus_part` (the whole group when it is None).
+    The last cone image is forced by the long relation; without cone
+    images the forced image must be the identity.
+    """
     order, table = group.order, group.order_table
     if sig.handle == 2:
         hyper_pools = [range(order)] * (2 * sig.gamma)

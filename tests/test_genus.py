@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from dicyclic_dessins import search
+from dicyclic_dessins import genus, real_forms, search
 from dicyclic_dessins.covering import (
     fixed_point_count,
     fixed_points,
@@ -155,6 +155,51 @@ def test_torus_exclusion():
         report = torus_exclusion_report(n)
         assert len(report) == len(TORUS_SIGNATURES)
         assert all(report.values()), report
+
+
+def test_admits_refutes_the_flat_signatures_in_closed_form():
+    # a second computation of the torus exclusion: the four genus-0 flat
+    # signatures are refuted by the closed form at every n, in agreement
+    # with the exhaustive report, and (1; -) is left to the search
+    flat = [sig for sig in TORUS_SIGNATURES if sig.gamma == 0]
+    assert len(flat) == 4
+    for n in range(2, 201):
+        G = DicyclicGroup(n)
+        assert [search.admits(G, sig) for sig in flat] == [False] * 4, n
+        assert search.admits(G, Signature(2, 1, ())) is None, n
+        if n <= 40:
+            report = torus_exclusion_report(n)
+            assert [report[f"(0;{','.join(map(str, sig.cone_orders))})"]
+                    for sig in flat] == [True] * 4, n
+
+
+def test_the_walks_search_only_the_signatures_that_survive(monkeypatch):
+    # every signature the strong walk lists below its witness at n = 255
+    # and 256, and every pair sigma_hyp lists below its witness at n =
+    # 255, is refuted in closed form, so the engine runs on the witness's
+    # signature alone; the genera are the paper's n - 1, n, 2n - 2, n + 1
+    searched = []
+
+    def counting(func):
+        def wrapper(*args, **kwargs):
+            searched.append(args)
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(genus, "exists_generating_vector",
+                        counting(genus.exists_generating_vector))
+    monkeypatch.setattr(real_forms, "admissible_homomorphisms",
+                        counting(real_forms.admissible_homomorphisms))
+    for n, expected in ((255, 254), (256, 256)):
+        searched.clear()
+        g, witness = strong_symmetric_genus(n)
+        assert g == expected
+        assert searched == [(witness.group, witness.signature)], n
+    searched.clear()
+    g, witness = sigma_hyp(255)
+    assert g == 2 * 255 - 2
+    assert searched == [(witness.group, witness.plus_part, witness.signature)]
+    assert sigma_hyp(256)[0] == 256 + 1
 
 
 def test_flat_signatures_have_no_generating_vector():

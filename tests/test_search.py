@@ -17,6 +17,7 @@ from hypothesis import given, strategies as st
 from dicyclic_dessins import search
 from dicyclic_dessins.covering import generating_vectors
 from dicyclic_dessins.errors import InadmissibleSignatureError, ParameterError
+from dicyclic_dessins.genus import last_genus
 from dicyclic_dessins.group import DicyclicGroup
 from dicyclic_dessins.real_forms import admissible_homomorphisms
 from dicyclic_dessins.search import (
@@ -204,14 +205,64 @@ def test_every_search_refuses_a_mismatched_plus_part():
         (one_sided, G6.cyclic(G6.element(2))),  # index two in size, not in G_3
     ]
     for sig, plus_part in mismatches:
+        # the call raises, before any vector is drawn
         with pytest.raises(ParameterError):
-            next(vectors(G, sig, plus_part))
+            vectors(G, sig, plus_part)
         with pytest.raises(ParameterError):
-            next(generating_vectors(G, sig, plus_part))
+            generating_vectors(G, sig, plus_part)
         with pytest.raises(ParameterError):
-            admissible_homomorphisms(G, plus_part, sig, limit=1)
+            search.admits(G, sig, plus_part)
+        for limit in (0, 1):
+            with pytest.raises(ParameterError):
+                admissible_homomorphisms(G, plus_part, sig, limit=limit)
     # the matching pairs are searched: case II and sigma^hyp(G_3) = 4
     assert next(vectors(G, orientable)) and next(vectors(G, one_sided, H))
+
+
+def test_admits_matches_the_exhaustive_search_on_every_walked_pair():
+    # every pair the strong and pure walks (handle 2, genus 2 to
+    # last_genus(n)) and sigma_hyp (handle 1, each index-two plus part,
+    # genus 2 to 2n - 1) list: the closed form decides, and the exhaustive
+    # search is the oracle; undecided are exactly the orientable
+    # signatures with gamma >= 1 and the plus parts <x^2, y> and <x^2, xy>
+    # of even n
+    decided = {True: 0, False: 0}
+    for n in range(2, 41):
+        G = DicyclicGroup(n)
+        x = G.cyclic(G.x)
+        pairs = [(sig, None) for g in range(2, last_genus(n) + 1)
+                 for sig in search.quotient_signatures(n, g, 2)]
+        pairs += [(sig, H) for g in range(2, 2 * n)
+                  for sig in search.quotient_signatures(n, g, 1)
+                  for H in G.index_two_subgroups()]
+        for sig, H in pairs:
+            answer = search.admits(G, sig, H)
+            if H is None:
+                assert (answer is None) == (sig.gamma >= 1), (n, sig)
+            else:
+                assert (answer is None) == (H != x), (n, sig, H)
+            if answer is not None:
+                assert answer == (next(vectors(G, sig, H), None) is not None), (n, sig, H)
+                decided[answer] += 1
+    # both answers occur, and most of the walked pairs are refuted
+    assert decided[False] > decided[True] > 0, decided
+
+
+def test_admits_matches_the_exhaustive_search_off_riemann_hurwitz():
+    # admits takes any signature, not only those of an integral genus:
+    # every multiset of at most five pool orders at genus 0, which holds
+    # the t >= 4 y-element cones and the odd counts of order-4 cones that
+    # no walk lists, and at most three over <x> with up to three crosscaps
+    for n in range(2, 6):
+        G = DicyclicGroup(n)
+        x = G.cyclic(G.x)
+        cases = [(Signature(2, 0, orders), None) for r in range(6)
+                 for orders in itertools.combinations_with_replacement(order_pool(n), r)]
+        cases += [(Signature(1, gamma, orders), x) for gamma in range(3) for r in range(4)
+                  for orders in itertools.combinations_with_replacement(order_pool(n), r)]
+        for sig, H in cases:
+            expected = next(vectors(G, sig, H), None) is not None
+            assert search.admits(G, sig, H) == expected, (n, sig)
 
 
 def test_only_search_names_the_words():
