@@ -13,13 +13,14 @@ fixed points (the only involution x^n lies in every index-two subgroup).
 This module certifies the minimal hyperbolic genus values: the quotient
 signatures of each genus are `search.Signature` values with handle 1
 from inverting the Riemann-Hurwitz formula (`search.quotient_signatures`).
-Over the plus part <x> `search.admits` decides each in closed form, and
-the walk skips the pairs it refutes; the images of the others come from
-`covering.generating_vectors` over each plus part, that is from the
-exhaustive `search.vectors`, which reads the word of squares and the
-image pools off the signature and the plus part; the record, its genus,
-the decision and the engine are shared with the orientable layers.  It
-also builds the pseudo-real family with all of its computable properties.
+Over each index-two plus part `search.admits` decides each in closed
+form, and the walk skips the pairs it refutes; the images of the others
+come from `covering.generating_vectors` over their plus part, that is
+from the exhaustive `search.vectors`, which reads the word of squares
+and the image pools off the signature and the plus part; the record,
+its genus, the decision and the engine are shared with the orientable
+layers.  It also builds the pseudo-real family with all of its
+computable properties.
 """
 
 from __future__ import annotations

@@ -19,16 +19,19 @@ table is built.  The records hold the index tuples as they come; only
 the command-line reports convert them to `GroupElement` values.
 
 Beside the inversion, `admits(group, sig, plus_part)` decides in closed
-form whether a signature has a generating vector, for orientable
-genus-0 signatures and over the plus part <x>, and returns None
-elsewhere.  The minimal-genus walks skip the signatures it refutes and
-search the rest, so their witness is still the first vector in index
-order; `vectors` itself stays exhaustive and is the oracle of `admits`.
+form whether a signature has a generating vector: for orientable
+signatures of genus 0 and of genus 1 with at most one cone, and over
+every index-two plus part; it returns None for the other orientable
+ones, which no walk lists.  The minimal-genus walks skip the signatures
+it refutes and search the rest, so their witness is still the first
+vector in index order; `vectors` itself stays exhaustive and is the
+oracle of `admits`.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import InadmissibleSignatureError, ParameterError, Value
@@ -99,12 +102,10 @@ def quotient_signatures(n: int, g: int, handle: int) -> list[Signature]:
     Everything is scaled by L = lcm(pool): 2n lies in the pool, so the
     target (L/2n)(g - 1 - 2n handle (gamma - 1)) and each term L - L/m
     are integers.  Results come ordered by gamma, then by cone orders in
-    lexicographic order.
+    lexicographic order.  The pool and its scaled terms are built once
+    per n (`_scaled_pool`), not once per genus of a walk.
     """
-    pool = order_pool(n)
-    scale = lcm(*pool)
-    terms = [scale - scale // m for m in pool]
-    unit = scale // (2 * n)
+    pool, terms, unit = _scaled_pool(n)
     out = []
     gamma = 0
     while (target := unit * (g - 1 - 2 * n * handle * (gamma - 1))) >= 0:
@@ -114,7 +115,15 @@ def quotient_signatures(n: int, g: int, handle: int) -> list[Signature]:
     return out
 
 
-def _partitions(target: int, pool: list[int], terms: list[int], lo: int):
+@lru_cache(maxsize=1)
+def _scaled_pool(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """`order_pool(n)`, its terms L - L/m and L/2n, for L = lcm(pool)."""
+    pool = tuple(order_pool(n))
+    scale = lcm(*pool)
+    return pool, tuple(scale - scale // m for m in pool), scale // (2 * n)
+
+
+def _partitions(target: int, pool: tuple[int, ...], terms: tuple[int, ...], lo: int):
     """Non-decreasing tuples from pool[lo:] whose terms sum to target,
     depth first, hence in lexicographic order."""
     if target == 0:
@@ -170,10 +179,10 @@ def _check_pair(group: DicyclicGroup, sig: Signature, plus_part) -> None:
 
 def admits(group: DicyclicGroup, sig: Signature, plus_part=None) -> bool | None:
     """Whether this signature has a generating vector over this plus
-    part, where a closed form decides it, and None elsewhere: for
-    orientable signatures with gamma >= 1, and over the plus parts
-    <x^2, y> and <x^2, xy> of even n.  It checks the pair as `vectors`
-    does, and `vectors` stays the exhaustive oracle.
+    part, where a closed form decides it, and None elsewhere: for the
+    orientable signatures with gamma >= 2, or gamma = 1 and r >= 2, none
+    of which the walks list.  It checks the pair as `vectors` does, and
+    `vectors` stays the exhaustive oracle.
 
     Hurwitz moves permute the cone images and keep their orders, their
     product and the group they generate, so only the multiset of cone
@@ -193,6 +202,13 @@ def admits(group: DicyclicGroup, sig: Signature, plus_part=None) -> bool | None:
     sum of the x-exponents, so generation needs gcd(n, 2n/L) = 1 for the
     lcm L of the other orders: L = 2n, or L = n with n odd.
 
+    Orientable, gamma = 1, at most one cone: c = [a, b]^-1 lies in <a,
+    b>, so a and b generate; they are not both in <x>, and [x^i, x^j y]
+    = x^(2i), [x^i y, x^j y] = x^(2(i - j)) with gcd(n, i), resp. gcd(n,
+    i - j), equal to 1, so [a, b] has order n.  So (1; -) never occurs
+    ([a, b] = 1 would make G_n = <a, b> abelian), and (1; m) occurs iff
+    m = n, with (a, b) = (x, y).
+
     Handle 1 over <x> (k = gamma + 1 crosscaps; E. Bujalance et al.,
     LNM 1439, 1990): the glide reflections are y-elements, each squaring
     to x^n, and the cone images lie in <x>, so every m_j divides 2n and
@@ -203,12 +219,31 @@ def admits(group: DicyclicGroup, sig: Signature, plus_part=None) -> bool | None:
     cone over the gcds reached decides the sum.  For k >= 2 a second
     free glide reflection generates; for k = 1 generation needs gcd(n,
     2n/L) = 1 for the lcm L of all the orders.
+
+    Handle 1 over <x^2, x^s y> (n even): a glide reflection is x^a with
+    a odd, squaring to x^(2a), or a y-element x^c y with c - s odd,
+    squaring to x^n; a cone image is x^(2w) with m_j | n, or a y-element
+    x^b y with b - s even, of order 4.  So every m_j is 4 or divides n,
+    the t order-4 cones that are y-elements are evenly many, and the
+    other order-4 cones, x^(+-n/2), need 4 | n.  The relation lies in
+    <x^2>: halve it to Z/n.  With t >= 2, b_1 - b_2 is free and solves
+    it, while a glide x^1, or a y-glide at c = b_1 + 1, generates.  With
+    t = 0 the generators need a y-glide and, for an odd exponent, an
+    x-glide, so k >= 2 with k_x x-glides, 0 < k_x < k, and every halved
+    term has a fixed parity: odd for an x-glide, n/2 for a y-glide, and
+    n/m_j for an x-cone (its unit is odd when n/m_j is); they must add
+    to an even sum.  Then for k >= 3 a second glide of either kind
+    (x^1, or a y-glide two steps from the first) generates and an
+    x-glide solves the relation.  For k = 2 that x-glide is forced, and
+    an odd prime dividing n and every x-cone divides it too, so
+    generation needs n/L to be a power of two for the lcm L of the
+    orders.
     """
     _check_pair(group, sig, plus_part)
     n, two_n, orders = group.n, 2 * group.n, sig.cone_orders
     if sig.handle == 2:
         if sig.gamma:
-            return None
+            return orders == (n,) if sig.gamma == 1 and len(orders) < 2 else None
         if any(m != 4 and two_n % m for m in orders):
             return False
         fours = orders.count(4)
@@ -218,11 +253,20 @@ def admits(group: DicyclicGroup, sig: Signature, plus_part=None) -> bool | None:
             return True
         rest = lcm(*(m for m in orders if m != 4), *(4,) * (fours - 2))
         return rest == two_n or n % 2 == 1 and rest == n
+    k = sig.gamma + 1
     if plus_part.s is not None:  # <x^2, y> or <x^2, xy>, at even n
-        return None
+        fours = orders.count(4)
+        if any(m != 4 and n % m for m in orders) or fours % 2 and n % 4:
+            return False
+        if fours >= 2:
+            return True
+        odd = sum(n // m % 2 for m in orders)
+        if all((k_x + (k - k_x) * n // 2 + odd) % 2 for k_x in range(1, k)):
+            return False
+        q = n // lcm(*orders)
+        return k > 2 or q & (q - 1) == 0
     if any(two_n % m for m in orders):
         return False
-    k = sig.gamma + 1
     if k == 1 and gcd(n, two_n // lcm(*orders)) != 1:
         return False
     reached = {two_n}  # gcd(sum, 2n) of the sums so far; the empty sum is 0

@@ -158,48 +158,75 @@ def test_torus_exclusion():
 
 
 def test_admits_refutes_the_flat_signatures_in_closed_form():
-    # a second computation of the torus exclusion: the four genus-0 flat
-    # signatures are refuted by the closed form at every n, in agreement
-    # with the exhaustive report, and (1; -) is left to the search
-    flat = [sig for sig in TORUS_SIGNATURES if sig.gamma == 0]
-    assert len(flat) == 4
+    # the torus exclusion in closed form: all five flat signatures are
+    # refuted at every n, and the exhaustive search agrees up to n = 40
     for n in range(2, 201):
         G = DicyclicGroup(n)
-        assert [search.admits(G, sig) for sig in flat] == [False] * 4, n
-        assert search.admits(G, Signature(2, 1, ())) is None, n
+        assert [search.admits(G, sig) for sig in TORUS_SIGNATURES] == [False] * 5, n
         if n <= 40:
-            report = torus_exclusion_report(n)
-            assert [report[f"(0;{','.join(map(str, sig.cone_orders))})"]
-                    for sig in flat] == [True] * 4, n
+            assert [exists_generating_vector(G, sig) for sig in TORUS_SIGNATURES] == [None] * 5, n
+
+
+def test_purity_rule_matches_every_vector_of_every_admitted_signature():
+    # admits_pure against is_pure on every vector of every genus-0
+    # signature that search.admits admits, up to genus 2n + 2; this holds
+    # (0; 4, 4, 4, 4) at genus 2n + 1, which has no pure vector although
+    # at n = 2 its order 4 is 2n: its cones there are x^(+-1) or
+    # y-elements of one class
+    outcomes = Counter()
+    for n in range(2, 15):
+        group = DicyclicGroup(n)
+        for g in range(2, 2 * n + 3):
+            for sig in quotient_signatures(n, g, 2):
+                if sig.gamma or not search.admits(group, sig):
+                    continue
+                pure = any([is_pure(group, cones) for _, cones in search.vectors(group, sig)])
+                assert genus.admits_pure(n, sig) == pure, (n, sig)
+                outcomes[pure] += 1
+    assert outcomes[True] and outcomes[False], outcomes
+    assert not genus.admits_pure(2, Signature(2, 0, (4, 4, 4, 4)))
+    assert genus.admits_pure(3, Signature(2, 0, (4, 4, 4, 4, 6)))
 
 
 def test_the_walks_search_only_the_signatures_that_survive(monkeypatch):
     # every signature the strong walk lists below its witness at n = 255
-    # and 256, and every pair sigma_hyp lists below its witness at n =
-    # 255, is refuted in closed form, so the engine runs on the witness's
-    # signature alone; the genera are the paper's n - 1, n, 2n - 2, n + 1
-    searched = []
+    # and 256, every pair sigma_hyp lists below its witness at n = 255
+    # and 256, and every signature the pure walk lists below its witness
+    # at n = 255 is refuted in closed form, so the engine runs on the
+    # witness's signature alone, and the torus exclusion runs no engine;
+    # the genera are the paper's n - 1, n, 2n - 2, n + 1 and n
+    searched, drawn = [], []
 
-    def counting(func):
+    def counting(func, log):
         def wrapper(*args, **kwargs):
-            searched.append(args)
+            log.append(args)
             return func(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(genus, "exists_generating_vector",
-                        counting(genus.exists_generating_vector))
+                        counting(genus.exists_generating_vector, searched))
     monkeypatch.setattr(real_forms, "admissible_homomorphisms",
-                        counting(real_forms.admissible_homomorphisms))
+                        counting(real_forms.admissible_homomorphisms, searched))
+    monkeypatch.setattr(search, "vectors", counting(search.vectors, drawn))
     for n, expected in ((255, 254), (256, 256)):
         searched.clear()
         g, witness = strong_symmetric_genus(n)
         assert g == expected
         assert searched == [(witness.group, witness.signature)], n
+    for n, expected in ((255, 2 * 255 - 2), (256, 256 + 1)):
+        searched.clear()
+        g, witness = sigma_hyp(n)
+        assert g == expected
+        assert searched == [(witness.group, witness.plus_part, witness.signature)], n
+    drawn.clear()
+    g, witness = pure_symmetric_genus(255)
+    assert g == 255
+    assert drawn == [(witness.group, witness.signature)]
     searched.clear()
-    g, witness = sigma_hyp(255)
-    assert g == 2 * 255 - 2
-    assert searched == [(witness.group, witness.plus_part, witness.signature)]
-    assert sigma_hyp(256)[0] == 256 + 1
+    drawn.clear()
+    for n in (2, 3, 255, 256):
+        assert all(torus_exclusion_report(n).values())
+    assert searched == drawn == []
 
 
 def test_flat_signatures_have_no_generating_vector():
