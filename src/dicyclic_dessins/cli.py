@@ -4,8 +4,7 @@ Each subcommand runs one verification suite, built by its report
 builder in `reports.py`, prints a JSON envelope (deterministic payload
 plus a timing field) and exits 0 only if every checked, non-assumed
 claim passed.  Exit codes: 0 all pass, 1 claim failure, 2 usage or
-sampling error, 3 search exhausted: a search found no action below the
-genus bound that its completeness argument states.
+sampling error.
 
 The command line is parsed with the standard library alone, and `main`
 imports `reports` once the parse has succeeded, so `--help` and usage
@@ -21,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import ParameterError, SamplingError, SearchExhaustedError
+from .errors import ParameterError, SamplingError
 
 
 class UsageError(Exception):
@@ -148,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dot", dest="dot_path", metavar="PATH")
     sub.add_argument("--json", **json)
 
-    sub = command("hyper", "Minimal genus with anticonformal elements, by exhaustive search."
-                  "\n\nIt tries every non-orientable signature below genus 2n, where the "
-                  "minimum lies.", lambda reports, args: reports.hyper_report(args.n))
+    sub = command("hyper", "Minimal genus with anticonformal elements, in closed form."
+                  "\n\nIt decides the least candidate signature and searches it for "
+                  "the first datum.", lambda reports, args: reports.hyper_report(args.n))
     sub.add_argument("--n", **n)
     sub.add_argument("--json", **json)
 
@@ -174,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--tol", type=tolerance, default=1e-9, help=default)
     sub.add_argument("--json", **json)
 
-    sub = command("genus", "Minimal-genus search (strong or pure symmetric genus) up to "
-                  "genus n + 2.",
+    sub = command("genus", "Minimal genus (strong or pure symmetric genus) in closed "
+                  "form, with the first witness vector.",
                   lambda reports, args: reports.genus_report(args.n, args.mode))
     sub.add_argument("--n", **n)
     sub.add_argument("--mode", choices=["strong", "pure"], default="strong", help=default)
@@ -210,9 +209,6 @@ def main() -> None:
         sys.exit(2)
     except KeyboardInterrupt:
         sys.exit(130)
-    except SearchExhaustedError as exc:
-        print(f"search exhausted: {exc}", file=sys.stderr)
-        sys.exit(3)
 
 
 if __name__ == "__main__":

@@ -82,10 +82,6 @@ class InadmissibleSignatureError(ValueError):
     """A genus formula produced a non-integral or negative value."""
 
 
-class SearchExhaustedError(RuntimeError):
-    """An exhaustive search found no admissible object within its bounds."""
-
-
 class SamplingError(RuntimeError):
     """Rejection sampling of curve points failed within the retry budget."""
 

@@ -1,36 +1,34 @@
-"""Minimal-genus searches by exhaustive generating-vector enumeration.
+"""Minimal genera in closed form, each decided at run time.
 
 Finds the least genus over which the dicyclic group acts conformally
 (strong symmetric genus), and the least genus of a purely-non-free
-conformal action (pure symmetric genus).  At each genus the finitely
-many orientable quotient signatures come from inverting Riemann-Hurwitz
-(`search.quotient_signatures` with handle 2).  Closed forms decide
-which of them to search: `search.admits` decides every signature the
-strong walk lists, and `admits_pure` decides which signatures have a
-purely-non-free vector.  The walks skip what these refute; each other
-signature is searched for a realising generating vector by
-`search.vectors`, through the `covering.exists_generating_vector` that
-the census representatives use too, so the witness is the first vector
-in index order.  `real_forms` shares the signature type, the inversion,
-the decision, the vector engine of `search.py` and the
-`GeneratingVector` record.
+conformal action (pure symmetric genus), as the least Riemann-Hurwitz
+genus over a few candidate families, the way Harvey treats cyclic groups
+(W. J. Harvey, Quart. J. Math. 1966) and Tucker defines the symmetric
+genus (T. W. Tucker, J. Combin. Theory Ser. B 34, 1983).  Each function
+proves in its docstring that no other signature of at most that genus is
+realised; `search.admits` and `admits_pure` decide the candidates when
+they run, and the engine then searches the winning signature alone,
+through the `covering.exists_generating_vector` that the census
+representatives use too, so the witness is the first vector in index
+order.  A candidate that is decided but has no vector raises
+`ConstructionError`: that is a bug, not an input.  `real_forms` shares
+the signature type, the decision, the vector engine of `search.py` and
+the `GeneratingVector` record.
 
 Genus zero is impossible because the group is none of the sphere groups
 (cyclic, dihedral, A4, S4, A5); genus one is excluded in closed form:
 `search.admits` refutes all five flat signatures (see
 `torus_exclusion_report`), and the tests keep the exhaustive search of
-each as its oracle.  The search therefore starts at genus two.  It ends
-by genus n: the case-I census action (0; 4, 4, 2n) has genus n and is
-purely non-free.  So the walks stop at `last_genus(n)` = n + 2, and
-running out of genera is a `SearchExhaustedError` that only a broken
-search can raise.
+each as its oracle.  The tests also keep the genus-by-genus walks over
+every Riemann-Hurwitz signature as the oracle of both formulas.
 """
 
 from __future__ import annotations
 
 from . import search
 from .covering import GeneratingVector, exists_generating_vector, is_pure
-from .errors import SearchExhaustedError
+from .errors import ConstructionError
 from .group import DicyclicGroup
 from .search import Signature
 
@@ -43,25 +41,31 @@ TORUS_SIGNATURES = (
 )
 
 
-def last_genus(n: int) -> int:
-    """The last genus the walks try, two past the case-I bound n."""
-    return n + 2
+def _triangle(m: int) -> Signature:
+    """The genus-0 signature (0; 4, 4, m), its orders sorted."""
+    return Signature(2, 0, tuple(sorted((4, 4, m))))
 
 
 def strong_symmetric_genus(n: int) -> tuple[int, GeneratingVector]:
-    """Least genus >= 2 admitting any conformal action of the group,
-    searching only the signatures that `search.admits` does not refute."""
+    """Least genus >= 2 admitting any conformal action of the group:
+    the lesser genus of (0; 4, 4, 2n) and (0; 4, 4, n) that
+    `search.admits` accepts, with the first vector of that signature.
+
+    Proof.  Riemann-Hurwitz reads g = 1 + 2n (2 gamma - 2 + sum(1 - 1/m)),
+    each term at least 1/2.  Gamma >= 2 gives g >= 4n + 1, and gamma = 1
+    gives g = 1 without a cone and g >= n + 1 with one.  At gamma = 0
+    `admits` needs two cones of order 4, with which a third cone gives
+    g = 1 + n - 2n/m, a fourth g >= n + 1, and none g < 1.  `admits`
+    accepts (0; 4, 4, m) iff m = 2n (g = n), or m = n (g = n - 1) at odd
+    n.  So sigma^0 = n at even n and n - 1 at odd n, and one signature
+    has it.
+    """
     group = DicyclicGroup(n)
-    for g in range(2, last_genus(n) + 1):
-        for sig in search.quotient_signatures(n, g, 2):
-            if search.admits(group, sig) is False:
-                continue
-            witness = exists_generating_vector(group, sig)
-            if witness is not None:
-                return g, witness
-    raise SearchExhaustedError(
-        f"no action of G_{n} found up to genus {last_genus(n)}"
-    )
+    sig, _ = search.least_admitted(group, [(_triangle(2 * n), None), (_triangle(n), None)])
+    witness = exists_generating_vector(group, sig)
+    if witness is None:
+        raise ConstructionError(f"{sig} is admitted but has no vector for G_{n}")
+    return witness.genus(), witness
 
 
 def admits_pure(n: int, sig: Signature) -> bool:
@@ -104,26 +108,28 @@ def admits_pure(n: int, sig: Signature) -> bool:
 
 
 def pure_symmetric_genus(n: int) -> tuple[int, GeneratingVector]:
-    """Least genus >= 2 admitting a purely-non-free conformal action.
+    """Least genus >= 2 admitting a purely-non-free conformal action:
+    n, from (0; 4, 4, 2n), which `admits_pure` decides.
 
-    The walk searches only the signatures that `admits_pure` does not
-    refute, and tests the vectors it draws from them in index order, so
-    the witness is the first purely-non-free vector.  The test runs on
-    the cone indices, one bit per conjugacy class (`covering.is_pure`),
-    and only the witness becomes a `GeneratingVector`, whose fixed-point
+    Proof.  `admits_pure` needs two cones of order 4 and, among the
+    others, one of order 2n.  With gamma >= 1 or a fourth cone,
+    Riemann-Hurwitz g = 1 + 2n (2 gamma - 2 + sum(1 - 1/m)) gives
+    g >= n + 1, so (0; 4, 4, 2n), of genus n, is the only signature of
+    genus at most n that can carry a pure action.
+
+    The vectors of that signature are tested in index order, so the
+    witness is the first purely-non-free vector.  The test runs on the
+    cone indices, one bit per conjugacy class (`covering.is_pure`), and
+    only the witness becomes a `GeneratingVector`, whose fixed-point
     table is built when a report reads it.
     """
-    group = DicyclicGroup(n)
-    for g in range(2, last_genus(n) + 1):
-        for sig in search.quotient_signatures(n, g, 2):
-            if not admits_pure(n, sig):
-                continue
-            for hyper, cones in search.vectors(group, sig):
-                if is_pure(group, cones):
-                    return g, GeneratingVector(group, sig.gamma, hyper, cones)
-    raise SearchExhaustedError(
-        f"no purely-non-free action of G_{n} found up to genus {last_genus(n)}"
-    )
+    group, sig = DicyclicGroup(n), _triangle(2 * n)
+    if admits_pure(n, sig):
+        for hyper, cones in search.vectors(group, sig):
+            if is_pure(group, cones):
+                witness = GeneratingVector(group, sig.gamma, hyper, cones)
+                return witness.genus(), witness
+    raise ConstructionError(f"{sig} has no purely-non-free vector for G_{n}")
 
 
 def torus_exclusion_report(n: int) -> dict[str, bool]:

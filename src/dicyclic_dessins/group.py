@@ -317,7 +317,17 @@ class DicyclicGroup:
         return tuple(sorted(result, key=lambda H: (H.order, sorted(H))))
 
     def index_two_subgroups(self) -> list[Subgroup]:
-        return [H for H in self.subgroups if H.order * 2 == self.order]
+        """The subgroups of index two, in the order of `subgroups`: <x>,
+        and for even n also <x^2, y> and <x^2, xy>, which sort around it.
+
+        An index-two subgroup holds every square, x^2 among them, so d | 2:
+        d = 1 gives <x> itself, and <x^2> has index four, so d = 2 needs a
+        coset x^s y, s = 0 or 1, which needs d | n.
+        """
+        n = self.n
+        if n % 2:
+            return [Subgroup(n, 1, None)]
+        return [Subgroup(n, 2, 0), Subgroup(n, 1, None), Subgroup(n, 2, 1)]
 
     # -- conjugacy classes ----------------------------------------------
 

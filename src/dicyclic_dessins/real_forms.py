@@ -10,17 +10,17 @@ generators are excluded throughout: the quotients arising here have no
 boundary, because the induced anticonformal involution acts without
 fixed points (the only involution x^n lies in every index-two subgroup).
 
-This module certifies the minimal hyperbolic genus values: the quotient
-signatures of each genus are `search.Signature` values with handle 1
-from inverting the Riemann-Hurwitz formula (`search.quotient_signatures`).
-Over each index-two plus part `search.admits` decides each in closed
-form, and the walk skips the pairs it refutes; the images of the others
-come from `covering.generating_vectors` over their plus part, that is
-from the exhaustive `search.vectors`, which reads the word of squares
-and the image pools off the signature and the plus part; the record,
-its genus, the decision and the engine are shared with the orientable
-layers.  It also builds the pseudo-real family with all of its
-computable properties.
+This module certifies the minimal hyperbolic genus values as the least
+Riemann-Hurwitz genus over closed-form candidates, `search.Signature`
+values with handle 1 over the index-two plus parts, which `search.admits`
+decides when it runs; `sigma_hyp` proves that no other pair of at most
+that genus is realised.  The images of the winning pair come from
+`covering.generating_vectors` over its plus part, that is from the
+exhaustive `search.vectors`, which reads the word of squares and the
+image pools off the signature and the plus part; the record, its genus,
+the decision and the engine are shared with the orientable layers.  It
+also builds the pseudo-real family with all of its computable
+properties.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import islice
 
 from . import search
 from .covering import GeneratingVector, generating_vectors
-from .errors import ParameterError, SearchExhaustedError
+from .errors import ConstructionError, ParameterError
 from .group import DicyclicGroup, Subgroup
 from .search import Signature
 
@@ -51,31 +51,45 @@ def admissible_homomorphisms(
 
 
 def sigma_hyp(n: int) -> tuple[int, GeneratingVector]:
-    """Minimal genus >= 2 of a conformal/anticonformal dicyclic action.
+    """Minimal genus >= 2 of a conformal/anticonformal dicyclic action:
+    (0; 4, 4) at even n, of genus n + 1, over the first index-two plus
+    part that `search.admits` accepts, and (0; n, 2n) over <x> at odd n,
+    of genus 2n - 2, with the first datum of that pair.
 
-    Walks g = 2, ..., 2n - 1 through the non-orientable quotient
-    signatures of each genus (`search.quotient_signatures` with handle
-    1), in the order they are listed, and returns the first admissible
-    datum over the index-two plus parts, searching only the pairs that
-    `search.admits` does not refute.  The stated values, n + 1 (n
-    even) and 2n - 2 (n odd), lie below 2n, so the walk stops there and
-    raises `SearchExhaustedError` if it finds no action.
+    Proof.  With k = gamma + 1 crosscaps, Riemann-Hurwitz reads
+    (g - 1)/2n = k - 2 + sum(1 - 1/m), each term at least 1/2.  Both
+    answers lie below 1, which leaves k = 1 with r <= 3, and k = 2 with
+    r <= 1, where (1; -) has g = 1.
+
+    Over <x> a cone image is x^(a_j) with gcd(a_j, 2n) = 2n/m_j and a
+    glide image is a y-element, squaring to x^n, so the relation is
+    sum a_j = kn (mod 2n), and the images generate iff gcd(n, the a_j)
+    = 1.  (1; m) needs a_1 = 0: refuted.  (0; m_1, m_2) needs a_2 = n -
+    a_1, so gcd(n, a_1) = gcd(n, a_2) = 1: each 2n/m_j divides 2, and
+    for odd n one a_j is odd.  That leaves (0; 2n, 2n) at even n, of
+    genus 2n - 1, and (0; n, 2n) at odd n.
+
+    Odd n, where <x> is the only plus part: (0; m_1, m_2, m_3) of genus
+    at most 2n - 2 has sum 1/m >= 1 + 3/2n, and 4 does not divide 2n,
+    so it is (2, 2, m) with m <= 2n/3, (2, 3, 3) with n >= 9, or
+    (2, 3, 5) with n >= 45.  The only element of order 2 is x^n, so the
+    first needs gcd(n, a_3) = 1, that is m >= n, and n/3, resp. n/15,
+    divides every a_j of the others.  So (0; n, 2n) is the one pair of
+    genus at most 2n - 2.
+
+    Even n: genus at most n + 1 leaves (1; 2), (0; m_1, m_2) with
+    sum 1/m >= 1/2, and (0; 2, 2, 2), whose a_j = n do not generate.
+    Over <x^2, x^s y> `admits` refutes (1; 2) by the parity of its terms
+    and needs two cones of order 4 at k = 1.  So (0; 4, 4), of genus
+    n + 1, is the one signature, over <x^2, x^s y> (and over <x> at
+    n = 2, where 2n = 4).
     """
     group = DicyclicGroup(n)
-    plus_parts = group.index_two_subgroups()
-    # For g < 2n, (g - 1)/2n = gamma - 1 + sum(1 - 1/m) < 1 forces
-    # gamma <= 1 and, each term being at least 1/2, r <= 3: the scope,
-    # gamma <= 1 and r <= 3, that `hyper` reports.
-    for g in range(2, 2 * n):
-        for sig in search.quotient_signatures(n, g, 1):
-            for H in plus_parts:
-                if search.admits(group, sig, H) is False:
-                    continue
-                for witness in admissible_homomorphisms(group, H, sig, limit=1):
-                    return g, witness
-    raise SearchExhaustedError(
-        f"no admissible action for n={n} exists below genus {2 * n}"
-    )
+    family = Signature(1, 0, (4, 4) if n % 2 == 0 else (n, 2 * n))
+    sig, H = search.least_admitted(group, [(family, H) for H in group.index_two_subgroups()])
+    for witness in admissible_homomorphisms(group, H, sig, limit=1):
+        return witness.genus(), witness
+    raise ConstructionError(f"{sig} over {H!r} is admitted but has no datum for G_{n}")
 
 
 # -- pseudo-real construction ------------------------------------------

@@ -5,36 +5,36 @@ A quotient signature has a handle of 2 (orientable, genus gamma) or 1
 Riemann-Hurwitz formula 2g - 2 = |G| (handle (gamma - 1) + sum(1 - 1/m))
 (T. Breuer, *Characters and Automorphism Groups of Compact Riemann
 Surfaces*, 2000).  This module holds the one `Signature` type, the genus
-`rh_genus`, its inversion `quotient_signatures`, the long relation
-word(hyper) * c_1 ... c_r = 1 with a product of commutators (orientable)
-or of squares (non-orientable), and the one exhaustive generating-vector
-search.  The quotient kind is decided here alone: `vectors(group, sig,
-plus_part)` checks, when it is called, that the plus part matches the
-handle, reads the word and the hyperbolic pools off the handle and the
-cone pools off the cone orders, and `relation_holds` takes the handle
-that the one action record, `covering.GeneratingVector`, reads off its
-plus part.  Both words are sums in the abelian <x>, and the cone
-products follow the closed-form `DicyclicGroup.mul`, so no product
-table is built.  The records hold the index tuples as they come; only
-the command-line reports convert them to `GroupElement` values.
+`rh_genus`, the long relation word(hyper) * c_1 ... c_r = 1 with a
+product of commutators (orientable) or of squares (non-orientable), and
+the one exhaustive generating-vector search.  The quotient kind is
+decided here alone: `vectors(group, sig, plus_part)` checks, when it is
+called, that the plus part matches the handle, reads the word and the
+hyperbolic pools off the handle and the cone pools off the cone orders,
+and `relation_holds` takes the handle that the one action record,
+`covering.GeneratingVector`, reads off its plus part.  Both words are
+sums in the abelian <x>, and the cone products follow the closed-form
+`DicyclicGroup.mul`, so no product table is built.  The records hold the
+index tuples as they come; only the command-line reports convert them to
+`GroupElement` values.
 
-Beside the inversion, `admits(group, sig, plus_part)` decides in closed
-form whether a signature has a generating vector: for orientable
-signatures of genus 0 and of genus 1 with at most one cone, and over
-every index-two plus part; it returns None for the other orientable
-ones, which no walk lists.  The minimal-genus walks skip the signatures
-it refutes and search the rest, so their witness is still the first
-vector in index order; `vectors` itself stays exhaustive and is the
-oracle of `admits`.
+`admits(group, sig, plus_part)` decides in closed form whether a
+signature has a generating vector: for orientable signatures of genus 0
+and of genus 1 with at most one cone, and over every index-two plus
+part; it returns None for the other orientable ones.  The minimal
+genera are formulas over a few candidate families: `least_admitted`
+picks the candidate of least genus that `admits` accepts, and the
+engine runs once, on that signature, so the witness is the first vector
+in index order.  `vectors` itself stays exhaustive and is the oracle of
+`admits`.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import InadmissibleSignatureError, ParameterError, Value
+from .errors import ConstructionError, InadmissibleSignatureError, ParameterError, Value
 from .group import DicyclicGroup
 
 
@@ -88,54 +88,6 @@ def rh_genus(group_order: int, sig: Signature) -> int:
     return g_numerator // (2 * denom)
 
 
-def order_pool(n: int) -> list[int]:
-    """Possible cone orders: divisors >= 2 of 2n, together with 4."""
-    two_n = 2 * n
-    return sorted({d for d in range(2, two_n + 1) if two_n % d == 0} | {4})
-
-
-def quotient_signatures(n: int, g: int, handle: int) -> list[Signature]:
-    """Every signature of this handle with rh_genus(4n, sig) = g, that is
-    (g - 1)/2n = handle (gamma - 1) + sum(1 - 1/m).
-
-    The cone orders are non-decreasing tuples from `order_pool(n)`.
-    Everything is scaled by L = lcm(pool): 2n lies in the pool, so the
-    target (L/2n)(g - 1 - 2n handle (gamma - 1)) and each term L - L/m
-    are integers.  Results come ordered by gamma, then by cone orders in
-    lexicographic order.  The pool and its scaled terms are built once
-    per n (`_scaled_pool`), not once per genus of a walk.
-    """
-    pool, terms, unit = _scaled_pool(n)
-    out = []
-    gamma = 0
-    while (target := unit * (g - 1 - 2 * n * handle * (gamma - 1))) >= 0:
-        out.extend(Signature(handle, gamma, orders)
-                   for orders in _partitions(target, pool, terms, 0))
-        gamma += 1
-    return out
-
-
-@lru_cache(maxsize=1)
-def _scaled_pool(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """`order_pool(n)`, its terms L - L/m and L/2n, for L = lcm(pool)."""
-    pool = tuple(order_pool(n))
-    scale = lcm(*pool)
-    return pool, tuple(scale - scale // m for m in pool), scale // (2 * n)
-
-
-def _partitions(target: int, pool: tuple[int, ...], terms: tuple[int, ...], lo: int):
-    """Non-decreasing tuples from pool[lo:] whose terms sum to target,
-    depth first, hence in lexicographic order."""
-    if target == 0:
-        yield ()
-        return
-    for i in range(lo, len(pool)):
-        if terms[i] > target:
-            break
-        for rest in _partitions(target - terms[i], pool, terms, i):
-            yield (pool[i],) + rest
-
-
 def commutators(group: DicyclicGroup, hyper: tuple[int, ...]) -> int:
     """[a_1, b_1] ... [a_g, b_g] for hyper = (a_1, b_1, ..., a_g, b_g), a sum in
     <x^2>: [x^a, x^c y] = x^(2a), [x^a y, x^c] = x^(-2c), [x^a y, x^c y] =
@@ -180,8 +132,8 @@ def _check_pair(group: DicyclicGroup, sig: Signature, plus_part) -> None:
 def admits(group: DicyclicGroup, sig: Signature, plus_part=None) -> bool | None:
     """Whether this signature has a generating vector over this plus
     part, where a closed form decides it, and None elsewhere: for the
-    orientable signatures with gamma >= 2, or gamma = 1 and r >= 2, none
-    of which the walks list.  It checks the pair as `vectors` does, and
+    orientable signatures with gamma >= 2, or gamma = 1 and r >= 2, which
+    no minimality proof needs.  It checks the pair as `vectors` does, and
     `vectors` stays the exhaustive oracle.
 
     Hurwitz moves permute the cone images and keep their orders, their
@@ -274,6 +226,17 @@ def admits(group: DicyclicGroup, sig: Signature, plus_part=None) -> bool | None:
         steps = [two_n // m * u for u in range(1, m) if gcd(u, m) == 1]
         reached = {gcd(g + step, two_n) for g in reached for step in steps}
     return gcd(k * n, two_n) in reached
+
+
+def least_admitted(group: DicyclicGroup, pairs):
+    """The (signature, plus part) pair of least genus among these that
+    `admits` accepts, the first one listed on a tie.  Its callers list
+    families that their proofs show to hold the minimum, so a list with
+    no admitted pair is a bug and raises `ConstructionError`."""
+    admitted = [pair for pair in pairs if admits(group, *pair)]
+    if not admitted:
+        raise ConstructionError(f"no candidate signature is admitted for G_{group.n}")
+    return min(admitted, key=lambda pair: rh_genus(group.order, pair[0]))
 
 
 def vectors(group: DicyclicGroup, sig: Signature, plus_part=None):

@@ -6,9 +6,9 @@ run and the directory of the imported package first on PYTHONPATH, so
 they exercise the same code the tests import: the checkout's `src`, or
 the installed package.  The import-footprint test runs `cli.main` in a
 fresh interpreter on the same path and lists the modules it loaded.
-The package-export, model-name, README-usage and search-exhaustion
-tests, and the last one, which draws many small command lines, run in
-process; the standard-library, token-step and dead-code tests read the
+The package-export, model-name and README-usage tests, and the last
+one, which draws many small command lines, run in process; the
+standard-library, token-step and dead-code tests read the
 sources, and the annotation test resolves the annotations of every
 package function.
 """
@@ -230,15 +230,6 @@ def test_help_exits_0_with_usage_on_stdout(args):
     result = run_cli(*args)
     assert result.returncode == 0
     assert "Usage" in result.stdout
-
-
-def test_a_search_that_runs_out_of_genera_exits_3(monkeypatch):
-    monkeypatch.setattr(search, "quotient_signatures", lambda n, g, handle: [])
-    for args in (("genus", "--n", "3"), ("hyper", "--n", "3")):
-        code, out, err = run_in_process(*args)
-        assert code == 3, (args, err)
-        assert out == ""
-        assert err.startswith("search exhausted: "), err
 
 
 @pytest.mark.parametrize("args", [
@@ -616,7 +607,7 @@ def command_lines(draw):
 def test_any_small_command_line_exits_with_a_documented_code(args):
     # in process, so an escaping exception fails the test with its traceback
     code, _, err = run_in_process(*args)
-    assert code in {0, 1, 2, 3}, (args, code, err)
+    assert code in {0, 1, 2}, (args, code, err)
 
 
 # sha256 of the payloads that test_payloads_match_the_pinned_digest builds.

@@ -27,20 +27,14 @@ from dicyclic_dessins.errors import (
 )
 from dicyclic_dessins.genus import (
     exists_generating_vector,
-    last_genus,
     pure_symmetric_genus,
     strong_symmetric_genus,
 )
 from dicyclic_dessins.group import DicyclicGroup, GroupElement
 from dicyclic_dessins.real_forms import build_pseudo_real
-from dicyclic_dessins.search import (
-    Signature,
-    order_pool,
-    quotient_signatures,
-    rh_genus,
-    vectors,
-)
+from dicyclic_dessins.search import Signature, rh_genus, vectors
 from test_group import closure_oracle
+from walks import last_genus, order_pool, quotient_signatures
 
 
 def indices(G, *elements):

@@ -1,9 +1,8 @@
-"""Tests for the minimal-genus searches."""
+"""Tests for the minimal-genus formulas, with the walks of `walks.py`
+as their oracles."""
 
 import itertools
 from collections import Counter
-
-import pytest
 
 from dicyclic_dessins import genus, real_forms, search
 from dicyclic_dessins.covering import (
@@ -13,18 +12,20 @@ from dicyclic_dessins.covering import (
     is_pure,
     is_purely_non_free,
 )
-from dicyclic_dessins.errors import InadmissibleSignatureError, SearchExhaustedError
+from dicyclic_dessins.errors import InadmissibleSignatureError
 from dicyclic_dessins.genus import (
     TORUS_SIGNATURES,
     exists_generating_vector,
-    last_genus,
     pure_symmetric_genus,
     strong_symmetric_genus,
     torus_exclusion_report,
 )
 from dicyclic_dessins.group import DicyclicGroup
 from dicyclic_dessins.real_forms import sigma_hyp
-from dicyclic_dessins.search import Signature, order_pool, quotient_signatures, rh_genus
+from dicyclic_dessins.search import Signature, rh_genus
+
+import walks
+from walks import last_genus, order_pool, quotient_signatures
 
 
 def orientable_genus(n: int, gamma: int, orders: tuple[int, ...]) -> int:
@@ -104,7 +105,7 @@ def pure_symmetric_genus_oracle(n: int):
             for vector in generating_vectors(group, sig):
                 if is_purely_non_free(vector)[0]:
                     return g, vector
-    raise SearchExhaustedError(f"no purely-non-free action of G_{n} up to {n + 2}")
+    raise AssertionError(f"no purely-non-free action of G_{n} up to {n + 2}")
 
 
 def test_pure_search_matches_vector_oracle():
@@ -139,15 +140,6 @@ def test_purity_per_class_matches_the_fixed_point_table():
             for cones in itertools.combinations_with_replacement(nontrivial, r):
                 pure = all(fixed_points(group, cones)[1:])
                 assert is_pure(group, cones) == pure, (n, cones)
-
-
-def test_search_exhaustion_raises(monkeypatch):
-    # the walks prove their own bounds, so only a search that lists no
-    # signature at all can run out of genera
-    monkeypatch.setattr(search, "quotient_signatures", lambda n, g, handle: [])
-    for run in (strong_symmetric_genus, pure_symmetric_genus, sigma_hyp):
-        with pytest.raises(SearchExhaustedError):
-            run(5)
 
 
 def test_torus_exclusion():
@@ -189,12 +181,10 @@ def test_purity_rule_matches_every_vector_of_every_admitted_signature():
 
 
 def test_the_walks_search_only_the_signatures_that_survive(monkeypatch):
-    # every signature the strong walk lists below its witness at n = 255
-    # and 256, every pair sigma_hyp lists below its witness at n = 255
-    # and 256, and every signature the pure walk lists below its witness
-    # at n = 255 is refuted in closed form, so the engine runs on the
-    # witness's signature alone, and the torus exclusion runs no engine;
-    # the genera are the paper's n - 1, n, 2n - 2, n + 1 and n
+    # the formulas decide their candidates in closed form and run the
+    # engine once, on the witness's signature, at n = 255, 256, 4095 and
+    # 4096, and the torus exclusion runs no engine; the genera are the
+    # paper's n - 1 or n, 2n - 2 or n + 1, and n
     searched, drawn = [], []
 
     def counting(func, log):
@@ -208,25 +198,41 @@ def test_the_walks_search_only_the_signatures_that_survive(monkeypatch):
     monkeypatch.setattr(real_forms, "admissible_homomorphisms",
                         counting(real_forms.admissible_homomorphisms, searched))
     monkeypatch.setattr(search, "vectors", counting(search.vectors, drawn))
-    for n, expected in ((255, 254), (256, 256)):
+    for n in (255, 256, 4095, 4096):
         searched.clear()
         g, witness = strong_symmetric_genus(n)
-        assert g == expected
+        assert g == (n if n % 2 == 0 else n - 1)
         assert searched == [(witness.group, witness.signature)], n
-    for n, expected in ((255, 2 * 255 - 2), (256, 256 + 1)):
         searched.clear()
         g, witness = sigma_hyp(n)
-        assert g == expected
+        assert g == (n + 1 if n % 2 == 0 else 2 * n - 2)
         assert searched == [(witness.group, witness.plus_part, witness.signature)], n
-    drawn.clear()
-    g, witness = pure_symmetric_genus(255)
-    assert g == 255
-    assert drawn == [(witness.group, witness.signature)]
+        drawn.clear()
+        g, witness = pure_symmetric_genus(n)
+        assert g == n
+        assert drawn == [(witness.group, witness.signature)], n
     searched.clear()
     drawn.clear()
     for n in (2, 3, 255, 256):
         assert all(torus_exclusion_report(n).values())
     assert searched == drawn == []
+
+
+def test_the_formulas_match_the_walks():
+    # the least admitted candidate against the genus-by-genus walk over
+    # every Riemann-Hurwitz signature: the same genus, signature, plus
+    # part and images, so every payload is the walk's
+    pairs = ((strong_symmetric_genus, walks.strong_symmetric_genus),
+             (pure_symmetric_genus, walks.pure_symmetric_genus),
+             (sigma_hyp, walks.sigma_hyp))
+    for n in range(2, 201):
+        for formula, walk in pairs:
+            (g, witness), (walk_g, oracle) = formula(n), walk(n)
+            assert g == walk_g, (formula.__name__, n)
+            assert witness.signature == oracle.signature, (formula.__name__, n)
+            assert witness.plus_part == oracle.plus_part, (formula.__name__, n)
+            assert witness.hyperbolic_images == oracle.hyperbolic_images, (formula.__name__, n)
+            assert witness.cone_images == oracle.cone_images, (formula.__name__, n)
 
 
 def test_flat_signatures_have_no_generating_vector():

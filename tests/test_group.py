@@ -164,6 +164,15 @@ def test_index_two_subgroups():
         assert any(H == cyclic_part for H in subs)
 
 
+def test_index_two_subgroups_match_the_lattice_filter():
+    # the closed form against the index-two members of the whole lattice,
+    # order included
+    for n in range(2, 121):
+        G = DicyclicGroup(n)
+        lattice = [H for H in G.subgroups if H.order * 2 == G.order]
+        assert G.index_two_subgroups() == lattice, n
+
+
 def test_subgroup_lattice_is_closed_under_conjugation():
     G = DicyclicGroup(3)
     for H in G.subgroups:

@@ -12,9 +12,10 @@ from dicyclic_dessins.real_forms import (
     build_pseudo_real,
     sigma_hyp,
 )
-from dicyclic_dessins.search import Signature, quotient_signatures, rh_genus
+from dicyclic_dessins.search import Signature, rh_genus
 from test_covering import check_rh_genus_against_oracle, indices
 from test_genus import bounded_signatures, listed_signatures
+from walks import quotient_signatures
 
 
 # -- genus formula ------------------------------------------------------

@@ -17,17 +17,16 @@ from hypothesis import given, strategies as st
 from dicyclic_dessins import search
 from dicyclic_dessins.covering import generating_vectors
 from dicyclic_dessins.errors import InadmissibleSignatureError, ParameterError
-from dicyclic_dessins.genus import last_genus
 from dicyclic_dessins.group import DicyclicGroup
 from dicyclic_dessins.real_forms import admissible_homomorphisms
 from dicyclic_dessins.search import (
     Signature,
     commutators,
-    order_pool,
     relation_holds,
     squares,
     vectors,
 )
+from walks import last_genus, order_pool, quotient_signatures
 
 
 def test_signature_validation():
@@ -228,9 +227,9 @@ def test_admits_matches_the_exhaustive_search_on_every_walked_pair():
     for n in range(2, 41):
         G = DicyclicGroup(n)
         pairs = [(sig, None) for g in range(2, last_genus(n) + 1)
-                 for sig in search.quotient_signatures(n, g, 2)]
+                 for sig in quotient_signatures(n, g, 2)]
         pairs += [(sig, H) for g in range(2, 2 * n)
-                  for sig in search.quotient_signatures(n, g, 1)
+                  for sig in quotient_signatures(n, g, 1)
                   for H in G.index_two_subgroups()]
         for sig, H in pairs:
             answer = search.admits(G, sig, H)
