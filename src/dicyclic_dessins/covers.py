@@ -84,4 +84,19 @@ def class_count(n: int, case: str) -> int:
 
 
 def canonical_representatives(n: int, case: str) -> list[CoverTriple]:
-    return sorted({normalize(t)[0] for t in admissible_triples(n, case)})
+    """The least member of each class, in order.
+
+    Unit scaling and the swap keep gcd(b, 2n), so every orbit member is
+    admissible and the orbits partition the admissible triples: each
+    triple not yet seen opens a class, whose orbit is built once and
+    marks its members seen.  That is one orbit per class, not one per
+    triple, and no number of classes is assumed.
+    """
+    seen: set[CoverTriple] = set()
+    least = []
+    for t in admissible_triples(n, case):
+        if t not in seen:
+            members = orbit(t)
+            seen.update(members)
+            least.append(members[0])
+    return sorted(least)

@@ -27,17 +27,21 @@ hyperelliptic models by rounding the argument (see `_branch_distance`).
 
 A word applies a nonnegative exponent literally, so an order relation
 such as x^(2n) = 1 takes its 2n steps; only a negative exponent is
-rewritten modulo the map's order.  A claim bundle draws its points once
-and walks them a block of BLOCK points at a time: each map step advances
-a whole column of the block, and every word walked on the block shares
-the power trajectory of each (map, start column) pair: x^(2n), x^n and
-x^(2n-1) take one chain of 2n steps.  The report of a model walks its
-relation and anticonformal words as one bundle, so u^-1 and y^-1 in the
-anticonformal words read the relations' u and y chains.  A block's
-trajectories are dropped before the next block starts.  A sample point
-or a trajectory whose arithmetic overflows (or, in a map, divides by a
-power that underflowed to zero) is resampled like one that enters the
-exclusion zone around poles and branch points.
+rewritten modulo the map's order.  A claim bundle makes its plan once
+(the factors of each word, and the steps each power trajectory is read
+at), draws its points once and walks them a block of BLOCK points at a
+time.  Every word walked on the block shares the power trajectory of
+each (map, start column) pair: x^(2n), x^n and x^(2n-1) take one chain
+of 2n steps, which each start point of the block walks in turn with its
+point and drift held in locals.  Each check then folds the errors and
+drifts of the whole block into its largest error in one pass.  The
+report of a model walks its relation and anticonformal words as one
+bundle, so u^-1 and y^-1 in the anticonformal words read the relations'
+u and y chains.  A block's trajectories are dropped before the next
+block starts.  A sample point or a trajectory whose arithmetic
+overflows (or, in a map, divides by a power that underflowed to zero)
+is resampled like one that enters the exclusion zone around poles and
+branch points.
 
 Reports are deterministic functions of (model, word, seed).
 """
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 import cmath
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 from .errors import ParameterError, SamplingError
 
@@ -162,15 +166,9 @@ class CurveModel:
 
     def _draw(self, count: int, seed: int) -> list[Point]:
         rng = random.Random(seed)
-        points: list[Point] = []
-        attempts = 0
+        points = []
         budget = 1000 * count
-        while len(points) < count:
-            attempts += 1
-            if attempts > budget:
-                raise SamplingError(
-                    f"rejection sampling failed after {budget} attempts"
-                )
+        for _ in range(budget):
             radius = rng.uniform(0.4, 1.8)
             angle = rng.uniform(0.0, 2 * cmath.pi)
             z = radius * cmath.exp(1j * angle)
@@ -186,7 +184,9 @@ class CurveModel:
                 continue
             if admitted:
                 points.append(p)
-        return points
+                if len(points) == count:
+                    return points
+        raise SamplingError(f"rejection sampling failed after {budget} attempts")
 
 
 def _relation_sides(
@@ -242,10 +242,8 @@ def _branch_distance(
 
 def _build_maps(model: CurveModel) -> dict[str, NamedMap]:
     n = model.n
-    r2n = root_of_unity(2 * n) * (1 + model.perturb)
-    r4n = root_of_unity(4 * n) * (1 + model.perturb)
-    rn = root_of_unity(n) * (1 + model.perturb)
-    maps: dict[str, NamedMap] = {}
+    r2n, r4n, rn = (root_of_unity(m) * (1 + model.perturb) for m in (2 * n, 4 * n, n))
+    maps = {}
 
     def add(name: str, func, order: int) -> None:
         maps[name] = NamedMap(func, order)
@@ -327,42 +325,27 @@ class WordReport:
         }
 
 
-# Start points a bundle walks together: each map step advances a column of
-# at most BLOCK slots, and a block's trails are dropped before the next block
-# starts, so the memory a bundle holds does not grow with its trials.
+# Start points a bundle walks together: a block's trails hold columns of at
+# most BLOCK slots and are dropped before the next block starts, so the
+# memory a bundle holds does not grow with its trials.
 BLOCK = 10
 
 
-def _factors(model: CurveModel, word: Word) -> Iterator[tuple]:
-    """Yield (trail, step) for each factor of `word`, first applied first.
-
-    A word applies its factors right to left (group notation); a
-    nonnegative exponent takes its steps as written, a negative one is
-    rewritten modulo the map's order.  A trail, (map name, node), is the
-    power trajectory of a map from the column a node names: None for the
-    start column, else the (trail, step) an earlier factor reached.  Words
-    that apply one map to one column share its trail: x^(2n), x^n and
-    x^(2n-1) read one chain of 2n steps.
-    """
-    node = None
-    for name, exponent in reversed(word):
-        order = model.maps[name].order
-        node = ((name, node), exponent if exponent >= 0 else exponent % order)
-        yield node
-
-
 def _trail(model: CurveModel, name: str, start: list, reads: set) -> dict:
-    """The step loop: walk the map `name` from every slot of `start`, one
-    column per step, to the last step in `reads`; returns {step: (points,
-    drifts)} for step 0 and the steps in `reads`.
+    """The step loop: walk the map `name` from every slot of `start` to
+    the last step in `reads`; returns {step: (points, drifts)} for the
+    steps in `reads`.
 
     Column k holds the k-th image of each start point, and its drift
-    column the worst residual of steps 1..k.  Each slot tests the
-    exclusion zone before its step and the finiteness of its image after
-    it; either failure, or an overflow or a division by an underflowed
-    zero in the map or the residual, kills the slot: it holds None from
-    that step on.  The other slots walk on, each applying the same
-    expressions in the same order as it would alone.
+    column the worst residual of steps 1..k.  Each start point walks the
+    whole trail in turn, its point and worst residual held in locals, and
+    is written into the columns of the steps in `reads` as it passes
+    them.  It tests the exclusion zone before each step and the
+    finiteness of its image after it; either failure, or an overflow or a
+    division by an underflowed zero in the map or the residual, ends its
+    walk, and its slot holds None in the columns it did not reach.  Every
+    point applies the same expressions in the same order as it would
+    alone.
 
     Every branch value is 0 or on the unit circle, so a z whose modulus
     lies SHELL or more from both 0 and 1 is outside the zone without
@@ -370,63 +353,54 @@ def _trail(model: CurveModel, name: str, start: list, reads: set) -> dict:
     in SHELL covers the rounding of both moduli.
     """
     func = model.maps[name].func
-    branch_distance = model.branch_distance
     sides = model.sides
     isfinite = cmath.isfinite
-    column, drift = start, [0.0] * len(start)
-    kept = {0: (column, drift)}
-    for step in range(1, max(reads) + 1):
-        last = column
-        column, drift = [None] * len(last), drift[:]
-        for s, p in enumerate(last):
-            if p is None:
-                continue
-            z = p[0]
-            modulus = abs(z)
-            if ((modulus < SHELL or -SHELL < modulus - 1.0 < SHELL)
-                    and branch_distance(z) < BRANCH_DISTANCE):
-                continue
-            try:
+    kept = {}
+    schedule = [None] * max(reads)  # the columns written after each step
+    for step in reads:
+        kept[step] = schedule[step - 1] = [None] * len(start), [0.0] * len(start)
+    for s, p in enumerate(start):
+        if p is None:
+            continue
+        z, drift = p[0], 0.0
+        try:
+            for read in schedule:
+                modulus = abs(z)
+                if ((modulus < SHELL or -SHELL < modulus - 1.0 < SHELL)
+                        and model.branch_distance(z) < BRANCH_DISTANCE):
+                    break
                 p = func(p)
                 z, w = p
-                if isfinite(z) and isfinite(w):
-                    lhs, rhs = sides(z, w)
-                    r = abs(lhs - rhs) / (1.0 + (abs(lhs) + abs(rhs)))
-                    if r > drift[s]:
-                        drift[s] = r
-                    column[s] = p
-            except (OverflowError, ZeroDivisionError):
-                pass
-        if step in reads:
-            kept[step] = (column, drift)
+                if not (isfinite(z) and isfinite(w)):
+                    break
+                lhs, rhs = sides(z, w)
+                r = abs(lhs - rhs) / (1.0 + (abs(lhs) + abs(rhs)))
+                if r > drift:
+                    drift = r
+                if read:
+                    read[0][s], read[1][s] = p, drift
+        except (OverflowError, ZeroDivisionError):
+            pass
     return kept
 
 
-def _images(
-    model: CurveModel, reads: dict, walked: dict, words: list[Word], start: list
-) -> Iterator[tuple]:
-    """Each word applied to the column `start`: a tuple per slot of the
-    image under each word and its worst residual on the way, the image
-    None if the walk died.  A trail not yet in `walked` is walked to the
-    steps `reads` lists for it."""
-    images: list = []
-    for word in words:
-        column, worst = start, [0.0] * len(start)
-        for trail, step in _factors(model, word):
-            if trail not in walked:
-                walked[trail] = _trail(model, trail[0], column, reads[trail])
-            column, drift = walked[trail][step]
-            worst = list(map(max, worst, drift))
-        images += column, worst
-    return zip(*images)
+def _walk(model: CurveModel, reads: dict, block: list, plans: list) -> list:
+    """Walk the trails of `reads`, each listed after the trail its node
+    names, from the column `block` to the steps they are read at, and
+    read the columns of each check's plan off them: the image column of
+    each of its words, then the drift column of each of its factors."""
+    walked = {(None, 0): (block, None)}
+    for trail in reads:
+        kept = _trail(model, trail[0], walked[trail[1]][0], reads[trail])
+        walked.update(((trail, step), columns) for step, columns in kept.items())
+    return [[walked[node][0] for node in images] + [walked[f][1] for f in factors]
+            for images, factors in plans]
 
 
 def _word_description(word: Word) -> str:
-    if not word:
-        return "1"
     return "*".join(
         name if exponent == 1 else f"{name}^{exponent}" for name, exponent in word
-    )
+    ) or "1"
 
 
 Check = tuple[Word, Word]
@@ -441,48 +415,73 @@ def _verify_bundle(
 ) -> list[WordReport]:
     """Check word identities (word, expected) on one draw of sample points.
 
-    The points are walked a block of BLOCK at a time: every word and its
-    expected word walk the whole block, and share one store of trails
-    that is dropped before the next block starts.  A check whose walk at
-    a slot leaves the sampling safety zone (hits a pole or a branch point)
-    or overflows redraws that slot's point from its own seed sequence
-    seed + 1, seed + 2, ... and counts it, so each report equals the one
-    its check would get alone.
+    The plan is made once per bundle.  A word applies its factors right
+    to left (group notation); a nonnegative exponent takes its steps as
+    written, a negative one is rewritten modulo the map's order.  A
+    trail, (map name, node), is the power trajectory of a map from the
+    column a node names: (None, 0) for the start column, else the
+    (trail, step) an earlier factor reached.  Words that apply one map to
+    one column share its trail: x^(2n), x^n and x^(2n-1) read one chain
+    of 2n steps.  Each check's plan keeps the nodes of its two images and
+    its factors; `reads` keeps the steps each trail is read at, with the
+    trails in the order their nodes need.
+
+    The points are walked a block of BLOCK at a time: each trail walks
+    the whole block once, and each check reads its columns off the
+    block's trails and folds its errors and drifts into its largest
+    error in one pass.  No error or drift is NaN, so their largest does
+    not depend on the order of the fold.  A check whose walk at a slot
+    leaves the sampling safety zone (hits a pole or a branch point) or
+    overflows redraws that slot's point from its own seed sequence
+    seed + 1, seed + 2, ..., walks it through its own trails and counts
+    it, so each report equals the one its check would get alone.
     """
-    live: list[tuple[WordReport, Word, Word]] = []
-    reads: dict = {}
+    reports, plans, reads = [], [], {}
     for word, expected in checks:
         description = f"{_word_description(word)} = {_word_description(expected)}"
-        report = WordReport(
+        reports.append(WordReport(
             model.name, model.n, description, trials, 0.0, tolerance, False
-        )
-        live.append((report, word, expected))
-        for trail, step in [*_factors(model, word), *_factors(model, expected)]:
-            reads.setdefault(trail, set()).add(step)
+        ))
+        images, factors = [], []
+        for w in word, expected:
+            node = (None, 0)
+            for name, exponent in reversed(w):
+                node = ((name, node), exponent if exponent >= 0
+                        else exponent % model.maps[name].order)
+                reads.setdefault(node[0], set()).add(node[1])
+                factors.append(node)
+            images.append(node)
+        plans.append((images, factors))
     starts = model.sample_points(trials, seed)
     for first in range(0, trials, BLOCK):
         block = starts[first:first + BLOCK]
-        walked: dict = {}
-        for report, *words in live:
-            for g, dg, w, dw in _images(model, reads, walked, words, block):
-                while g is None or w is None:
-                    report.resampled += 1
-                    if report.resampled > 10 * trials:
-                        raise SamplingError(
-                            "too many trajectories hit the exclusion zone"
-                        )
-                    start = model.sample_points(1, seed + report.resampled)
-                    [(g, dg, w, dw)] = _images(model, reads, {}, words, start)
-                err = max(
-                    abs(g[0] - w[0]) / (1.0 + abs(w[0])),
-                    abs(g[1] - w[1]) / (1.0 + abs(w[1])),
-                    dg,
-                    dw,
-                )
-                report.max_error = max(report.max_error, err)
-    for report, _, _ in live:
-        report.passed = report.max_error < tolerance
-    return [report for report, _, _ in live]
+        walked = _walk(model, reads, block, plans)
+        for report, plan, columns in zip(reports, plans, walked):
+            got, want, *drifts = columns
+            if None in got or None in want:
+                columns = got, want, *drifts = [list(c) for c in columns]
+                for s in range(len(block)):
+                    while got[s] is None or want[s] is None:
+                        report.resampled += 1
+                        if report.resampled > 10 * trials:
+                            raise SamplingError(
+                                "too many trajectories hit the exclusion zone"
+                            )
+                        start = model.sample_points(1, seed + report.resampled)
+                        own = {trail: reads[trail] for trail, _ in plan[1]}
+                        [redrawn] = _walk(model, own, start, [plan])
+                        for column, (value,) in zip(columns, redrawn):
+                            column[s] = value
+            worst = max(report.max_error, *map(max, drifts))
+            for (g0, g1), (w0, w1) in zip(got, want):
+                error = abs(g0 - w0) / (1.0 + abs(w0))
+                if error > worst:
+                    worst = error
+                error = abs(g1 - w1) / (1.0 + abs(w1))
+                if error > worst:
+                    worst = error
+            report.max_error, report.passed = worst, worst < tolerance
+    return reports
 
 
 # -- claim bundles ------------------------------------------------------
@@ -539,13 +538,12 @@ def verify_belyi(
         raise ParameterError("the projection is defined on the hyperelliptic models")
     n = model.n
     points = model.sample_points(trials, seed)
-    checks: dict[str, float] = {}
+    checks = {}
     try:
         base = [belyi_projection(n, p) for p in points]
         for name in ("x", "y", "xy"):
-            m = model.maps[name]
             checks[f"pi_invariant_under_{name}"] = max(
-                abs(belyi_projection(n, m(p)) - pi) / (1.0 + abs(pi))
+                abs(belyi_projection(n, model.maps[name](p)) - pi) / (1.0 + abs(pi))
                 for p, pi in zip(points, base)
             )
     except (OverflowError, ZeroDivisionError):

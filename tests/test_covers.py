@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from dicyclic_dessins import covers
 from dicyclic_dessins.covers import (
     CoverTriple,
     admissible_triples,
@@ -12,7 +13,7 @@ from dicyclic_dessins.covers import (
     normalize,
     orbit,
 )
-from dicyclic_dessins.errors import ParameterError
+from dicyclic_dessins.errors import ParameterError, cases
 
 
 def _printed_conditions(n, case, a, b, c, strict=True):
@@ -77,6 +78,31 @@ def test_canonical_representatives():
             assert [t.as_tuple() for t in canonical_representatives(n, "II")] == [
                 (n, 2, 2 * n - 2)
             ]
+
+
+def test_canonical_representatives_match_normalize_on_every_triple():
+    # per-triple normalization is the oracle of one orbit per class
+    for n in range(2, 61):
+        for case in cases(n):
+            oracle = sorted({normalize(t)[0] for t in admissible_triples(n, case)})
+            assert canonical_representatives(n, case) == oracle, (n, case)
+
+
+def test_one_orbit_is_built_per_class(monkeypatch):
+    built = []
+
+    def counted(t):
+        built.append(t)
+        return orbit(t)
+
+    monkeypatch.setattr(covers, "orbit", counted)
+    for n in range(2, 61):
+        for case in cases(n):
+            built.clear()
+            representatives = canonical_representatives(n, case)
+            assert len(built) == len(representatives), (n, case, len(built))
+            # one orbit for each class: their least members are the classes
+            assert sorted(orbit(t)[0] for t in built) == representatives, (n, case)
 
 
 def test_case_II_needs_odd_n():

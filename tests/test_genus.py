@@ -64,6 +64,26 @@ def test_signature_candidates_are_rh_exact():
         assert listed_signatures(n, 2, range(2, top + 1)) == bounded, n
 
 
+def test_partitions_match_the_brute_force():
+    # the oracle's partitions solve the last cone from the target; every
+    # multiset of pool orders from each start index, bucketed by its sum
+    # and sorted, is the brute force, for every target up to 4 lcm(pool),
+    # past the largest that the walks and the tests here ask for
+    for n in range(2, 13):
+        pool, terms, unit = walks._scaled_pool(n)
+        top = 8 * n * unit
+        for lo in range(len(pool)):
+            brute = {}
+            for r in range(top // terms[lo] + 1):
+                for picks in itertools.combinations_with_replacement(range(lo, len(pool)), r):
+                    total = sum(terms[i] for i in picks)
+                    if total <= top:
+                        brute.setdefault(total, []).append(tuple(pool[i] for i in picks))
+            for target in range(top + 1):
+                listed = list(walks._partitions(target, pool, terms, lo))
+                assert listed == sorted(brute.get(target, [])), (n, lo, target)
+
+
 def test_genus_one_signatures_are_the_flat_ones():
     for n in range(2, 13):
         flat = [sig for sig in TORUS_SIGNATURES

@@ -12,6 +12,7 @@ genera, signatures and witnesses from a few decided candidate families
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import lcm
 
@@ -60,15 +61,25 @@ def _scaled_pool(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
 
 def _partitions(target: int, pool: tuple[int, ...], terms: tuple[int, ...], lo: int):
     """Non-decreasing tuples from pool[lo:] whose terms sum to target,
-    depth first, hence in lexicographic order."""
+    depth first, hence in lexicographic order.
+
+    The terms grow with the order, so a cone leaves room for another one
+    only while twice its term fits in the target; those cones recurse.
+    The last cone is solved from the remaining target by bisection, and
+    its one-cone tuple comes after every longer tuple, which all start
+    with a smaller order.
+    """
     if target == 0:
         yield ()
         return
-    for i in range(lo, len(pool)):
-        if terms[i] > target:
-            break
+    i = lo
+    while i < len(pool) and 2 * terms[i] <= target:
         for rest in _partitions(target - terms[i], pool, terms, i):
             yield (pool[i],) + rest
+        i += 1
+    last = bisect_left(terms, target, i)
+    if last < len(terms) and terms[last] == target:
+        yield (pool[last],)
 
 
 def last_genus(n: int) -> int:
