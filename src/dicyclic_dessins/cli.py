@@ -99,14 +99,14 @@ def paper_report(reports, args) -> None:
         (out / f"n{n}.json").write_text(report.payload_json())
         failures = report.failures()
         all_ok = all_ok and not failures
-        passed = sum(1 for c in report.claims if c.status == "pass")
-        assumed = sum(1 for c in report.claims if c.status == "assumed")
+        passed = sum(1 for c in report.claims if c["status"] == "pass")
+        assumed = sum(1 for c in report.claims if c["status"] == "assumed")
         lines.append(
             f"## n = {n}\n\n"
             f"- claims: {passed} pass, {len(failures)} fail, {assumed} assumed"
         )
         for c in failures:
-            lines.append(f"- FAIL `{c.id}`: {c.anchor}")
+            lines.append(f"- FAIL `{c['id']}`: {c['anchor']}")
         lines.append("")
     (out / "summary.md").write_text("\n".join(lines))
     print(f"wrote {len(args.n_range)} reports to {out}")
@@ -116,7 +116,8 @@ def paper_report(reports, args) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole command line: one subparser per command, whose `run`
-    default runs it; `run_report` runs the one report of its `build`."""
+    default runs it; a command given a `build` takes `--n` and `--json`,
+    and `run_report` runs the one report of its `build`."""
     # no -h and no abbreviated option names: every option has one spelling
     style = dict(formatter_class=_Formatter, add_help=False, allow_abbrev=False)
     parser = _Parser(prog="dicyclic-dessins",
@@ -129,40 +130,32 @@ def build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=doc.splitlines()[0], description=doc, **style)
         sub.set_defaults(run=run, build=build)
         sub.add_argument("--help", action="help", help="Show this message and exit.")
+        if build:
+            sub.add_argument("--n", type=_at_least(2), required=True)
+            sub.add_argument("--json", dest="json_path", metavar="PATH")
         return sub
 
-    n = dict(type=_at_least(2), required=True)
-    json = dict(dest="json_path", metavar="PATH")
     default = "default: %(default)s"
 
-    sub = command("census", "Classify all triangular actions for one n.",
-                  lambda reports, args: reports.census_report(args.n))
-    sub.add_argument("--n", **n)
-    sub.add_argument("--json", **json)
+    command("census", "Classify all triangular actions for one n.",
+            lambda reports, args: reports.census_report(args.n))
 
     sub = command("monodromy", "Verify the explicit permutation monodromy for one n.",
                   monodromy_with_dot)
-    sub.add_argument("--n", **n)
     sub.add_argument("--case", choices=["I", "II"], required=True)
     sub.add_argument("--dot", dest="dot_path", metavar="PATH")
-    sub.add_argument("--json", **json)
 
-    sub = command("hyper", "Minimal genus with anticonformal elements, in closed form."
-                  "\n\nIt decides the least candidate signature and searches it for "
-                  "the first datum.", lambda reports, args: reports.hyper_report(args.n))
-    sub.add_argument("--n", **n)
-    sub.add_argument("--json", **json)
+    command("hyper", "Minimal genus with anticonformal elements, in closed form."
+            "\n\nIt decides the least candidate signature and searches it for "
+            "the first datum.", lambda reports, args: reports.hyper_report(args.n))
 
     sub = command("pseudo-real", "Build and verify one pseudo-real certificate.",
                   lambda reports, args: reports.pseudo_real_report(args.n, args.q))
-    sub.add_argument("--n", **n)
     sub.add_argument("--q", type=_at_least(2), required=True)
-    sub.add_argument("--json", **json)
 
     sub = command("curves", "Numerically verify one curve model's self-maps.",
                   lambda reports, args: reports.curves_report(
                       args.n, args.model_name, args.seed, args.trials, args.tol))
-    sub.add_argument("--n", **n)
     # The names of curves.MODEL_NAMES, spelt out so that building the
     # command line does not import the curve models.
     sub.add_argument("--model", dest="model_name", required=True,
@@ -171,14 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0, help=default)
     sub.add_argument("--trials", type=_at_least(1), default=100, help=default)
     sub.add_argument("--tol", type=tolerance, default=1e-9, help=default)
-    sub.add_argument("--json", **json)
 
     sub = command("genus", "Minimal genus (strong or pure symmetric genus) in closed "
                   "form, with the first witness vector.",
                   lambda reports, args: reports.genus_report(args.n, args.mode))
-    sub.add_argument("--n", **n)
     sub.add_argument("--mode", choices=["strong", "pure"], default="strong", help=default)
-    sub.add_argument("--json", **json)
 
     sub = command("paper-report", paper_report.__doc__, run=paper_report)
     sub.add_argument("--n-range", dest="n_range", type=_n_range, required=True,
@@ -186,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", dest="out_dir", metavar="PATH", required=True)
     sub.add_argument("--seed", type=int, default=0, help=default)
     sub.add_argument("--heavy", action="store_true",
-                     help="run the minimal-genus searches for every n, not just n <= 5")
+                     help="add the minimal-genus and torus-exclusion claims for "
+                     "every n, not only for n <= 5")
     return parser
 
 

@@ -26,7 +26,7 @@ from math import gcd
 
 from . import search
 from .errors import (ConstructionError, InadmissibleSignatureError, ParameterError,
-                     check_case)
+                     case_type)
 from .group import DicyclicGroup, Subgroup
 
 
@@ -370,13 +370,9 @@ def triangular_census(n: int) -> ActionCensus:
 
 
 def census_representative(n: int, case: str) -> GeneratingVector:
-    """Representative triangular action for one of `errors.cases(n)`.
-
-    Case I is the ordered signature (4, 4, 2n) and case II is (4, 4, n).
-    Both are the census entry's representative, the least vector of that
-    signature.
+    """Representative triangular action for one of `errors.cases(n)`: the
+    census entry's representative, the least vector of the ordered
+    signature `errors.case_type(n, case)`.
     """
     group = DicyclicGroup(n)
-    check_case(n, case)
-    orders = (4, 4, 2 * n if case == "I" else n)
-    return exists_generating_vector(group, search.Signature(2, 0, orders))
+    return exists_generating_vector(group, search.Signature(2, 0, case_type(n, case)))

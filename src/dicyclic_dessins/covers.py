@@ -2,7 +2,9 @@
 
 Enumerates the admissible exponent triples for the two cover families,
 quotients by unit scaling mod 2n together with the b <-> c swap, and
-counts equivalence classes.  The uniqueness statements correspond to a
+counts equivalence classes.  The cover of a case of type (4, 4, m), as
+`errors.case_type` gives it, has branch order m at the points +-1, that
+is gcd(b, 2n) = 2n/m.  The uniqueness statements correspond to a
 single class with canonical representative (n, 1, 2n-1) in case I and
 (n, 2, 2n-2) in case II.
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import OrderedValue, ParameterError, check_case
+from .errors import OrderedValue, ParameterError, case_type
 
 
 class CoverTriple(OrderedValue):
@@ -52,13 +54,13 @@ def admissible_triples(n: int, case: str) -> list[CoverTriple]:
     and c = 2n - b, which makes gcd(a + b + c, 2n) = gcd(3n, 2n) = n
     hold always; c = -b mod 2n has the gcds of b, and gcd(b, 2n) = 1
     implies gcd(b, n) = 1.  So the triples are (n, b, 2n - b) with
-    gcd(b, 2n) = 1 in case I and 2 in case II, in the cube's
-    lexicographic order.
+    gcd(b, 2n) = 2n/m for the case's type (4, 4, m), 1 in case I and 2
+    in case II, in the cube's lexicographic order.
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got n={n}")
-    check_case(n, case)
-    two_n, want = 2 * n, 1 if case == "I" else 2
+    two_n = 2 * n
+    want = two_n // case_type(n, case)[2]
     return [CoverTriple(n, case, n, b, two_n - b)
             for b in range(1, two_n) if gcd(b, two_n) == want]
 

@@ -19,11 +19,12 @@ point required to stay on the curve.  Residuals are relative
 of the cyclic models do not drown the signal.
 
 Each model picks its relation-sides function once, at construction,
-and the sampler, the residual and the step loop all call it.  Every map
-step first tests whether its point is in the exclusion zone: only a
-point whose modulus is near 0 or 1 can be, and for such a point the
-distance to the nearest branch point is found in O(1), on the
-hyperelliptic models by rounding the argument (see `_branch_distance`).
+and the sampler, the residual and the step loop all call it.  The
+sampler and every map step first test whether a point is in the
+exclusion zone: only a point whose modulus is near 0 or 1 can be, and
+for such a point the distance to the nearest branch point is found in
+O(1), on the hyperelliptic models by rounding the argument (see
+`_branch_distance`).
 
 A word applies a nonnegative exponent literally, so an order relation
 such as x^(2n) = 1 takes its 2n steps; only a negative exponent is
@@ -89,13 +90,15 @@ class CurveModel:
 
     `perturb` shifts the primitive root used in the map formulas by a
     relative amount; it exists solely for the sensitivity control that
-    shows the numeric checks would catch a wrong formula.  `sides` and
-    `branch_distance` are the functions picked for the model, and
-    `_samples` keeps the points drawn per (count, seed).
+    shows the numeric checks would catch a wrong formula.
+    `hyperelliptic` is the one record of the model's family (the
+    hyperelliptic models carry the ring of branch points, tau and pi).
+    `sides` and `branch_distance` are the functions picked for the
+    model, and `_samples` keeps the points drawn per (count, seed).
     """
 
-    __slots__ = ("name", "n", "perturb", "maps", "sides", "branch_distance",
-                 "_samples")
+    __slots__ = ("name", "n", "perturb", "hyperelliptic", "maps", "sides",
+                 "branch_distance", "_samples")
 
     # The parity of n (1 odd, 0 even) a model needs, if any.  The R-family
     # is built for odd n.  The y map of Sn_cyclic sends the curve to itself
@@ -112,12 +115,11 @@ class CurveModel:
         if name not in applicable_models(n):
             raise ParameterError(f"{name} needs n {('even', 'odd')[self.PARITY[name]]}")
         self.name, self.n, self.perturb = name, n, perturb
+        self.hyperelliptic = name.endswith("hyperelliptic")
         self._samples = {}
         self.sides = _relation_sides(name, n)
         self.maps = _build_maps(self)
-        self.branch_distance = _branch_distance(
-            self.branch_locus(), name.endswith("hyperelliptic")
-        )
+        self.branch_distance = _branch_distance(self.branch_locus(), self.hyperelliptic)
 
     # -- defining relation ---------------------------------------------
 
@@ -136,14 +138,14 @@ class CurveModel:
         """
         n = self.n
         pts = [0j, 1 + 0j, -1 + 0j]
-        if self.name.endswith("hyperelliptic"):
+        if self.hyperelliptic:
             pts += [root_of_unity(2 * n) ** k for k in range(2 * n)]
         return pts
 
     def lift(self, z: complex) -> Point:
         """Second coordinate from the defining relation, fixed branch."""
         _, rhs = self.sides(z, 0j)
-        if self.name.endswith("hyperelliptic"):
+        if self.hyperelliptic:
             return (z, cmath.sqrt(rhs))
         if abs(rhs) < 2.2250738585072014e-308:
             # below sys.float_info.min the right-hand side has lost its
@@ -172,7 +174,9 @@ class CurveModel:
             radius = rng.uniform(0.4, 1.8)
             angle = rng.uniform(0.0, 2 * cmath.pi)
             z = radius * cmath.exp(1j * angle)
-            if self.branch_distance(z) < BRANCH_DISTANCE:
+            # the pre-test of `_trail`; a radius of at least 0.4 is not near 0
+            if (-SHELL < radius - 1.0 < SHELL
+                    and self.branch_distance(z) < BRANCH_DISTANCE):
                 continue
             try:
                 p = self.lift(z)
@@ -281,7 +285,7 @@ def _build_maps(model: CurveModel) -> dict[str, NamedMap]:
             4,
         )
 
-    if model.name.endswith("hyperelliptic"):
+    if model.hyperelliptic:
         add("xy", lambda p: maps["x"](maps["y"](p)), 4)
     return maps
 
@@ -512,7 +516,7 @@ def _checks(model: CurveModel) -> tuple[list[Check], list[Check]]:
             ([("u", 2 * n)], []),
             ([("y", 4)], []),
         ]
-    if "tau" not in model.maps:
+    if not model.hyperelliptic:
         return relations, []
     return relations, [
         ([("tau", 2)], []),
@@ -534,7 +538,7 @@ def verify_belyi(
 ) -> dict:
     """pi is invariant under the deck maps and sends the two fibres of
     marked points to 0 and 1."""
-    if not model.name.endswith("hyperelliptic"):
+    if not model.hyperelliptic:
         raise ParameterError("the projection is defined on the hyperelliptic models")
     n = model.n
     points = model.sample_points(trials, seed)
@@ -571,7 +575,7 @@ def verify_anticonformal(
 ) -> list[WordReport]:
     """tau^2 = 1 and the conjugation relations tau u tau = u^-1,
     tau y tau = y^-1 on the hyperelliptic models."""
-    if "tau" not in model.maps:
+    if not model.hyperelliptic:
         raise ParameterError("tau is defined on the hyperelliptic models only")
     return _verify_bundle(model, _checks(model)[1], tolerance, trials, seed)
 

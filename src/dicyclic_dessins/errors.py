@@ -1,6 +1,9 @@
 """Exception types shared across the toolkit, `Value` and
 `OrderedValue`, the one contract of its immutable value types, and
-`cases`, the one rule for which of the paper's two cases exist at n."""
+`cases` and `case_type`, the one rule for which of the paper's two
+cases exist at n and of which type each is."""
+
+from functools import total_ordering
 
 
 def read_only(self: object, name: str, *value: object) -> None:
@@ -34,6 +37,7 @@ class Value:
         return f"{self.__class__.__name__}({fields})"
 
 
+@total_ordering
 class OrderedValue(Value):
     """A `Value` also ordered as its `_key()`, within its own class."""
 
@@ -44,21 +48,6 @@ class OrderedValue(Value):
             return NotImplemented
         return self._key() < other._key()
 
-    def __le__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() <= other._key()
-
-    def __gt__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() > other._key()
-
-    def __ge__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() >= other._key()
-
 
 class ParameterError(ValueError):
     """Elements of groups with different parameters were mixed, or a
@@ -66,8 +55,8 @@ class ParameterError(ValueError):
 
 
 def cases(n: int) -> tuple[str, ...]:
-    """The paper's cases at n, in order: case I, of type (4, 4, 2n), for
-    every n >= 2, and case II, of type (4, 4, n), for odd n only."""
+    """The paper's cases at n, in order: case I for every n >= 2 and case
+    II for odd n only; `case_type` gives the type of each."""
     return ("I",) if n % 2 == 0 else ("I", "II")
 
 
@@ -76,6 +65,13 @@ def check_case(n: int, case: str) -> None:
     if case not in cases(n):
         raise ParameterError(f"no case {case!r} at n={n}: case I holds for "
                              "every n >= 2, case II for odd n only")
+
+
+def case_type(n: int, case: str) -> tuple[int, int, int]:
+    """The type (4, 4, m) of one of `cases(n)`: m = 2n in case I, n in
+    case II; any other case raises as `check_case` does."""
+    check_case(n, case)
+    return (4, 4, 2 * n if case == "I" else n)
 
 
 class InadmissibleSignatureError(ValueError):

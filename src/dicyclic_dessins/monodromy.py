@@ -155,7 +155,8 @@ def verify_remark_relations(n: int) -> dict:
     confirms that eta -> x, sigma -> y extends to an isomorphism (the
     relations plus the matching order force one): the pair acts
     regularly on its 4n points, so it generates a group of order 4n
-    (`DessinMonodromy.is_regular`).
+    (`DessinMonodromy.is_regular`).  The triple checks read each case's
+    tau off the black permutation of `remark_dessin`.
     """
     eta, sigma = build_remark_permutations(n)
     degree = 4 * n
@@ -172,20 +173,19 @@ def verify_remark_relations(n: int) -> dict:
         "sigma_squared_equals_eta_power_n": sigma * sigma == eta ** n,
         "group_order_4n": DessinMonodromy(degree, eta, sigma).is_regular(),
     }
-    tau1 = sigma ** 3 * eta
-    checks["case_I_triple_tau_sigma_eta"] = (tau1 * sigma * eta).is_identity()
+    tau = remark_dessin(n, "I").black
+    checks["case_I_triple_tau_sigma_eta"] = (tau * sigma * eta).is_identity()
     if "II" in cases(n):
-        tau2 = eta ** (n - 2) * sigma
+        tau = remark_dessin(n, "II").black
         checks["case_II_triple_tau_sigma_eta2"] = (
-            tau2 * sigma * eta * eta
+            tau * sigma * eta * eta
         ).is_identity()
-    report = {
+    return {
         "n": n,
         "convention": CONVENTION,
         "checks": checks,
         "all_pass": all(checks.values()),
     }
-    return report
 
 
 # -- regular dessins ----------------------------------------------------
@@ -288,8 +288,9 @@ def remark_dessin(n: int, case: str) -> DessinMonodromy:
 
     White is sigma and black is tau, where tau = sigma^3 * eta in case I
     and tau = eta^(n-2) * sigma in case II, for a case in
-    `errors.cases(n)`.  The derived face permutation is then a power of
-    eta of the expected order (2n in case I, n in case II).
+    `errors.cases(n)`; this is the one place that states tau.  The
+    derived face permutation is then a power of eta of order m, the
+    case's type being (4, 4, m) (`errors.case_type`).
     """
     check_case(n, case)
     eta, sigma = build_remark_permutations(n)

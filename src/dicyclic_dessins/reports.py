@@ -1,10 +1,11 @@
 """Machine-readable claim reports.
 
-A report is a command name, its parameters, and a list of claims, each
-carrying an anchor (the mathematical statement being checked), a status
-in {pass, fail, assumed} and supporting data.  "assumed" is reserved
-for the maximal-signature and full-automorphism-group assertions that
-cannot be established numerically.
+A report is a command name, its parameters, and a list of claims.  A
+claim is the dict that its payload holds: an id, an anchor (the
+mathematical statement being checked), a status in {pass, fail,
+assumed} and supporting data.  "assumed" is reserved for the
+maximal-signature and full-automorphism-group assertions that cannot
+be established numerically.
 
 Serialisation is deterministic (sorted keys, fixed separators); timing
 lives in a separate envelope field outside the payload so repeated runs
@@ -21,58 +22,39 @@ from __future__ import annotations
 
 import json
 
-VALID_STATUSES = ("pass", "fail", "assumed")
-
-
-class Claim:
-    """One checked statement: its id, its anchor, a status in
-    VALID_STATUSES and the supporting data."""
-
-    __slots__ = ("id", "anchor", "status", "data")
-
-    def __init__(self, id: str, anchor: str, status: str, data: object = None):
-        if status not in VALID_STATUSES:
-            raise ValueError(f"invalid status {status!r}")
-        self.id, self.anchor, self.status, self.data = id, anchor, status, data
-
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "anchor": self.anchor,
-            "status": self.status,
-            "data": self.data,
-        }
-
 
 class Report:
-    """A command's parameters and its claims, in the order they were made."""
+    """A command's parameters and its claims, in the order they were made.
+
+    A claim is the dict its payload holds, with the keys "id", "anchor",
+    "status" and "data"; only `add` and `add_assumed` make one, so its
+    status is always one of "pass", "fail" and "assumed".
+    """
 
     __slots__ = ("command", "params", "claims")
 
     def __init__(self, command: str, params: dict):
         self.command, self.params, self.claims = command, params, []
 
-    def add(self, id: str, anchor: str, ok: bool, data: object = None) -> Claim:
-        claim = Claim(id, anchor, "pass" if ok else "fail", data)
-        self.claims.append(claim)
-        return claim
+    def add(self, id: str, anchor: str, ok: bool, data: object = None) -> None:
+        self.claims.append({"id": id, "anchor": anchor,
+                            "status": "pass" if ok else "fail", "data": data})
 
-    def add_assumed(self, id: str, anchor: str, data: object = None) -> Claim:
-        claim = Claim(id, anchor, "assumed", data)
-        self.claims.append(claim)
-        return claim
+    def add_assumed(self, id: str, anchor: str, data: object = None) -> None:
+        self.claims.append({"id": id, "anchor": anchor, "status": "assumed",
+                            "data": data})
 
     def all_pass(self) -> bool:
-        return all(c.status != "fail" for c in self.claims)
+        return all(c["status"] != "fail" for c in self.claims)
 
-    def failures(self) -> list[Claim]:
-        return [c for c in self.claims if c.status == "fail"]
+    def failures(self) -> list[dict]:
+        return [c for c in self.claims if c["status"] == "fail"]
 
     def payload(self) -> dict:
         return {
             "command": self.command,
             "params": self.params,
-            "claims": [c.as_dict() for c in self.claims],
+            "claims": self.claims,
         }
 
     def payload_json(self) -> str:
@@ -108,8 +90,7 @@ def census_report(n: int) -> Report:
         ],
         "unordered_types": {str(list(k)): v for k, v in sorted(types.items())},
     }
-    third = {"I": 2 * n, "II": n}  # case I has type (4, 4, 2n), case II (4, 4, n)
-    expected_types = sorted(tuple(sorted((4, 4, third[c]))) for c in errors.cases(n))
+    expected_types = sorted(tuple(sorted(errors.case_type(n, c))) for c in errors.cases(n))
     anchor = {
         1: "exactly one triangular action: unordered type {4,4,2n}",
         2: "exactly two triangular actions: types {4,4,2n} and {4,4,n}",
@@ -251,7 +232,7 @@ def curves_report(n: int, model_name: str, seed: int, trials: int, tol: float) -
     for wr in relations:
         report.add(f"relation:{wr.description}", "dicyclic relations hold on the model",
                    wr.passed, wr.as_dict())
-    if model_name.endswith("hyperelliptic"):
+    if model.hyperelliptic:
         belyi = curves.verify_belyi(model, tol, trials, seed)
         report.add("belyi_projection",
                    "pi is deck-invariant with branch values {0,1,inf}",

@@ -131,7 +131,7 @@ def test_a_broken_pseudo_real_genus_fails_its_claims(monkeypatch):
     monkeypatch.setattr(GeneratingVector, "genus",
                         lambda act: search.rh_genus(act.group.order, act.signature) + 1)
     report = reports.pseudo_real_report(3, 2)
-    failed = {c.id: c.data for c in report.failures()}
+    failed = {c["id"]: c["data"] for c in report.failures()}
     assert failed == {
         "genus_formula": {"l": 9, "genus": 41},
         "genus_cross_check": {"nec": 41, "cyclic_cover": 40},
@@ -490,8 +490,8 @@ def test_every_case_domain_is_checked_by_the_one_owner():
               if "." not in func.__qualname__
               and {"n", "case"} <= set(inspect.signature(func).parameters)]
     names = {func.__name__ for func in taking}
-    assert {"census_representative", "remark_dessin", "admissible_triples",
-            "monodromy_report"} <= names, names
+    assert {"case_type", "census_representative", "remark_dessin",
+            "admissible_triples", "monodromy_report"} <= names, names
     for n, case in ((4, "II"), (3, "III")):
         with pytest.raises(ParameterError) as owner:
             check_case(n, case)
@@ -499,6 +499,32 @@ def test_every_case_domain_is_checked_by_the_one_owner():
             with pytest.raises(ParameterError) as info:
                 func(n=n, case=case)
             assert str(info.value) == str(owner.value), (func.__qualname__, n, case)
+
+
+def test_every_reader_agrees_with_each_owner():
+    # errors.case_type owns the type (4, 4, m) of each case and
+    # CurveModel.hyperelliptic the family of each model; every reader of
+    # them agrees with a fact derived without them
+    from math import gcd
+
+    from dicyclic_dessins import covering, covers, curves, errors
+
+    for n in range(2, 61):
+        census = {e.signature for e in covering.triangular_census(n).entries}
+        for case in errors.cases(n):
+            kind = errors.case_type(n, case)
+            m = kind[2]
+            assert covering.census_representative(n, case).signature.cone_orders == kind
+            assert all(gcd(t.b, 2 * n) == 2 * n // m
+                       for t in covers.admissible_triples(n, case)), (n, case)
+            face = monodromy.remark_dessin(n, case).face
+            assert face.cycle_type() == (m,) * (4 * n // m), (n, case)
+            assert kind in census, (n, case)
+    for n in range(2, 17):
+        for name in curves.applicable_models(n):
+            model = curves.CurveModel(name, n)
+            assert model.hyperelliptic == ("tau" in model.maps), (n, name)
+            assert model.hyperelliptic == (len(model.branch_locus()) == 2 * n + 3), (n, name)
 
 
 def test_every_module_compiles_below_the_parser_token_step():
@@ -646,7 +672,7 @@ def test_paper_report_sections_match_the_pinned_digest():
     claims = 0
     for n in range(2, 13):
         report = reports.per_n_report(n, 0, False)
-        report.claims = [c for c in report.claims if not c.id.startswith(FLOAT_CLAIMS)]
+        report.claims = [c for c in report.claims if not c["id"].startswith(FLOAT_CLAIMS)]
         claims += len(report.claims)
         texts.append(report.payload_json())
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()

@@ -648,8 +648,11 @@ def test_step_loop_stops_in_the_exclusion_zone():
             assert image is None, (name, b)
 
 
-def test_sampler_rejects_points_in_the_exclusion_zone():
+def test_sampler_rejects_points_in_the_exclusion_zone(monkeypatch):
+    # every modulus counts as near the unit circle, and every point is in
+    # the zone: a sampler that admits any point fails here
+    monkeypatch.setattr(curves, "SHELL", float("inf"))
     model = CurveModel("Sn_hyperelliptic", 3)
-    model.branch_distance = lambda z: 0.0  # every point is in the zone
+    model.branch_distance = lambda z: 0.0
     with pytest.raises(SamplingError):
         model.sample_points(2, seed=0)
