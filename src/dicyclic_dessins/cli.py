@@ -10,11 +10,21 @@ The command line is parsed with the standard library alone, and `main`
 imports `reports` once the parse has succeeded, so `--help` and usage
 errors load no report code.  The builders import the layers they call
 when they run, so a command loads only the layers it uses.
+
+The process ends without the interpreter's exit-time garbage
+collections: `main` has `gc.freeze` run at exit, so the finalizer's
+full collections skip every object still alive, which frees nothing a
+user sees.  That is safe because every output file is written and
+closed before `main` returns, the standard streams are still flushed and
+atexit handlers still run, and Python never promised to call `__del__`
+for objects alive at exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import math
 import sys
 import time
@@ -182,6 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main() -> None:
+    # registered once per process however often main runs, and run only
+    # when the interpreter ends, so an in-process caller is not frozen
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         args = build_parser().parse_args()
         # only after a successful parse: --help and usage errors load no report code

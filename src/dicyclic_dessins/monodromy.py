@@ -80,6 +80,7 @@ class Permutation(Value):
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Every cycle, fixed points included, each from its least point."""
+        images = self.images
         seen = [False] * self.degree
         out = []
         for start in range(1, self.degree + 1):
@@ -87,11 +88,11 @@ class Permutation(Value):
                 continue
             cycle = [start]
             seen[start - 1] = True
-            cur = self(start)
+            cur = images[start - 1]
             while cur != start:
                 cycle.append(cur)
                 seen[cur - 1] = True
-                cur = self(cur)
+                cur = images[cur - 1]
             out.append(tuple(cycle))
         return out
 
@@ -210,13 +211,14 @@ class DessinMonodromy:
         """Whether an automorphism (a permutation commuting with white and
         black) sends edge 1 to `target`: it is determined by that image,
         so it is extended greedily and kept if a consistent bijection."""
+        generators = (self.white.images, self.black.images)
         mapping = {1: target}
         frontier = [1]
         while frontier:
             e = frontier.pop()
-            for p in (self.white, self.black):
-                img = p(mapping[e])
-                src = p(e)
+            for images in generators:
+                img = images[mapping[e] - 1]
+                src = images[e - 1]
                 if src not in mapping:
                     mapping[src] = img
                     frontier.append(src)

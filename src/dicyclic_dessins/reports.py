@@ -108,12 +108,16 @@ def census_report(n: int) -> Report:
 # -- monodromy ----------------------------------------------------------
 
 
-def monodromy_report(n: int, case: str) -> Report:
+def monodromy_report(n: int, case: str, relations: dict | None = None) -> Report:
+    """The case's dessin and the relations of the explicit pair, which
+    are the same for both cases: `relations` is the result of
+    `monodromy.verify_remark_relations(n)`, computed here if not given."""
     from . import errors, monodromy
 
     report = Report("monodromy", {"n": n, "case": case})
     dessin = monodromy.remark_dessin(n, case)  # first: it checks the case's domain
-    relations = monodromy.verify_remark_relations(n)
+    if relations is None:
+        relations = monodromy.verify_remark_relations(n)
     cases = errors.cases(n)
     later = cases[cases.index(case) + 1:]  # their triples are in their own reports
     for name, ok in relations["checks"].items():
@@ -280,14 +284,15 @@ def genus_report(n: int, mode: str) -> Report:
 
 def per_n_report(n: int, seed: int, heavy: bool) -> Report:
     """Everything verifiable for a single n, bundled."""
-    from . import covering, covers, curves, errors, genus
+    from . import covering, covers, curves, errors, genus, monodromy
     from .group import DicyclicGroup
 
     report = Report("paper-report", {"n": n, "seed": seed})
     cases = errors.cases(n)
     report.claims.extend(census_report(n).claims)
+    relations = monodromy.verify_remark_relations(n)
     for case in cases:
-        report.claims.extend(monodromy_report(n, case).claims)
+        report.claims.extend(monodromy_report(n, case, relations).claims)
 
     group = DicyclicGroup(n)
     sizes = sorted(len(c) for c in group.conjugacy_classes)

@@ -5,7 +5,8 @@ dicyclic_dessins`, with the interpreter and environment of the test
 run and the directory of the imported package first on PYTHONPATH, so
 they exercise the same code the tests import: the checkout's `src`, or
 the installed package.  The import-footprint test runs `cli.main` in a
-fresh interpreter on the same path and lists the modules it loaded.
+fresh interpreter on the same path and lists the modules it loaded; the
+exit-hook tests run it there behind an atexit probe of their own.
 The package-export, model-name and README-usage tests, and the last
 one, which draws many small command lines, run in process; the
 standard-library, token-step and dead-code tests read the
@@ -15,6 +16,7 @@ package function.
 
 import ast
 import contextlib
+import gc
 import hashlib
 import importlib
 import inspect
@@ -222,6 +224,53 @@ def test_case_II_at_even_n_writes_no_dot_file(tmp_path, monkeypatch):
     assert code == 2 and out == "", err
     assert err.startswith("error: ")
     assert not dot.exists()
+
+
+def test_paper_report_checks_the_remark_relations_once_per_n(monkeypatch):
+    # the relations do not depend on the case, so both case reports of
+    # an odd n read one result
+    calls, verify = [], monodromy.verify_remark_relations
+
+    def counted(n):
+        calls.append(n)
+        return verify(n)
+
+    monkeypatch.setattr(monodromy, "verify_remark_relations", counted)
+    reports.per_n_report(5, 0, False)
+    assert calls == [5]
+
+
+# Registered before the CLI's own exit hook, so it runs after it (atexit
+# runs its handlers last in, first out) and sees whether the objects
+# alive at exit were frozen out of the finalizer's collections.
+EXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0))
+from dicyclic_dessins.cli import main
+sys.argv = ["dicyclic-dessins", *sys.argv[1:]]
+main()
+"""
+
+
+@pytest.mark.parametrize("args, code", [
+    (["census", "--n", "3"], 0),
+    (["paper-report", "--n-range", "3..3", "--out", "{out}"], 1),
+    (["census", "--n", "1"], 2),
+    (["--help"], 0),
+])
+def test_every_exit_path_skips_the_exit_time_collections(args, code, tmp_path):
+    args = [a.format(out=tmp_path / "report") for a in args]
+    result = subprocess.run([sys.executable, "-c", EXIT_PROBE, *args],
+                            capture_output=True, text=True, timeout=300, env=CLI_ENV)
+    assert result.returncode == code, result.stderr
+    assert result.stdout.splitlines()[-1] == "frozen: True"
+
+
+def test_running_main_in_process_freezes_nothing():
+    before = gc.get_freeze_count()
+    assert run_in_process("census", "--n", "3")[0] == 0
+    assert run_in_process("census", "--n", "1")[0] == 2
+    assert gc.get_freeze_count() == before
 
 
 @pytest.mark.parametrize("args", [("--help",), ("census", "--help")])
