@@ -1,15 +1,22 @@
-"""Command-line front end: the argparse wiring only.
+"""Command-line front end: the command table, its parser and the file
+writes only.
 
-Each subcommand runs one verification suite, built by its report
-builder in `reports.py`, prints a JSON envelope (deterministic payload
-plus a timing field) and exits 0 only if every checked, non-assumed
-claim passed.  Exit codes: 0 all pass, 1 claim failure, 2 usage or
-sampling error.
+Each command runs one verification suite, built by its report builder
+in `reports.py`, prints a JSON envelope (deterministic payload plus a
+timing field) and exits 0 only if every checked, non-assumed claim
+passed.  Exit codes: 0 all pass, 1 claim failure, 2 usage or sampling
+error, 130 interrupted.
 
-The command line is parsed with the standard library alone, and `main`
-imports `reports` once the parse has succeeded, so `--help` and usage
-errors load no report code.  The builders import the layers they call
-when they run, so a command loads only the layers it uses.
+`COMMANDS` is the whole command line: `parse` and the help text both
+read it.  An option is given as `--opt value` or `--opt=value`, and a
+value that begins with `--` only in the second form; there is no `-h`
+and no abbreviation, a repeated option keeps its last value, and
+`--help` anywhere prints the help and exits 0.  The parser is these few
+lines rather than argparse, whose import (with gettext and locale) cost
+every spawn more than most commands' report work.  `main` imports
+`reports` once the parse has succeeded, so `--help` and usage errors
+load no report code.  The builders import the layers they call when
+they run, so a command loads only the layers it uses.
 
 The process ends without the interpreter's exit-time garbage
 collections: `main` has `gc.freeze` run at exit, so the finalizer's
@@ -22,7 +29,6 @@ for objects alive at exit.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import math
@@ -37,26 +43,12 @@ class UsageError(Exception):
     """The command line does not parse, or an option is outside its domain."""
 
 
-class _Formatter(argparse.HelpFormatter):
-    def add_usage(self, usage, actions, groups, prefix=None):
-        # argparse passes prefix "" when it builds a subcommand's prog
-        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises its usage errors into `main`, which reports them as
-    `error: <message>` with exit code 2."""
-
-    def error(self, message):
-        raise UsageError(message)
-
-
 def _at_least(low: int):
     """The type of an integer option whose values start at low."""
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise ValueError(f"must be >= {low}, got {value}")
         return value
     return integer
 
@@ -65,7 +57,7 @@ def tolerance(text: str) -> float:
     """The type of `--tol`: a finite float > 0."""
     tol = float(text)
     if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+        raise ValueError(f"must be finite and > 0, got {text}")
     return tol
 
 
@@ -73,39 +65,42 @@ def _n_range(text: str) -> range:
     """The type of `--n-range`: lo..hi, inclusive, with 2 <= lo <= hi."""
     lo, _, hi = text.partition("..")
     if not (lo.isdecimal() and hi.isdecimal() and 2 <= int(lo) <= int(hi)):
-        raise argparse.ArgumentTypeError(f"must be lo..hi, 2 <= lo <= hi, got {text!r}")
+        raise ValueError(f"must be lo..hi, 2 <= lo <= hi, got {text!r}")
     return range(int(lo), int(hi) + 1)
 
 
-def run_report(reports, args) -> None:
-    """Build the command's report, write it to --json, print its envelope
-    and exit 1 if a claim fails."""
-    started = time.perf_counter()
-    report = args.build(reports, args)
-    ms = (time.perf_counter() - started) * 1000.0
-    if args.json_path:
-        Path(args.json_path).write_text(report.payload_json())
-    sys.stdout.write(report.envelope_json(ms))
-    if not report.all_pass():
-        sys.exit(1)
+def report_of(build):
+    """The runner of a command that builds one report: it writes the
+    report to --json, prints its envelope and exits 1 if a claim fails."""
+    def run(reports, args: dict) -> None:
+        started = time.perf_counter()
+        report = build(reports, args)
+        ms = (time.perf_counter() - started) * 1000.0
+        if args["--json"]:
+            Path(args["--json"]).write_text(report.payload_json())
+        sys.stdout.write(report.envelope_json(ms))
+        if not report.all_pass():
+            sys.exit(1)
+    return run
 
 
-def monodromy_with_dot(reports, args):
+def monodromy_with_dot(reports, args: dict):
     """The monodromy report, and its dessin's graph written to --dot."""
-    report = reports.monodromy_report(args.n, args.case)
-    if args.dot_path:
-        Path(args.dot_path).write_text(reports.monodromy_dot(args.n, args.case))
+    n, case = args["--n"], args["--case"]
+    report = reports.monodromy_report(n, case)
+    if args["--dot"]:
+        Path(args["--dot"]).write_text(reports.monodromy_dot(n, case))
     return report
 
 
-def paper_report(reports, args) -> None:
+def paper_report(reports, args: dict) -> None:
     """Run the full suite per n; one JSON per n plus a markdown summary."""
-    out = Path(args.out_dir)
+    out = Path(args["--out"])
     out.mkdir(parents=True, exist_ok=True)
     all_ok = True
     lines = ["# Verification summary", ""]
-    for n in args.n_range:
-        report = reports.per_n_report(n, args.seed, args.heavy)
+    for n in args["--n-range"]:
+        report = reports.per_n_report(n, args["--seed"], args["--heavy"])
         (out / f"n{n}.json").write_text(report.payload_json())
         failures = report.failures()
         all_ok = all_ok and not failures
@@ -119,76 +114,109 @@ def paper_report(reports, args) -> None:
             lines.append(f"- FAIL `{c['id']}`: {c['anchor']}")
         lines.append("")
     (out / "summary.md").write_text("\n".join(lines))
-    print(f"wrote {len(args.n_range)} reports to {out}")
+    print(f"wrote {len(args['--n-range'])} reports to {out}")
     if not all_ok:
         sys.exit(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The whole command line: one subparser per command, whose `run`
-    default runs it; a command given a `build` takes `--n` and `--json`,
-    and `run_report` runs the one report of its `build`."""
-    # no -h and no abbreviated option names: every option has one spelling
-    style = dict(formatter_class=_Formatter, add_help=False, allow_abbrev=False)
-    parser = _Parser(prog="dicyclic-dessins",
-                     description="Desk-scale verifier for triangular dicyclic group actions.",
-                     **style)
-    parser.add_argument("--help", action="help", help="Show this message and exit.")
-    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+# An option is (flag, metavar, type, default).  Its value is type(text),
+# except that a tuple type lists the choices (which the help shows for a
+# metavar of None) and a bool type makes a flag, which takes no value; an
+# option whose default is REQUIRED must be given.
+REQUIRED = ...
+N, JSON = ("--n", "N", _at_least(2), REQUIRED), ("--json", "PATH", str, None)
+SEED = ("--seed", "SEED", int, 0)
 
-    def command(name, doc, build=None, run=run_report):
-        sub = commands.add_parser(name, help=doc.splitlines()[0], description=doc, **style)
-        sub.set_defaults(run=run, build=build)
-        sub.add_argument("--help", action="help", help="Show this message and exit.")
-        if build:
-            sub.add_argument("--n", type=_at_least(2), required=True)
-            sub.add_argument("--json", dest="json_path", metavar="PATH")
-        return sub
-
-    default = "default: %(default)s"
-
-    command("census", "Classify all triangular actions for one n.",
-            lambda reports, args: reports.census_report(args.n))
-
-    sub = command("monodromy", "Verify the explicit permutation monodromy for one n.",
-                  monodromy_with_dot)
-    sub.add_argument("--case", choices=["I", "II"], required=True)
-    sub.add_argument("--dot", dest="dot_path", metavar="PATH")
-
-    command("hyper", "Minimal genus with anticonformal elements, in closed form."
-            "\n\nIt decides the least candidate signature and searches it for "
-            "the first datum.", lambda reports, args: reports.hyper_report(args.n))
-
-    sub = command("pseudo-real", "Build and verify one pseudo-real certificate.",
-                  lambda reports, args: reports.pseudo_real_report(args.n, args.q))
-    sub.add_argument("--q", type=_at_least(2), required=True)
-
-    sub = command("curves", "Numerically verify one curve model's self-maps.",
-                  lambda reports, args: reports.curves_report(
-                      args.n, args.model_name, args.seed, args.trials, args.tol))
-    # The names of curves.MODEL_NAMES, spelt out so that building the
+# Each command: (description, run(reports, args), options), where args
+# maps each flag of the options to its value.
+COMMANDS = {
+    "census": ("Classify all triangular actions for one n.",
+               report_of(lambda reports, a: reports.census_report(a["--n"])), [N, JSON]),
+    "monodromy": ("Verify the explicit permutation monodromy for one n.",
+                  report_of(monodromy_with_dot),
+                  [N, JSON, ("--case", None, ("I", "II"), REQUIRED),
+                   ("--dot", "PATH", str, None)]),
+    "hyper": ("Minimal genus with anticonformal elements, in closed form.\n\nIt "
+              "decides the least candidate signature and searches it for the first datum.",
+              report_of(lambda reports, a: reports.hyper_report(a["--n"])), [N, JSON]),
+    "pseudo-real": ("Build and verify one pseudo-real certificate.",
+                    report_of(lambda reports, a: reports.pseudo_real_report(a["--n"], a["--q"])),
+                    [N, JSON, ("--q", "Q", _at_least(2), REQUIRED)]),
+    # The names of curves.MODEL_NAMES, spelt out so that parsing the
     # command line does not import the curve models.
-    sub.add_argument("--model", dest="model_name", required=True,
-                     choices=["Sn_hyperelliptic", "Rn_hyperelliptic",
-                              "Sn_cyclic", "Rn_cyclic"])
-    sub.add_argument("--seed", type=int, default=0, help=default)
-    sub.add_argument("--trials", type=_at_least(1), default=100, help=default)
-    sub.add_argument("--tol", type=tolerance, default=1e-9, help=default)
+    "curves": ("Numerically verify one curve model's self-maps.",
+               report_of(lambda reports, a: reports.curves_report(
+                   a["--n"], a["--model"], a["--seed"], a["--trials"], a["--tol"])),
+               [N, JSON, ("--model", None, ("Sn_hyperelliptic", "Rn_hyperelliptic",
+                                            "Sn_cyclic", "Rn_cyclic"), REQUIRED),
+                SEED, ("--trials", "TRIALS", _at_least(1), 100),
+                ("--tol", "TOL", tolerance, 1e-9)]),
+    "genus": ("Minimal genus (strong or pure symmetric genus) in closed form, "
+              "with the first witness vector.",
+              report_of(lambda reports, a: reports.genus_report(a["--n"], a["--mode"])),
+              [N, JSON, ("--mode", None, ("strong", "pure"), "strong")]),
+    "paper-report": ("Run the full suite per n; one JSON per n plus a markdown summary."
+                     "\n\nThe range lo..hi is inclusive.  --heavy adds the minimal-genus "
+                     "and torus-exclusion claims for every n, not only for n <= 5.",
+                     paper_report,
+                     [("--n-range", "LO..HI", _n_range, REQUIRED),
+                      ("--out", "PATH", str, REQUIRED), SEED, ("--heavy", "", bool, False)]),
+}
 
-    sub = command("genus", "Minimal genus (strong or pure symmetric genus) in closed "
-                  "form, with the first witness vector.",
-                  lambda reports, args: reports.genus_report(args.n, args.mode))
-    sub.add_argument("--mode", choices=["strong", "pure"], default="strong", help=default)
 
-    sub = command("paper-report", paper_report.__doc__, run=paper_report)
-    sub.add_argument("--n-range", dest="n_range", type=_n_range, required=True,
-                     help="inclusive range, e.g. 2..6")
-    sub.add_argument("--out", dest="out_dir", metavar="PATH", required=True)
-    sub.add_argument("--seed", type=int, default=0, help=default)
-    sub.add_argument("--heavy", action="store_true",
-                     help="add the minimal-genus and torus-exclusion claims for "
-                     "every n, not only for n <= 5")
-    return parser
+def usage(command: str) -> str:
+    """The help text of a command, or of the command line if none is named."""
+    if command not in COMMANDS:
+        return ("Usage: dicyclic-dessins COMMAND [--help] [OPTION ...]\n\n"
+                "Desk-scale verifier for triangular dicyclic group actions.\n\ncommands:\n"
+                + "".join(f"  {name:14}{doc.splitlines()[0]}\n"
+                          for name, (doc, _, _) in COMMANDS.items()))
+    doc, _, options = COMMANDS[command]
+    text = f"Usage: dicyclic-dessins {command} [--help] [OPTION ...]\n\n{doc}\n\noptions:\n"
+    for flag, metavar, kind, default in options:
+        if metavar is None:
+            metavar = "{" + ",".join(kind) + "}"
+        note = "required" if default is REQUIRED else "" if default is None else f"default: {default}"
+        text += f"  {flag + ' ' + metavar:24} {note}".rstrip() + "\n"
+    return text
+
+
+def parse(argv: list[str]) -> tuple[str, dict]:
+    """The command that argv names and its args, by flag.  `--help`
+    anywhere prints the `usage` of that command, or of the command line,
+    and exits 0."""
+    command = argv[0] if argv else ""
+    if "--help" in argv:
+        sys.stdout.write(usage(command))
+        sys.exit(0)
+    if command not in COMMANDS:
+        raise UsageError(f"COMMAND must be one of {', '.join(COMMANDS)}, got {command!r}")
+    options = COMMANDS[command][2]
+    kinds = {flag: kind for flag, _, kind, _ in options}
+    args = {flag: default for flag, _, _, default in options}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, joined, text = token.partition("=")
+        kind = kinds.get(flag)
+        if kind is None or joined and kind is bool:
+            raise UsageError(f"unrecognized argument: {token}")
+        if kind is bool:
+            args[flag] = True
+            continue
+        if not joined:
+            text = next(tokens, "--")
+            if text.startswith("--"):
+                raise UsageError(f"argument {flag}: expected one argument")
+        try:
+            if isinstance(kind, tuple) and text not in kind:
+                raise ValueError(f"must be one of {', '.join(kind)}, got {text!r}")
+            args[flag] = text if isinstance(kind, tuple) else kind(text)
+        except ValueError as exc:
+            raise UsageError(f"argument {flag}: {exc}") from None
+    missing = [flag for flag, value in args.items() if value is REQUIRED]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return command, args
 
 
 def main() -> None:
@@ -197,11 +225,11 @@ def main() -> None:
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
     try:
-        args = build_parser().parse_args()
+        command, args = parse(sys.argv[1:])
         # only after a successful parse: --help and usage errors load no report code
         from . import reports
 
-        args.run(reports, args)
+        COMMANDS[command][1](reports, args)
     except (UsageError, ParameterError, SamplingError, OSError) as exc:
         # SamplingError: too many curve points or trajectories were
         # rejected at these parameters; OSError: an output path (--json,

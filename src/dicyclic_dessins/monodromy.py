@@ -149,7 +149,8 @@ def build_remark_permutations(n: int) -> tuple[Permutation, Permutation]:
     return eta, sigma
 
 
-def verify_remark_relations(n: int) -> dict:
+def verify_remark_relations(n: int, pair: tuple | None = None,
+                            dessins: dict | None = None) -> dict:
     """Check every stated identity for the explicit pair (eta, sigma).
 
     Returns a report mapping each relation to a bool; "group_order_4n"
@@ -157,9 +158,15 @@ def verify_remark_relations(n: int) -> dict:
     relations plus the matching order force one): the pair acts
     regularly on its 4n points, so it generates a group of order 4n
     (`DessinMonodromy.is_regular`).  The triple checks read each case's
-    tau off the black permutation of `remark_dessin`.
+    tau off the black permutation of its `remark_dessin`.  `pair` is
+    `build_remark_permutations(n)` and `dessins` maps each of `cases(n)`
+    to its dessin built from that pair; each is built here if not given.
     """
-    eta, sigma = build_remark_permutations(n)
+    if pair is None:
+        pair = build_remark_permutations(n)
+    if dessins is None:
+        dessins = {case: remark_dessin(n, case, pair) for case in cases(n)}
+    eta, sigma = pair
     degree = 4 * n
     eta_n_explicit = Permutation.from_cycles(
         degree,
@@ -174,10 +181,10 @@ def verify_remark_relations(n: int) -> dict:
         "sigma_squared_equals_eta_power_n": sigma * sigma == eta ** n,
         "group_order_4n": DessinMonodromy(degree, eta, sigma).is_regular(),
     }
-    tau = remark_dessin(n, "I").black
+    tau = dessins["I"].black
     checks["case_I_triple_tau_sigma_eta"] = (tau * sigma * eta).is_identity()
-    if "II" in cases(n):
-        tau = remark_dessin(n, "II").black
+    if "II" in dessins:
+        tau = dessins["II"].black
         checks["case_II_triple_tau_sigma_eta2"] = (
             tau * sigma * eta * eta
         ).is_identity()
@@ -285,8 +292,9 @@ def regular_dessin(act) -> DessinMonodromy:
     )
 
 
-def remark_dessin(n: int, case: str) -> DessinMonodromy:
-    """The dessin generated by the explicit permutation pair.
+def remark_dessin(n: int, case: str, pair: tuple | None = None) -> DessinMonodromy:
+    """The dessin generated by the explicit permutation pair, `pair` if
+    given, else `build_remark_permutations(n)`.
 
     White is sigma and black is tau, where tau = sigma^3 * eta in case I
     and tau = eta^(n-2) * sigma in case II, for a case in
@@ -295,7 +303,7 @@ def remark_dessin(n: int, case: str) -> DessinMonodromy:
     case's type being (4, 4, m) (`errors.case_type`).
     """
     check_case(n, case)
-    eta, sigma = build_remark_permutations(n)
+    eta, sigma = pair or build_remark_permutations(n)
     tau = sigma ** 3 * eta if case == "I" else eta ** (n - 2) * sigma
     return DessinMonodromy(4 * n, sigma, tau)
 

@@ -108,16 +108,26 @@ def census_report(n: int) -> Report:
 # -- monodromy ----------------------------------------------------------
 
 
-def monodromy_report(n: int, case: str, relations: dict | None = None) -> Report:
-    """The case's dessin and the relations of the explicit pair, which
-    are the same for both cases: `relations` is the result of
-    `monodromy.verify_remark_relations(n)`, computed here if not given."""
+def remark_checks(n: int) -> tuple[dict, dict]:
+    """Each case's remark dessin at n, all built from one explicit pair,
+    and the relations of that pair checked on them."""
     from . import errors, monodromy
 
+    pair = monodromy.build_remark_permutations(n)
+    dessins = {case: monodromy.remark_dessin(n, case, pair) for case in errors.cases(n)}
+    return dessins, monodromy.verify_remark_relations(n, pair, dessins)
+
+
+def monodromy_report(n: int, case: str, remark: tuple | None = None) -> Report:
+    """The case's dessin and the relations of the explicit pair, which
+    are the same for both cases: `remark` is `remark_checks(n)`, built
+    here if not given."""
+    from . import errors, monodromy
+
+    errors.check_case(n, case)  # first: nothing is built outside the domain
     report = Report("monodromy", {"n": n, "case": case})
-    dessin = monodromy.remark_dessin(n, case)  # first: it checks the case's domain
-    if relations is None:
-        relations = monodromy.verify_remark_relations(n)
+    dessins, relations = remark or remark_checks(n)
+    dessin = dessins[case]
     cases = errors.cases(n)
     later = cases[cases.index(case) + 1:]  # their triples are in their own reports
     for name, ok in relations["checks"].items():
@@ -284,15 +294,15 @@ def genus_report(n: int, mode: str) -> Report:
 
 def per_n_report(n: int, seed: int, heavy: bool) -> Report:
     """Everything verifiable for a single n, bundled."""
-    from . import covering, covers, curves, errors, genus, monodromy
+    from . import covering, covers, curves, errors, genus
     from .group import DicyclicGroup
 
     report = Report("paper-report", {"n": n, "seed": seed})
     cases = errors.cases(n)
     report.claims.extend(census_report(n).claims)
-    relations = monodromy.verify_remark_relations(n)
+    remark = remark_checks(n)
     for case in cases:
-        report.claims.extend(monodromy_report(n, case, relations).claims)
+        report.claims.extend(monodromy_report(n, case, remark).claims)
 
     group = DicyclicGroup(n)
     sizes = sorted(len(c) for c in group.conjugacy_classes)

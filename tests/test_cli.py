@@ -7,8 +7,9 @@ they exercise the same code the tests import: the checkout's `src`, or
 the installed package.  The import-footprint test runs `cli.main` in a
 fresh interpreter on the same path and lists the modules it loaded; the
 exit-hook tests run it there behind an atexit probe of their own.
-The package-export, model-name and README-usage tests, and the last
-one, which draws many small command lines, run in process; the
+The package-export, model-name and README-usage tests, and the two
+that draw many small command lines and raw token lists, run in process
+(the README-usage and model-name tests read `cli.COMMANDS`); the
 standard-library, token-step and dead-code tests read the
 sources, and the annotation test resolves the annotations of every
 package function.
@@ -231,13 +232,35 @@ def test_paper_report_checks_the_remark_relations_once_per_n(monkeypatch):
     # an odd n read one result
     calls, verify = [], monodromy.verify_remark_relations
 
-    def counted(n):
+    def counted(n, *built):
         calls.append(n)
-        return verify(n)
+        return verify(n, *built)
 
     monkeypatch.setattr(monodromy, "verify_remark_relations", counted)
     reports.per_n_report(5, 0, False)
     assert calls == [5]
+
+
+@pytest.mark.parametrize("n, dessins", [(4, ["I"]), (5, ["I", "II"])])
+def test_paper_report_builds_the_pair_and_each_remark_dessin_once_per_n(
+        n, dessins, monkeypatch):
+    # both the relation checks and each case's report read one explicit
+    # pair and one dessin per case
+    built = Counter()
+
+    def counting(name):
+        func = getattr(monodromy, name)
+
+        def wrapper(n, *args):
+            built[name, *args[:1]] += 1
+            return func(n, *args)
+        return wrapper
+
+    for name in ("build_remark_permutations", "remark_dessin"):
+        monkeypatch.setattr(monodromy, name, counting(name))
+    reports.per_n_report(n, 0, False)
+    assert built == Counter([("build_remark_permutations",)]
+                            + [("remark_dessin", case) for case in dessins])
 
 
 # Registered before the CLI's own exit hook, so it runs after it (atexit
@@ -317,9 +340,8 @@ def test_an_input_too_large_to_hold_exits_2(args, monkeypatch):
 
 
 def commands():
-    """The subparser of each command, by name."""
-    (action,) = [a for a in cli.build_parser()._actions if isinstance(a.choices, dict)]
-    return action.choices
+    """The options of each command, by name, as `cli.COMMANDS` lists them."""
+    return {name: options for name, (_, _, options) in cli.COMMANDS.items()}
 
 
 def test_readme_usage_lists_every_option_of_every_command():
@@ -330,8 +352,7 @@ def test_readme_usage_lists_every_option_of_every_command():
     for line in usage.splitlines():
         _, command, rest = line.split(" ", 2)
         documented[command] = set(re.findall(r"--[a-z][a-z-]*", rest))
-    wired = {name: {opt for a in parser._actions for opt in a.option_strings} - {"--help"}
-             for name, parser in commands().items()}
+    wired = {name: {flag for flag, *_ in options} for name, options in commands().items()}
     assert documented == wired
 
 
@@ -430,6 +451,7 @@ loaded = {
     "click": "click" in sys.modules,
     "inspect": "inspect" in sys.modules,
     "serializers": [name for name in ("dataclasses", "json") if name in sys.modules],
+    "parsers": [name for name in ("argparse", "gettext", "locale") if name in sys.modules],
 }
 import json
 print(json.dumps(loaded))
@@ -462,10 +484,13 @@ def test_each_command_imports_only_the_layers_it_runs(args, modules, fractions, 
     loaded = json.loads(result.stdout)
     # json comes with the report code, and only with it; the records are
     # hand-written classes, so no command loads dataclasses (or the
-    # inspect module that it imports)
+    # inspect module that it imports); the command line is parsed from
+    # cli.COMMANDS, so no command, --help included, loads argparse or the
+    # gettext and locale modules that argparse's messages load
     serializers = ["json"] if "reports" in modules else []
     assert loaded == {"modules": sorted(modules), "fractions": fractions,
-                      "click": False, "inspect": False, "serializers": serializers}
+                      "click": False, "inspect": False, "serializers": serializers,
+                      "parsers": []}
 
 
 def package_imports():
@@ -591,8 +616,8 @@ def test_every_module_compiles_below_the_parser_token_step():
 
 
 # methods that a library calls: collections.abc calls
-# Subgroup._from_iterable, and argparse calls _Formatter.add_usage
-LIBRARY_HOOKS = {"_from_iterable", "add_usage"}
+# Subgroup._from_iterable
+LIBRARY_HOOKS = {"_from_iterable"}
 
 
 def _named(tree):
@@ -652,8 +677,8 @@ def test_package_exports_resolve_lazily_to_their_submodules():
 
 
 def test_model_choices_spell_out_the_curve_models():
-    (model,) = [a for a in commands()["curves"]._actions if "--model" in a.option_strings]
-    assert list(model.choices) == list(MODEL_NAMES)
+    (model,) = [kind for flag, _, kind, _ in commands()["curves"] if flag == "--model"]
+    assert list(model) == list(MODEL_NAMES)
 
 
 small = st.integers(-1, 4)
@@ -683,6 +708,59 @@ def test_any_small_command_line_exits_with_a_documented_code(args):
     # in process, so an escaping exception fails the test with its traceback
     code, _, err = run_in_process(*args)
     assert code in {0, 1, 2}, (args, code, err)
+
+
+FLAGS = sorted({flag for options in commands().values() for flag, *_ in options})
+VALUES = ["-1", "0", "2", "3", "I", "II", "pure", "Sn_cyclic", "2..3", "1e-9",
+          "abc", "", "-x", "--x", "--help"]
+# a line of each command that exits 0 or 1, which the drawn tokens perturb
+VALID = {
+    "census": {"--n": "3"},
+    "monodromy": {"--n": "3", "--case": "II"},
+    "hyper": {"--n": "3"},
+    "pseudo-real": {"--n": "2", "--q": "3"},
+    "curves": {"--n": "3", "--model": "Rn_cyclic", "--trials": "3"},
+    "genus": {"--n": "3", "--mode": "pure"},
+    "paper-report": {"--n-range": "2..3", "--out": "-out"},
+}
+
+
+@st.composite
+def token_lines(draw):
+    """Raw command lines: a command or not, then its own options, those
+    of other commands, unknown ones and stray tokens, each as `--opt v`,
+    `--opt=v` or a bare `--opt` whose value is missing or is the next
+    token, placed anywhere in a line that would run."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "bogus", "-h", "--help"]))
+    own = [flag for flag, *_ in commands().get(command, [])] or FLAGS
+    items = [draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+             for flag, value in VALID.get(command, {}).items()]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(own)
+                    | st.sampled_from(FLAGS + ["--bogus", "--tri", "--", "-h", "--help"]))
+        value = draw(st.sampled_from(VALUES))
+        item = draw(st.sampled_from([[flag, value], [f"{flag}={value}"], [flag], [value]]))
+        items.insert(draw(st.integers(0, len(items))), item)
+    return [command] + [token for item in items for token in item]
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_lines())
+def test_any_raw_command_line_exits_with_a_documented_code(tmp_path_factory, tokens):
+    # in process, in a directory of its own, since a drawn line may write
+    # --json, --dot or --out files under any of the drawn values
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("line"))
+    try:
+        code, out, err = run_in_process(*tokens)
+    finally:
+        os.chdir(cwd)
+    assert code in {0, 1, 2}, (tokens, code, err)
+    assert "Traceback" not in err, tokens
+    if code == 2:
+        assert err.startswith("error: ") and out == "", (tokens, err)
+    if "--help" in tokens:
+        assert code == 0 and out.startswith("Usage: "), tokens
 
 
 # sha256 of the payloads that test_payloads_match_the_pinned_digest builds.

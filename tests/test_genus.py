@@ -200,6 +200,22 @@ def test_purity_rule_matches_every_vector_of_every_admitted_signature():
     assert genus.admits_pure(3, Signature(2, 0, (4, 4, 4, 4, 6)))
 
 
+def test_purity_rule_admits_only_what_search_admits():
+    # a pure vector is a generating vector, so admits_pure may hold only
+    # where search.admits does; over every genus-0 signature of 1 to 4
+    # cones from the pool, including those whose Riemann-Hurwitz genus is
+    # not an integer, which the test above never reaches
+    checked = 0
+    for n in range(2, 15):
+        group = DicyclicGroup(n)
+        for r in range(1, 5):
+            for orders in itertools.combinations_with_replacement(order_pool(n), r):
+                sig = Signature(2, 0, orders)
+                assert search.admits(group, sig) or not genus.admits_pure(n, sig), (n, sig)
+                checked += 1
+    assert checked == 1375
+
+
 def test_the_walks_search_only_the_signatures_that_survive(monkeypatch):
     # the formulas decide their candidates in closed form and run the
     # engine once, on the witness's signature, at n = 255, 256, 4095 and
