@@ -85,11 +85,13 @@ def report_of(build):
 
 
 def monodromy_with_dot(reports, args: dict):
-    """The monodromy report, and its dessin's graph written to --dot."""
+    """The monodromy report, and the graph of the dessin it checked
+    written to --dot."""
     n, case = args["--n"], args["--case"]
-    report = reports.monodromy_report(n, case)
+    remark = reports.remark_checks(n, case)
+    report = reports.monodromy_report(n, case, remark)
     if args["--dot"]:
-        Path(args["--dot"]).write_text(reports.monodromy_dot(n, case))
+        Path(args["--dot"]).write_text(reports.monodromy_dot(remark[0][case]))
     return report
 
 

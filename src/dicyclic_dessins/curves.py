@@ -28,18 +28,16 @@ O(1), on the hyperelliptic models by rounding the argument (see
 
 A word applies a nonnegative exponent literally, so an order relation
 such as x^(2n) = 1 takes its 2n steps; only a negative exponent is
-rewritten modulo the map's order.  A claim bundle makes its plan once
-(the factors of each word, and the steps each power trajectory is read
-at), draws its points once and walks them a block of BLOCK points at a
-time.  Every word walked on the block shares the power trajectory of
-each (map, start column) pair: x^(2n), x^n and x^(2n-1) take one chain
-of 2n steps, which each start point of the block walks in turn with its
-point and drift held in locals.  Each check then folds the errors and
-drifts of the whole block into its largest error in one pass.  The
+rewritten modulo the map's order.  A claim bundle makes its plan once:
+each point a word reaches after one factor gets an integer slot, and
+each (map, origin slot) pair one power trajectory, so x^(2n), x^n and
+x^(2n-1) share one chain of 2n steps.  The bundle draws its points once
+and walks them one at a time through every trajectory, into one list of
+(point, drift) per slot, the drift being the worst residual on the way
+from the start point.  Each check then reads its two image slots.  The
 report of a model walks its relation and anticonformal words as one
 bundle, so u^-1 and y^-1 in the anticonformal words read the relations'
-u and y chains.  A block's trajectories are dropped before the next
-block starts.  A sample point or a trajectory whose arithmetic
+u and y chains.  A sample point or a trajectory whose arithmetic
 overflows (or, in a map, divides by a power that underflowed to zero)
 is resampled like one that enters the exclusion zone around poles and
 branch points.
@@ -174,7 +172,7 @@ class CurveModel:
             radius = rng.uniform(0.4, 1.8)
             angle = rng.uniform(0.0, 2 * cmath.pi)
             z = radius * cmath.exp(1j * angle)
-            # the pre-test of `_trail`; a radius of at least 0.4 is not near 0
+            # the pre-test of `_walk`; a radius of at least 0.4 is not near 0
             if (-SHELL < radius - 1.0 < SHELL
                     and self.branch_distance(z) < BRANCH_DISTANCE):
                 continue
@@ -329,46 +327,36 @@ class WordReport:
         }
 
 
-# Start points a bundle walks together: a block's trails hold columns of at
-# most BLOCK slots and are dropped before the next block starts, so the
-# memory a bundle holds does not grow with its trials.
-BLOCK = 10
+def _walk(model: CurveModel, trails: list, size: int, start: Point) -> list:
+    """The step loop: walk `start` through `trails`, each listed after
+    the trail whose node it starts from, into a list of `size` slots
+    holding (point, drift) at each node, or None where no walk reached.
 
-
-def _trail(model: CurveModel, name: str, start: list, reads: set) -> dict:
-    """The step loop: walk the map `name` from every slot of `start` to
-    the last step in `reads`; returns {step: (points, drifts)} for the
-    steps in `reads`.
-
-    Column k holds the k-th image of each start point, and its drift
-    column the worst residual of steps 1..k.  Each start point walks the
-    whole trail in turn, its point and worst residual held in locals, and
-    is written into the columns of the steps in `reads` as it passes
-    them.  It tests the exclusion zone before each step and the
-    finiteness of its image after it; either failure, or an overflow or a
-    division by an underflowed zero in the map or the residual, ends its
-    walk, and its slot holds None in the columns it did not reach.  Every
-    point applies the same expressions in the same order as it would
-    alone.
+    The drift of a node is the worst residual of every step from the
+    start point to it.  Each trail walks from its origin slot, its point
+    and drift held in locals, and writes its node after step k + 1 into
+    slot schedule[k] where that is not None.  It tests the exclusion
+    zone before each step and the finiteness of its image after it;
+    either failure, or an overflow or a division by an underflowed zero
+    in the map or the residual, ends the trail, and the slots it did not
+    reach stay None.
 
     Every branch value is 0 or on the unit circle, so a z whose modulus
     lies SHELL or more from both 0 and 1 is outside the zone without
     asking `branch_distance`: |z - b| >= ||z| - |b||, and the factor two
     in SHELL covers the rounding of both moduli.
     """
-    func = model.maps[name].func
     sides = model.sides
     isfinite = cmath.isfinite
-    kept = {}
-    schedule = [None] * max(reads)  # the columns written after each step
-    for step in reads:
-        kept[step] = schedule[step - 1] = [None] * len(start), [0.0] * len(start)
-    for s, p in enumerate(start):
-        if p is None:
+    state = [None] * size
+    state[0] = start, 0.0
+    for func, origin, schedule in trails:
+        if state[origin] is None:
             continue
-        z, drift = p[0], 0.0
+        p, drift = state[origin]
+        z = p[0]
         try:
-            for read in schedule:
+            for slot in schedule:
                 modulus = abs(z)
                 if ((modulus < SHELL or -SHELL < modulus - 1.0 < SHELL)
                         and model.branch_distance(z) < BRANCH_DISTANCE):
@@ -381,24 +369,11 @@ def _trail(model: CurveModel, name: str, start: list, reads: set) -> dict:
                 r = abs(lhs - rhs) / (1.0 + (abs(lhs) + abs(rhs)))
                 if r > drift:
                     drift = r
-                if read:
-                    read[0][s], read[1][s] = p, drift
+                if slot is not None:
+                    state[slot] = p, drift
         except (OverflowError, ZeroDivisionError):
             pass
-    return kept
-
-
-def _walk(model: CurveModel, reads: dict, block: list, plans: list) -> list:
-    """Walk the trails of `reads`, each listed after the trail its node
-    names, from the column `block` to the steps they are read at, and
-    read the columns of each check's plan off them: the image column of
-    each of its words, then the drift column of each of its factors."""
-    walked = {(None, 0): (block, None)}
-    for trail in reads:
-        kept = _trail(model, trail[0], walked[trail[1]][0], reads[trail])
-        walked.update(((trail, step), columns) for step, columns in kept.items())
-    return [[walked[node][0] for node in images] + [walked[f][1] for f in factors]
-            for images, factors in plans]
+    return state
 
 
 def _word_description(word: Word) -> str:
@@ -410,6 +385,45 @@ def _word_description(word: Word) -> str:
 Check = tuple[Word, Word]
 
 
+def _plan(model: CurveModel, checks: list[Check]) -> tuple[list, int, list]:
+    """The walk of a bundle, made once: its trails, its number of slots
+    and, for each check, (got slot, want slot, the trails it walks).
+
+    A word applies its factors right to left (group notation); a
+    nonnegative exponent takes its steps as written, a negative one is
+    rewritten modulo the map's order.  A node is the point a word
+    reaches after one factor: (trail, step), or (None, 0) for the start
+    point.  A trail, (map name, node), is the power trajectory of a map
+    from a node; words that apply one map to one node share it, so
+    x^(2n), x^n and x^(2n-1) read one chain of 2n steps.  Each node gets
+    an integer slot, 0 for the start point, and each trail becomes
+    (map func, origin slot, schedule) for `_walk`, listed in the order
+    their origins need.
+    """
+    slots, reach, plans = {(None, 0): 0}, {}, []
+    for word, expected in checks:
+        images, own = [], set()
+        for w in word, expected:
+            node = (None, 0)
+            for name, exponent in reversed(w):
+                steps = exponent if exponent >= 0 else exponent % model.maps[name].order
+                trail = (name, node)
+                node = (trail, steps)
+                slots.setdefault(node, len(slots))
+                reach[trail] = max(reach.get(trail, 0), steps)
+                own.add(trail)
+            images.append(slots[node])
+        plans.append((*images, own))
+    trails = {
+        trail: (model.maps[trail[0]].func, slots[trail[1]],
+                [slots.get((trail, k)) for k in range(1, last + 1)])
+        for trail, last in reach.items()
+    }
+    return list(trails.values()), len(slots), [
+        (got, want, [trails[t] for t in trails if t in own]) for got, want, own in plans
+    ]
+
+
 def _verify_bundle(
     model: CurveModel,
     checks: list[Check],
@@ -419,72 +433,43 @@ def _verify_bundle(
 ) -> list[WordReport]:
     """Check word identities (word, expected) on one draw of sample points.
 
-    The plan is made once per bundle.  A word applies its factors right
-    to left (group notation); a nonnegative exponent takes its steps as
-    written, a negative one is rewritten modulo the map's order.  A
-    trail, (map name, node), is the power trajectory of a map from the
-    column a node names: (None, 0) for the start column, else the
-    (trail, step) an earlier factor reached.  Words that apply one map to
-    one column share its trail: x^(2n), x^n and x^(2n-1) read one chain
-    of 2n steps.  Each check's plan keeps the nodes of its two images and
-    its factors; `reads` keeps the steps each trail is read at, with the
-    trails in the order their nodes need.
-
-    The points are walked a block of BLOCK at a time: each trail walks
-    the whole block once, and each check reads its columns off the
-    block's trails and folds its errors and drifts into its largest
-    error in one pass.  No error or drift is NaN, so their largest does
-    not depend on the order of the fold.  A check whose walk at a slot
-    leaves the sampling safety zone (hits a pole or a branch point) or
-    overflows redraws that slot's point from its own seed sequence
-    seed + 1, seed + 2, ..., walks it through its own trails and counts
-    it, so each report equals the one its check would get alone.
+    The plan is made once per bundle (`_plan`), and each sample point
+    walks every trail once (`_walk`).  A check reads only its two image
+    slots: its error is the largest of their drifts and the relative
+    errors between the images, since a word reaches its image through
+    the steps of exactly its factors.  No error or drift is NaN, so the
+    largest does not depend on the order it is taken in.  A check whose
+    image slot is empty (its walk left the sampling safety zone near a
+    pole or a branch point, or overflowed) redraws that point from its
+    own seed sequence seed + 1, seed + 2, ..., walks it through its own
+    trails and counts it, so each report equals the one its check would
+    get alone.
     """
-    reports, plans, reads = [], [], {}
-    for word, expected in checks:
-        description = f"{_word_description(word)} = {_word_description(expected)}"
-        reports.append(WordReport(
-            model.name, model.n, description, trials, 0.0, tolerance, False
-        ))
-        images, factors = [], []
-        for w in word, expected:
-            node = (None, 0)
-            for name, exponent in reversed(w):
-                node = ((name, node), exponent if exponent >= 0
-                        else exponent % model.maps[name].order)
-                reads.setdefault(node[0], set()).add(node[1])
-                factors.append(node)
-            images.append(node)
-        plans.append((images, factors))
-    starts = model.sample_points(trials, seed)
-    for first in range(0, trials, BLOCK):
-        block = starts[first:first + BLOCK]
-        walked = _walk(model, reads, block, plans)
-        for report, plan, columns in zip(reports, plans, walked):
-            got, want, *drifts = columns
-            if None in got or None in want:
-                columns = got, want, *drifts = [list(c) for c in columns]
-                for s in range(len(block)):
-                    while got[s] is None or want[s] is None:
-                        report.resampled += 1
-                        if report.resampled > 10 * trials:
-                            raise SamplingError(
-                                "too many trajectories hit the exclusion zone"
-                            )
-                        start = model.sample_points(1, seed + report.resampled)
-                        own = {trail: reads[trail] for trail, _ in plan[1]}
-                        [redrawn] = _walk(model, own, start, [plan])
-                        for column, (value,) in zip(columns, redrawn):
-                            column[s] = value
-            worst = max(report.max_error, *map(max, drifts))
-            for (g0, g1), (w0, w1) in zip(got, want):
-                error = abs(g0 - w0) / (1.0 + abs(w0))
-                if error > worst:
-                    worst = error
-                error = abs(g1 - w1) / (1.0 + abs(w1))
-                if error > worst:
-                    worst = error
-            report.max_error, report.passed = worst, worst < tolerance
+    trails, size, plans = _plan(model, checks)
+    reports = [
+        WordReport(model.name, model.n,
+                   f"{_word_description(word)} = {_word_description(expected)}",
+                   trials, 0.0, tolerance, False)
+        for word, expected in checks
+    ]
+    for start in model.sample_points(trials, seed):
+        state = _walk(model, trails, size, start)
+        for report, (got, want, own) in zip(reports, plans):
+            image, expected = state[got], state[want]
+            while image is None or expected is None:
+                report.resampled += 1
+                if report.resampled > 10 * trials:
+                    raise SamplingError("too many trajectories hit the exclusion zone")
+                [redrawn] = model.sample_points(1, seed + report.resampled)
+                walked = _walk(model, own, size, redrawn)
+                image, expected = walked[got], walked[want]
+            (g0, g1), drift_got = image
+            (w0, w1), drift_want = expected
+            report.max_error = max(report.max_error, drift_got, drift_want,
+                                   abs(g0 - w0) / (1.0 + abs(w0)),
+                                   abs(g1 - w1) / (1.0 + abs(w1)))
+    for report in reports:
+        report.passed = report.max_error < tolerance
     return reports
 
 

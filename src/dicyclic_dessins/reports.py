@@ -108,25 +108,28 @@ def census_report(n: int) -> Report:
 # -- monodromy ----------------------------------------------------------
 
 
-def remark_checks(n: int) -> tuple[dict, dict]:
-    """Each case's remark dessin at n, all built from one explicit pair,
-    and the relations of that pair checked on them."""
+def remark_checks(n: int, case: str) -> tuple[dict, dict]:
+    """The remark dessins of the cases at n up to and including `case`,
+    all built from one explicit pair, and the relations of that pair
+    checked on them."""
     from . import errors, monodromy
 
+    errors.check_case(n, case)  # first: nothing is built outside the domain
+    cases = errors.cases(n)
     pair = monodromy.build_remark_permutations(n)
-    dessins = {case: monodromy.remark_dessin(n, case, pair) for case in errors.cases(n)}
+    dessins = {c: monodromy.remark_dessin(n, c, pair)
+               for c in cases[:cases.index(case) + 1]}
     return dessins, monodromy.verify_remark_relations(n, pair, dessins)
 
 
 def monodromy_report(n: int, case: str, remark: tuple | None = None) -> Report:
     """The case's dessin and the relations of the explicit pair, which
-    are the same for both cases: `remark` is `remark_checks(n)`, built
-    here if not given."""
+    are the same for both cases: `remark` is `remark_checks(n, c)` for
+    `case` or a later case c, built here if not given."""
     from . import errors, monodromy
 
-    errors.check_case(n, case)  # first: nothing is built outside the domain
+    dessins, relations = remark or remark_checks(n, case)
     report = Report("monodromy", {"n": n, "case": case})
-    dessins, relations = remark or remark_checks(n)
     dessin = dessins[case]
     cases = errors.cases(n)
     later = cases[cases.index(case) + 1:]  # their triples are in their own reports
@@ -159,11 +162,11 @@ def monodromy_report(n: int, case: str, remark: tuple | None = None) -> Report:
     return report
 
 
-def monodromy_dot(n: int, case: str) -> str:
-    """DOT text of the bipartite graph of the case's dessin."""
+def monodromy_dot(dessin) -> str:
+    """DOT text of the bipartite graph of a dessin."""
     from . import monodromy
 
-    return monodromy.export_dot(monodromy.graph_of(monodromy.remark_dessin(n, case)))
+    return monodromy.export_dot(monodromy.graph_of(dessin))
 
 
 # -- hyper --------------------------------------------------------------
@@ -300,7 +303,7 @@ def per_n_report(n: int, seed: int, heavy: bool) -> Report:
     report = Report("paper-report", {"n": n, "seed": seed})
     cases = errors.cases(n)
     report.claims.extend(census_report(n).claims)
-    remark = remark_checks(n)
+    remark = remark_checks(n, cases[-1])
     for case in cases:
         report.claims.extend(monodromy_report(n, case, remark).claims)
 

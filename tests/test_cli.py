@@ -241,11 +241,9 @@ def test_paper_report_checks_the_remark_relations_once_per_n(monkeypatch):
     assert calls == [5]
 
 
-@pytest.mark.parametrize("n, dessins", [(4, ["I"]), (5, ["I", "II"])])
-def test_paper_report_builds_the_pair_and_each_remark_dessin_once_per_n(
-        n, dessins, monkeypatch):
-    # both the relation checks and each case's report read one explicit
-    # pair and one dessin per case
+def _count_remark_builds(monkeypatch) -> Counter:
+    """Count the builds of the explicit pair, and of each case's remark
+    dessin, from now on."""
     built = Counter()
 
     def counting(name):
@@ -258,9 +256,36 @@ def test_paper_report_builds_the_pair_and_each_remark_dessin_once_per_n(
 
     for name in ("build_remark_permutations", "remark_dessin"):
         monkeypatch.setattr(monodromy, name, counting(name))
+    return built
+
+
+@pytest.mark.parametrize("n, dessins", [(4, ["I"]), (5, ["I", "II"])])
+def test_paper_report_builds_the_pair_and_each_remark_dessin_once_per_n(
+        n, dessins, monkeypatch):
+    # both the relation checks and each case's report read one explicit
+    # pair and one dessin per case
+    built = _count_remark_builds(monkeypatch)
     reports.per_n_report(n, 0, False)
     assert built == Counter([("build_remark_permutations",)]
                             + [("remark_dessin", case) for case in dessins])
+
+
+@pytest.mark.parametrize("n, case, dessins", [
+    (4, "I", ["I"]), (5, "I", ["I"]), (5, "II", ["I", "II"]),
+])
+def test_monodromy_command_builds_the_pair_and_its_dessins_once(
+        n, case, dessins, tmp_path, monkeypatch):
+    # the report builds the explicit pair once and the dessins of the
+    # cases up to its own, and --dot draws the dessin the report checked
+    expected_dot = monodromy.export_dot(monodromy.graph_of(monodromy.remark_dessin(n, case)))
+    built = _count_remark_builds(monkeypatch)
+    dot = tmp_path / "graph.dot"
+    code, _, err = run_in_process("monodromy", "--n", str(n), "--case", case,
+                                  "--dot", str(dot))
+    assert code == 0, err
+    assert built == Counter([("build_remark_permutations",)]
+                            + [("remark_dessin", c) for c in dessins])
+    assert dot.read_text() == expected_dot
 
 
 # Registered before the CLI's own exit hook, so it runs after it (atexit

@@ -6,6 +6,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicyclic_dessins import curves
 from dicyclic_dessins.reports import curves_report
@@ -274,6 +276,14 @@ def _lift(model, z):
     return (z, cmath.exp(cmath.log(rhs) / (2 * n)))
 
 
+def _one_step(model, name, p):
+    """The slot that one step of the map `name` from p writes, through
+    the bundle's own plan and walker: (image, drift), or None if the
+    walk stopped."""
+    trails, size, [(got, _, _)] = curves._plan(model, [([(name, 1)], [])])
+    return curves._walk(model, trails, size, p)[got]
+
+
 def test_step_zone_test_equals_full_scan():
     # the step loop asks for the branch distance only inside the shell
     # around |z| = 0 and |z| = 1; its verdict must be the full scan's
@@ -293,8 +303,7 @@ def test_step_zone_test_equals_full_scan():
             locus = model.branch_locus()
             for z in probes:
                 full = min(abs(z - b) for b in locus)
-                (image,), _ = curves._trail(model, "x", [(z, 1 + 0j)], {1})[1]
-                stopped = image is None
+                stopped = _one_step(model, "x", (z, 1 + 0j)) is None
                 assert stopped == (full < BRANCH_DISTANCE), (name, n, z)
 
 
@@ -413,6 +422,28 @@ def test_curve_payloads_match_the_full_scan_oracles(monkeypatch):
         assert perturbed == _bundle_reports(model, seed), (n, name, seed)
 
 
+def _reports_text(run):
+    """The reports that run() returns, as JSON text, or the error that
+    stopped them."""
+    try:
+        return json.dumps([r.as_dict() for r in run()])
+    except SamplingError as error:
+        return repr(error)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6).flatmap(
+           lambda n: st.tuples(st.just(n), st.sampled_from(applicable_models(n)))),
+       st.integers(0, 10 ** 6), st.integers(1, 40), st.sampled_from([0.0, 1e-2]))
+def test_model_words_equal_the_word_by_word_oracle(case, seed, trials, perturb):
+    n, name = case
+    model, other = CurveModel(name, n, perturb), CurveModel(name, n, perturb)
+    fast = _reports_text(lambda: sum(curves.verify_model_words(model, 1e-9, trials, seed), []))
+    oracle = _reports_text(lambda: _scan_verify_bundle(
+        other, sum(curves._checks(other), []), 1e-9, trials, seed))
+    assert fast == oracle
+
+
 def _near(model, b, distance):
     """A curve point at `distance` from the branch value b, off its axis."""
     return model.lift(b + distance * cmath.exp(0.7j))
@@ -520,15 +551,14 @@ def test_model_words_share_the_relation_trajectories():
     assert anticonformal == [] and len(relations) == 3
 
 
-def test_partial_blocks_resample_like_the_word_by_word_oracle(monkeypatch):
-    # Trial counts that leave the last block short, with redraw points
-    # planted in the first and the last slot of a block: each planted
-    # point is 5e-4 from a branch point, so every word stops before its
-    # first step and each check redraws it once.
-    block = curves.BLOCK
+def test_planted_redraws_resample_like_the_word_by_word_oracle(monkeypatch):
+    # Redraw points planted at the first and the last trial and at
+    # trials 9 and 10: each planted point is 5e-4 from a branch point, so
+    # every word stops before its first step and each check redraws it
+    # once, in trial order.
     cases = []
-    for trials in (1, block - 1, block + 1, 37):
-        slots = sorted({0, block - 1, block, trials - 1} & set(range(trials)))
+    for trials in (1, 9, 11, 37):
+        slots = sorted({0, 9, 10, trials - 1} & set(range(trials)))
         for n, name in ((3, "Sn_hyperelliptic"), (3, "Rn_hyperelliptic"),
                         (4, "Sn_cyclic"), (5, "Rn_cyclic")):
             model = CurveModel(name, n)
@@ -555,31 +585,28 @@ def test_partial_blocks_resample_like_the_word_by_word_oracle(monkeypatch):
             model.name, trials)
 
 
-def test_trajectory_columns_hold_at_most_a_block(monkeypatch):
-    # Each block's columns are dropped before the next block starts, so
-    # no column is wider than BLOCK and every block keeps the same
-    # columns whatever the number of trials.
-    block = curves.BLOCK
-    trail = curves._trail
-    calls = []
+def test_walker_state_per_point_does_not_grow_with_trials(monkeypatch):
+    # Each start point walks into a state of its own, one slot per node
+    # of the plan, so the state a bundle holds is the same size whatever
+    # the number of trials.
+    walk = curves._walk
+    sizes = []
 
-    def recording(model, name, start, reads):
-        columns = trail(model, name, start, reads)
-        calls.append((len(start), len(columns)))
-        return columns
+    def recording(model, trails, size, start):
+        state = walk(model, trails, size, start)
+        sizes.append(len(state))
+        return state
 
-    monkeypatch.setattr(curves, "_trail", recording)
+    monkeypatch.setattr(curves, "_walk", recording)
 
-    def walk(trials):
-        calls.clear()
+    def walked(trials):
+        sizes.clear()
         curves.verify_model_words(CurveModel("Sn_hyperelliptic", 4), trials=trials)
-        return list(calls)
+        return list(sizes)
 
-    one = walk(block)
-    many = walk(5 * block + 3)
-    assert [width for width, _ in one] == [block] * len(one)
-    assert [width for width, _ in many] == [block] * (5 * len(one)) + [3] * len(one)
-    assert [kept for _, kept in many] == [kept for _, kept in one] * 6
+    ten, many = walked(10), walked(53)
+    assert len(ten) == 10 and len(many) == 53
+    assert set(ten) == set(many) and len(set(ten)) == 1
 
 
 def test_order_relations_are_not_vacuous():
@@ -644,8 +671,7 @@ def test_step_loop_stops_in_the_exclusion_zone():
         model = CurveModel(name, 3)
         for b in model.branch_locus()[1:]:
             p = model.lift(b * (1 + BRANCH_DISTANCE / 2))
-            (image,), _ = curves._trail(model, "x", [p], {1})[1]
-            assert image is None, (name, b)
+            assert _one_step(model, "x", p) is None, (name, b)
 
 
 def test_sampler_rejects_points_in_the_exclusion_zone(monkeypatch):
