@@ -2,11 +2,12 @@
 
 Enumerates the admissible exponent triples for the two cover families,
 quotients by unit scaling mod 2n together with the b <-> c swap, and
-counts equivalence classes.  The cover of a case of type (4, 4, m), as
-`errors.case_type` gives it, has branch order m at the points +-1, that
-is gcd(b, 2n) = 2n/m.  The uniqueness statements correspond to a
-single class with canonical representative (n, 1, 2n-1) in case I and
-(n, 2, 2n-2) in case II.
+counts equivalence classes.  A triple is the plain tuple (a, b, c); n
+and the case are the caller's own arguments.  The cover of a case of
+type (4, 4, m), as `errors.case_type` gives it, has branch order m at
+the points +-1, that is gcd(b, 2n) = 2n/m.  The uniqueness statements
+correspond to a single class with canonical representative
+(n, 1, 2n-1) in case I and (n, 2, 2n-2) in case II.
 
 Admissibility in case I is the conjunction of the printed condition
 (b, c coprime to n) and the branch-order condition gcd(b, 2n) = 1
@@ -19,32 +20,12 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import OrderedValue, ParameterError, case_type
+from .errors import ParameterError, case_type
+
+Triple = tuple[int, int, int]
 
 
-class CoverTriple(OrderedValue):
-    """The exponents (a, b, c) of one cover of case I or II at n.
-
-    Immutable; equal, hashed and ordered as the tuple (n, case, a, b, c).
-    """
-
-    __slots__ = ("n", "case", "a", "b", "c")
-
-    def __init__(self, n: int, case: str, a: int, b: int, c: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-
-    def _key(self) -> tuple[int, str, int, int, int]:
-        return (self.n, self.case, self.a, self.b, self.c)
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
-
-def admissible_triples(n: int, case: str) -> list[CoverTriple]:
+def admissible_triples(n: int, case: str) -> list[Triple]:
     """All admissible exponent triples in {1, ..., 2n-1}^3, in O(n).
 
     The printed conditions are gcd(a, 2n) = n, b + c = 0 mod 2n,
@@ -61,22 +42,21 @@ def admissible_triples(n: int, case: str) -> list[CoverTriple]:
         raise ParameterError(f"need n >= 2, got n={n}")
     two_n = 2 * n
     want = two_n // case_type(n, case)[2]
-    return [CoverTriple(n, case, n, b, two_n - b)
-            for b in range(1, two_n) if gcd(b, two_n) == want]
+    return [(n, b, two_n - b) for b in range(1, two_n) if gcd(b, two_n) == want]
 
 
-def orbit(t: CoverTriple) -> list[CoverTriple]:
-    """Orbit under unit scaling mod 2n and swapping b with c."""
-    two_n = 2 * t.n
-    members = {(u * t.a % two_n, u * b % two_n, u * c % two_n)
-               for u in range(1, two_n) if gcd(u, two_n) == 1
-               for b, c in ((t.b, t.c), (t.c, t.b))}
-    return [CoverTriple(t.n, t.case, *abc) for abc in sorted(members)]
+def orbit(n: int, t: Triple) -> list[Triple]:
+    """Orbit of t under unit scaling mod 2n and swapping b with c, sorted."""
+    two_n = 2 * n
+    a, b, c = t
+    return sorted({(u * a % two_n, u * p % two_n, u * q % two_n)
+                   for u in range(1, two_n) if gcd(u, two_n) == 1
+                   for p, q in ((b, c), (c, b))})
 
 
-def normalize(t: CoverTriple) -> tuple[CoverTriple, int]:
+def normalize(n: int, t: Triple) -> tuple[Triple, int]:
     """Canonical (lexicographically least) orbit member plus orbit size."""
-    members = orbit(t)
+    members = orbit(n, t)
     return members[0], len(members)
 
 
@@ -85,7 +65,7 @@ def class_count(n: int, case: str) -> int:
     return len(canonical_representatives(n, case))
 
 
-def canonical_representatives(n: int, case: str) -> list[CoverTriple]:
+def canonical_representatives(n: int, case: str) -> list[Triple]:
     """The least member of each class, in order.
 
     Unit scaling and the swap keep gcd(b, 2n), so every orbit member is
@@ -94,11 +74,11 @@ def canonical_representatives(n: int, case: str) -> list[CoverTriple]:
     marks its members seen.  That is one orbit per class, not one per
     triple, and no number of classes is assumed.
     """
-    seen: set[CoverTriple] = set()
+    seen: set[Triple] = set()
     least = []
     for t in admissible_triples(n, case):
         if t not in seen:
-            members = orbit(t)
+            members = orbit(n, t)
             seen.update(members)
             least.append(members[0])
     return sorted(least)

@@ -11,10 +11,11 @@ and their singular cyclic-cover models
     Rn_cyclic:  v^(2n) = u^n (u-1)^2 (u+1)^(2n-2)
 
 with the named self-maps u, y, x, t (n = 2 only), the anticonformal
-conjugation tau, and the degree-|G| projection pi.  All checks are
-numeric: words in the maps are applied to pseudo-random points sampled
-on the curve and compared within a tolerance, with every intermediate
-point required to stay on the curve.  Residuals are relative
+conjugation tau, and the degree-|G| projection pi.  A model's `maps`
+holds each self-map as its coordinate function, and `orders` its order.
+All checks are numeric: words in the maps are applied to pseudo-random
+points sampled on the curve and compared within a tolerance, with every
+intermediate point required to stay on the curve.  Residuals are relative
 (|lhs - rhs| / (1 + |lhs| + |rhs|)) so that the large right-hand sides
 of the cyclic models do not drown the signal.
 
@@ -34,10 +35,10 @@ each (map, origin slot) pair one power trajectory, so x^(2n), x^n and
 x^(2n-1) share one chain of 2n steps.  The bundle draws its points once
 and walks them one at a time through every trajectory, into one list of
 (point, drift) per slot, the drift being the worst residual on the way
-from the start point.  Each check then reads its two image slots.  The
-report of a model walks its relation and anticonformal words as one
-bundle, so u^-1 and y^-1 in the anticonformal words read the relations'
-u and y chains.  A sample point or a trajectory whose arithmetic
+from the start point.  Each check then reads its two image slots, and
+is the dict its payload holds.  The report of a model walks its
+relation and anticonformal words as one bundle, so u^-1 and y^-1 in the
+anticonformal words read the relations' u and y chains.  A sample point or a trajectory whose arithmetic
 overflows (or, in a map, divides by a power that underflowed to zero)
 is resampled like one that enters the exclusion zone around poles and
 branch points.
@@ -66,25 +67,9 @@ def root_of_unity(m: int) -> complex:
     return cmath.exp(2j * cmath.pi / m)
 
 
-class NamedMap:
-    """A self-map of a model, as a coordinate formula.
-
-    `order` lets negative word exponents be rewritten as positive ones;
-    a nonnegative exponent is applied step by step as written, so an
-    order relation m^order = 1 takes `order` steps.
-    """
-
-    __slots__ = ("func", "order")
-
-    def __init__(self, func: Callable[[Point], Point], order: int):
-        self.func, self.order = func, order
-
-    def __call__(self, p: Point) -> Point:
-        return self.func(p)
-
-
 class CurveModel:
-    """A named curve family at a fixed n, with its map dictionary.
+    """A named curve family at a fixed n, with its maps: `maps` sends each
+    name to its coordinate function and `orders` to its order.
 
     `perturb` shifts the primitive root used in the map formulas by a
     relative amount; it exists solely for the sensitivity control that
@@ -95,8 +80,8 @@ class CurveModel:
     model, and `_samples` keeps the points drawn per (count, seed).
     """
 
-    __slots__ = ("name", "n", "perturb", "hyperelliptic", "maps", "sides",
-                 "branch_distance", "_samples")
+    __slots__ = ("name", "n", "perturb", "hyperelliptic", "maps", "orders",
+                 "sides", "branch_distance", "_samples")
 
     # The parity of n (1 odd, 0 even) a model needs, if any.  The R-family
     # is built for odd n.  The y map of Sn_cyclic sends the curve to itself
@@ -116,7 +101,7 @@ class CurveModel:
         self.hyperelliptic = name.endswith("hyperelliptic")
         self._samples = {}
         self.sides = _relation_sides(name, n)
-        self.maps = _build_maps(self)
+        self.maps, self.orders = _build_maps(self)
         self.branch_distance = _branch_distance(self.branch_locus(), self.hyperelliptic)
 
     # -- defining relation ---------------------------------------------
@@ -242,13 +227,14 @@ def _branch_distance(
     return distance
 
 
-def _build_maps(model: CurveModel) -> dict[str, NamedMap]:
+def _build_maps(model: CurveModel) -> tuple[dict[str, Callable], dict[str, int]]:
+    """Each self-map's coordinate function and its order, by name."""
     n = model.n
     r2n, r4n, rn = (root_of_unity(m) * (1 + model.perturb) for m in (2 * n, 4 * n, n))
-    maps = {}
+    maps, orders = {}, {}
 
     def add(name: str, func, order: int) -> None:
-        maps[name] = NamedMap(func, order)
+        maps[name], orders[name] = func, order
 
     if model.name == "Sn_hyperelliptic":
         add("u", lambda p: (r2n * p[0], r4n * p[1]), 4 * n)
@@ -285,7 +271,7 @@ def _build_maps(model: CurveModel) -> dict[str, NamedMap]:
 
     if model.hyperelliptic:
         add("xy", lambda p: maps["x"](maps["y"](p)), 4)
-    return maps
+    return maps, orders
 
 
 def belyi_projection(n: int, p: Point) -> complex:
@@ -297,34 +283,6 @@ def belyi_projection(n: int, p: Point) -> complex:
 
 
 Word = list[tuple[str, int]]
-
-
-class WordReport:
-    """The check of one word identity on a model: the largest error seen
-    over its trials, and how many sample points it resampled."""
-
-    __slots__ = ("model", "n", "description", "trials", "max_error",
-                 "tolerance", "passed", "resampled")
-
-    def __init__(self, model: str, n: int, description: str, trials: int,
-                 max_error: float, tolerance: float, passed: bool,
-                 resampled: int = 0):
-        self.model, self.n, self.description = model, n, description
-        self.trials, self.max_error, self.tolerance = trials, max_error, tolerance
-        self.passed, self.resampled = passed, resampled
-
-    def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "n": self.n,
-            "word": self.description,
-            "trials": self.trials,
-            "max_error": self.max_error,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "resampled": self.resampled,
-            "note": "",
-        }
 
 
 def _walk(model: CurveModel, trails: list, size: int, start: Point) -> list:
@@ -406,7 +364,7 @@ def _plan(model: CurveModel, checks: list[Check]) -> tuple[list, int, list]:
         for w in word, expected:
             node = (None, 0)
             for name, exponent in reversed(w):
-                steps = exponent if exponent >= 0 else exponent % model.maps[name].order
+                steps = exponent if exponent >= 0 else exponent % model.orders[name]
                 trail = (name, node)
                 node = (trail, steps)
                 slots.setdefault(node, len(slots))
@@ -415,7 +373,7 @@ def _plan(model: CurveModel, checks: list[Check]) -> tuple[list, int, list]:
             images.append(slots[node])
         plans.append((*images, own))
     trails = {
-        trail: (model.maps[trail[0]].func, slots[trail[1]],
+        trail: (model.maps[trail[0]], slots[trail[1]],
                 [slots.get((trail, k)) for k in range(1, last + 1)])
         for trail, last in reach.items()
     }
@@ -430,8 +388,12 @@ def _verify_bundle(
     tolerance: float,
     trials: int,
     seed: int,
-) -> list[WordReport]:
+) -> list[dict]:
     """Check word identities (word, expected) on one draw of sample points.
+
+    A check is the dict its payload holds: the model, n, `word`, trials,
+    `max_error` over its trials, tolerance, `pass`, `resampled` (the
+    sample points it redrew) and an empty `note`.
 
     The plan is made once per bundle (`_plan`), and each sample point
     walks every trail once (`_walk`).  A check reads only its two image
@@ -447,9 +409,10 @@ def _verify_bundle(
     """
     trails, size, plans = _plan(model, checks)
     reports = [
-        WordReport(model.name, model.n,
-                   f"{_word_description(word)} = {_word_description(expected)}",
-                   trials, 0.0, tolerance, False)
+        {"model": model.name, "n": model.n,
+         "word": f"{_word_description(word)} = {_word_description(expected)}",
+         "trials": trials, "max_error": 0.0, "tolerance": tolerance,
+         "pass": False, "resampled": 0, "note": ""}
         for word, expected in checks
     ]
     for start in model.sample_points(trials, seed):
@@ -457,19 +420,19 @@ def _verify_bundle(
         for report, (got, want, own) in zip(reports, plans):
             image, expected = state[got], state[want]
             while image is None or expected is None:
-                report.resampled += 1
-                if report.resampled > 10 * trials:
+                report["resampled"] += 1
+                if report["resampled"] > 10 * trials:
                     raise SamplingError("too many trajectories hit the exclusion zone")
-                [redrawn] = model.sample_points(1, seed + report.resampled)
+                [redrawn] = model.sample_points(1, seed + report["resampled"])
                 walked = _walk(model, own, size, redrawn)
                 image, expected = walked[got], walked[want]
             (g0, g1), drift_got = image
             (w0, w1), drift_want = expected
-            report.max_error = max(report.max_error, drift_got, drift_want,
-                                   abs(g0 - w0) / (1.0 + abs(w0)),
-                                   abs(g1 - w1) / (1.0 + abs(w1)))
+            report["max_error"] = max(report["max_error"], drift_got, drift_want,
+                                      abs(g0 - w0) / (1.0 + abs(w0)),
+                                      abs(g1 - w1) / (1.0 + abs(w1)))
     for report in reports:
-        report.passed = report.max_error < tolerance
+        report["pass"] = report["max_error"] < tolerance
     return reports
 
 
@@ -512,7 +475,7 @@ def _checks(model: CurveModel) -> tuple[list[Check], list[Check]]:
 
 def verify_dicyclic_relations(
     model: CurveModel, tolerance: float = 1e-9, trials: int = 100, seed: int = 0
-) -> list[WordReport]:
+) -> list[dict]:
     """The defining relations x^(2n) = 1, y^2 = x^n, y^-1 x y = x^-1,
     plus the definitional identities tying x to u on each model."""
     return _verify_bundle(model, _checks(model)[0], tolerance, trials, seed)
@@ -557,7 +520,7 @@ def verify_belyi(
 
 def verify_anticonformal(
     model: CurveModel, tolerance: float = 1e-9, trials: int = 100, seed: int = 0
-) -> list[WordReport]:
+) -> list[dict]:
     """tau^2 = 1 and the conjugation relations tau u tau = u^-1,
     tau y tau = y^-1 on the hyperelliptic models."""
     if not model.hyperelliptic:
@@ -567,7 +530,7 @@ def verify_anticonformal(
 
 def verify_model_words(
     model: CurveModel, tolerance: float = 1e-9, trials: int = 100, seed: int = 0
-) -> tuple[list[WordReport], list[WordReport]]:
+) -> tuple[list[dict], list[dict]]:
     """The reports of `verify_dicyclic_relations` and, on the hyperelliptic
     models, of `verify_anticonformal` (else []), from one bundle: the
     anticonformal words read u^-1 and y^-1 off the relations' u and y

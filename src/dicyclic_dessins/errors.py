@@ -1,9 +1,7 @@
-"""Exception types shared across the toolkit, `Value` and
-`OrderedValue`, the one contract of its immutable value types, and
-`cases` and `case_type`, the one rule for which of the paper's two
-cases exist at n and of which type each is."""
-
-from functools import total_ordering
+"""Exception types shared across the toolkit, `Value`, the one contract
+of its immutable value types (none of them ordered), and `cases` and
+`case_type`, the one rule for which of the paper's two cases exist at n
+and of which type each is."""
 
 
 def read_only(self: object, name: str, *value: object) -> None:
@@ -15,8 +13,8 @@ def read_only(self: object, name: str, *value: object) -> None:
 
 class Value:
     """An immutable value: equal, hashed, pickled and printed as the tuple
-    `_key()` of its fields, in `__slots__` order; a value of another
-    class is never equal."""
+    `_key()` of its fields, in `__slots__` order, and unordered; a value
+    of another class is never equal."""
 
     __slots__ = ()
     __setattr__ = __delattr__ = read_only
@@ -35,18 +33,6 @@ class Value:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={v!r}" for name, v in zip(self.__slots__, self._key()))
         return f"{self.__class__.__name__}({fields})"
-
-
-@total_ordering
-class OrderedValue(Value):
-    """A `Value` also ordered as its `_key()`, within its own class."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() < other._key()
 
 
 class ParameterError(ValueError):

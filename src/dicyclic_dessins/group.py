@@ -20,13 +20,13 @@ from collections.abc import Iterable, Iterator, Set
 from functools import cached_property
 from math import gcd
 
-from .errors import OrderedValue, ParameterError
+from .errors import ParameterError, Value
 
 
-class GroupElement(OrderedValue):
+class GroupElement(Value):
     """Normal form x^a y^b of an element of the dicyclic group of order 4n.
 
-    Immutable; equal, hashed and ordered as the tuple (n, a, b).
+    Immutable; equal and hashed as the tuple (n, a, b), and unordered.
     """
 
     __slots__ = ("n", "a", "b")

@@ -179,7 +179,7 @@ def verify_remark_relations(n: int, pair: tuple | None = None,
             sigma.inverse() * eta * sigma == eta.inverse(),
         "eta_power_n_explicit_form": eta ** n == eta_n_explicit,
         "sigma_squared_equals_eta_power_n": sigma * sigma == eta ** n,
-        "group_order_4n": DessinMonodromy(degree, eta, sigma).is_regular(),
+        "group_order_4n": DessinMonodromy(eta, sigma).is_regular(),
     }
     tau = dessins["I"].black
     checks["case_I_triple_tau_sigma_eta"] = (tau * sigma * eta).is_identity()
@@ -200,10 +200,20 @@ def verify_remark_relations(n: int, pair: tuple | None = None,
 
 
 class DessinMonodromy:
-    """A dessin as a pair of permutations on its edge set."""
+    """A dessin as a pair of permutations on its edge set; the edges are
+    the points the permutations act on."""
 
-    def __init__(self, edge_count: int, white: Permutation, black: Permutation):
-        self.edge_count, self.white, self.black = edge_count, white, black
+    def __init__(self, white: Permutation, black: Permutation):
+        self.white, self.black = white, black
+
+    @property
+    def edge_count(self) -> int:
+        return self.white.degree
+
+    @cached_property
+    def graph(self) -> BipartiteMapGraph:
+        """The bipartite map graph, built once per dessin by `graph_of`."""
+        return graph_of(self)
 
     @cached_property
     def face(self) -> Permutation:
@@ -287,9 +297,7 @@ def regular_dessin(act) -> DessinMonodromy:
     def left_mult(c: int) -> Permutation:
         return Permutation(tuple(group.mul(c, i) + 1 for i in range(group.order)))
 
-    return DessinMonodromy(
-        edge_count=group.order, white=left_mult(c1), black=left_mult(c2)
-    )
+    return DessinMonodromy(left_mult(c1), left_mult(c2))
 
 
 def remark_dessin(n: int, case: str, pair: tuple | None = None) -> DessinMonodromy:
@@ -305,7 +313,7 @@ def remark_dessin(n: int, case: str, pair: tuple | None = None) -> DessinMonodro
     check_case(n, case)
     eta, sigma = pair or build_remark_permutations(n)
     tau = sigma ** 3 * eta if case == "I" else eta ** (n - 2) * sigma
-    return DessinMonodromy(4 * n, sigma, tau)
+    return DessinMonodromy(sigma, tau)
 
 
 # -- bipartite map graphs ----------------------------------------------

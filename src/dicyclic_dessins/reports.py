@@ -152,7 +152,7 @@ def monodromy_report(n: int, case: str, remark: tuple | None = None) -> Report:
         dessin.is_regular(),  # regular on its 4n edges, so of order 4n
     )
     if case == "I":
-        graph = monodromy.graph_of(dessin)
+        graph = dessin.graph
         report.add(
             "bipartite_graph_is_doubled_cycle",
             "the bipartite graph is the doubled cycle on 2n vertices",
@@ -166,7 +166,7 @@ def monodromy_dot(dessin) -> str:
     """DOT text of the bipartite graph of a dessin."""
     from . import monodromy
 
-    return monodromy.export_dot(monodromy.graph_of(dessin))
+    return monodromy.export_dot(dessin.graph)
 
 
 # -- hyper --------------------------------------------------------------
@@ -246,18 +246,17 @@ def curves_report(n: int, model_name: str, seed: int, trials: int, tol: float) -
     )
     model = curves.CurveModel(model_name, n)
     relations, anticonformal = curves.verify_model_words(model, tol, trials, seed)
-    for wr in relations:
-        report.add(f"relation:{wr.description}", "dicyclic relations hold on the model",
-                   wr.passed, wr.as_dict())
+    for check in relations:
+        report.add(f"relation:{check['word']}", "dicyclic relations hold on the model",
+                   check["pass"], check)
     if model.hyperelliptic:
         belyi = curves.verify_belyi(model, tol, trials, seed)
         report.add("belyi_projection",
                    "pi is deck-invariant with branch values {0,1,inf}",
                    belyi["pass"], belyi)
-        for wr in anticonformal:
-            report.add(f"anticonformal:{wr.description}",
-                       "conjugation inverts the generators",
-                       wr.passed, wr.as_dict())
+        for check in anticonformal:
+            report.add(f"anticonformal:{check['word']}",
+                       "conjugation inverts the generators", check["pass"], check)
     return report
 
 
@@ -378,7 +377,7 @@ def per_n_report(n: int, seed: int, heavy: bool) -> Report:
     )
 
     for case in cases:
-        reps = [t.as_tuple() for t in covers.canonical_representatives(n, case)]
+        reps = covers.canonical_representatives(n, case)
         count = len(reps)
         expected_rep = (n, 1, 2 * n - 1) if case == "I" else (n, 2, 2 * n - 2)
         report.add(

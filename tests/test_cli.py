@@ -288,6 +288,23 @@ def test_monodromy_command_builds_the_pair_and_its_dessins_once(
     assert dot.read_text() == expected_dot
 
 
+def test_monodromy_command_builds_the_graph_once(tmp_path, monkeypatch):
+    # the doubled-cycle claim and --dot read one graph of the dessin
+    calls, graph_of = [], monodromy.graph_of
+
+    def counted(dessin):
+        calls.append(dessin)
+        return graph_of(dessin)
+
+    expected_dot = monodromy.export_dot(graph_of(monodromy.remark_dessin(5, "I")))
+    monkeypatch.setattr(monodromy, "graph_of", counted)
+    dot = tmp_path / "graph.dot"
+    code, _, err = run_in_process("monodromy", "--n", "5", "--case", "I", "--dot", str(dot))
+    assert code == 0, err
+    assert len(calls) == 1
+    assert dot.read_text() == expected_dot
+
+
 # Registered before the CLI's own exit hook, so it runs after it (atexit
 # runs its handlers last in, first out) and sees whether the objects
 # alive at exit were frozen out of the finalizer's collections.
@@ -614,8 +631,8 @@ def test_every_reader_agrees_with_each_owner():
             kind = errors.case_type(n, case)
             m = kind[2]
             assert covering.census_representative(n, case).signature.cone_orders == kind
-            assert all(gcd(t.b, 2 * n) == 2 * n // m
-                       for t in covers.admissible_triples(n, case)), (n, case)
+            assert all(gcd(b, 2 * n) == 2 * n // m
+                       for _, b, _ in covers.admissible_triples(n, case)), (n, case)
             face = monodromy.remark_dessin(n, case).face
             assert face.cycle_type() == (m,) * (4 * n // m), (n, case)
             assert kind in census, (n, case)
@@ -830,3 +847,31 @@ def test_paper_report_sections_match_the_pinned_digest():
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     assert claims == 309
     assert digest == PAPER_REPORT_DIGEST
+
+
+# sha256 of the curve claims that test_curve_claims_match_the_pinned_shape
+# builds, with every computed float replaced by a fixed token; the same
+# rule as PAYLOAD_DIGEST applies.
+CURVE_SHAPE_DIGEST = "87066dce12b27a909b2a7406d0809787fb67382bb5cd65456eda6578ec768fd5"
+
+
+def test_curve_claims_match_the_pinned_shape():
+    # the curve claims that the other digests leave out, for n = 2..8, with
+    # each computed float (every max_error, the values of Belyi's checks)
+    # made a token: the digest pins their ids and order, the keys of their
+    # data, and each word, trials, tolerance, pass, resampled and note
+    texts = []
+    claims = 0
+    for n in range(2, 9):
+        report = reports.per_n_report(n, 0, False)
+        report.claims = [c for c in report.claims if c["id"].startswith(FLOAT_CLAIMS)]
+        for claim in report.claims:
+            data = claim["data"]
+            data["max_error"] = "float"
+            if "checks" in data:
+                data["checks"] = dict.fromkeys(data["checks"], "float")
+        claims += len(report.claims)
+        texts.append(report.payload_json())
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert claims == 129
+    assert digest == CURVE_SHAPE_DIGEST

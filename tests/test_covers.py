@@ -1,4 +1,5 @@
-"""Tests for the exponent-triple classification of the cyclic covers."""
+"""Tests for the exponent-triple classification of the cyclic covers,
+whose triples are plain (a, b, c) tuples."""
 
 from math import gcd
 
@@ -6,7 +7,6 @@ import pytest
 
 from dicyclic_dessins import covers
 from dicyclic_dessins.covers import (
-    CoverTriple,
     admissible_triples,
     canonical_representatives,
     class_count,
@@ -38,7 +38,7 @@ def _printed_conditions(n, case, a, b, c, strict=True):
 def _cube_scan(n, case, strict=True):
     """Exhaustive scan of {1, ..., 2n-1}^3: the oracle for the O(n) loop."""
     rng = range(1, 2 * n)
-    return [CoverTriple(n, case, a, b, c)
+    return [(a, b, c)
             for a in rng for b in rng for c in rng
             if _printed_conditions(n, case, a, b, c, strict)]
 
@@ -52,14 +52,14 @@ def test_admissible_triples_match_the_cube_scan():
 def test_first_exponent_is_forced_to_n():
     for n in range(2, 10):
         for case in ("I",) if n % 2 == 0 else ("I", "II"):
-            assert all(t.a == n for t in admissible_triples(n, case))
+            assert all(a == n for a, _, _ in admissible_triples(n, case))
 
 
 def test_exponent_sum_condition():
     for n in (2, 3, 4, 5):
         for case in ("I",) if n % 2 == 0 else ("I", "II"):
-            for t in admissible_triples(n, case):
-                assert (t.b + t.c) % (2 * n) == 0
+            for _, b, c in admissible_triples(n, case):
+                assert (b + c) % (2 * n) == 0
 
 
 def test_single_class_everywhere():
@@ -71,29 +71,27 @@ def test_single_class_everywhere():
 
 def test_canonical_representatives():
     for n in range(2, 13):
-        assert [t.as_tuple() for t in canonical_representatives(n, "I")] == [
-            (n, 1, 2 * n - 1)
-        ]
+        representatives = canonical_representatives(n, "I")
+        assert representatives == [(n, 1, 2 * n - 1)]
+        assert type(representatives[0]) is tuple
         if n % 2 == 1:
-            assert [t.as_tuple() for t in canonical_representatives(n, "II")] == [
-                (n, 2, 2 * n - 2)
-            ]
+            assert canonical_representatives(n, "II") == [(n, 2, 2 * n - 2)]
 
 
 def test_canonical_representatives_match_normalize_on_every_triple():
     # per-triple normalization is the oracle of one orbit per class
     for n in range(2, 61):
         for case in cases(n):
-            oracle = sorted({normalize(t)[0] for t in admissible_triples(n, case)})
+            oracle = sorted({normalize(n, t)[0] for t in admissible_triples(n, case)})
             assert canonical_representatives(n, case) == oracle, (n, case)
 
 
 def test_one_orbit_is_built_per_class(monkeypatch):
     built = []
 
-    def counted(t):
+    def counted(n, t):
         built.append(t)
-        return orbit(t)
+        return orbit(n, t)
 
     monkeypatch.setattr(covers, "orbit", counted)
     for n in range(2, 61):
@@ -102,7 +100,7 @@ def test_one_orbit_is_built_per_class(monkeypatch):
             representatives = canonical_representatives(n, case)
             assert len(built) == len(representatives), (n, case, len(built))
             # one orbit for each class: their least members are the classes
-            assert sorted(orbit(t)[0] for t in built) == representatives, (n, case)
+            assert sorted(orbit(n, t)[0] for t in built) == representatives, (n, case)
 
 
 def test_case_II_needs_odd_n():
@@ -113,11 +111,11 @@ def test_case_II_needs_odd_n():
 def test_orbit_closed_under_normalization():
     for n in (3, 4, 5):
         for t in admissible_triples(n, "I"):
-            rep, size = normalize(t)
-            assert rep in orbit(t)
-            assert size == len(orbit(t))
+            rep, size = normalize(n, t)
+            assert rep in orbit(n, t)
+            assert size == len(orbit(n, t))
             # normalization is idempotent
-            assert normalize(rep)[0] == rep
+            assert normalize(n, rep)[0] == rep
 
 
 def test_orbits_partition_the_admissible_set():
@@ -125,8 +123,8 @@ def test_orbits_partition_the_admissible_set():
         triples = admissible_triples(n, "I")
         seen = set()
         for t in triples:
-            seen.update(u.as_tuple() for u in orbit(t) if u in triples)
-        assert seen == {t.as_tuple() for t in triples}
+            seen.update(u for u in orbit(n, t) if u in triples)
+        assert seen == set(triples)
 
 
 def test_condition_readings_diverge_only_for_odd_n():
@@ -134,10 +132,10 @@ def test_condition_readings_diverge_only_for_odd_n():
     # for even n, where b coprime to n forces b odd; for odd n the
     # printed one also admits exactly the case-II triples
     for n in range(2, 13):
-        verbatim = {t.as_tuple() for t in _cube_scan(n, "I", strict=False)}
-        strict = {t.as_tuple() for t in _cube_scan(n, "I")}
+        verbatim = set(_cube_scan(n, "I", strict=False))
+        strict = set(_cube_scan(n, "I"))
         if n % 2 == 0:
             assert verbatim == strict, n
         else:
-            case_II = {t.as_tuple() for t in _cube_scan(n, "II")}
+            case_II = set(_cube_scan(n, "II"))
             assert strict.isdisjoint(case_II) and verbatim == strict | case_II, n

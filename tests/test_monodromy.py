@@ -139,6 +139,17 @@ def test_case_I_passport():
         assert set(face) == {2 * n}
 
 
+def test_edge_count_is_the_degree_of_the_pair():
+    for n in (2, 3):
+        for case in ("I",) if n % 2 == 0 else ("I", "II"):
+            assert remark_dessin(n, case).edge_count == 4 * n
+            assert regular_dessin(census_representative(n, case)).edge_count == 4 * n
+    dessin = DessinMonodromy(Permutation((2, 1, 3)), Permutation((1, 3, 2)))
+    assert dessin.edge_count == 3
+    with pytest.raises(AttributeError):
+        dessin.edge_count = 4
+
+
 def dessin_genus_matches_rh(act):
     """Cross-check: Euler characteristic vs Riemann-Hurwitz."""
     dessin = regular_dessin(act)
@@ -180,7 +191,7 @@ def regular_by_closure(dessin: DessinMonodromy) -> bool:
 def test_is_regular_matches_the_closure_on_the_paper_dessins():
     for n in range(2, 41):
         eta, sigma = build_remark_permutations(n)
-        dessins = [DessinMonodromy(4 * n, eta, sigma)]
+        dessins = [DessinMonodromy(eta, sigma)]
         for case in ("I",) if n % 2 == 0 else ("I", "II"):
             dessins.append(remark_dessin(n, case))
             dessins.append(regular_dessin(census_representative(n, case)))
@@ -195,7 +206,7 @@ def test_is_regular_matches_the_closure_on_random_pairs():
         degree = rng.randint(1, 6)
         white, black = (Permutation(tuple(rng.sample(range(1, degree + 1), degree)))
                         for _ in range(2))
-        dessin = DessinMonodromy(degree, white, black)
+        dessin = DessinMonodromy(white, black)
         outcomes.append(dessin.is_regular())
         assert outcomes[-1] == regular_by_closure(dessin), (white, black)
     assert True in outcomes and False in outcomes

@@ -1,18 +1,30 @@
 """Mutation test of the closed-form deciders `search.admits` and
-`genus.admits_pure`.
+`genus.admits_pure`, of the closure `DicyclicGroup._closure_indices`, of
+`covering.quotient_genus` and of the candidate lists of
+`genus.strong_symmetric_genus` and `real_forms.sigma_hyp`.
 
-Each mutant deletes or changes one clause of a decider's source text; it
-is executed into a fresh module namespace in process, and some answer of
-the mutated decider must differ from the exhaustive oracle (`search.vectors`,
-and `covering.is_pure` on every vector for purity).  The unmutated source,
-run the same way, is the control and must agree everywhere.  The oracle
-covers, for n = 2..8, every genus-0 signature of at most four orders
-from `walks.order_pool(n)` and 2n + 1 (at most six for n <= 4), every
-(1; m) and (1; -), and every handle-1 signature of gamma <= 1 and at
-most three cones over each index-two plus part.  Four cones leave some
-clauses unreachable: an odd count of order-4 cones at odd n, or the
-t >= 4 y-element cones of a pure vector beside an order 2n, needs five
-or six.
+Each mutant deletes or changes one clause of a function's source text;
+it is executed into a fresh module namespace in process, and some answer
+of the mutated function must differ from its oracle, a raise counting as
+a different answer.  The unmutated source, run the same way, is the
+control and must agree everywhere.
+
+The deciders' oracle is the exhaustive search (`search.vectors`, and
+`covering.is_pure` on every vector for purity).  It covers, for
+n = 2..8, every genus-0 signature of at most four orders from
+`walks.order_pool(n)` and 2n + 1 (at most six for n <= 4), every (1; m)
+and (1; -), and every handle-1 signature of gamma <= 1 and at most three
+cones over each index-two plus part.  Four cones leave some clauses
+unreachable: an odd count of order-4 cones at odd n, or the t >= 4
+y-element cones of a pure vector beside an order 2n, needs five or six.
+
+The closure's oracle is the breadth-first closure over the
+multiplication table that `test_group.py` keeps, on every generator pair
+at n = 2..8; that of `quotient_genus` is the coset-cycle count
+`covering.quotient_signature`, on every subgroup and case at n = 2..12;
+that of the candidate lists is the genus-by-genus walks of `walks.py`
+at n = 2..16, which must give the same genus, signature, plus part and
+images.
 """
 
 import itertools
@@ -21,11 +33,14 @@ from pathlib import Path
 
 import pytest
 
-from dicyclic_dessins import genus, search
-from dicyclic_dessins.covering import is_pure
+import walks
+from dicyclic_dessins import covering, genus, group, real_forms, search
+from dicyclic_dessins.covering import census_representative, is_pure
+from dicyclic_dessins.errors import cases
 from dicyclic_dessins.group import DicyclicGroup
 from dicyclic_dessins.search import Signature
 
+from test_group import closure_oracle
 from walks import order_pool
 
 # (decider, the source text of one clause, its mutant): each source text
@@ -70,7 +85,31 @@ MUTANTS = [
     ("admits_pure", "for t in range(2, fours + 1, 2):", "for t in range(2, fours + 1):"),
 ]
 
-MODULES = {"admits": search, "admits_pure": genus}
+# (function, the source text of one clause, its mutant) for the functions
+# that `ORACLES` compares one at a time
+CONSTRUCTION_MUTANTS = [
+    # DicyclicGroup._closure_indices
+    ("DicyclicGroup._closure_indices", "s, d = a, gcd(d, self.n)", "s, d = a, d"),
+    ("DicyclicGroup._closure_indices", "d = gcd(d, a - s if b else a)", "d = gcd(d, a)"),
+    ("DicyclicGroup._closure_indices", "if b and s is None:", "if b:"),
+    ("DicyclicGroup._closure_indices", "d, s = 2 * self.n, None", "d, s = self.n, None"),
+    # covering.quotient_genus
+    ("quotient_genus", "for h in H if h)", "for h in H)"),
+    ("quotient_genus", "return trace // (2 * len(H))", "return trace // len(H)"),
+    ("quotient_genus", "trace = 2 * act.genus() +", "trace = act.genus() +"),
+    # the candidate lists of the minimal-genus formulas
+    ("strong_symmetric_genus", "[(_triangle(2 * n), None), (_triangle(n), None)]",
+     "[(_triangle(2 * n), None)]"),
+    ("strong_symmetric_genus", "[(_triangle(2 * n), None), (_triangle(n), None)]",
+     "[(_triangle(n), None)]"),
+    ("sigma_hyp", "(4, 4) if n % 2 == 0 else (n, 2 * n)", "(4, 4) if n % 2 else (n, 2 * n)"),
+    ("sigma_hyp", "for H in group.index_two_subgroups()]",
+     "for H in group.index_two_subgroups()[1:]]"),
+]
+
+MODULES = {"admits": search, "admits_pure": genus,
+           "DicyclicGroup._closure_indices": group, "quotient_genus": covering,
+           "strong_symmetric_genus": genus, "sigma_hyp": real_forms}
 
 
 @lru_cache(maxsize=1)
@@ -119,25 +158,30 @@ def disagreements(deciders):
 
 
 def executed(name, source):
-    """The function `name` of this module source, executed into a fresh
-    namespace of the package."""
+    """The function `name` (a method as `Class.method`) of this module
+    source, executed into a fresh namespace of the package."""
     module = MODULES[name]
     namespace = {"__name__": f"{module.__name__}_mutant", "__package__": "dicyclic_dessins"}
     exec(compile(source, module.__file__, "exec"), namespace)
-    return namespace[name]
+    owner, _, attr = name.rpartition(".")
+    return vars(namespace[owner])[attr] if owner else namespace[attr]
 
 
-def deciders(mutated=None, clause="", mutant=""):
+def mutated(name, clause="", mutant=""):
+    """The function `name`, executed from its module's source text with
+    `clause` replaced by `mutant`."""
+    source = Path(MODULES[name].__file__).read_text()
+    if clause:
+        assert source.count(clause) == 1, clause
+        source = source.replace(clause, mutant)
+    return executed(name, source)
+
+
+def deciders(name=None, clause="", mutant=""):
     """Both deciders, executed from their source texts, with one clause of
-    `mutated` replaced by its mutant."""
-    out = {}
-    for name, module in MODULES.items():
-        source = Path(module.__file__).read_text()
-        if name == mutated:
-            assert source.count(clause) == 1, clause
-            source = source.replace(clause, mutant)
-        out[name] = executed(name, source)
-    return out
+    `name` replaced by its mutant."""
+    return {decider: mutated(decider, *((clause, mutant) if decider == name else ()))
+            for decider in ("admits", "admits_pure")}
 
 
 def test_the_unmutated_deciders_agree_with_the_oracle():
@@ -146,6 +190,85 @@ def test_the_unmutated_deciders_agree_with_the_oracle():
     assert disagreements(deciders()) == []
 
 
-@pytest.mark.parametrize("mutated, clause, mutant", MUTANTS)
-def test_every_one_clause_mutant_of_a_decider_is_killed(mutated, clause, mutant):
-    assert disagreements(deciders(mutated, clause, mutant)), (mutated, clause, mutant)
+@pytest.mark.parametrize("name, clause, mutant", MUTANTS)
+def test_every_one_clause_mutant_of_a_decider_is_killed(name, clause, mutant):
+    assert disagreements(deciders(name, clause, mutant)), (name, clause, mutant)
+
+
+def answer(func, *args):
+    """func(*args), or the type of the exception it raised."""
+    try:
+        return func(*args)
+    except Exception as error:  # a mutant may raise anything; that is its answer
+        return type(error)
+
+
+@lru_cache(maxsize=1)
+def closure_answers():
+    """(group, generator pair, members) for every pair at n = 2..8."""
+    return [(G, pair, closure_oracle(G, pair))
+            for G in map(DicyclicGroup, range(2, 9))
+            for pair in itertools.combinations_with_replacement(range(G.order), 2)]
+
+
+def members(closure, G, pair):
+    return frozenset(closure(G, pair))
+
+
+def wrong_closures(closure):
+    return [(G.n, pair) for G, pair, want in closure_answers()
+            if answer(members, closure, G, pair) != want]
+
+
+@lru_cache(maxsize=1)
+def quotient_answers():
+    """(action, subgroup, genus of the quotient) for every subgroup and
+    case at n = 2..12."""
+    out = []
+    for n in range(2, 13):
+        for case in cases(n):
+            act = census_representative(n, case)
+            out += [(act, H, covering.quotient_signature(act, H).gamma)
+                    for H in DicyclicGroup(n).subgroups]
+    return out
+
+
+def wrong_quotients(quotient_genus):
+    return [(act.group.n, H) for act, H, gamma in quotient_answers()
+            if answer(quotient_genus, act, H) != gamma]
+
+
+def witness_of(found):
+    """The genus and witness data of a formula's answer, or what it raised."""
+    if isinstance(found, type):
+        return found
+    g, w = found
+    return g, w.signature, w.plus_part, w.hyperbolic_images, w.cone_images
+
+
+@lru_cache(maxsize=2)
+def walk_answers(walk):
+    return [(n, witness_of(walk(n))) for n in range(2, 17)]
+
+
+def wrong_candidates(formula, walk):
+    return [n for n, expected in walk_answers(walk)
+            if witness_of(answer(formula, n)) != expected]
+
+
+ORACLES = {
+    "DicyclicGroup._closure_indices": wrong_closures,
+    "quotient_genus": wrong_quotients,
+    "strong_symmetric_genus": lambda f: wrong_candidates(f, walks.strong_symmetric_genus),
+    "sigma_hyp": lambda f: wrong_candidates(f, walks.sigma_hyp),
+}
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_the_unmutated_constructions_agree_with_their_oracles(name):
+    assert ORACLES[name](mutated(name)) == []
+
+
+@pytest.mark.parametrize("name, clause, mutant", CONSTRUCTION_MUTANTS)
+def test_every_one_clause_mutant_of_a_construction_is_killed(name, clause, mutant):
+    assert ORACLES[name](mutated(name, clause, mutant)), (name, clause, mutant)
