@@ -23,9 +23,8 @@ Each model picks its relation-sides function once, at construction,
 and the sampler, the residual and the step loop all call it.  The
 sampler and every map step first test whether a point is in the
 exclusion zone: only a point whose modulus is near 0 or 1 can be, and
-for such a point the distance to the nearest branch point is found in
-O(1), on the hyperelliptic models by rounding the argument (see
-`_branch_distance`).
+only for such a point is the distance to the nearest branch point
+scanned over `branch_locus()`.
 
 A word applies a nonnegative exponent literally, so an order relation
 such as x^(2n) = 1 takes its 2n steps; only a negative exponent is
@@ -76,8 +75,10 @@ class CurveModel:
     shows the numeric checks would catch a wrong formula.
     `hyperelliptic` is the one record of the model's family (the
     hyperelliptic models carry the ring of branch points, tau and pi).
-    `sides` and `branch_distance` are the functions picked for the
-    model, and `_samples` keeps the points drawn per (count, seed).
+    `sides` is the relation-sides function picked for the model,
+    `branch_distance` the distance from z to the nearest point of
+    `branch_locus()`, and `_samples` keeps the points drawn per
+    (count, seed).
     """
 
     __slots__ = ("name", "n", "perturb", "hyperelliptic", "maps", "orders",
@@ -102,7 +103,8 @@ class CurveModel:
         self._samples = {}
         self.sides = _relation_sides(name, n)
         self.maps, self.orders = _build_maps(self)
-        self.branch_distance = _branch_distance(self.branch_locus(), self.hyperelliptic)
+        locus = self.branch_locus()
+        self.branch_distance = lambda z: min(abs(z - b) for b in locus)
 
     # -- defining relation ---------------------------------------------
 
@@ -192,41 +194,6 @@ def _relation_sides(
     return lambda z, w: (w ** two_n, z ** n * (z - 1) ** 2 * (z + 1) ** even)
 
 
-def _branch_distance(
-    locus: list[complex], ring: bool
-) -> Callable[[complex], float]:
-    """Distance from z to the nearest point of `locus`, in O(1).
-
-    `locus` is `branch_locus()`: 0, +1, -1 and, when `ring` is set, the
-    2n-th roots of unity with locus[3 + k] = zeta^k.  The root nearest to
-    z is the one nearest in argument, k = round(phase(z) 2n / 2pi) mod 2n;
-    its neighbours k - 1 and k + 1 cover halfway angles and the rounding
-    of the phase, and +-1 are read explicitly because zeta^n is -1 only up
-    to rounding.  This subset holds the argmin of the full scan, so the
-    result is the same float as min(abs(z - b) for b in locus).
-    """
-    zero, one, minus_one = locus[:3]
-    if not ring:
-        return lambda z: min(abs(z - zero), abs(z - one), abs(z - minus_one))
-    roots = locus[3:]
-    two_n = len(roots)
-    n = two_n // 2
-    # windows[k + n] for k = round(...) in [-n, n], phase(z) being in [-pi, pi]
-    windows = [
-        (roots[(k - 1) % two_n], roots[k % two_n], roots[(k + 1) % two_n])
-        for k in range(-n, n + 1)
-    ]
-    scale = n / cmath.pi
-    phase = cmath.phase
-
-    def distance(z: complex) -> float:
-        a, b, c = windows[round(phase(z) * scale) + n]
-        return min(abs(z - zero), abs(z - one), abs(z - minus_one),
-                   abs(z - a), abs(z - b), abs(z - c))
-
-    return distance
-
-
 def _build_maps(model: CurveModel) -> tuple[dict[str, Callable], dict[str, int]]:
     """Each self-map's coordinate function and its order, by name."""
     n = model.n
@@ -286,9 +253,10 @@ Word = list[tuple[str, int]]
 
 
 def _walk(model: CurveModel, trails: list, size: int, start: Point) -> list:
-    """The step loop: walk `start` through `trails`, each listed after
-    the trail whose node it starts from, into a list of `size` slots
-    holding (point, drift) at each node, or None where no walk reached.
+    """The step loop: walk `start` through the `trails` of a bundle's
+    plan, each listed after the trail whose node it starts from, into a
+    list of `size` slots holding (point, drift) at each node, or None
+    where no walk reached.
 
     The drift of a node is the worst residual of every step from the
     start point to it.  Each trail walks from its origin slot, its point
@@ -301,8 +269,8 @@ def _walk(model: CurveModel, trails: list, size: int, start: Point) -> list:
 
     Every branch value is 0 or on the unit circle, so a z whose modulus
     lies SHELL or more from both 0 and 1 is outside the zone without
-    asking `branch_distance`: |z - b| >= ||z| - |b||, and the factor two
-    in SHELL covers the rounding of both moduli.
+    the scan of `branch_distance`: |z - b| >= ||z| - |b||, and the
+    factor two in SHELL covers the rounding of both moduli.
     """
     sides = model.sides
     isfinite = cmath.isfinite
@@ -345,7 +313,7 @@ Check = tuple[Word, Word]
 
 def _plan(model: CurveModel, checks: list[Check]) -> tuple[list, int, list]:
     """The walk of a bundle, made once: its trails, its number of slots
-    and, for each check, (got slot, want slot, the trails it walks).
+    and, for each check, its (got slot, want slot).
 
     A word applies its factors right to left (group notation); a
     nonnegative exponent takes its steps as written, a negative one is
@@ -358,10 +326,10 @@ def _plan(model: CurveModel, checks: list[Check]) -> tuple[list, int, list]:
     (map func, origin slot, schedule) for `_walk`, listed in the order
     their origins need.
     """
-    slots, reach, plans = {(None, 0): 0}, {}, []
-    for word, expected in checks:
-        images, own = [], set()
-        for w in word, expected:
+    slots, reach, pairs = {(None, 0): 0}, {}, []
+    for check in checks:
+        images = []
+        for w in check:
             node = (None, 0)
             for name, exponent in reversed(w):
                 steps = exponent if exponent >= 0 else exponent % model.orders[name]
@@ -369,17 +337,14 @@ def _plan(model: CurveModel, checks: list[Check]) -> tuple[list, int, list]:
                 node = (trail, steps)
                 slots.setdefault(node, len(slots))
                 reach[trail] = max(reach.get(trail, 0), steps)
-                own.add(trail)
             images.append(slots[node])
-        plans.append((*images, own))
-    trails = {
-        trail: (model.maps[trail[0]], slots[trail[1]],
-                [slots.get((trail, k)) for k in range(1, last + 1)])
-        for trail, last in reach.items()
-    }
-    return list(trails.values()), len(slots), [
-        (got, want, [trails[t] for t in trails if t in own]) for got, want, own in plans
+        pairs.append(tuple(images))
+    trails = [
+        (model.maps[name], slots[origin],
+         [slots.get(((name, origin), k)) for k in range(1, last + 1)])
+        for (name, origin), last in reach.items()
     ]
+    return trails, len(slots), pairs
 
 
 def _verify_bundle(
@@ -403,11 +368,12 @@ def _verify_bundle(
     largest does not depend on the order it is taken in.  A check whose
     image slot is empty (its walk left the sampling safety zone near a
     pole or a branch point, or overflowed) redraws that point from its
-    own seed sequence seed + 1, seed + 2, ..., walks it through its own
-    trails and counts it, so each report equals the one its check would
-    get alone.
+    own seed sequence seed + 1, seed + 2, ..., walks it through the
+    whole plan and counts it.  A slot depends only on the trails that
+    lead to it, so the redrawn images are those the check's own words
+    reach, and each report equals the one its check would get alone.
     """
-    trails, size, plans = _plan(model, checks)
+    trails, size, pairs = _plan(model, checks)
     reports = [
         {"model": model.name, "n": model.n,
          "word": f"{_word_description(word)} = {_word_description(expected)}",
@@ -417,14 +383,14 @@ def _verify_bundle(
     ]
     for start in model.sample_points(trials, seed):
         state = _walk(model, trails, size, start)
-        for report, (got, want, own) in zip(reports, plans):
+        for report, (got, want) in zip(reports, pairs):
             image, expected = state[got], state[want]
             while image is None or expected is None:
                 report["resampled"] += 1
                 if report["resampled"] > 10 * trials:
                     raise SamplingError("too many trajectories hit the exclusion zone")
                 [redrawn] = model.sample_points(1, seed + report["resampled"])
-                walked = _walk(model, own, size, redrawn)
+                walked = _walk(model, trails, size, redrawn)
                 image, expected = walked[got], walked[want]
             (g0, g1), drift_got = image
             (w0, w1), drift_want = expected

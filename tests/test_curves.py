@@ -201,11 +201,13 @@ def test_sn_cyclic_y_map_equals_the_printed_formula():
             assert abs(image[1] - printed) <= 1e-9 * (1 + abs(printed)), (n, z, w)
 
 
-# -- the O(1) step path against the full scans it replaces ----------------
+# -- the exclusion-zone test against the oracle's full scan --------------
 
 
 def _locus_probes(n, locus, rng):
-    """Random points plus the edge cases of the rounded-argument lookup."""
+    """Random points plus the edge cases of the zone: the branch points,
+    the halfway angles between roots and points a hair inside and
+    outside BRANCH_DISTANCE."""
     ring = locus[3:]
     probes = list(locus)  # exact branch points, -1 and zeta^n included
     for k in range(2 * n):
@@ -228,8 +230,8 @@ def _locus_probes(n, locus, rng):
 
 
 def test_branch_distance_equals_full_scan():
-    # the O(1) lookup must return the very float of the full min scan,
-    # so the exclusion-zone boolean cannot differ either
+    # the model's distance must be the very float of the oracle's own
+    # min scan, so the exclusion-zone boolean cannot differ either
     rng = random.Random(20)
     for n in range(2, 41):
         names = ["Sn_hyperelliptic"] + (["Rn_hyperelliptic"] if n % 2 else [])
@@ -279,7 +281,7 @@ def _one_step(model, name, p):
     """The slot that one step of the map `name` from p writes, through
     the bundle's own plan and walker: (image, drift), or None if the
     walk stopped."""
-    trails, size, [(got, _, _)] = curves._plan(model, [([(name, 1)], [])])
+    trails, size, [(got, _)] = curves._plan(model, [([(name, 1)], [])])
     return curves._walk(model, trails, size, p)[got]
 
 

@@ -1,7 +1,8 @@
 """Mutation test of the closed-form deciders `search.admits` and
 `genus.admits_pure`, of the closure `DicyclicGroup._closure_indices`, of
-`covering.quotient_genus` and of the candidate lists of
-`genus.strong_symmetric_genus` and `real_forms.sigma_hyp`.
+`covering.quotient_genus`, of the candidate lists of
+`genus.strong_symmetric_genus` and `real_forms.sigma_hyp`, and of the
+exclusion-zone test of the curve step loop `curves._walk`.
 
 Each mutant deletes or changes one clause of a function's source text;
 it is executed into a fresh module namespace in process, and some answer
@@ -24,22 +25,27 @@ at n = 2..8; that of `quotient_genus` is the coset-cycle count
 `covering.quotient_signature`, on every subgroup and case at n = 2..12;
 that of the candidate lists is the genus-by-genus walks of `walks.py`
 at n = 2..16, which must give the same genus, signature, plus part and
-images.
+images.  The zone test's oracle is the full scan over `branch_locus()`:
+one x step from each probe of `test_curves._locus_probes` at n = 2..6,
+on every applicable model, must stop exactly where the scan puts the
+probe within BRANCH_DISTANCE of the locus.
 """
 
 import itertools
+import random
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import walks
-from dicyclic_dessins import covering, genus, group, real_forms, search
+from dicyclic_dessins import covering, curves, genus, group, real_forms, search
 from dicyclic_dessins.covering import census_representative, is_pure
 from dicyclic_dessins.errors import cases
 from dicyclic_dessins.group import DicyclicGroup
 from dicyclic_dessins.search import Signature
 
+from test_curves import _locus_probes
 from test_group import closure_oracle
 from walks import order_pool
 
@@ -105,11 +111,17 @@ CONSTRUCTION_MUTANTS = [
     ("sigma_hyp", "(4, 4) if n % 2 == 0 else (n, 2 * n)", "(4, 4) if n % 2 else (n, 2 * n)"),
     ("sigma_hyp", "for H in group.index_two_subgroups()]",
      "for H in group.index_two_subgroups()[1:]]"),
+    # curves._walk: the zone test before each step
+    ("_walk", "(modulus < SHELL or -SHELL < modulus - 1.0 < SHELL)",
+     "(-SHELL < modulus - 1.0 < SHELL)"),
+    ("_walk", "(modulus < SHELL or -SHELL < modulus - 1.0 < SHELL)", "(modulus < SHELL)"),
+    ("_walk", "model.branch_distance(z) < BRANCH_DISTANCE",
+     "model.branch_distance(z) < BRANCH_DISTANCE / 2"),
 ]
 
 MODULES = {"admits": search, "admits_pure": genus,
            "DicyclicGroup._closure_indices": group, "quotient_genus": covering,
-           "strong_symmetric_genus": genus, "sigma_hyp": real_forms}
+           "strong_symmetric_genus": genus, "sigma_hyp": real_forms, "_walk": curves}
 
 
 @lru_cache(maxsize=1)
@@ -256,11 +268,40 @@ def wrong_candidates(formula, walk):
             if witness_of(answer(formula, n)) != expected]
 
 
+@lru_cache(maxsize=1)
+def zone_answers():
+    """(model, its plan of one x step, the step's slot, probe, whether the
+    full scan puts the probe in the exclusion zone) at n = 2..6."""
+    rng = random.Random(22)
+    out = []
+    for n in range(2, 7):
+        ring = curves.CurveModel("Sn_hyperelliptic", n).branch_locus()
+        probes = _locus_probes(n, ring, rng)
+        for name in curves.applicable_models(n):
+            model = curves.CurveModel(name, n)
+            trails, size, [(got, _)] = curves._plan(model, [([("x", 1)], [])])
+            locus = model.branch_locus()
+            out += [(model, (trails, size), got, z,
+                     min(abs(z - b) for b in locus) < curves.BRANCH_DISTANCE)
+                    for z in probes]
+    return out
+
+
+def stops(walk, model, plan, got, z):
+    return walk(model, *plan, (z, 1 + 0j))[got] is None
+
+
+def wrong_zones(walk):
+    return [(model.name, model.n, z) for model, plan, got, z, inside in zone_answers()
+            if answer(stops, walk, model, plan, got, z) != inside]
+
+
 ORACLES = {
     "DicyclicGroup._closure_indices": wrong_closures,
     "quotient_genus": wrong_quotients,
     "strong_symmetric_genus": lambda f: wrong_candidates(f, walks.strong_symmetric_genus),
     "sigma_hyp": lambda f: wrong_candidates(f, walks.sigma_hyp),
+    "_walk": wrong_zones,
 }
 
 
