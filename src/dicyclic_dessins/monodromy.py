@@ -1,9 +1,9 @@
 """Permutation monodromy of regular dessins.
 
 Builds the explicit permutation pair on 4n points, the regular dessin
-of any triangular action on |G| edges, the induced bipartite map graph,
-and a Graphviz DOT export.  Permutations act on 1-based points so the
-explicit cycles can be written down verbatim.
+of any triangular action on |G| edges, the induced bipartite map graph
+as its edge list, and a Graphviz DOT export.  Permutations act on
+1-based points so the explicit cycles can be written down verbatim.
 
 Convention (recorded in every report): white = first triple entry,
 black = second, face = third, with the left-to-right product equal to
@@ -12,6 +12,7 @@ the identity.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 
 from .errors import ParameterError, Value, cases, check_case
@@ -150,10 +151,10 @@ def build_remark_permutations(n: int) -> tuple[Permutation, Permutation]:
 
 
 def verify_remark_relations(n: int, pair: tuple | None = None,
-                            dessins: dict | None = None) -> dict:
+                            dessins: dict | None = None) -> dict[str, bool]:
     """Check every stated identity for the explicit pair (eta, sigma).
 
-    Returns a report mapping each relation to a bool; "group_order_4n"
+    Returns a dict mapping each relation to a bool; "group_order_4n"
     confirms that eta -> x, sigma -> y extends to an isomorphism (the
     relations plus the matching order force one): the pair acts
     regularly on its 4n points, so it generates a group of order 4n
@@ -188,12 +189,7 @@ def verify_remark_relations(n: int, pair: tuple | None = None,
         checks["case_II_triple_tau_sigma_eta2"] = (
             tau * sigma * eta * eta
         ).is_identity()
-    return {
-        "n": n,
-        "convention": CONVENTION,
-        "checks": checks,
-        "all_pass": all(checks.values()),
-    }
+    return checks
 
 
 # -- regular dessins ----------------------------------------------------
@@ -211,8 +207,9 @@ class DessinMonodromy:
         return self.white.degree
 
     @cached_property
-    def graph(self) -> BipartiteMapGraph:
-        """The bipartite map graph, built once per dessin by `graph_of`."""
+    def graph(self) -> list[tuple[int, int]]:
+        """The edge list of the bipartite map graph, built once per dessin
+        by `graph_of`."""
         return graph_of(self)
 
     @cached_property
@@ -319,98 +316,52 @@ def remark_dessin(n: int, case: str, pair: tuple | None = None) -> DessinMonodro
 # -- bipartite map graphs ----------------------------------------------
 
 
-class BipartiteMapGraph:
-    """The underlying bipartite multigraph of a dessin.
+def graph_of(dessin: DessinMonodromy) -> list[tuple[int, int]]:
+    """The underlying bipartite multigraph of a dessin, as its edge list.
 
-    Vertices are the cycles of the white and the black permutation;
-    each edge point joins its white cycle to its black cycle.  Parallel
-    edges are preserved.
+    Vertices are the cycles of the white and the black permutation, each
+    numbered in `Permutation.cycles` order; edge point e gives the pair
+    (index of its white cycle, index of its black cycle), for e = 1..N,
+    so parallel edges are kept and every vertex lies on an edge.
     """
-
-    __slots__ = ("white_vertices", "black_vertices", "edges")
-
-    def __init__(
-        self,
-        white_vertices: list[tuple[int, ...]],
-        black_vertices: list[tuple[int, ...]],
-        edges: list[tuple[int, int]],  # (white vertex index, black vertex index)
-    ):
-        self.white_vertices, self.black_vertices = white_vertices, black_vertices
-        self.edges = edges
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.white_vertices) + len(self.black_vertices)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    white_of, black_of = ({e: i for i, cyc in enumerate(p.cycles()) for e in cyc}
+                          for p in (dessin.white, dessin.black))
+    return [(white_of[e], black_of[e]) for e in range(1, dessin.edge_count + 1)]
 
 
-def graph_of(dessin: DessinMonodromy) -> BipartiteMapGraph:
-    white_cycles = dessin.white.cycles()
-    black_cycles = dessin.black.cycles()
-    white_of = {e: i for i, cyc in enumerate(white_cycles) for e in cyc}
-    black_of = {e: i for i, cyc in enumerate(black_cycles) for e in cyc}
-    edges = [
-        (white_of[e], black_of[e]) for e in range(1, dessin.edge_count + 1)
-    ]
-    return BipartiteMapGraph(white_cycles, black_cycles, edges)
-
-
-def _multi_adjacency(graph: BipartiteMapGraph) -> dict[tuple[str, int], dict[tuple[str, int], int]]:
-    adj: dict[tuple[str, int], dict[tuple[str, int], int]] = {}
-    for i in range(len(graph.white_vertices)):
-        adj[("w", i)] = {}
-    for i in range(len(graph.black_vertices)):
-        adj[("b", i)] = {}
-    for w, b in graph.edges:
-        wv, bv = ("w", w), ("b", b)
-        adj[wv][bv] = adj[wv].get(bv, 0) + 1
-        adj[bv][wv] = adj[bv].get(wv, 0) + 1
-    return adj
-
-
-def is_doubled_cycle(graph: BipartiteMapGraph, m: int) -> bool:
-    """True iff the graph is the cycle on m vertices with doubled edges.
+def is_doubled_cycle(edges: list[tuple[int, int]], m: int) -> bool:
+    """True iff the edge list is the cycle on m vertices with doubled edges.
 
     Once every vertex has exactly two distinct neighbours, each joined
     by two edges, the graph is a disjoint union of doubled cycles, so
     one walk from a start vertex decides whether it is a single one:
     it is iff the walk returns after visiting all m vertices.
     """
-    if m < 3:
+    doubled = Counter(edges)
+    neighbours: dict[int, list[int]] = {}  # white vertex w is w, black b is ~b
+    for w, b in doubled:
+        neighbours.setdefault(w, []).append(~b)
+        neighbours.setdefault(~b, []).append(w)
+    if m < 3 or len(neighbours) != m or any(k != 2 for k in doubled.values()) \
+            or any(len(nbrs) != 2 for nbrs in neighbours.values()):
         return False
-    if graph.vertex_count != m or graph.edge_count != 2 * m:
-        return False
-    adj = _multi_adjacency(graph)
-    for nbrs in adj.values():
-        if len(nbrs) != 2 or any(mult != 2 for mult in nbrs.values()):
-            return False
-    start = min(adj)
-    prev, cur = start, next(iter(adj[start]))
-    length = 1
+    start = edges[0][0]
+    prev, cur, length = start, ~edges[0][1], 1
     while cur != start:
-        length += 1
-        prev, cur = cur, next(u for u in adj[cur] if u != prev)
+        a, b = neighbours[cur]
+        prev, cur, length = cur, b if a == prev else a, length + 1
     return length == m
 
 
 # -- DOT export ---------------------------------------------------------
 
 
-def export_dot(graph: BipartiteMapGraph) -> str:
-    """Deterministic Graphviz DOT text for a bipartite map graph."""
+def export_dot(edges: list[tuple[int, int]]) -> str:
+    """Deterministic Graphviz DOT text for a bipartite map graph, given as
+    its edge list (`graph_of`)."""
+    whites, blacks = (len(set(ends)) for ends in zip(*edges))
     lines = ["graph dessin {"]
-    for i in range(len(graph.white_vertices)):
-        lines.append(
-            f'  w{i} [shape=circle, style=filled, fillcolor=white];'
-        )
-    for i in range(len(graph.black_vertices)):
-        lines.append(
-            f'  b{i} [shape=circle, style=filled, fillcolor=black];'
-        )
-    for w, b in sorted(graph.edges):
-        lines.append(f"  w{w} -- b{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f"  w{i} [shape=circle, style=filled, fillcolor=white];" for i in range(whites)]
+    lines += [f"  b{i} [shape=circle, style=filled, fillcolor=black];" for i in range(blacks)]
+    lines += [f"  w{w} -- b{b};" for w, b in sorted(edges)]
+    return "\n".join(lines + ["}"]) + "\n"

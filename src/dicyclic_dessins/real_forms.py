@@ -95,46 +95,26 @@ def sigma_hyp(n: int) -> tuple[int, GeneratingVector]:
 # -- pseudo-real construction ------------------------------------------
 
 
-class PseudoRealCertificate:
-    """Computable evidence for one member of the pseudo-real family."""
-
-    __slots__ = ("n", "q", "l", "action", "genus", "genus_via_cyclic_cover",
-                 "obstruction_report")
-
-    def __init__(
-        self,
-        n: int,
-        q: int,
-        l: int,
-        action: GeneratingVector,
-        genus: int,
-        genus_via_cyclic_cover: int,
-        obstruction_report: dict,
-    ):
-        self.n, self.q, self.l, self.action = n, q, l, action
-        self.genus, self.genus_via_cyclic_cover = genus, genus_via_cyclic_cover
-        self.obstruction_report = obstruction_report
-
-    @property
-    def expected_genus(self) -> int:
-        return (self.l - 1) * (2 * self.n - 1)
-
-
-def build_pseudo_real(n: int, q: int) -> PseudoRealCertificate:
+def build_pseudo_real(n: int, q: int) -> tuple[GeneratingVector, int, dict]:
     """The pseudo-real datum: one glide reflection to y, l elliptics to x.
 
     l = n(2q - 1) cone points of order 2n on a projective-plane
-    quotient.  The genus is computed twice (the non-orientable genus
-    formula, and Riemann-Hurwitz through the degree-2n cyclic cover
-    with 2l cone points), and the report's claims compare both with
-    (l-1)(2n-1).  The pseudo-real obstruction is that the anticonformal
-    elements, the coset outside <x>, all have order four, which the
-    report's claims read off the orders recorded here; maximality of the
-    group rests on a maximal-signature assumption recorded as such.
+    quotient, at most 10^6 of them: a larger l raises `ParameterError`
+    before anything is built, since the datum holds one image per cone
+    point.  Returns the action, its genus through the degree-2n cyclic
+    cover with 2l cone points, and the obstruction data; the report
+    compares the action's genus (the non-orientable formula) with the
+    second and with (l-1)(2n-1).  The pseudo-real obstruction is that
+    the anticonformal elements, the coset outside <x>, all have order
+    four, which the report's claims read off the orders recorded here;
+    maximality of the group rests on a maximal-signature assumption
+    recorded as such.
     """
     if q < 2:
         raise ParameterError(f"need q >= 2, got q={q}")
     l = n * (2 * q - 1)
+    if l > 10 ** 6:
+        raise ParameterError(f"need l = n(2q - 1) <= 10^6 cone points, got l={l}")
     group = DicyclicGroup(n)
     plus_part = Subgroup(n, 1, None)  # <x>
     action = GeneratingVector(group, 0, (1,), (2,) * l, plus_part)
@@ -148,19 +128,11 @@ def build_pseudo_real(n: int, q: int) -> PseudoRealCertificate:
     outside_orders = sorted(
         {group.order_table[i] for i in range(group.order) if i not in plus_part}
     )
-    report = {
+    obstruction = {
         "unique_involution": "x^n",
         "involution_inside_plus_part": 2 * n in plus_part,
         "orders_outside_plus_part": outside_orders,
         "cone_point_count_on_cyclic_quotient": 2 * l,
         "maximality": "assumed (maximal-signature list; 2l > 6 holds)",
     }
-    return PseudoRealCertificate(
-        n=n,
-        q=q,
-        l=l,
-        action=action,
-        genus=action.genus(),
-        genus_via_cyclic_cover=genus_cyclic,
-        obstruction_report=report,
-    )
+    return action, genus_cyclic, obstruction

@@ -618,7 +618,7 @@ def test_quotient_signature_rejects_a_subgroup_of_another_group():
 def test_quotient_formulas_reject_a_non_orientable_quotient():
     # both count an orientable quotient of genus gamma': on the pseudo-real
     # action, over a projective plane, either would return a wrong number
-    act = build_pseudo_real(3, 2).action
+    act, _, _ = build_pseudo_real(3, 2)
     H = act.group.cyclic(act.group.element(2))
     with pytest.raises(ParameterError, match="needs an orientable quotient"):
         quotient_genus(act, H)

@@ -1,8 +1,9 @@
 """Mutation test of the closed-form deciders `search.admits` and
 `genus.admits_pure`, of the closure `DicyclicGroup._closure_indices`, of
 `covering.quotient_genus`, of the candidate lists of
-`genus.strong_symmetric_genus` and `real_forms.sigma_hyp`, and of the
-exclusion-zone test of the curve step loop `curves._walk`.
+`genus.strong_symmetric_genus` and `real_forms.sigma_hyp`, of the
+exclusion-zone test of the curve step loop `curves._walk`, and of the
+doubled-cycle test `monodromy.is_doubled_cycle`.
 
 Each mutant deletes or changes one clause of a function's source text;
 it is executed into a fresh module namespace in process, and some answer
@@ -28,7 +29,13 @@ at n = 2..16, which must give the same genus, signature, plus part and
 images.  The zone test's oracle is the full scan over `branch_locus()`:
 one x step from each probe of `test_curves._locus_probes` at n = 2..6,
 on every applicable model, must stop exactly where the scan puts the
-probe within BRANCH_DISTANCE of the locus.
+probe within BRANCH_DISTANCE of the locus.  The doubled-cycle test's
+oracle is its definition, `test_monodromy.doubled_cycle_oracle` (every
+edge twice, and a connected simple graph on m vertices of degree two),
+on `test_monodromy.doubled_cycle_samples`: the dessin graphs at
+n = 2..12, and small graphs that break one rule each (an undoubled and
+a tripled cycle, a doubled path, two doubled cycles apart or sharing a
+vertex).
 """
 
 import itertools
@@ -39,7 +46,7 @@ from pathlib import Path
 import pytest
 
 import walks
-from dicyclic_dessins import covering, curves, genus, group, real_forms, search
+from dicyclic_dessins import covering, curves, genus, group, monodromy, real_forms, search
 from dicyclic_dessins.covering import census_representative, is_pure
 from dicyclic_dessins.errors import cases
 from dicyclic_dessins.group import DicyclicGroup
@@ -47,6 +54,7 @@ from dicyclic_dessins.search import Signature
 
 from test_curves import _locus_probes
 from test_group import closure_oracle
+from test_monodromy import doubled_cycle_oracle, doubled_cycle_samples
 from walks import order_pool
 
 # (decider, the source text of one clause, its mutant): each source text
@@ -117,11 +125,18 @@ CONSTRUCTION_MUTANTS = [
     ("_walk", "(modulus < SHELL or -SHELL < modulus - 1.0 < SHELL)", "(modulus < SHELL)"),
     ("_walk", "model.branch_distance(z) < BRANCH_DISTANCE",
      "model.branch_distance(z) < BRANCH_DISTANCE / 2"),
+    # monodromy.is_doubled_cycle: each rule of the definition, and the walk
+    ("is_doubled_cycle", "any(k != 2 for k in doubled.values())", "False"),
+    ("is_doubled_cycle", "any(len(nbrs) != 2 for nbrs in neighbours.values())", "False"),
+    ("is_doubled_cycle", "return length == m", "return True"),
+    ("is_doubled_cycle", "len(neighbours) != m", "False"),
+    ("is_doubled_cycle", "if m < 3 or", "if"),
 ]
 
 MODULES = {"admits": search, "admits_pure": genus,
            "DicyclicGroup._closure_indices": group, "quotient_genus": covering,
-           "strong_symmetric_genus": genus, "sigma_hyp": real_forms, "_walk": curves}
+           "strong_symmetric_genus": genus, "sigma_hyp": real_forms, "_walk": curves,
+           "is_doubled_cycle": monodromy}
 
 
 @lru_cache(maxsize=1)
@@ -296,12 +311,18 @@ def wrong_zones(walk):
             if answer(stops, walk, model, plan, got, z) != inside]
 
 
+def wrong_doubled_cycles(is_doubled_cycle):
+    return [(edges, m) for edges, m in doubled_cycle_samples()
+            if answer(is_doubled_cycle, edges, m) != doubled_cycle_oracle(edges, m)]
+
+
 ORACLES = {
     "DicyclicGroup._closure_indices": wrong_closures,
     "quotient_genus": wrong_quotients,
     "strong_symmetric_genus": lambda f: wrong_candidates(f, walks.strong_symmetric_genus),
     "sigma_hyp": lambda f: wrong_candidates(f, walks.sigma_hyp),
     "_walk": wrong_zones,
+    "is_doubled_cycle": wrong_doubled_cycles,
 }
 
 

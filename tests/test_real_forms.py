@@ -1,9 +1,11 @@
 """Tests for the anticonformal action data and minimal hyperbolic genus."""
 
 import itertools
+import subprocess
 
 import pytest
 
+from dicyclic_dessins import real_forms
 from dicyclic_dessins.covering import GeneratingVector
 from dicyclic_dessins.errors import InadmissibleSignatureError, ParameterError
 from dicyclic_dessins.group import DicyclicGroup, GroupElement
@@ -13,6 +15,7 @@ from dicyclic_dessins.real_forms import (
     sigma_hyp,
 )
 from dicyclic_dessins.search import Signature, rh_genus
+from test_cli import CLI, CLI_ENV
 from test_covering import check_rh_genus_against_oracle, indices
 from test_genus import bounded_signatures, listed_signatures
 from walks import quotient_signatures
@@ -260,23 +263,24 @@ def test_sigma_hyp_bounds_are_complete():
 
 def test_pseudo_real_genus_formula():
     for n, q in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)):
-        cert = build_pseudo_real(n, q)
-        assert cert.l == n * (2 * q - 1)
-        assert cert.genus == (cert.l - 1) * (2 * n - 1)
-        assert cert.genus == cert.genus_via_cyclic_cover
+        action, genus_cyclic, _ = build_pseudo_real(n, q)
+        l = n * (2 * q - 1)
+        assert action.cone_images == (2,) * l  # l cone points, each to x
+        assert action.genus() == (l - 1) * (2 * n - 1)
+        assert action.genus() == genus_cyclic
 
 
 def test_pseudo_real_action_is_admissible():
-    cert = build_pseudo_real(3, 2)
-    assert not cert.action.violations()
-    assert cert.action.signature.gamma == 0
-    assert set(cert.action.signature.cone_orders) == {2 * cert.n}
+    action, _, _ = build_pseudo_real(3, 2)
+    assert not action.violations()
+    assert action.signature.gamma == 0
+    assert set(action.signature.cone_orders) == {2 * 3}
 
 
 def test_pseudo_real_obstruction_report():
-    cert = build_pseudo_real(2, 2)
-    assert cert.obstruction_report["orders_outside_plus_part"] == [4]
-    assert cert.obstruction_report["involution_inside_plus_part"]
+    _, _, obstruction = build_pseudo_real(2, 2)
+    assert obstruction["orders_outside_plus_part"] == [4]
+    assert obstruction["involution_inside_plus_part"]
 
 
 def test_pseudo_real_rejects_bad_parameters():
@@ -284,3 +288,22 @@ def test_pseudo_real_rejects_bad_parameters():
         build_pseudo_real(1, 2)
     with pytest.raises(ParameterError):
         build_pseudo_real(2, 1)
+
+
+def test_pseudo_real_refuses_more_than_a_million_cone_points(monkeypatch):
+    # l = n(2q - 1) is bounded before the group or the datum is built
+    assert len(build_pseudo_real(2, 250_000)[0].cone_images) == 999_998
+    monkeypatch.setattr(real_forms, "DicyclicGroup", None)
+    with pytest.raises(ParameterError, match=r"<= 10\^6 cone points, got l=1000002"):
+        build_pseudo_real(2, 250_001)
+    with pytest.raises(ParameterError, match="got l=3000000000000"):
+        build_pseudo_real(10 ** 12, 2)
+
+
+def test_an_oversized_pseudo_real_command_exits_2_with_a_message():
+    # a real process, nothing stubbed: the datum of q = 10^8 would hold
+    # about 4 * 10^8 cone images, more than many machines can fill
+    result = subprocess.run([*CLI, "pseudo-real", "--n", "2", "--q", "100000000"],
+                            capture_output=True, text=True, timeout=60, env=CLI_ENV)
+    assert result.returncode == 2 and result.stdout == "", result.stderr
+    assert result.stderr.startswith("error: ") and "got l=399999998" in result.stderr
