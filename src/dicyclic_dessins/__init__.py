@@ -2,7 +2,7 @@
 
 Exact group arithmetic, covering-space bookkeeping, explicit permutation
 monodromy, exponent-triple cover classification, real/anticonformal
-actions, numeric curve-model checks and minimal-genus searches, plus a
+actions, exact curve-model checks and minimal-genus searches, plus a
 CLI that bundles everything into machine-readable reports.
 
 The names in `__all__` are exported lazily (PEP 562): importing the

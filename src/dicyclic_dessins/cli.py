@@ -4,8 +4,8 @@ writes only.
 Each command runs one verification suite, built by its report builder
 in `reports.py`, prints a JSON envelope (deterministic payload plus a
 timing field) and exits 0 only if every checked, non-assumed claim
-passed.  Exit codes: 0 all pass, 1 claim failure, 2 usage or sampling
-error, 130 interrupted.
+passed.  Exit codes: 0 all pass, 1 claim failure, 2 usage error, 130
+interrupted.
 
 `COMMANDS` is the whole command line: `parse` and the help text both
 read it.  An option is given as `--opt value` or `--opt=value`, and a
@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import atexit
 import gc
-import math
 import sys
 import time
 from pathlib import Path
 
-from .errors import ParameterError, SamplingError
+from .errors import ParameterError
 
 
 class UsageError(Exception):
@@ -51,14 +50,6 @@ def _at_least(low: int):
             raise ValueError(f"must be >= {low}, got {value}")
         return value
     return integer
-
-
-def tolerance(text: str) -> float:
-    """The type of `--tol`: a finite float > 0."""
-    tol = float(text)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"must be finite and > 0, got {text}")
-    return tol
 
 
 def _n_range(text: str) -> range:
@@ -127,7 +118,6 @@ def paper_report(reports, args: dict) -> None:
 # option whose default is REQUIRED must be given.
 REQUIRED = ...
 N, JSON = ("--n", "N", _at_least(2), REQUIRED), ("--json", "PATH", str, None)
-SEED = ("--seed", "SEED", int, 0)
 
 # Each command: (description, run(reports, args), options), where args
 # maps each flag of the options to its value.
@@ -146,23 +136,22 @@ COMMANDS = {
                     [N, JSON, ("--q", "Q", _at_least(2), REQUIRED)]),
     # The names of curves.MODEL_NAMES, spelt out so that parsing the
     # command line does not import the curve models.
-    "curves": ("Numerically verify one curve model's self-maps.",
-               report_of(lambda reports, a: reports.curves_report(
-                   a["--n"], a["--model"], a["--seed"], a["--trials"], a["--tol"])),
+    "curves": ("Exactly verify one curve model's self-maps.",
+               report_of(lambda reports, a: reports.curves_report(a["--n"], a["--model"])),
                [N, JSON, ("--model", None, ("Sn_hyperelliptic", "Rn_hyperelliptic",
-                                            "Sn_cyclic", "Rn_cyclic"), REQUIRED),
-                SEED, ("--trials", "TRIALS", _at_least(1), 100),
-                ("--tol", "TOL", tolerance, 1e-9)]),
+                                            "Sn_cyclic", "Rn_cyclic"), REQUIRED)]),
     "genus": ("Minimal genus (strong or pure symmetric genus) in closed form, "
               "with the first witness vector.",
               report_of(lambda reports, a: reports.genus_report(a["--n"], a["--mode"])),
               [N, JSON, ("--mode", None, ("strong", "pure"), "strong")]),
     "paper-report": ("Run the full suite per n; one JSON per n plus a markdown summary."
                      "\n\nThe range lo..hi is inclusive.  --heavy adds the minimal-genus "
-                     "and torus-exclusion claims for every n, not only for n <= 5.",
+                     "and torus-exclusion claims for every n, not only for n <= 5.  "
+                     "Every claim is exact: --seed is only recorded in the params.",
                      paper_report,
                      [("--n-range", "LO..HI", _n_range, REQUIRED),
-                      ("--out", "PATH", str, REQUIRED), SEED, ("--heavy", "", bool, False)]),
+                      ("--out", "PATH", str, REQUIRED), ("--seed", "SEED", int, 0),
+                      ("--heavy", "", bool, False)]),
 }
 
 
@@ -232,10 +221,8 @@ def main() -> None:
         from . import reports
 
         COMMANDS[command][1](reports, args)
-    except (UsageError, ParameterError, SamplingError, OSError) as exc:
-        # SamplingError: too many curve points or trajectories were
-        # rejected at these parameters; OSError: an output path (--json,
-        # --dot, --out) cannot be written
+    except (UsageError, ParameterError, OSError) as exc:
+        # OSError: an output path (--json, --dot, --out) cannot be written
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     except MemoryError:

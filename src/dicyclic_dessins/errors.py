@@ -64,10 +64,6 @@ class InadmissibleSignatureError(ValueError):
     """A genus formula produced a non-integral or negative value."""
 
 
-class SamplingError(RuntimeError):
-    """Rejection sampling of curve points failed within the retry budget."""
-
-
 class ConstructionError(RuntimeError):
     """A construction whose invariants should hold by design failed one of
     them; this signals an implementation bug, not bad input."""

@@ -11,7 +11,8 @@ through odd-order subgroups of the rotation part that avoid x^n.
 
 import time
 
-from dicyclic_dessins import covering, covers, curves, genus, monodromy, real_forms, search
+import sampler
+from dicyclic_dessins import covering, covers, genus, monodromy, real_forms, search
 from dicyclic_dessins.group import DicyclicGroup
 
 
@@ -204,26 +205,27 @@ def test_criterion_09_minimal_genera():
 
 
 def test_criterion_10_curve_models():
+    # on the numeric sampler, the exact curve layer's second computation
     ok = True
     for n in range(2, 9):
-        for name in curves.applicable_models(n):
-            model = curves.CurveModel(name, n)
-            reports = curves.verify_dicyclic_relations(model)
+        for name in sampler.applicable_models(n):
+            model = sampler.CurveModel(name, n)
+            reports = sampler.verify_dicyclic_relations(model)
             ok = ok and all(r["pass"] for r in reports)
             if name.endswith("hyperelliptic"):
-                ok = ok and curves.verify_belyi(model)["pass"]
+                ok = ok and sampler.verify_belyi(model)["pass"]
                 ok = ok and all(
-                    r["pass"] for r in curves.verify_anticonformal(model)
+                    r["pass"] for r in sampler.verify_anticonformal(model)
                 )
             worst = max(
                 r["max_error"]
-                for r in curves.verify_dicyclic_relations(
-                    curves.CurveModel(name, n, perturb=1e-2))
+                for r in sampler.verify_dicyclic_relations(
+                    sampler.CurveModel(name, n, perturb=1e-2))
             )
             ok = ok and worst > 1e-3
     (t_report,) = [
-        r for r in curves.verify_dicyclic_relations(
-            curves.CurveModel("Sn_hyperelliptic", 2))
+        r for r in sampler.verify_dicyclic_relations(
+            sampler.CurveModel("Sn_hyperelliptic", 2))
         if r["word"] == "t^3 = 1"
     ]
     ok = ok and t_report["pass"]

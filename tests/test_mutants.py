@@ -1,9 +1,10 @@
 """Mutation test of the closed-form deciders `search.admits` and
 `genus.admits_pure`, of the closure `DicyclicGroup._closure_indices`, of
 `covering.quotient_genus`, of the candidate lists of
-`genus.strong_symmetric_genus` and `real_forms.sigma_hyp`, of the
-exclusion-zone test of the curve step loop `curves._walk`, and of the
-doubled-cycle test `monodromy.is_doubled_cycle`.
+`genus.strong_symmetric_genus` and `real_forms.sigma_hyp`, of the exact
+curve layer `curves`, of the exclusion-zone test of the numeric
+sampler's step loop `sampler._walk`, and of the doubled-cycle test
+`monodromy.is_doubled_cycle`.
 
 Each mutant deletes or changes one clause of a function's source text;
 it is executed into a fresh module namespace in process, and some answer
@@ -13,7 +14,8 @@ control and must agree everywhere.
 
 The deciders' oracle is the exhaustive search (`search.vectors`, and
 `covering.is_pure` on every vector for purity).  It covers, for
-n = 2..8, every genus-0 signature of at most four orders from
+n = 2..8, and again for n = 9..14 against the package's deciders, every
+genus-0 signature of at most four orders from
 `walks.order_pool(n)` and 2n + 1 (at most six for n <= 4), every (1; m)
 and (1; -), and every handle-1 signature of gamma <= 1 and at most three
 cones over each index-two plus part.  Four cones leave some clauses
@@ -26,8 +28,13 @@ at n = 2..8; that of `quotient_genus` is the coset-cycle count
 `covering.quotient_signature`, on every subgroup and case at n = 2..12;
 that of the candidate lists is the genus-by-genus walks of `walks.py`
 at n = 2..16, which must give the same genus, signature, plus part and
-images.  The zone test's oracle is the full scan over `branch_locus()`:
-one x step from each probe of `test_curves._locus_probes` at n = 2..6,
+images.  The exact curve layer's oracle is the numeric sampler: its
+verdict on every curve claim at n = 2..8, on the true maps and with x's
+w root shifted by one (`test_curves.shifted`), must be the layer's, and
+each image in the table of each map must evaluate, at sample points, to
+the basis factor at the sampler's image point (`test_curves.table_errors`).
+The zone test's oracle is the full scan over `branch_locus()`:
+one x step from each probe of `test_sampler._locus_probes` at n = 2..6,
 on every applicable model, must stop exactly where the scan puts the
 probe within BRANCH_DISTANCE of the locus.  The doubled-cycle test's
 oracle is its definition, `test_monodromy.doubled_cycle_oracle` (every
@@ -45,6 +52,7 @@ from pathlib import Path
 
 import pytest
 
+import sampler
 import walks
 from dicyclic_dessins import covering, curves, genus, group, monodromy, real_forms, search
 from dicyclic_dessins.covering import census_representative, is_pure
@@ -52,9 +60,10 @@ from dicyclic_dessins.errors import cases
 from dicyclic_dessins.group import DicyclicGroup
 from dicyclic_dessins.search import Signature
 
-from test_curves import _locus_probes
+from test_curves import sampled_shifted_x, sampled_verdicts, shifted, table_errors
 from test_group import closure_oracle
 from test_monodromy import doubled_cycle_oracle, doubled_cycle_samples
+from test_sampler import _locus_probes
 from walks import order_pool
 
 # (decider, the source text of one clause, its mutant): each source text
@@ -119,7 +128,14 @@ CONSTRUCTION_MUTANTS = [
     ("sigma_hyp", "(4, 4) if n % 2 == 0 else (n, 2 * n)", "(4, 4) if n % 2 else (n, 2 * n)"),
     ("sigma_hyp", "for H in group.index_two_subgroups()]",
      "for H in group.index_two_subgroups()[1:]]"),
-    # curves._walk: the zone test before each step
+    # the exact curve layer: tau conjugates, -z sends z - 1 to -(z + 1),
+    # 1/z sends B to -z^-2n B, w^f is reduced, the fibres alternate
+    ("CurveModel", "out = [-v[K] if anti else v[K],", "out = [v[K],"),
+    ("CurveModel", "_factor(model, k, 0, sign * r - k)", "_factor(model, 0, 0, sign * r - k)"),
+    ("CurveModel", "monomial(2 * n, z=-2 * n, b=1)", "monomial(b=1)"),
+    ("CurveModel", "q, v[W] = divmod(v[W], model.degree)", "q = 0"),
+    ("CurveModel", "for k in (0, 1)]", "for k in (1, 2)]"),
+    # sampler._walk: the zone test before each step
     ("_walk", "(modulus < SHELL or -SHELL < modulus - 1.0 < SHELL)",
      "(-SHELL < modulus - 1.0 < SHELL)"),
     ("_walk", "(modulus < SHELL or -SHELL < modulus - 1.0 < SHELL)", "(modulus < SHELL)"),
@@ -135,17 +151,17 @@ CONSTRUCTION_MUTANTS = [
 
 MODULES = {"admits": search, "admits_pure": genus,
            "DicyclicGroup._closure_indices": group, "quotient_genus": covering,
-           "strong_symmetric_genus": genus, "sigma_hyp": real_forms, "_walk": curves,
-           "is_doubled_cycle": monodromy}
+           "strong_symmetric_genus": genus, "sigma_hyp": real_forms, "CurveModel": curves,
+           "_walk": sampler, "is_doubled_cycle": monodromy}
 
 
-@lru_cache(maxsize=1)
-def oracle():
-    """Every (n, signature, plus part) of the module docstring, with
-    whether it has a generating vector and, for an orientable one,
-    whether it has a purely-non-free one."""
+@lru_cache(maxsize=2)
+def oracle(ns):
+    """Every (n, signature, plus part) of the module docstring, for n in
+    ns, with whether it has a generating vector and, for an orientable
+    one, whether it has a purely-non-free one."""
     answers = []
-    for n in range(2, 9):
+    for n in ns:
         group = DicyclicGroup(n)
         pool = order_pool(n)
         # 2n + 1 is no element order; five and six cones reach t >= 4
@@ -170,12 +186,12 @@ def oracle():
     return answers
 
 
-def disagreements(deciders):
-    """The oracle entries where `deciders` (name -> function) answer
-    otherwise."""
+def disagreements(deciders, ns=range(2, 9)):
+    """The oracle entries for n in ns where `deciders` (name -> function)
+    answer otherwise."""
     admits, admits_pure = deciders["admits"], deciders["admits_pure"]
     wrong = []
-    for n, sig, H, found, pure in oracle():
+    for n, sig, H, found, pure in oracle(ns):
         group = DicyclicGroup(n)
         if admits(group, sig, H) != found:
             wrong.append(("admits", n, sig, H))
@@ -212,9 +228,20 @@ def deciders(name=None, clause="", mutant=""):
 
 
 def test_the_unmutated_deciders_agree_with_the_oracle():
-    answers = oracle()
+    answers = oracle(range(2, 9))
     assert any(a[3] for a in answers) and any(a[4] for a in answers)
     assert disagreements(deciders()) == []
+
+
+def test_the_deciders_agree_with_the_oracle_at_n_9_to_14():
+    # the same signatures past n = 8, where the walks alone met the
+    # search: search.admits against the exhaustive search on every one,
+    # admits_pure against is_pure on every vector of the orientable ones
+    answers = oracle(range(9, 15))
+    assert any(a[3] for a in answers) and any(a[4] for a in answers)
+    assert any(a[3] and a[4] is False for a in answers)
+    deciders = {"admits": search.admits, "admits_pure": genus.admits_pure}
+    assert disagreements(deciders, range(9, 15)) == []
 
 
 @pytest.mark.parametrize("name, clause, mutant", MUTANTS)
@@ -283,6 +310,44 @@ def wrong_candidates(formula, walk):
             if witness_of(answer(formula, n)) != expected]
 
 
+def curve_verdicts(model_class, verdicts):
+    """The verdicts on every curve claim at n = 2..8, on the true maps
+    and with x's w root shifted, of models of `model_class`."""
+    return [verdicts(change(model_class(name, n)))
+            for n in range(2, 9) for name in curves.applicable_models(n)
+            for change in (lambda model: model, lambda model: shifted(model, "x", 2))]
+
+
+@lru_cache(maxsize=1)
+def curve_answers():
+    """The sampler's verdicts on the claims of `curve_verdicts`."""
+    return [sampled_verdicts(change(sampler.CurveModel(name, n)), 0)
+            for n in range(2, 9) for name in curves.applicable_models(n)
+            for change in (lambda model: model, sampled_shifted_x)]
+
+
+def wrong_curve_claims(model_class):
+    """The claims on which the curve layer of this `CurveModel` (the
+    functions of its module namespace) and the sampler disagree, and the
+    table images of its maps that the sampler's maps refute."""
+    namespace = model_class.__init__.__globals__
+
+    def verdicts(model):
+        found = namespace["verify_dicyclic_relations"](model)
+        if model.hyperelliptic:
+            found.append(namespace["verify_belyi"](model))
+            found += namespace["verify_anticonformal"](model)
+        return [r["pass"] for r in found]
+
+    got = answer(curve_verdicts, model_class, verdicts)
+    if isinstance(got, type):
+        return got
+    tables = [answer(table_errors, model_class(name, n), namespace["_table"])
+              for n in range(2, 9) for name in curves.applicable_models(n)]
+    return [i for i, (a, b) in enumerate(zip(got, curve_answers())) if a != b] + [
+        errors for errors in tables if errors]
+
+
 @lru_cache(maxsize=1)
 def zone_answers():
     """(model, its plan of one x step, the step's slot, probe, whether the
@@ -290,14 +355,14 @@ def zone_answers():
     rng = random.Random(22)
     out = []
     for n in range(2, 7):
-        ring = curves.CurveModel("Sn_hyperelliptic", n).branch_locus()
+        ring = sampler.CurveModel("Sn_hyperelliptic", n).branch_locus()
         probes = _locus_probes(n, ring, rng)
         for name in curves.applicable_models(n):
-            model = curves.CurveModel(name, n)
-            trails, size, [(got, _)] = curves._plan(model, [([("x", 1)], [])])
+            model = sampler.CurveModel(name, n)
+            trails, size, [(got, _)] = sampler._plan(model, [([("x", 1)], [])])
             locus = model.branch_locus()
             out += [(model, (trails, size), got, z,
-                     min(abs(z - b) for b in locus) < curves.BRANCH_DISTANCE)
+                     min(abs(z - b) for b in locus) < sampler.BRANCH_DISTANCE)
                     for z in probes]
     return out
 
@@ -321,6 +386,7 @@ ORACLES = {
     "quotient_genus": wrong_quotients,
     "strong_symmetric_genus": lambda f: wrong_candidates(f, walks.strong_symmetric_genus),
     "sigma_hyp": lambda f: wrong_candidates(f, walks.sigma_hyp),
+    "CurveModel": wrong_curve_claims,
     "_walk": wrong_zones,
     "is_doubled_cycle": wrong_doubled_cycles,
 }
